@@ -69,8 +69,10 @@ def main():
         print(f"  {k:22s} {v['true_cosine']:+.5f} / {v['raw_eq8']:+.5f} "
               f"/ {v['published']}")
 
-    print("\ntruncation perturbation (every component +-5e-5, 100 draws):")
-    for k, v in extras["perturbation"].items():
+    pert = extras["perturbation"]
+    print(f"\ntruncation perturbation in {pert['mode']} "
+          f"(every component +-5e-5, 100 draws):")
+    for k, v in pert["spreads"].items():
         print(f"  {k:16s} error count ranges over {v['min']}..{v['max']}")
 
     print(f"\nverdict: {'REPRODUCED' if ok else 'NOT REPRODUCED'} "

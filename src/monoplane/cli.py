@@ -9,6 +9,7 @@ stable contract: 0 success, 1 verification mismatch, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -287,8 +288,10 @@ def _verify_text(results, extras, exit_ok):
     for k, v in extras["cosines"].items():
         lines.append(f"  {k}: {v['true_cosine']:.5f} / {v['raw_eq8']:.5f} "
                      f"/ {v['published']}")
-    lines.append("truncation perturbation (+-5e-5 per component), error-count spread:")
-    for k, v in extras["perturbation"].items():
+    pert = extras["perturbation"]
+    lines.append(f"truncation perturbation in {pert['mode']} (+-5e-5 per component), "
+                 f"error-count spread:")
+    for k, v in pert["spreads"].items():
         lines.append(f"  {k}: min={v['min']} max={v['max']}")
     lines.append(f"verdict: {'REPRODUCED' if exit_ok else 'NOT REPRODUCED'}")
     return "\n".join(lines) + "\n"
@@ -299,7 +302,7 @@ def cmd_verify(args):
     if not train or not test:
         raise UsageError("verification needs both a train and a test part")
     exit_ok, results, extras = verify_published(
-        train, test, flip_labels=args.flip_labels, jobs=args.jobs or 1)
+        train, test, flip_labels=args.flip_labels)
 
     text = _verify_text(results, extras, exit_ok)
     if args.format == "csv":
@@ -311,26 +314,8 @@ def cmd_verify(args):
                          f"{r.table_match_test},{r.table_match_train}")
         text = "\n".join(lines) + "\n"
     elif args.format == "json":
-        payload = {
-            "modes": [
-                {"mode": r.mode,
-                 "counts_test_side": list(r.counts_test_side),
-                 "counts_train_side": list(r.counts_train_side),
-                 "counts_sonar": list(r.counts_sonar),
-                 "table_match_test": r.table_match_test,
-                 "table_match_train": r.table_match_train,
-                 "missing_test": r.missing_test, "extra_test": r.extra_test,
-                 "missing_train": r.missing_train, "extra_train": r.extra_train,
-                 "gamma_max_abs_err": r.gamma_check["max_abs_err"],
-                 "gamma_within_1e-3": r.gamma_check["n_within_1e-3"]}
-                for r in results
-            ],
-            "closest_mode": extras["closest_mode"],
-            "norms": extras["norms"],
-            "cosines": extras["cosines"],
-            "perturbation": extras["perturbation"],
-            "reproduced": exit_ok,
-        }
+        payload = {"modes": [dataclasses.asdict(r) for r in results],
+                   **extras, "reproduced": exit_ok}
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
     if args.out:
@@ -412,8 +397,6 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="check the published weight tables")
     common(p_verify, with_training=False)
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="evaluate standardization modes concurrently")
     p_verify.add_argument("--out", default=None, help="optional output directory")
     p_verify.set_defaults(fn=cmd_verify, format="text")
 

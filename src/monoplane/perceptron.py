@@ -219,9 +219,15 @@ def cost_gradient(w: WeightVector, patterns, T: float):
     Xi, tau = _pack(patterns)
     nw = w.norm
     proj = (Xi @ w.w) / nw          # field values; tau*proj = stabilities
-    gam = tau * proj
+    return _gradient(w.w, nw, Xi, tau, proj, tau * proj, T)
+
+
+def _gradient(w, nw, Xi, tau, proj, gam, T):
+    """Gradient of the smoothed error count at raw weights ``w`` of norm
+    ``nw``, given the fields ``proj`` and stabilities ``gam``. ``T`` is a
+    scalar temperature or one temperature per pattern."""
     coef = -_sech2(gam / (2.0 * T)) / (4.0 * T)
-    return ((coef * tau)[:, None] * (Xi / nw - np.outer(proj, w.w) / nw**2)).sum(axis=0)
+    return ((coef * tau)[:, None] * (Xi / nw - np.outer(proj, w) / nw**2)).sum(axis=0)
 
 
 def hebbian_init(patterns, rng=None):
@@ -252,9 +258,12 @@ def count_errors(w: WeightVector, patterns):
     if not patterns:
         return 0, 0, 0
     Xi, tau = _pack(patterns)
-    f = _fields(w, Xi)
-    gam = tau * f
-    total = int(np.sum(gam <= 0.0))
+    return _error_counts(_fields(w, Xi), tau)
+
+
+def _error_counts(f, tau):
+    """``count_errors`` from the fields ``f`` of the patterns labelled ``tau``."""
+    total = int(np.sum(tau * f <= 0.0))
     false_pos = int(np.sum((tau == -1) & (f > 0.0)))
     false_neg = int(np.sum((tau == +1) & (f < 0.0)))
     return total, false_pos, false_neg
@@ -301,8 +310,7 @@ def minimerror_train(patterns, config: TrainingConfig):
             trace.best_epoch = epoch
 
         Teff = np.where(gam >= 0.0, theta * T, T)
-        coef = -_sech2(gam / (2.0 * Teff)) / (4.0 * Teff)
-        grad = ((coef * tau)[:, None] * (Xi / nw - np.outer(proj, w) / nw**2)).sum(axis=0)
+        grad = _gradient(w, nw, Xi, tau, proj, gam, Teff)
         gn = np.linalg.norm(grad)
         if gn > 0.0:
             w -= config.learning_rate * (grad / gn)

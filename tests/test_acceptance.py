@@ -5,13 +5,12 @@ not reproducible against the canonical benchmark file under any
 standardization convention this package implements (statistics from the
 learning part or the full set, standard-deviation or variance scaling,
 either label polarity, any class-balanced or file-order division): the
-published W_Sonar vector misclassifies at least 38 of 208 patterns in
-every mode, the published pairwise cosines match neither cosine mode, and
-a linear-programming bound shows no per-feature affine standardization
-within the reach of 104-pattern subset statistics can make the published
-W_Sonar a separator of this data. The three tests state the criteria
-faithfully and are marked strict-expected-fail; the verification command
-publishes the per-mode diffs and the truncation perturbation analysis.
+published W_Sonar vector misclassifies 38 of 208 patterns in both
+standard-deviation modes and 78 in both variance modes, as ``verify``
+reports, and the published pairwise cosines match neither cosine mode.
+The three tests state the criteria faithfully and are marked
+strict-expected-fail; the verification command publishes the per-mode
+diffs and the truncation perturbation analysis.
 
 The separability claims themselves (criteria 1 and 2) do hold on the
 canonical data and are certified here by retraining from scratch.
@@ -97,11 +96,10 @@ def test_criterion_03_published_weight_verification(balanced_parts):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="The published W_Sonar vector misclassifies 38+ of the 208 "
-           "canonical patterns in every standardization mode; its published "
-           "per-pattern stabilities likewise do not match. A subset-stats "
-           "LP bound shows no achievable standardization makes the printed "
-           "vector a separator of this data.")
+    reason="The published W_Sonar vector misclassifies 38 of the 208 "
+           "canonical patterns in both standard-deviation modes and 78 in "
+           "both variance modes, as the verify command reports; its "
+           "published per-pattern stabilities likewise do not match.")
 def test_criterion_04_published_sonar_separator(balanced_parts):
     """W_Sonar must separate all 208 patterns, with the 44 published
     stabilities matched to 1e-3."""

@@ -145,14 +145,18 @@ class TestVerify:
         assert (out / "verify.txt").exists()
         assert (out / "manifest.json").exists()
 
-    def test_json_format_and_jobs(self, sonar_path, balanced_split_path,
-                                  tmp_path, capsys):
+    def test_json_format(self, sonar_path, balanced_split_path,
+                         tmp_path, capsys):
         rc = run(["verify", "--dataset", str(sonar_path),
                   "--split-file", str(balanced_split_path),
-                  "--format", "json", "--jobs", "4"])
+                  "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert len(payload["modes"]) == 4
+        for m in payload["modes"]:
+            assert len(m["gamma_check"]["rows"]) == 44
+            assert len(m["mu_test_side"]) == m["counts_test_side"][0]
+        assert payload["perturbation"]["mode"] == payload["closest_mode"]
         assert payload["reproduced"] is False
         for k, v in payload["norms"].items():
             assert v == pytest.approx(np.sqrt(61), abs=2e-4)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from monoplane import (
-    WeightVector, cosine, count_errors, evaluate, load_published_table,
-    load_published_weights, separability_probe, stability,
+    WeightVector, compute_stats, cosine, count_errors, evaluate,
+    load_published_table, load_published_weights, separability_probe,
+    stability, standardize, verify_published,
 )
 from monoplane.evaluation import (
-    PUBLISHED_NAMES, paper_layout_numbering, perturbation_analysis,
-    published_norms, run_mode,
+    PUBLISHED_NAMES, STANDARDIZATION_MODES, paper_layout_numbering,
+    perturbation_analysis, published_norms, run_mode,
 )
 
 from conftest import make_ls_patterns, xor_patterns
@@ -202,3 +203,41 @@ class TestModeSweep:
         sens = perturbation_analysis(train, test, "part", "std", n_draws=20)
         for key in ("W_Train_on_test", "W_Test_on_train", "W_Sonar_on_all"):
             assert sens[key]["min"] <= sens[key]["max"]
+
+    @pytest.mark.parametrize("mode", STANDARDIZATION_MODES, ids=lambda m: m[0])
+    def test_perturbation_matches_per_draw_loop(self, balanced_parts, mode):
+        """The batched analysis equals redrawing and recounting one vector
+        at a time from the same seeded stream."""
+        train, test = balanced_parts
+        _, stats_from, scale = mode
+        full = sorted(train + test, key=lambda p: p.mu)
+        if stats_from == "part":
+            stats_tr = compute_stats(train, mode=scale)
+            stats_te = compute_stats(test, mode=scale)
+        else:
+            stats_tr = stats_te = compute_stats(full, mode=scale)
+        ws = {name: load_published_weights(name).vector.w for name in PUBLISHED_NAMES}
+        sets = {
+            "W_Train_on_test": (ws["W_Train"], standardize(test, stats_tr)),
+            "W_Test_on_train": (ws["W_Test"], standardize(train, stats_te)),
+            "W_Sonar_on_all": (ws["W_Sonar"],
+                               standardize(full, compute_stats(full, mode=scale))),
+        }
+        rng = np.random.default_rng(0)
+        seen = {key: set() for key in sets}
+        for _ in range(100):
+            for key, (w, pats) in sets.items():
+                jitter = rng.uniform(-5e-5, 5e-5, size=len(w))
+                seen[key].add(count_errors(WeightVector(w + jitter), pats)[0])
+        want = {key: {"min": min(v), "max": max(v), "distinct": sorted(v)}
+                for key, v in seen.items()}
+        assert perturbation_analysis(train, test, stats_from, scale) == want
+
+    def test_perturbation_runs_in_closest_mode(self, balanced_parts):
+        train, test = balanced_parts
+        _, _, extras = verify_published(train, test)
+        pert = extras["perturbation"]
+        assert pert["mode"] == extras["closest_mode"]
+        _, stats_from, scale = next(m for m in STANDARDIZATION_MODES
+                                    if m[0] == extras["closest_mode"])
+        assert pert["spreads"] == perturbation_analysis(train, test, stats_from, scale)
