@@ -25,9 +25,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .data import LabeledPattern
 from .perceptron import (
-    TrainingConfig, TrainingTrace, WeightVector, minimerror_train,
+    TrainingConfig, TrainingTrace, WeightVector, _anneal, _pack,
 )
 
 
@@ -135,8 +134,7 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
     """
     if not patterns:
         raise ValueError("cannot grow a network on an empty pattern set")
-    Xi = np.array([p.xi for p in patterns], dtype=float)
-    tau = np.array([p.tau for p in patterns])
+    Xi, tau = _pack(patterns)
     P = len(patterns)
     cap = P - 1 if max_hidden is None else min(max_hidden, P - 1)
 
@@ -147,11 +145,7 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
     prev_errors = None
 
     while True:
-        unit_patterns = [
-            LabeledPattern(mu=p.mu, xi=p.xi, tau=int(t))
-            for p, t in zip(patterns, targets)
-        ]
-        w, utrace = minimerror_train(unit_patterns, config)
+        w, utrace = _anneal(targets[:, None] * Xi, config)
         sigma = _unit_states(w, Xi)
         errs = int(np.sum(sigma != targets))
         if prev_errors is not None and errs >= prev_errors:
@@ -165,19 +159,11 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
         trace.unit_traces.append(utrace)
 
         if errs == 0:
-            reps = np.column_stack(states).astype(float)
-            rep_patterns = [
-                LabeledPattern(mu=p.mu,
-                               xi=np.concatenate([[1.0], reps[j]]),
-                               tau=int(tau[j]))
-                for j, p in enumerate(patterns)
-            ]
-            out_w, out_trace = minimerror_train(rep_patterns, config)
+            # internal representations (1, sigma_1..H), one row per pattern
+            reps = np.column_stack([np.ones(P), *states])
+            out_w, out_trace = _anneal(tau[:, None] * reps, config)
             model = NetworkModel(hidden=tuple(units), output=out_w)
-            net_errs = sum(
-                1 for j, p in enumerate(patterns)
-                if network_output(model, p.xi) != tau[j]
-            )
+            net_errs = int(np.count_nonzero(_sign(reps @ out_w.w) != tau))
             trace.output_attempts.append(OutputAttempt(len(units), net_errs))
             trace.output_trace = out_trace
             if net_errs == 0:

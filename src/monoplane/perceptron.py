@@ -17,6 +17,16 @@ progressively sharpens E toward the true misclassification count. The
 returned weights are those of the best epoch seen (fewest training errors,
 ties broken by the larger minimal stability).
 
+The anneal works on the label-folded pattern matrix tXi (row mu is
+tau_mu * xi_mu), packed once per training call, so that each epoch is two
+matrix-vector products:
+
+    gamma = tXi @ w / ||w||                                  stabilities
+    grad  = (c @ tXi) / ||w|| - (c . gamma) w / ||w||^2      dE/dw
+
+with c_mu = -sech^2(gamma_mu / 2T_mu) / (4 T_mu). T_mu is one temperature
+for the plain cost, or the two-temperature window of the asymmetric cost.
+
 A classic fixed-increment perceptron with pocket-style retention is provided
 as a baseline for generalization comparisons.
 """
@@ -24,6 +34,7 @@ as a baseline for generalization comparisons.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -172,6 +183,12 @@ def _pack(patterns):
     return Xi, tau
 
 
+def _folded(patterns):
+    """The label-folded pattern matrix: row mu is tau_mu * xi_mu."""
+    Xi, tau = _pack(patterns)
+    return tau[:, None] * Xi
+
+
 def field(w: WeightVector, xi) -> float:
     """Signed distance of the pattern to the hyperplane normal to w."""
     xi = np.asarray(xi, dtype=float)
@@ -202,32 +219,45 @@ def cost(w: WeightVector, patterns, T: float) -> float:
         raise ValueError("temperature must be positive")
     if not patterns:
         raise ValueError("cost of an empty pattern set is undefined")
-    Xi, tau = _pack(patterns)
-    gam = tau * _fields(w, Xi)
+    gam = _fields(w, _folded(patterns))
     return float(0.5 * np.sum(1.0 - np.tanh(gam / (2.0 * T))))
 
 
 def cost_gradient(w: WeightVector, patterns, T: float):
     """Exact gradient of ``cost`` with respect to w.
 
-    dE/dw = -sum_mu sech^2(gamma/2T)/(4T) * tau * (xi - (tau*gamma) w/||w||) / ||w||
+    With the label-folded rows tau*xi stacked in tXi, the stabilities
+    gamma = tXi @ w / ||w|| and c_mu = -sech^2(gamma_mu/2T)/(4T):
 
-    The per-pattern direction is orthogonal to w, so the whole gradient is.
+        dE/dw = (c @ tXi) / ||w|| - (c . gamma) w / ||w||^2
+
+    Each pattern's share is orthogonal to w, so the whole gradient is.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
-    Xi, tau = _pack(patterns)
-    nw = w.norm
-    proj = (Xi @ w.w) / nw          # field values; tau*proj = stabilities
-    return _gradient(w.w, nw, Xi, tau, proj, tau * proj, T)
+    tXi = _folded(patterns)
+    gam = (tXi @ w.w) / w.norm
+    return _gradient(w.w, w.norm, tXi, gam, gam / (2.0 * T), T)
 
 
-def _gradient(w, nw, Xi, tau, proj, gam, T):
+def _gradient(w, nw, tXi, gam, h, T):
     """Gradient of the smoothed error count at raw weights ``w`` of norm
-    ``nw``, given the fields ``proj`` and stabilities ``gam``. ``T`` is a
-    scalar temperature or one temperature per pattern."""
-    coef = -_sech2(gam / (2.0 * T)) / (4.0 * T)
-    return ((coef * tau)[:, None] * (Xi / nw - np.outer(proj, w) / nw**2)).sum(axis=0)
+    ``nw``, given the stabilities ``gam`` of the folded rows ``tXi``. ``T``
+    is a scalar temperature or one temperature per pattern, and ``h`` is
+    ``gam / (2T)``, which the caller has at hand."""
+    c = _sech2(h) / (-4.0 * T)
+    return (c @ tXi) / nw - (c @ gam) / (nw * nw) * w
+
+
+def _hebbian(tXi, rng):
+    """Center of mass of the folded rows, rescaled to ||w||^2 = dim, with a
+    seeded random direction when it cancels to zero. (w, used_fallback)."""
+    w = tXi.mean(axis=0)
+    fallback = False
+    if np.linalg.norm(w) < 1e-300:
+        w = rng.standard_normal(tXi.shape[1])
+        fallback = True
+    return WeightVector(w).rescaled(), fallback
 
 
 def hebbian_init(patterns, rng=None):
@@ -238,14 +268,8 @@ def hebbian_init(patterns, rng=None):
     """
     if not patterns:
         raise ValueError("cannot initialize from an empty pattern set")
-    Xi, tau = _pack(patterns)
-    w = (tau[:, None] * Xi).mean(axis=0)
-    fallback = False
-    if np.linalg.norm(w) < 1e-300:
-        rng = np.random.default_rng(0) if rng is None else rng
-        w = rng.standard_normal(Xi.shape[1])
-        fallback = True
-    return WeightVector(w).rescaled(), fallback
+    return _hebbian(_folded(patterns),
+                    np.random.default_rng(0) if rng is None else rng)
 
 
 def count_errors(w: WeightVector, patterns):
@@ -280,10 +304,13 @@ def minimerror_train(patterns, config: TrainingConfig):
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
-    Xi, tau = _pack(patterns)
-    n, dim = Xi.shape
-    rng = np.random.default_rng(config.seed)
-    wv, fallback = hebbian_init(patterns, rng)
+    return _anneal(_folded(patterns), config)
+
+
+def _anneal(tXi, config: TrainingConfig):
+    """``minimerror_train`` on the label-folded pattern matrix ``tXi``."""
+    dim = tXi.shape[1]
+    wv, fallback = _hebbian(tXi, np.random.default_rng(config.seed))
     w = wv.w.copy()
     trace = TrainingTrace(hebbian_fallback=fallback)
     theta = config.temp_ratio
@@ -292,15 +319,15 @@ def minimerror_train(patterns, config: TrainingConfig):
     best_w = w.copy()
     T = config.t_initial
     epoch = 0
-    root_dim = np.sqrt(dim)
+    root_dim = math.sqrt(dim)
     while T > config.t_min and epoch < config.max_epochs:
-        nw = np.linalg.norm(w)
-        proj = (Xi @ w) / nw
-        gam = tau * proj
-        errors = int(np.sum(gam <= 0.0))
+        nw = math.sqrt(w @ w)
+        gam = (tXi @ w) / nw
+        errors = int(np.count_nonzero(gam <= 0.0))
         min_stab = float(gam.min())
-        E = float(0.5 * np.sum(1.0 - np.tanh(gam / (2.0 * T))))
-        if not np.isfinite(E) or not np.all(np.isfinite(w)):
+        h = gam / (2.0 * T)
+        E = float(0.5 * np.sum(1.0 - np.tanh(h)))
+        if not math.isfinite(E) or not np.isfinite(w).all():
             raise TrainingError(f"non-finite state at epoch {epoch}", trace)
         trace.append(EpochRecord(T, E, errors, min_stab))
         key = (errors, -min_stab)
@@ -309,12 +336,13 @@ def minimerror_train(patterns, config: TrainingConfig):
             best_w = w.copy()
             trace.best_epoch = epoch
 
-        Teff = np.where(gam >= 0.0, theta * T, T)
-        grad = _gradient(w, nw, Xi, tau, proj, gam, Teff)
-        gn = np.linalg.norm(grad)
+        # two-temperature window: theta*T on the well-classified side
+        r = np.where(gam >= 0.0, theta, 1.0)
+        grad = _gradient(w, nw, tXi, gam, h / r, T * r)
+        gn = math.sqrt(grad @ grad)
         if gn > 0.0:
-            w -= config.learning_rate * (grad / gn)
-        w *= root_dim / np.linalg.norm(w)
+            w -= (config.learning_rate / gn) * grad
+        w *= root_dim / math.sqrt(w @ w)
         T *= config.t_decay
         epoch += 1
 
@@ -331,25 +359,25 @@ def rosenblatt_train(patterns, config: TrainingConfig):
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
-    Xi, tau = _pack(patterns)
-    n, dim = Xi.shape
+    tXi = _folded(patterns)
+    dim = tXi.shape[1]
     rng = np.random.default_rng(config.seed)
     w = rng.standard_normal(dim)
     w *= np.sqrt(dim) / np.linalg.norm(w)
-    rows = list(Xi)
+    rows = list(tXi)
     trace = TrainingTrace()
 
     best = None
     best_w = w.copy()
     for epoch in range(config.max_epochs):
-        for j in range(n):
-            if tau[j] * (rows[j] @ w) <= 0.0:
-                w = w + config.learning_rate * tau[j] * rows[j]
+        for trow in rows:
+            if trow @ w <= 0.0:
+                w = w + config.learning_rate * trow
         nw = np.linalg.norm(w)
         if nw == 0.0:
             raise TrainingError(f"weights collapsed to zero at epoch {epoch}", trace)
-        gam = tau * (Xi @ w) / nw
-        errors = int(np.sum(gam <= 0.0))
+        gam = (tXi @ w) / nw
+        errors = int(np.count_nonzero(gam <= 0.0))
         min_stab = float(gam.min())
         trace.append(EpochRecord(float("nan"), float(errors), errors, min_stab))
         key = (errors, -min_stab)

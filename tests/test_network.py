@@ -1,11 +1,12 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
 
 from monoplane import (
-    GrowthStallError, NetworkModel, TrainingConfig, WeightVector,
-    count_errors, grow_network, hidden_states, internal_targets,
+    GrowthStallError, LabeledPattern, NetworkModel, TrainingConfig,
+    WeightVector, count_errors, grow_network, hidden_states, internal_targets,
     load_network, minimerror_train, network_output, save_network,
 )
 
@@ -157,6 +158,30 @@ class TestGrowth:
             targets = internal_targets(targets, states[:, h])
             prod *= states[:, h]
             assert np.array_equal(tau, prod * targets)
+
+    def test_units_equal_minimerror_train_on_their_targets(self, fast_config):
+        """Each unit, and the output unit, carries the bits minimerror_train
+        gives on the same targets (parity of 3 bits, three hidden units)."""
+        pats = [LabeledPattern(mu=k, xi=np.array([1.0, *bits]), tau=int(np.prod(bits)))
+                for k, bits in enumerate(itertools.product((-1.0, 1.0), repeat=3),
+                                         start=1)]
+        model, _ = grow_network(pats, fast_config)
+        assert len(model.hidden) == 3
+        Xi = np.array([p.xi for p in pats])
+        tau = np.array([p.tau for p in pats])
+        targets, states = tau, []
+        for unit in model.hidden:
+            ref, _ = minimerror_train(
+                [LabeledPattern(mu=p.mu, xi=p.xi, tau=int(t))
+                 for p, t in zip(pats, targets)], fast_config)
+            assert np.array_equal(unit.w, ref.w)
+            states.append(np.where(Xi @ unit.w >= 0.0, 1, -1))
+            targets = targets * states[-1]
+        reps = np.column_stack(states)
+        ref, _ = minimerror_train(
+            [LabeledPattern(mu=p.mu, xi=np.concatenate([[1.0], reps[j]]), tau=p.tau)
+             for j, p in enumerate(pats)], fast_config)
+        assert np.array_equal(model.output.w, ref.w)
 
     def test_max_hidden_stall(self):
         pats = xor_patterns()

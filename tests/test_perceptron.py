@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from monoplane import (
     LabeledPattern, TrainingConfig, WeightVector, cost, cost_gradient,
     count_errors, field, hebbian_init, load_weights, minimerror_train,
     rosenblatt_train, save_weights, stability,
 )
-from monoplane.perceptron import weights_to_table_text
+from monoplane.perceptron import (
+    EpochRecord, TrainingTrace, _gradient, weights_to_table_text,
+)
 
 from conftest import make_ls_patterns, xor_patterns
 
@@ -141,6 +144,60 @@ class TestGradient:
             assert abs(w.w @ g) < 1e-10 * gn * w.norm
 
 
+def outer_gradient(w, Xi, tau, T):
+    """The per-pattern outer-product form of the gradient, kept as the
+    reference for the matrix-vector kernel. ``T`` is scalar or per pattern."""
+    nw = np.linalg.norm(w)
+    proj = (Xi @ w) / nw
+    x = np.minimum(np.abs(tau * proj / (2.0 * T)), 350.0)
+    coef = -np.cosh(x) ** -2.0 / (4.0 * T)
+    return ((coef * tau)[:, None] * (Xi / nw - np.outer(proj, w) / nw**2)).sum(axis=0)
+
+
+def two_temperature_cost(w, Xi, tau, T, ratio):
+    """E with temperature ratio*T on patterns of nonnegative stability."""
+    gam = tau * (Xi @ w) / np.linalg.norm(w)
+    Teff = np.where(gam >= 0.0, ratio * T, T)
+    return float(0.5 * np.sum(1.0 - np.tanh(gam / (2.0 * Teff))))
+
+
+class TestGradientKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), P=st.integers(1, 40),
+           dim=st.integers(2, 12), T=st.floats(0.05, 5.0),
+           ratio=st.floats(0.01, 2.0))
+    def test_matches_outer_form_and_central_differences(self, seed, P, dim,
+                                                        T, ratio):
+        rng = np.random.default_rng(seed)
+        Xi = np.column_stack([np.ones(P), rng.standard_normal((P, dim - 1))])
+        tau = rng.choice([-1.0, 1.0], size=P)
+        w = rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
+        tXi = tau[:, None] * Xi
+        nw = np.linalg.norm(w)
+        gam = (tXi @ w) / nw
+        Teff = np.where(gam >= 0.0, ratio * T, T)
+
+        for temp in (T, Teff):
+            g = _gradient(w, nw, tXi, gam, gam / (2.0 * temp), temp)
+            ref = outer_gradient(w, Xi, tau, temp)
+            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref) + 1e-300
+
+        # off the window's switch point, Teff is locally constant and the
+        # kernel is the exact gradient of the two-temperature cost
+        assume(np.min(np.abs(gam)) >= 1e-4)
+        eps = 1e-6 * nw
+        fd = np.empty(dim)
+        for i in range(dim):
+            step = np.zeros(dim)
+            step[i] = eps
+            fd[i] = (two_temperature_cost(w + step, Xi, tau, T, ratio)
+                     - two_temperature_cost(w - step, Xi, tau, T, ratio)) / (2 * eps)
+        g = _gradient(w, nw, tXi, gam, gam / (2.0 * Teff), Teff)
+        # the floor sits well above the round-off of a difference quotient
+        # of E (at most 40 terms) at this step, ~1e-8 / ||w||
+        assert np.max(np.abs(g - fd)) <= 1e-5 * max(np.max(np.abs(fd)), 1e-3 / nw)
+
+
 class TestHebbian:
     def test_single_pattern_separates_itself(self):
         p = pat([1.0, 0.4, -0.2], +1)
@@ -183,6 +240,10 @@ class TestMinimerror:
         w, trace = minimerror_train(pats, fast_config)
         retained = count_errors(w, pats)[0]
         assert retained == min(trace.error_counts())
+        best = trace.records[trace.best_epoch]
+        assert retained == best.errors
+        min_stab = min(stability(w, p) for p in pats)
+        assert min_stab == pytest.approx(best.min_stability, rel=1e-12, abs=1e-12)
 
     def test_bit_reproducible(self, fast_config):
         rng = np.random.default_rng(4)
@@ -211,6 +272,31 @@ class TestMinimerror:
             minimerror_train([], fast_config)
 
 
+def per_pattern_rosenblatt(patterns, config):
+    """The fixed-increment rule on unfolded rows, kept as the reference."""
+    Xi = np.array([p.xi for p in patterns])
+    tau = np.array([p.tau for p in patterns], dtype=float)
+    dim = Xi.shape[1]
+    w = np.random.default_rng(config.seed).standard_normal(dim)
+    w *= np.sqrt(dim) / np.linalg.norm(w)
+    trace = TrainingTrace()
+    best, best_w = None, w.copy()
+    for epoch in range(config.max_epochs):
+        for j in range(len(Xi)):
+            if tau[j] * (Xi[j] @ w) <= 0.0:
+                w = w + config.learning_rate * tau[j] * Xi[j]
+        gam = tau * (Xi @ w) / np.linalg.norm(w)
+        errors = int(np.sum(gam <= 0.0))
+        min_stab = float(gam.min())
+        trace.append(EpochRecord(float("nan"), float(errors), errors, min_stab))
+        if best is None or (errors, -min_stab) < best:
+            best, best_w = (errors, -min_stab), w.copy()
+            trace.best_epoch = epoch
+        if errors == 0:
+            break
+    return WeightVector(best_w).rescaled(), trace
+
+
 class TestRosenblatt:
     def test_two_pattern_converges_fast(self):
         cfg = TrainingConfig(max_epochs=10, learning_rate=1.0)
@@ -233,6 +319,22 @@ class TestRosenblatt:
         cfg = TrainingConfig(max_epochs=5000, learning_rate=1.0, seed=1)
         w, _ = rosenblatt_train(pats, cfg)
         assert count_errors(w, pats)[0] == 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_folded_rows_match_per_pattern_rule(self, seed, train_std):
+        """Stepping on the folded rows tau*xi is exact: weights and trace
+        equal the per-pattern rule bit for bit (criterion 9's setting)."""
+        pats, _ = train_std
+        cfg = TrainingConfig(seed=seed, t_initial=1.0, learning_rate=1.0,
+                             max_epochs=20000)
+        w, trace = rosenblatt_train(pats, cfg)
+        w_ref, trace_ref = per_pattern_rosenblatt(pats, cfg)
+        assert np.array_equal(w.w, w_ref.w)
+        assert trace.best_epoch == trace_ref.best_epoch
+        a, b = io.StringIO(), io.StringIO()
+        trace.to_csv(a)
+        trace_ref.to_csv(b)
+        assert a.getvalue() == b.getvalue()
 
     def test_seed_changes_start(self):
         pats = two_point_set()
