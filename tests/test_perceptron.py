@@ -180,7 +180,12 @@ class TestGradientKernel:
         for temp in (T, Teff):
             g = _gradient(w, nw, tXi, gam, gam / (2.0 * temp), temp)
             ref = outer_gradient(w, Xi, tau, temp)
-            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref) + 1e-300
+            # both forms subtract two terms that can nearly cancel, so their
+            # round-off is relative to the sum of the terms' magnitudes, not
+            # to the (possibly far smaller) gradient they leave
+            c = np.cosh(np.minimum(np.abs(gam / (2.0 * temp)), 350.0)) ** -2.0 / (4.0 * temp)
+            scale = (c @ np.abs(tXi)) / nw + (c @ np.abs(gam)) / nw**2 * np.abs(w)
+            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(scale) + 1e-300
 
         # off the window's switch point, Teff is locally constant and the
         # kernel is the exact gradient of the two-temperature cost
