@@ -1,9 +1,10 @@
 """Command-line surface: train, grow, verify, report.
 
-Every run writes a manifest that, together with the dataset bytes, fully
-determines every output byte: configuration snapshot, seed, dataset digest,
-split source. No timestamps, no machine identifiers. Exit codes are a
-stable contract: 0 success, 1 verification mismatch, 2 usage or I/O error.
+A finished train or grow run, and verify with --out, writes a manifest
+that, together with the dataset bytes, fully determines every output byte:
+configuration snapshot, seed, dataset digest, split source. No timestamps,
+no machine identifiers. Exit codes are a stable contract: 0 success,
+1 verification mismatch, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -16,15 +17,20 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import data as dataio
 from .evaluation import cosine, evaluate, verify_published
-from .network import GrowthStallError, grow_network, load_network, save_network
+from .network import (
+    GrowthStallError, grow_network, load_network, network_output, save_network,
+)
 from .perceptron import (
-    SEPARATION_CONFIG, TrainingConfig, count_errors, load_weights,
+    SEPARATION_CONFIG, TrainingConfig, _pack, count_errors, load_weights,
     minimerror_train, save_weights, weights_to_table_text,
 )
 
 DATASET_ENV = "MONOPLANE_DATA"
+SUFFIX = {"json": "json", "csv": "csv", "text": "txt"}
 
 
 class UsageError(Exception):
@@ -48,9 +54,12 @@ def _load_config(arg, seed):
     else:
         if not os.path.exists(arg):
             raise UsageError(f"config file not found: {arg}")
-        cfg = TrainingConfig.from_file(arg)
+        try:
+            cfg = TrainingConfig.from_file(arg)
+        except ValueError as exc:
+            raise UsageError(f"bad --config: {exc}") from None
     if seed is not None:
-        cfg = TrainingConfig(**{**cfg.to_dict(), "seed": seed})
+        cfg = dataclasses.replace(cfg, seed=seed)
     return cfg
 
 
@@ -79,13 +88,16 @@ def _load_parts(args, n_features):
     return path, patterns, train, test, split_source
 
 
+def _create(path: Path):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write(path: Path, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(text)
 
 
-def _manifest(args, command, dataset_path, split_source, config, outputs,
-              extra=None):
+def _manifest(args, command, dataset_path, split_source, config, outputs):
     m = {
         "command": command,
         "dataset": str(dataset_path),
@@ -100,86 +112,63 @@ def _manifest(args, command, dataset_path, split_source, config, outputs,
         "format": getattr(args, "format", None),
         "outputs": sorted(outputs),
     }
-    if extra:
-        m.update(extra)
     return json.dumps(m, indent=1, sort_keys=True) + "\n"
 
 
-def _select_part(args, train, test, patterns):
-    if args.part == "train":
-        return train, test
-    if args.part == "test":
-        return test, train
-    return patterns, []
+def _prepare_run(args):
+    """Shared prologue of train and grow: load and split the dataset, read
+    the config, standardize the selected part and its held-out counterpart,
+    and create the output directory."""
+    path, patterns, train, test, split_source = _load_parts(args, args.features)
+    config = _load_config(args.config, args.seed)
+    learn_raw, eval_raw = {"train": (train, test), "test": (test, train),
+                           "all": (patterns, [])}[args.part]
+    if not learn_raw:
+        raise UsageError(f"part {args.part!r} selects no patterns")
+    stats = dataio.compute_stats(
+        patterns if args.stats_from == "all" else learn_raw, mode=args.scale)
+    learn, evalp = (dataio.standardize(part, stats, flip_labels=args.flip_labels)
+                    for part in (learn_raw, eval_raw))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return path, split_source, config, learn, evalp, out_dir
 
 
-def _standardized_parts(args, learn_raw, eval_raw, patterns):
-    if args.stats_from == "all":
-        stats = dataio.compute_stats(patterns, mode=args.scale)
-    else:
-        stats = dataio.compute_stats(learn_raw, mode=args.scale)
-    learn = dataio.standardize(learn_raw, stats, flip_labels=args.flip_labels)
-    evalp = dataio.standardize(eval_raw, stats, flip_labels=args.flip_labels)
-    return learn, evalp, stats
+def _leaves(obj, prefix=""):
+    """(dotted key, leaf) pairs of a nested dict in sorted key order; lists
+    are leaves and empty dicts yield nothing."""
+    for k, v in sorted(obj.items()):
+        if isinstance(v, dict):
+            yield from _leaves(v, f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k}", v
 
 
 def _emit_report(report_dict, fmt, out_dir, stem):
     if fmt == "json":
-        text = json.dumps(report_dict, indent=1, sort_keys=True) + "\n"
-        name = f"{stem}.json"
+        text = json.dumps(report_dict, indent=1, sort_keys=True)
     elif fmt == "csv":
-        lines = ["key,value"]
-        def flat(prefix, obj):
-            if isinstance(obj, dict):
-                for k in sorted(obj):
-                    flat(f"{prefix}{k}.", obj[k])
-            elif isinstance(obj, list):
-                lines.append(f"{prefix[:-1]},{json.dumps(obj)!r}")
-            else:
-                lines.append(f"{prefix[:-1]},{obj!r}")
-        flat("", report_dict)
-        text = "\n".join(lines) + "\n"
-        name = f"{stem}.csv"
+        text = "\n".join(
+            ["key,value"]
+            + [f"{k},{(json.dumps(v) if isinstance(v, list) else v)!r}"
+               for k, v in _leaves(report_dict)])
     else:
-        out = []
-        def render(prefix, obj):
-            if isinstance(obj, dict):
-                for k in sorted(obj):
-                    render(f"{prefix}{k}" if not prefix else f"{prefix}.{k}", obj[k])
-            else:
-                out.append(f"{prefix}: {obj}")
-        render("", report_dict)
-        text = "\n".join(out) + "\n"
-        name = f"{stem}.txt"
-    _write(out_dir / name, text)
+        text = "\n".join(f"{k}: {v}" for k, v in _leaves(report_dict))
+    name = f"{stem}.{SUFFIX[fmt]}"
+    _write(out_dir / name, text + "\n")
     return name
 
 
 def cmd_train(args):
-    path, patterns, train, test, split_source = _load_parts(args, args.features)
-    config = _load_config(args.config, args.seed)
-    learn_raw, eval_raw = _select_part(args, train, test, patterns)
-    if not learn_raw:
-        raise UsageError(f"part {args.part!r} selects no patterns")
-    learn, evalp, stats = _standardized_parts(args, learn_raw, eval_raw, patterns)
-
+    path, split_source, config, learn, evalp, out_dir = _prepare_run(args)
     w, trace = minimerror_train(learn, config)
     train_errors = count_errors(w, learn)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
-    import io as _io
-    buf = _io.StringIO()
-    save_weights(w, buf)
-    _write(out_dir / "weights.txt", buf.getvalue())
-    outputs.append("weights.txt")
-
-    buf = _io.StringIO()
-    trace.to_csv(buf)
-    _write(out_dir / "trace.csv", buf.getvalue())
-    outputs.append("trace.csv")
+    with _create(out_dir / "weights.txt") as fh:
+        save_weights(w, fh)
+    with _create(out_dir / "trace.csv") as fh:
+        trace.to_csv(fh)
+    outputs = ["weights.txt", "trace.csv"]
 
     report = {
         "part": args.part,
@@ -205,40 +194,25 @@ def cmd_train(args):
 
 
 def cmd_grow(args):
-    path, patterns, train, test, split_source = _load_parts(args, args.features)
-    config = _load_config(args.config, args.seed)
-    learn_raw, eval_raw = _select_part(args, train, test, patterns)
-    if not learn_raw:
-        raise UsageError(f"part {args.part!r} selects no patterns")
-    learn, evalp, stats = _standardized_parts(args, learn_raw, eval_raw, patterns)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    import io as _io
-
+    path, split_source, config, learn, evalp, out_dir = _prepare_run(args)
     try:
         model, gtrace = grow_network(learn, config, max_hidden=args.max_hidden)
     except GrowthStallError as exc:
-        buf = _io.StringIO()
         if exc.trace is not None:
-            exc.trace.to_csv(buf)
-            _write(out_dir / "growth.csv", buf.getvalue())
+            with _create(out_dir / "growth.csv") as fh:
+                exc.trace.to_csv(fh)
         print(f"growth stalled: {exc}", file=sys.stderr)
         return 2
 
-    buf = _io.StringIO()
-    save_network(model, buf)
-    _write(out_dir / "network.txt", buf.getvalue())
-    outputs.append("network.txt")
+    with _create(out_dir / "network.txt") as fh:
+        save_network(model, fh)
+    with _create(out_dir / "growth.csv") as fh:
+        gtrace.to_csv(fh)
+    outputs = ["network.txt", "growth.csv"]
 
-    buf = _io.StringIO()
-    gtrace.to_csv(buf)
-    _write(out_dir / "growth.csv", buf.getvalue())
-    outputs.append("growth.csv")
-
-    from .network import network_output
-    train_errs = sum(1 for p in learn if network_output(model, p.xi) != p.tau)
+    Xi, tau = _pack(learn + evalp)
+    wrong = network_output(model, Xi) != tau
+    train_errs = int(np.count_nonzero(wrong[:len(learn)]))
     report = {
         "part": args.part,
         "hidden_units": len(model.hidden),
@@ -246,7 +220,7 @@ def cmd_grow(args):
         "training_errors": train_errs,
     }
     if evalp:
-        gen_errs = sum(1 for p in evalp if network_output(model, p.xi) != p.tau)
+        gen_errs = int(np.count_nonzero(wrong[len(learn):]))
         report["generalization_errors"] = gen_errs
         report["generalization_fraction"] = round(100.0 * gen_errs / len(evalp), 1)
     outputs.append(_emit_report(report, args.format, out_dir, "report"))
@@ -321,8 +295,7 @@ def cmd_verify(args):
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = {"json": "json", "csv": "csv"}.get(args.format, "txt")
-        name = f"verify.{suffix}"
+        name = f"verify.{SUFFIX[args.format]}"
         _write(out_dir / name, text)
         _write(out_dir / "manifest.json",
                _manifest(args, "verify", path, split_source, None, [name]))
@@ -336,21 +309,23 @@ def cmd_report(args):
     for p in args.artifacts:
         if not os.path.exists(p):
             raise UsageError(f"artifact not found: {p}")
-        content = open(p, "r", encoding="utf-8").read()
-        first = content.lstrip().split("\n", 1)[0]
-        if first.startswith("H="):
-            model = load_network(content)
-            texts.append(f"{p}: network with H={len(model.hidden)} hidden units, "
-                         f"{len(model.hidden[0])} inputs each")
-        elif first.startswith("epoch,"):
-            texts.append(f"{p}:\n{content.rstrip()}")
-        elif first.startswith("{"):
-            texts.append(f"{p}:\n{content.rstrip()}")
-        else:
-            w = load_weights(content)
-            loaded.append(w)
-            texts.append(f"{p}: {len(w)} weights, norm {w.norm!r}\n"
-                         + weights_to_table_text(w).rstrip())
+        try:
+            content = Path(p).read_text(encoding="utf-8")
+            first = content.lstrip().split("\n", 1)[0]
+            if first.startswith("H="):
+                model = load_network(content)
+                texts.append(f"{p}: network with H={len(model.hidden)} hidden "
+                             f"units, {len(model.hidden[0])} inputs each")
+            elif first.startswith(("epoch,", "{")):
+                texts.append(f"{p}:\n{content.rstrip()}")
+            else:
+                w = load_weights(content)
+                loaded.append(w)
+                texts.append(f"{p}: {len(w)} weights, norm {w.norm!r}\n"
+                             + weights_to_table_text(w).rstrip())
+        except ValueError as exc:
+            # a malformed artifact (or non-UTF-8 bytes) is a usage error
+            raise UsageError(f"cannot read {p}: {exc}") from None
     if len(loaded) == 2:
         c = cosine(loaded[0], loaded[1], raw_eq8=args.raw_eq8)
         mode = "raw-eq8" if args.raw_eq8 else "true"

@@ -13,9 +13,7 @@ judge what the published numbers are consistent with.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
@@ -88,30 +86,6 @@ class EvaluationReport:
         if self.set_size == 0:
             return 0.0
         return round(100.0 * self.counts[0] / self.set_size, 1)
-
-    def to_text(self):
-        out = io.StringIO()
-        total, fp, fn = self.counts
-        out.write(f"errors {total}/{self.set_size} "
-                  f"(eps_g = {self.error_fraction:.1f}%, {fp} F+ {fn} F-)\n")
-        if self.records:
-            out.write(f"{'i':>3} {'mu':>4} {'Field':>13} {'gamma(ref)':>13} {'tau':>4}\n")
-            for r in self.records:
-                gref = "" if r.gamma_reference is None else f"{r.gamma_reference: .5e}"
-                out.write(f"{r.i:>3} {r.mu:>4} {r.field_value: .5e} {gref:>13} {r.tau:>4}\n")
-        for k, v in self.cosines.items():
-            out.write(f"cosine {k} = {v!r}\n")
-        return out.getvalue()
-
-    def to_csv(self):
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["i", "mu", "field", "gamma_reference", "tau"])
-        for r in self.records:
-            w.writerow([r.i, r.mu, repr(r.field_value),
-                        "" if r.gamma_reference is None else repr(r.gamma_reference),
-                        r.tau])
-        return out.getvalue()
 
     def to_json_dict(self):
         return {

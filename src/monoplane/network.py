@@ -95,21 +95,27 @@ def _sign(x):
     return np.where(np.asarray(x) >= 0.0, 1, -1)
 
 
-def hidden_states(model: NetworkModel, xi):
-    """States sigma_h = sign(w_h . xi) of every hidden unit, as a +-1 array."""
-    xi = np.asarray(xi, dtype=float)
-    first = model.hidden[0]
-    if xi.shape != first.w.shape:
-        raise ValueError(f"pattern has {xi.shape[0]} components, "
-                         f"hidden units expect {len(first)}")
-    return np.array([int(_sign(u.w @ xi)) for u in model.hidden])
+def hidden_states(model: NetworkModel, X):
+    """States sigma_h = sign(w_h . xi) of every hidden unit, as +-1 ints.
+
+    X is one pattern, giving an (H,) array, or a (P, dim) matrix, giving
+    (P, H): row mu holds the states of pattern mu.
+    """
+    X = np.asarray(X, dtype=float)
+    W = np.column_stack([u.w for u in model.hidden])
+    if X.shape[-1:] != W.shape[:1]:
+        raise ValueError(f"patterns of shape {X.shape} do not have the "
+                         f"{W.shape[0]} components the hidden units expect")
+    return _sign(X @ W)
 
 
-def network_output(model: NetworkModel, xi) -> int:
-    """zeta = sign(W . (1, sigma_1..H)) in {-1, +1}."""
-    sigma = hidden_states(model, xi)
-    rep = np.concatenate([[1.0], sigma.astype(float)])
-    return int(_sign(model.output.w @ rep))
+def network_output(model: NetworkModel, X):
+    """zeta = sign(W . (1, sigma_1..H)) in {-1, +1}: an int for one
+    pattern, a length-P array for a (P, dim) matrix."""
+    sigma = hidden_states(model, X)
+    reps = np.concatenate([np.ones(sigma.shape[:-1] + (1,)), sigma], axis=-1)
+    zeta = _sign(reps @ model.output.w)
+    return int(zeta) if zeta.ndim == 0 else zeta
 
 
 def internal_targets(prev_targets, prev_states):
@@ -119,10 +125,6 @@ def internal_targets(prev_targets, prev_states):
     if t.shape != s.shape:
         raise ValueError(f"targets ({t.shape}) and states ({s.shape}) differ in length")
     return t * s
-
-
-def _unit_states(w: WeightVector, Xi):
-    return _sign(Xi @ w.w)
 
 
 def grow_network(patterns, config: TrainingConfig, max_hidden=None):
@@ -146,7 +148,7 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
 
     while True:
         w, utrace = _anneal(targets[:, None] * Xi, config)
-        sigma = _unit_states(w, Xi)
+        sigma = _sign(Xi @ w.w)
         errs = int(np.sum(sigma != targets))
         if prev_errors is not None and errs >= prev_errors:
             trace.units.append(UnitRecord(len(units) + 1, errs))
@@ -163,7 +165,7 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
             reps = np.column_stack([np.ones(P), *states])
             out_w, out_trace = _anneal(tau[:, None] * reps, config)
             model = NetworkModel(hidden=tuple(units), output=out_w)
-            net_errs = int(np.count_nonzero(_sign(reps @ out_w.w) != tau))
+            net_errs = int(np.count_nonzero(network_output(model, Xi) != tau))
             trace.output_attempts.append(OutputAttempt(len(units), net_errs))
             trace.output_trace = out_trace
             if net_errs == 0:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -108,12 +108,8 @@ class TrainingConfig:
     @classmethod
     def from_file(cls, path):
         """Read a flat key=value file; unknown keys are an error."""
+        casts = {f.name: type(f.default) for f in fields(cls)}
         kwargs = {}
-        casts = {
-            "t_initial": float, "t_min": float, "t_decay": float,
-            "learning_rate": float, "max_epochs": int, "seed": int,
-            "temp_ratio": float,
-        }
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -128,12 +124,7 @@ class TrainingConfig:
         return cls(**kwargs)
 
     def to_dict(self):
-        return {
-            "t_initial": self.t_initial, "t_min": self.t_min,
-            "t_decay": self.t_decay, "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs, "seed": self.seed,
-            "temp_ratio": self.temp_ratio,
-        }
+        return asdict(self)
 
 
 # Schedule that achieves full separation of the hardest benchmark case (the

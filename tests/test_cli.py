@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monoplane.cli import main
+from monoplane.cli import _emit_report, main
 
 FAST_CFG = "t_initial=1.0\nt_min=1e-3\nt_decay=0.99\nlearning_rate=0.05\nmax_epochs=2000\n"
 
@@ -98,6 +98,36 @@ class TestTrain:
         assert run(["train", "--dataset", str(bad),
                     "--out", str(tmp_path / "o")]) == 2
         assert "expected 60 values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("bogus=1", "unknown config key 'bogus'"),
+        ("t_decay=2", "need 0 < t_decay < 1"),
+    ], ids=["unknown-key", "bad-value"])
+    def test_bad_config_file_exit_2(self, sonar_path, tmp_path, capsys,
+                                    line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CFG + line + "\n")
+        assert run(["train", "--dataset", str(sonar_path), "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+class TestEmitReport:
+    REPORT = {"b": [1, 2.5, "x"], "a": {"z": 0.1, "y": {}, "x": "s"},
+              "c": True, "d": None, "e": {"f": {"g": -1.5e-20}}}
+
+    def test_csv_bytes(self, tmp_path):
+        assert _emit_report(self.REPORT, "csv", tmp_path, "r") == "r.csv"
+        assert (tmp_path / "r.csv").read_bytes() == (
+            b"key,value\na.x,'s'\na.z,0.1\nb,'[1, 2.5, \"x\"]'\nc,True\n"
+            b"d,None\ne.f.g,-1.5e-20\n")
+
+    def test_text_bytes(self, tmp_path):
+        assert _emit_report(self.REPORT, "text", tmp_path, "r") == "r.txt"
+        assert (tmp_path / "r.txt").read_bytes() == (
+            b"a.x: s\na.z: 0.1\nb: [1, 2.5, 'x']\nc: True\nd: None\n"
+            b"e.f.g: -1.5e-20\n")
 
 
 class TestGrow:
@@ -205,3 +235,12 @@ class TestReport:
 
     def test_missing_artifact_exit_2(self, tmp_path):
         assert run(["report", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize("text", ["0.5\nnot-a-number\n", "H=2\n1.0\n2.0\n3.0\n"],
+                             ids=["weights", "network"])
+    def test_unparseable_artifact_exit_2(self, tmp_path, capsys, text):
+        p = tmp_path / "artifact.txt"
+        p.write_text(text)
+        assert run(["report", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {p}: ")

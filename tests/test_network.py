@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from monoplane import (
     GrowthStallError, LabeledPattern, NetworkModel, TrainingConfig,
@@ -82,6 +83,38 @@ class TestForwardPass:
             if abs(out.w @ sigma) < 1e-12:
                 continue
             assert network_output(m, xi) == -network_output(m_neg, xi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), H=st.integers(1, 5),
+           dim=st.integers(1, 6), P=st.integers(1, 12), grid=st.booleans())
+    def test_matrix_rows_equal_single_patterns(self, seed, H, dim, P, grid):
+        """On a (P, dim) matrix, row k equals the one-pattern result, which
+        equals the per-unit definition; on integer grids (exact zero
+        fields) too, where sign(0) = +1."""
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            if grid:
+                return rng.integers(-2, 3, shape).astype(float)
+            return rng.standard_normal(shape)
+
+        ws = [draw(dim) for _ in range(H)] + [draw(H + 1)]
+        assume(all(np.any(w) for w in ws))
+        model = NetworkModel(hidden=tuple(WeightVector(w) for w in ws[:H]),
+                             output=WeightVector(ws[H]))
+        X = draw(P, dim)
+        states = hidden_states(model, X)
+        outputs = network_output(model, X)
+        assert states.shape == (P, H) and outputs.shape == (P,)
+        for k, xi in enumerate(X):
+            one = hidden_states(model, xi)
+            assert one.shape == (H,) and one.dtype.kind == "i"
+            assert np.array_equal(states[k], one)
+            assert one.tolist() == [1 if u.w @ xi >= 0 else -1 for u in model.hidden]
+            zeta = network_output(model, xi)
+            assert type(zeta) is int and zeta == outputs[k]
+            assert zeta == (1 if model.output.w @ np.concatenate([[1.0], one]) >= 0
+                            else -1)
 
     def test_output_weight_count_enforced(self):
         w = WeightVector(np.ones(3))
