@@ -2,9 +2,10 @@
 
 A finished train or grow run, and verify with --out, writes a manifest
 that, together with the dataset bytes, fully determines every output byte:
-configuration snapshot, seed, dataset digest, split source. No timestamps,
-no machine identifiers. Exit codes are a stable contract: 0 success,
-1 verification mismatch, 2 usage or I/O error.
+configuration snapshot, seed, dataset digest, split source, and the python
+and numpy versions it ran on. No timestamps, no machine identifiers. Exit
+codes are a stable contract: 0 success, 1 verification mismatch, 2 usage or
+I/O error, or a training run that diverged.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -25,8 +27,8 @@ from .network import (
     GrowthStallError, grow_network, load_network, network_output, save_network,
 )
 from .perceptron import (
-    SEPARATION_CONFIG, TrainingConfig, _pack, count_errors, load_weights,
-    minimerror_train, save_weights, weights_to_table_text,
+    SEPARATION_CONFIG, TrainingConfig, TrainingError, _pack, count_errors,
+    load_weights, minimerror_train, save_weights, weights_to_table_text,
 )
 
 DATASET_ENV = "MONOPLANE_DATA"
@@ -111,6 +113,8 @@ def _manifest(args, command, dataset_path, split_source, config, outputs):
         "seed": config.seed if config is not None else None,
         "format": getattr(args, "format", None),
         "outputs": sorted(outputs),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
     return json.dumps(m, indent=1, sort_keys=True) + "\n"
 
@@ -288,7 +292,7 @@ def cmd_verify(args):
                          f"{r.table_match_test},{r.table_match_train}")
         text = "\n".join(lines) + "\n"
     elif args.format == "json":
-        payload = {"modes": [dataclasses.asdict(r) for r in results],
+        payload = {"modes": [vars(r) for r in results],
                    **extras, "reproduced": exit_ok}
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
@@ -391,7 +395,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (dataio.ParseError, dataio.SplitError, dataio.StatsError) as exc:
+    except (dataio.ParseError, dataio.SplitError, dataio.StatsError,
+            TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -184,19 +184,12 @@ def load_split_file(path):
         return parse_split_file(fh)
 
 
-def compute_stats(patterns, mode="std"):
-    """Per-feature mean and scale over a learning set.
-
-    mode="std": scale is the population standard deviation (divisor P).
-    mode="variance": scale is the mean squared deviation, i.e. no square
-    root. A zero scale (constant feature) is an error rather than a silent
-    divide-by-zero.
-    """
-    if not patterns:
+def _matrix_stats(X, mode):
+    """``compute_stats`` of a ``(P, n)`` feature matrix."""
+    if X.shape[0] == 0:
         raise StatsError("cannot compute statistics of an empty pattern list")
     if mode not in ("std", "variance"):
         raise StatsError(f"unknown scale mode {mode!r}")
-    X = np.array([p.features for p in patterns], dtype=float)
     mean = X.mean(axis=0)
     var = ((X - mean) ** 2).mean(axis=0)
     scale = np.sqrt(var) if mode == "std" else var
@@ -209,13 +202,38 @@ def compute_stats(patterns, mode="std"):
     return StandardizationStats(mean=mean, scale=scale, mode=mode)
 
 
+def _standardized(X, stats):
+    """The ``(P, 1+n)`` pattern matrix of a ``(P, n)`` feature matrix in the
+    coordinates of ``stats``: column 0 is the bias coordinate 1."""
+    Xi = np.empty((X.shape[0], X.shape[1] + 1), dtype=float)
+    Xi[:, 0] = 1.0
+    Xi[:, 1:] = (X - stats.mean) / stats.scale
+    return Xi
+
+
+def _labels(patterns, flip_labels):
+    """tau of each RawPattern: rock -> +1, mine -> -1, swapped by ``flip_labels``."""
+    rock = -1 if flip_labels else +1
+    return [rock if p.label == ROCK else -rock for p in patterns]
+
+
+def compute_stats(patterns, mode="std"):
+    """Per-feature mean and scale over a learning set.
+
+    mode="std": scale is the population standard deviation (divisor P).
+    mode="variance": scale is the mean squared deviation, i.e. no square
+    root. A zero scale (constant feature) is an error rather than a silent
+    divide-by-zero.
+    """
+    return _matrix_stats(np.array([p.features for p in patterns], dtype=float), mode)
+
+
 def standardize(patterns, stats, flip_labels=False):
     """Map RawPatterns to LabeledPatterns in the coordinates of ``stats``.
 
     xi[0] = 1 (bias coordinate), xi[i] = (features[i-1] - mean) / scale.
     Labels map rock -> +1 and mine -> -1 unless ``flip_labels``.
     """
-    out = []
     n = len(stats.mean)
     for p in patterns:
         if len(p.features) != n:
@@ -223,14 +241,10 @@ def standardize(patterns, stats, flip_labels=False):
                 f"pattern mu={p.mu} has {len(p.features)} features, "
                 f"stats cover {n}"
             )
-        xi = np.empty(n + 1, dtype=float)
-        xi[0] = 1.0
-        xi[1:] = (np.asarray(p.features) - stats.mean) / stats.scale
-        tau = +1 if p.label == ROCK else -1
-        if flip_labels:
-            tau = -tau
-        out.append(LabeledPattern(mu=p.mu, xi=xi, tau=tau))
-    return out
+    X = np.array([p.features for p in patterns], dtype=float).reshape(len(patterns), n)
+    return [LabeledPattern(mu=p.mu, xi=xi, tau=tau)
+            for p, xi, tau in zip(patterns, _standardized(X, stats),
+                                  _labels(patterns, flip_labels))]
 
 
 def class_counts(patterns):

@@ -20,10 +20,10 @@ from importlib import resources
 
 import numpy as np
 
-from .data import compute_stats, standardize
+from .data import _labels, _matrix_stats, _standardized
 from .perceptron import (
     TrainingConfig, WeightVector, _error_counts, _fields, _pack, count_errors,
-    load_weights, minimerror_train, rosenblatt_train, stability,
+    field, load_weights, minimerror_train, rosenblatt_train, stability,
 )
 
 PUBLISHED_NAMES = ("W_Train", "W_Test", "W_Sonar")
@@ -220,21 +220,46 @@ class ModeResult:
     gamma_check: dict
 
 
-def _mode_parts(train_raw, test_raw, stats_from, scale, flip_labels):
-    """The sets the three published vectors classify under one mode, in
-    ``PUBLISHED_NAMES`` order: the Test part in Train-stats coordinates, the
-    Train part in Test-stats coordinates, and every pattern in full-set
-    coordinates. The ``all`` modes use the full-set statistics throughout."""
+def _packed(train_raw, test_raw, flip_labels):
+    """The raw parts packed once: the feature matrix of every pattern in mu
+    order, its labels ``tau`` and numbers ``mu``, and the row indices of the
+    Train and Test parts in that matrix."""
     all_raw = sorted(train_raw + test_raw, key=lambda p: p.mu)
-    stats_all = compute_stats(all_raw, mode=scale)
+    X = np.array([p.features for p in all_raw], dtype=float)
+    tau = np.array(_labels(all_raw, flip_labels), dtype=float)
+    mu = np.array([p.mu for p in all_raw])
+    row = {m: k for k, m in enumerate(mu.tolist())}
+    train_rows, test_rows = (np.array([row[p.mu] for p in part], dtype=int)
+                             for part in (train_raw, test_raw))
+    return X, tau, mu, train_rows, test_rows
+
+
+def _mode_parts(packed, stats_from, scale):
+    """The sets the three published vectors classify under one mode, in
+    ``PUBLISHED_NAMES`` order, each an ``(Xi, tau, mu)`` triple: the Test
+    part in Train-stats coordinates, the Train part in Test-stats
+    coordinates, and every pattern in full-set coordinates. The ``all``
+    modes use the full-set statistics throughout."""
+    X, tau, mu, train_rows, test_rows = packed
+    stats_all = _matrix_stats(X, scale)
     if stats_from == "part":
-        stats_train = compute_stats(train_raw, mode=scale)
-        stats_test = compute_stats(test_raw, mode=scale) if test_raw else stats_train
+        stats_train = _matrix_stats(X[train_rows], scale)
+        stats_test = (_matrix_stats(X[test_rows], scale) if test_rows.size
+                      else stats_train)
     else:
         stats_train = stats_test = stats_all
-    return (standardize(test_raw, stats_train, flip_labels=flip_labels),
-            standardize(train_raw, stats_test, flip_labels=flip_labels),
-            standardize(all_raw, stats_all, flip_labels=flip_labels))
+    return ((_standardized(X[test_rows], stats_train), tau[test_rows], mu[test_rows]),
+            (_standardized(X[train_rows], stats_test), tau[train_rows], mu[train_rows]),
+            (_standardized(X, stats_all), tau, mu))
+
+
+def _misclassified(w, part, layout):
+    """Error counts of ``w`` over one ``(Xi, tau, mu)`` part, and the sorted
+    layout numbers of the patterns it misclassifies."""
+    Xi, tau, mu = part
+    f = _fields(w, Xi)
+    return (_error_counts(f, tau),
+            sorted(layout[m] for m in mu[tau * f <= 0.0].tolist()))
 
 
 def run_mode(mode_name, stats_from, scale, train_raw, test_raw, flip_labels=False):
@@ -242,26 +267,26 @@ def run_mode(mode_name, stats_from, scale, train_raw, test_raw, flip_labels=Fals
     table = load_published_table()
     w_train, w_test, w_sonar = (load_published_weights(name).vector
                                 for name in PUBLISHED_NAMES)
-    test_std, train_std, all_std = _mode_parts(
-        train_raw, test_raw, stats_from, scale, flip_labels)
+    test_part, train_part, (Xi_all, tau_all, mu_all) = _mode_parts(
+        _packed(train_raw, test_raw, flip_labels), stats_from, scale)
     layout = paper_layout_numbering(train_raw, test_raw)
 
-    rep_test = evaluate(w_train, test_std)
-    mu_test = sorted(layout[r.mu] for r in rep_test.records)
-    rep_train = evaluate(w_test, train_std)
-    mu_train = sorted(layout[r.mu] for r in rep_train.records)
-    counts_sonar = count_errors(w_sonar, all_std)
+    counts_test, mu_test = _misclassified(w_train, test_part, layout)
+    counts_train, mu_train = _misclassified(w_test, train_part, layout)
+    counts_sonar = _error_counts(_fields(w_sonar, Xi_all), tau_all)
 
     pub_test = sorted(r["mu"] for r in table["test_side"])
     pub_train = sorted(r["mu"] for r in table["train_side"])
 
-    # spot-check the published stabilities under W_Sonar by layout number
-    by_layout = {layout[p.mu]: p for p in all_std}
+    # spot-check the published stabilities under W_Sonar by layout number,
+    # one scalar dot per row as ``stability`` takes it (a matrix product
+    # may round the last bit differently)
+    row_of = {layout[m]: k for k, m in enumerate(mu_all.tolist())}
     gamma_rows = []
     for side in ("test_side", "train_side"):
         for rec in table[side]:
-            p = by_layout.get(rec["mu"])
-            got = stability(w_sonar, p) if p is not None else None
+            k = row_of.get(rec["mu"])
+            got = None if k is None else float(tau_all[k]) * field(w_sonar, Xi_all[k])
             gamma_rows.append({
                 "mu": rec["mu"], "published": rec["gamma_sonar"], "computed": got,
                 "abs_err": None if got is None else abs(got - rec["gamma_sonar"]),
@@ -273,8 +298,8 @@ def run_mode(mode_name, stats_from, scale, train_raw, test_raw, flip_labels=Fals
 
     return ModeResult(
         mode=mode_name,
-        counts_test_side=rep_test.counts,
-        counts_train_side=rep_train.counts,
+        counts_test_side=counts_test,
+        counts_train_side=counts_train,
         counts_sonar=counts_sonar,
         mu_test_side=mu_test,
         mu_train_side=mu_train,
@@ -301,18 +326,15 @@ def perturbation_analysis(train_raw, test_raw, stats_from, scale,
     only to +-5e-5. Redraw every component uniformly within that band and
     report the spread of the three error counts over the draws.
     """
-    parts = _mode_parts(train_raw, test_raw, stats_from, scale, flip_labels)
+    parts = _mode_parts(_packed(train_raw, test_raw, flip_labels), stats_from, scale)
     ws = [load_published_weights(name).vector.w for name in PUBLISHED_NAMES]
     # the jitter stream in the order a loop over draws, then vectors, takes it
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(-amplitude, amplitude, size=(n_draws, len(ws), len(ws[0])))
     out = {}
-    for k, (key, w, patterns) in enumerate(zip(_PERTURBED, ws, parts)):
-        errors = [0] * n_draws
-        if patterns:
-            Xi, tau = _pack(patterns)
-            errors = np.sum(tau[:, None] * (Xi @ (w + jitter[:, k]).T) <= 0.0,
-                            axis=0).tolist()
+    for k, (key, w, (Xi, tau, _)) in enumerate(zip(_PERTURBED, ws, parts)):
+        errors = np.sum(tau[:, None] * (Xi @ (w + jitter[:, k]).T) <= 0.0,
+                        axis=0).tolist()
         out[key] = {"min": min(errors), "max": max(errors),
                     "distinct": sorted(set(errors))}
     return out

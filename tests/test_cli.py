@@ -1,4 +1,5 @@
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,8 @@ class TestTrain:
         assert m["seed"] == 3
         assert m["config"]["max_epochs"] == 2000
         assert len(m["dataset_sha256"]) == 64
+        assert m["python"] == platform.python_version()
+        assert m["numpy"] == np.__version__
         rep = json.loads((out / "report.json").read_text())
         assert rep["learning_set_size"] == 104
         assert "generalization" in rep
@@ -111,6 +114,20 @@ class TestTrain:
                     "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ("train", "grow"))
+def test_diverged_training_exit_2(sonar_path, balanced_split_path, tmp_path,
+                                  capsys, command):
+    """A diverged anneal is a usage error (2), not a verify mismatch (1)."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("learning_rate=1e308\nmax_epochs=50\n")
+    rc = run([command, "--dataset", str(sonar_path),
+              "--split-file", str(balanced_split_path),
+              "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: non-finite state at epoch 1\n"
 
 
 class TestEmitReport:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoplane import (
     ParseError, RawPattern, SplitError, SplitSpec, StatsError,
     compute_stats, default_split, parse_sonar_file, parse_split_file,
     split, standardize,
 )
-from monoplane.data import class_counts
+from monoplane.data import _matrix_stats, _standardized, class_counts
 
 
 def _toy_lines(rows):
@@ -182,3 +183,70 @@ class TestStandardize:
         is generally not centered."""
         Z = np.array([p.xi[1:] for p in test_std_train_stats])
         assert np.max(np.abs(Z.mean(axis=0))) > 1e-3
+
+
+class TestArrayStandardization:
+    """The array helpers behind ``compute_stats`` and ``standardize`` give the
+    bits of the matrix statistics and of the per-pattern z-score."""
+
+    @staticmethod
+    def _reference_stats(rows, mode):
+        X = np.array(rows, dtype=float)
+        mean = X.mean(axis=0)
+        var = ((X - mean) ** 2).mean(axis=0)
+        return mean, (np.sqrt(var) if mode == "std" else var)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), P=st.integers(2, 30), n=st.integers(1, 8),
+           mode=st.sampled_from(("std", "variance")), flip=st.booleans())
+    def test_matches_per_pattern_formula(self, data, P, n, mode, flip):
+        rows = data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+            min_size=P, max_size=P))
+        labels = data.draw(st.lists(st.sampled_from("RM"), min_size=P, max_size=P))
+        pats = [RawPattern(mu=k + 1, features=tuple(r), label=lab)
+                for k, (r, lab) in enumerate(zip(rows, labels))]
+        mean, scale = self._reference_stats(rows, mode)
+        zeros = np.flatnonzero(scale == 0.0)
+        if zeros.size:
+            message = (f"constant feature(s) {', '.join(str(i + 1) for i in zeros)}: "
+                       f"scale would be zero")
+            for fn in (lambda: compute_stats(pats, mode=mode),
+                       lambda: _matrix_stats(np.array(rows), mode)):
+                with pytest.raises(StatsError) as exc:
+                    fn()
+                assert str(exc.value) == message
+            return
+        stats = compute_stats(pats, mode=mode)
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.scale.tobytes() == scale.tobytes()
+        Xi = _standardized(np.array(rows), stats)
+        std = standardize(pats, stats, flip_labels=flip)
+        for k, (p, q) in enumerate(zip(pats, std)):
+            xi = np.empty(n + 1)
+            xi[0] = 1.0
+            xi[1:] = (np.asarray(p.features) - stats.mean) / stats.scale
+            assert q.xi.tobytes() == xi.tobytes() == Xi[k].tobytes()
+            tau = +1 if p.label == "R" else -1
+            assert (q.mu, q.tau) == (p.mu, -tau if flip else tau)
+
+    @pytest.mark.parametrize("mode", ("std", "variance"))
+    def test_constant_feature_message(self, mode):
+        pats = [RawPattern(mu=1, features=(0.5, 0.1, 0.3), label="R"),
+                RawPattern(mu=2, features=(0.5, 0.9, 0.3), label="M")]
+        with pytest.raises(StatsError) as exc:
+            compute_stats(pats, mode=mode)
+        assert str(exc.value) == "constant feature(s) 1, 3: scale would be zero"
+
+    def test_feature_count_mismatch_message(self):
+        pats = [RawPattern(mu=1, features=(0.1, 0.2), label="R"),
+                RawPattern(mu=2, features=(0.9, 0.4), label="M")]
+        stats = compute_stats(pats)
+        bad = pats + [RawPattern(mu=3, features=(0.1, 0.2, 0.3), label="R")]
+        with pytest.raises(StatsError) as exc:
+            standardize(bad, stats)
+        assert str(exc.value) == "pattern mu=3 has 3 features, stats cover 2"
+
+    def test_empty_part_standardizes_to_nothing(self, all_std):
+        _, stats = all_std
+        assert standardize([], stats) == []

@@ -1,16 +1,17 @@
 import hashlib
+import importlib
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from monoplane import (
-    WeightVector, compute_stats, cosine, count_errors, evaluate,
+    LabeledPattern, WeightVector, compute_stats, cosine, count_errors, evaluate,
     load_published_table, load_published_weights, separability_probe,
     stability, standardize, verify_published,
 )
 from monoplane.evaluation import (
-    PUBLISHED_NAMES, STANDARDIZATION_MODES, paper_layout_numbering,
+    PUBLISHED_NAMES, STANDARDIZATION_MODES, ModeResult, paper_layout_numbering,
     perturbation_analysis, published_norms, run_mode,
 )
 
@@ -236,3 +237,119 @@ class TestModeSweep:
         _, stats_from, scale = next(m for m in STANDARDIZATION_MODES
                                     if m[0] == extras["closest_mode"])
         assert pert["spreads"] == perturbation_analysis(train, test, stats_from, scale)
+
+
+def _random_balanced_split(raw, seed, n_mines=49, n_rocks=55):
+    rng = np.random.default_rng(seed)
+    mines = [p.mu for p in raw if p.label == "M"]
+    rocks = [p.mu for p in raw if p.label == "R"]
+    learn = set(rng.choice(mines, n_mines, replace=False).tolist())
+    learn |= set(rng.choice(rocks, n_rocks, replace=False).tolist())
+    return ([p for p in raw if p.mu in learn],
+            [p for p in raw if p.mu not in learn])
+
+
+def _reference_mode_sets(train, test, stats_from, scale, flip_labels):
+    """The three sets of a mode standardized one pattern at a time."""
+    full = sorted(train + test, key=lambda p: p.mu)
+    stats_all = compute_stats(full, mode=scale)
+    if stats_from == "part":
+        stats_tr = compute_stats(train, mode=scale)
+        stats_te = compute_stats(test, mode=scale)
+    else:
+        stats_tr = stats_te = stats_all
+    sign = -1 if flip_labels else 1
+
+    def std(part, stats):
+        return [LabeledPattern(
+            mu=p.mu,
+            xi=np.concatenate(([1.0], (np.asarray(p.features) - stats.mean)
+                               / stats.scale)),
+            tau=sign * (1 if p.label == "R" else -1)) for p in part]
+    return std(test, stats_tr), std(train, stats_te), std(full, stats_all)
+
+
+def _reference_run_mode(mode_name, sets, layout):
+    table = load_published_table()
+    w_train, w_test, w_sonar = (load_published_weights(n).vector
+                                for n in PUBLISHED_NAMES)
+    test_std, train_std, all_std = sets
+    mu_test = sorted(layout[p.mu] for p in test_std if stability(w_train, p) <= 0)
+    mu_train = sorted(layout[p.mu] for p in train_std if stability(w_test, p) <= 0)
+    pub_test = sorted(r["mu"] for r in table["test_side"])
+    pub_train = sorted(r["mu"] for r in table["train_side"])
+    by_layout = {layout[p.mu]: p for p in all_std}
+    rows = []
+    for side in ("test_side", "train_side"):
+        for rec in table[side]:
+            p = by_layout.get(rec["mu"])
+            got = None if p is None else stability(w_sonar, p)
+            rows.append({"mu": rec["mu"], "published": rec["gamma_sonar"],
+                         "computed": got,
+                         "abs_err": None if got is None else abs(got - rec["gamma_sonar"])})
+    errs = [r["abs_err"] for r in rows if r["abs_err"] is not None]
+    return ModeResult(
+        mode=mode_name,
+        counts_test_side=count_errors(w_train, test_std),
+        counts_train_side=count_errors(w_test, train_std),
+        counts_sonar=count_errors(w_sonar, all_std),
+        mu_test_side=mu_test, mu_train_side=mu_train,
+        table_match_test=mu_test == pub_test, table_match_train=mu_train == pub_train,
+        missing_test=sorted(set(pub_test) - set(mu_test)),
+        extra_test=sorted(set(mu_test) - set(pub_test)),
+        missing_train=sorted(set(pub_train) - set(mu_train)),
+        extra_train=sorted(set(mu_train) - set(pub_train)),
+        gamma_check={"rows": rows, "max_abs_err": max(errs, default=None),
+                     "n_within_1e-3": sum(1 for e in errs if e <= 1e-3)})
+
+
+def _reference_spreads(sets, n_draws=100):
+    ws = [load_published_weights(n).vector.w for n in PUBLISHED_NAMES]
+    rng = np.random.default_rng(0)
+    jitter = rng.uniform(-5e-5, 5e-5, size=(n_draws, len(ws), len(ws[0])))
+    out = {}
+    for k, (key, w, pats) in enumerate(zip(
+            ("W_Train_on_test", "W_Test_on_train", "W_Sonar_on_all"), ws, sets)):
+        errors = {count_errors(WeightVector(w + jitter[d, k]), pats)[0]
+                  for d in range(n_draws)}
+        out[key] = {"min": min(errors), "max": max(errors), "distinct": sorted(errors)}
+    return out
+
+
+class TestArrayVerify:
+    """The packed-array verify equals the per-pattern definitions exactly."""
+
+    @pytest.fixture(scope="class", params=["bundled", 1, 2, 3])
+    def parts(self, request, raw_patterns, balanced_parts):
+        if request.param == "bundled":
+            return balanced_parts
+        return _random_balanced_split(raw_patterns, request.param)
+
+    @pytest.mark.parametrize("flip_labels", (False, True))
+    @pytest.mark.parametrize("mode", STANDARDIZATION_MODES, ids=lambda m: m[0])
+    def test_mode_matches_reference(self, parts, mode, flip_labels):
+        train, test = parts
+        mode_name, stats_from, scale = mode
+        sets = _reference_mode_sets(train, test, stats_from, scale, flip_labels)
+        want = _reference_run_mode(mode_name, sets, paper_layout_numbering(train, test))
+        got = run_mode(mode_name, stats_from, scale, train, test,
+                       flip_labels=flip_labels)
+        assert vars(got) == vars(want)
+        assert all(type(r["computed"]) is float for r in got.gamma_check["rows"])
+        assert perturbation_analysis(train, test, stats_from, scale,
+                                     flip_labels=flip_labels) == _reference_spreads(sets)
+
+    def test_verify_builds_no_pattern_lists(self, balanced_parts, monkeypatch):
+        """Neither ``standardize`` nor ``count_errors`` runs in verify, under
+        any name a monoplane module binds them to."""
+        def boom(*args, **kwargs):
+            raise AssertionError("called on the verify path")
+        for name in ("monoplane", "monoplane.data", "monoplane.perceptron",
+                     "monoplane.evaluation", "monoplane.cli"):
+            module = importlib.import_module(name)
+            for fn in ("standardize", "count_errors"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, boom)
+        train, test = balanced_parts
+        exit_ok, results, _ = verify_published(train, test)
+        assert not exit_ok and len(results) == 4
