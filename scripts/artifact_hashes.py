@@ -1,0 +1,122 @@
+"""sha256 of every byte the monoplane CLI produces over a fixed run matrix.
+
+Usage:
+
+    PYTHONPATH=<checkout>/src python scripts/artifact_hashes.py OUT.json
+
+Runs ``monoplane.cli.main`` in-process over a fixed matrix of ``train``,
+``verify``, ``grow`` and ``report`` invocations and writes one JSON object
+mapping ``<run>/exit``, ``<run>/stdout``, ``<run>/stderr`` and
+``<run>/<output file>`` to the sha256 of those bytes. Run it once with each
+of two checkouts on ``PYTHONPATH`` and diff the two files: equal JSON means
+equal exit codes, streams and artifacts.
+
+Every run takes its inputs from copies in a scratch root and names them,
+and its ``--out`` directory, relative to that root, so manifests and
+``report`` output do not depend on where the checkout or the scratch root
+lives.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import monoplane
+from monoplane import cli
+
+REPO = Path(__file__).resolve().parent.parent
+ASSETS = Path(monoplane.__file__).resolve().parent / "assets"
+INPUTS = {
+    "sonar.all-data": REPO / "tests" / "data" / "sonar.all-data",
+    "balanced.split": ASSETS / "splits" / "balanced.split",
+    "xor.csv": ASSETS / "xor.csv",
+}
+# the schedule of tests/test_cli.py::TestGrow
+XOR_CFG = ("t_initial=1.0\nt_min=1e-4\nt_decay=0.995\n"
+           "learning_rate=0.05\nmax_epochs=3000\nseed=1\n")
+FORMATS = ("json", "csv", "text")
+SONAR = ["--dataset", "sonar.all-data", "--split-file", "balanced.split"]
+XOR = ["grow", "--dataset", "xor.csv", "--features", "2", "--part", "all",
+       "--config", "xor.cfg"]
+
+
+def run_matrix():
+    """(run name, argv) pairs in execution order; ``report`` reads artifacts
+    that the earlier runs wrote."""
+    runs = []
+    for part in ("train", "test", "all"):
+        for fmt in FORMATS:
+            for flip in (False, True):
+                name = f"train-{part}-{fmt}{'-flip' if flip else ''}"
+                runs.append((name, ["train", *SONAR, "--part", part,
+                                    "--format", fmt, "--out", name]
+                             + (["--flip-labels"] if flip else [])))
+    for fmt in FORMATS:
+        for flip in (False, True):
+            name = f"verify-{fmt}{'-flip' if flip else ''}"
+            runs.append((name, ["verify", *SONAR, "--format", fmt,
+                                "--out", name] + (["--flip-labels"] if flip else [])))
+    for fmt in FORMATS:
+        runs.append((f"grow-xor-{fmt}", [*XOR, "--format", fmt,
+                                         "--out", f"grow-xor-{fmt}"]))
+    runs.append(("grow-xor-stall", [*XOR, "--max-hidden", "1",
+                                    "--out", "grow-xor-stall"]))
+    runs.append(("report", ["report", "train-train-json/weights.txt",
+                            "train-test-json/weights.txt",
+                            "grow-xor-json/network.txt"]))
+    return runs
+
+
+def _sha256(data: bytes):
+    return hashlib.sha256(data).hexdigest()
+
+
+def hashes(root: Path):
+    """Run the matrix inside ``root`` and return the hash of every item."""
+    for name, src in INPUTS.items():
+        shutil.copyfile(src, root / name)
+    (root / "xor.cfg").write_text(XOR_CFG)
+    out = {}
+    for name, argv in run_matrix():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main(argv)
+        out[f"{name}/exit"] = _sha256(str(rc).encode())
+        out[f"{name}/stdout"] = _sha256(stdout.getvalue().encode())
+        out[f"{name}/stderr"] = _sha256(stderr.getvalue().encode())
+        run_dir = root / name
+        if run_dir.is_dir():
+            for f in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+                out[f"{name}/{f.relative_to(run_dir).as_posix()}"] = \
+                    _sha256(f.read_bytes())
+    return out
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    target = Path(argv[0]).resolve()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="artifact-hashes-") as tmp:
+        os.chdir(tmp)
+        try:
+            result = hashes(Path(tmp))
+        finally:
+            os.chdir(cwd)
+    target.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    print(f"{len(result)} items -> {target}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,7 @@ into the ``monoplane`` command.
 """
 
 from .data import (
-    LabeledPattern, ParseError, RawPattern, SplitError, SplitSpec,
+    LabeledPattern, ParseError, PatternSet, RawPattern, SplitError, SplitSpec,
     StandardizationStats, StatsError, compute_stats, default_split,
     load_file, load_split_file, parse_sonar_file, parse_split_file, split,
     standardize,

@@ -27,7 +27,7 @@ from .network import (
     GrowthStallError, grow_network, load_network, network_output, save_network,
 )
 from .perceptron import (
-    SEPARATION_CONFIG, TrainingConfig, TrainingError, _pack, count_errors,
+    SEPARATION_CONFIG, TrainingConfig, TrainingError, count_errors,
     load_weights, minimerror_train, save_weights, weights_to_table_text,
 )
 
@@ -91,6 +91,9 @@ def _load_parts(args, n_features):
 
 
 def _create(path: Path):
+    """Open ``path`` for writing, creating its directory first, so that a
+    run that fails before its first artifact leaves nothing behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
@@ -121,8 +124,8 @@ def _manifest(args, command, dataset_path, split_source, config, outputs):
 
 def _prepare_run(args):
     """Shared prologue of train and grow: load and split the dataset, read
-    the config, standardize the selected part and its held-out counterpart,
-    and create the output directory."""
+    the config, and standardize the selected part and its held-out
+    counterpart. The output directory is created with the first artifact."""
     path, patterns, train, test, split_source = _load_parts(args, args.features)
     config = _load_config(args.config, args.seed)
     learn_raw, eval_raw = {"train": (train, test), "test": (test, train),
@@ -133,9 +136,7 @@ def _prepare_run(args):
         patterns if args.stats_from == "all" else learn_raw, mode=args.scale)
     learn, evalp = (dataio.standardize(part, stats, flip_labels=args.flip_labels)
                     for part in (learn_raw, eval_raw))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return path, split_source, config, learn, evalp, out_dir
+    return path, split_source, config, learn, evalp, Path(args.out)
 
 
 def _leaves(obj, prefix=""):
@@ -214,9 +215,7 @@ def cmd_grow(args):
         gtrace.to_csv(fh)
     outputs = ["network.txt", "growth.csv"]
 
-    Xi, tau = _pack(learn + evalp)
-    wrong = network_output(model, Xi) != tau
-    train_errs = int(np.count_nonzero(wrong[:len(learn)]))
+    train_errs = int(np.count_nonzero(network_output(model, learn.Xi) != learn.tau))
     report = {
         "part": args.part,
         "hidden_units": len(model.hidden),
@@ -224,7 +223,7 @@ def cmd_grow(args):
         "training_errors": train_errs,
     }
     if evalp:
-        gen_errs = int(np.count_nonzero(wrong[len(learn):]))
+        gen_errs = int(np.count_nonzero(network_output(model, evalp.Xi) != evalp.tau))
         report["generalization_errors"] = gen_errs
         report["generalization_fraction"] = round(100.0 * gen_errs / len(evalp), 1)
     outputs.append(_emit_report(report, args.format, out_dir, "report"))
@@ -298,7 +297,6 @@ def cmd_verify(args):
 
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         name = f"verify.{SUFFIX[args.format]}"
         _write(out_dir / name, text)
         _write(out_dir / "manifest.json",
@@ -392,14 +390,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (dataio.ParseError, dataio.SplitError, dataio.StatsError,
-            TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, dataio.ParseError, dataio.SplitError,
+            dataio.StatsError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ conventions are easy to confuse and produce very different geometry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,39 @@ class LabeledPattern:
             raise ValueError(f"pattern mu={self.mu}: xi[0] must be exactly 1")
         if self.tau not in (-1, +1):
             raise ValueError(f"pattern mu={self.mu}: tau must be -1 or +1")
+
+
+@dataclass(frozen=True, eq=False)
+class PatternSet:
+    """Standardized patterns packed as arrays: row k of ``Xi`` is the
+    pattern numbered ``mu[k]`` (``Xi[k, 0]`` is the bias coordinate 1) and
+    ``tau[k]`` is its +-1 label. Indexing and iteration yield
+    LabeledPattern rows."""
+
+    Xi: np.ndarray
+    tau: np.ndarray
+    mu: np.ndarray
+
+    @classmethod
+    def of(cls, patterns):
+        """``patterns`` itself if it is a PatternSet, else a LabeledPattern
+        sequence packed in order."""
+        if isinstance(patterns, cls):
+            return patterns
+        return cls(Xi=np.array([p.xi for p in patterns], dtype=float),
+                   tau=np.array([p.tau for p in patterns], dtype=int),
+                   mu=np.array([p.mu for p in patterns], dtype=int))
+
+    @functools.cached_property
+    def folded(self):
+        """The label-folded pattern matrix: row k is tau[k] * Xi[k]."""
+        return self.tau[:, None] * self.Xi
+
+    def __len__(self):
+        return len(self.tau)
+
+    def __getitem__(self, k):
+        return LabeledPattern(mu=int(self.mu[k]), xi=self.Xi[k], tau=int(self.tau[k]))
 
 
 @dataclass(frozen=True)
@@ -212,9 +246,10 @@ def _standardized(X, stats):
 
 
 def _labels(patterns, flip_labels):
-    """tau of each RawPattern: rock -> +1, mine -> -1, swapped by ``flip_labels``."""
+    """tau of each RawPattern as an int array: rock -> +1, mine -> -1,
+    swapped by ``flip_labels``."""
     rock = -1 if flip_labels else +1
-    return [rock if p.label == ROCK else -rock for p in patterns]
+    return np.array([rock if p.label == ROCK else -rock for p in patterns], dtype=int)
 
 
 def compute_stats(patterns, mode="std"):
@@ -229,7 +264,7 @@ def compute_stats(patterns, mode="std"):
 
 
 def standardize(patterns, stats, flip_labels=False):
-    """Map RawPatterns to LabeledPatterns in the coordinates of ``stats``.
+    """Map RawPatterns to a PatternSet in the coordinates of ``stats``.
 
     xi[0] = 1 (bias coordinate), xi[i] = (features[i-1] - mean) / scale.
     Labels map rock -> +1 and mine -> -1 unless ``flip_labels``.
@@ -242,21 +277,11 @@ def standardize(patterns, stats, flip_labels=False):
                 f"stats cover {n}"
             )
     X = np.array([p.features for p in patterns], dtype=float).reshape(len(patterns), n)
-    return [LabeledPattern(mu=p.mu, xi=xi, tau=tau)
-            for p, xi, tau in zip(patterns, _standardized(X, stats),
-                                  _labels(patterns, flip_labels))]
+    return PatternSet(Xi=_standardized(X, stats), tau=_labels(patterns, flip_labels),
+                      mu=np.array([p.mu for p in patterns], dtype=int))
 
 
 def class_counts(patterns):
-    """(rocks, mines) tally; works on raw or labeled patterns."""
-    rocks = mines = 0
-    for p in patterns:
-        if isinstance(p, RawPattern):
-            is_rock = p.label == ROCK
-        else:
-            is_rock = p.tau == +1
-        if is_rock:
-            rocks += 1
-        else:
-            mines += 1
-    return rocks, mines
+    """(rocks, mines) tally of RawPatterns."""
+    rocks = sum(p.label == ROCK for p in patterns)
+    return rocks, len(patterns) - rocks

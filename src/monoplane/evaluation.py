@@ -20,10 +20,10 @@ from importlib import resources
 
 import numpy as np
 
-from .data import _labels, _matrix_stats, _standardized
+from .data import PatternSet, _labels, _matrix_stats, _standardized
 from .perceptron import (
-    TrainingConfig, WeightVector, _error_counts, _fields, _pack, count_errors,
-    field, load_weights, minimerror_train, rosenblatt_train, stability,
+    TrainingConfig, WeightVector, _error_counts, _fields, count_errors, field,
+    load_weights, minimerror_train, rosenblatt_train,
 )
 
 PUBLISHED_NAMES = ("W_Train", "W_Test", "W_Sonar")
@@ -111,18 +111,19 @@ def evaluate(classifier: WeightVector, patterns, reference=None) -> EvaluationRe
     """
     if not patterns:
         return EvaluationReport(set_size=0, counts=(0, 0, 0), records=[])
-    Xi, tau = _pack(patterns)
-    f = _fields(classifier, Xi)
-    gam_ref = None if reference is None else tau * _fields(reference, Xi)
-    wrong = sorted(np.flatnonzero(tau * f <= 0.0), key=lambda k: patterns[k].mu)
+    ps = PatternSet.of(patterns)
+    f = _fields(classifier, ps.Xi)
+    wrong = np.flatnonzero(ps.tau * f <= 0.0)
+    wrong = wrong[np.argsort(ps.mu[wrong], kind="stable")]
+    gam_ref = ([None] * len(wrong) if reference is None
+               else (ps.tau * _fields(reference, ps.Xi))[wrong].tolist())
     records = [
-        MisclassifiedRecord(
-            i=i, mu=patterns[k].mu, field_value=float(f[k]),
-            gamma_reference=None if gam_ref is None else float(gam_ref[k]),
-            tau=patterns[k].tau)
-        for i, k in enumerate(wrong, start=1)
+        MisclassifiedRecord(i=i, mu=mu, field_value=fv, gamma_reference=g, tau=tau)
+        for i, (mu, fv, g, tau) in enumerate(
+            zip(ps.mu[wrong].tolist(), f[wrong].tolist(), gam_ref,
+                ps.tau[wrong].tolist()), start=1)
     ]
-    return EvaluationReport(set_size=len(patterns), counts=_error_counts(f, tau),
+    return EvaluationReport(set_size=len(ps), counts=_error_counts(f, ps.tau),
                             records=records)
 
 
@@ -157,13 +158,15 @@ class ProbeVerdict:
     trainer: str
 
     def recheck(self, patterns) -> bool:
-        return min(stability(self.weights, p) for p in patterns) > 0.0
+        """Every stability under ``weights`` is strictly positive."""
+        return bool(_fields(self.weights, PatternSet.of(patterns).folded).min() > 0.0)
 
 
 def separability_probe(patterns, budget: TrainingConfig) -> ProbeVerdict:
     """Try to exhibit a separating hyperplane within the training budget."""
     if not patterns:
         raise ValueError("cannot probe an empty pattern set")
+    patterns = PatternSet.of(patterns)
     w_mm, _ = minimerror_train(patterns, budget)
     err_mm = count_errors(w_mm, patterns)[0]
     if err_mm == 0:
@@ -220,13 +223,13 @@ class ModeResult:
     gamma_check: dict
 
 
-def _packed(train_raw, test_raw, flip_labels):
+def _raw_arrays(train_raw, test_raw, flip_labels):
     """The raw parts packed once: the feature matrix of every pattern in mu
     order, its labels ``tau`` and numbers ``mu``, and the row indices of the
     Train and Test parts in that matrix."""
     all_raw = sorted(train_raw + test_raw, key=lambda p: p.mu)
     X = np.array([p.features for p in all_raw], dtype=float)
-    tau = np.array(_labels(all_raw, flip_labels), dtype=float)
+    tau = _labels(all_raw, flip_labels)
     mu = np.array([p.mu for p in all_raw])
     row = {m: k for k, m in enumerate(mu.tolist())}
     train_rows, test_rows = (np.array([row[p.mu] for p in part], dtype=int)
@@ -234,13 +237,12 @@ def _packed(train_raw, test_raw, flip_labels):
     return X, tau, mu, train_rows, test_rows
 
 
-def _mode_parts(packed, stats_from, scale):
-    """The sets the three published vectors classify under one mode, in
-    ``PUBLISHED_NAMES`` order, each an ``(Xi, tau, mu)`` triple: the Test
-    part in Train-stats coordinates, the Train part in Test-stats
-    coordinates, and every pattern in full-set coordinates. The ``all``
-    modes use the full-set statistics throughout."""
-    X, tau, mu, train_rows, test_rows = packed
+def _mode_parts(arrays, stats_from, scale):
+    """The PatternSets the three published vectors classify under one mode,
+    in ``PUBLISHED_NAMES`` order: the Test part in Train-stats coordinates,
+    the Train part in Test-stats coordinates, and every pattern in full-set
+    coordinates. The ``all`` modes use the full-set statistics throughout."""
+    X, tau, mu, train_rows, test_rows = arrays
     stats_all = _matrix_stats(X, scale)
     if stats_from == "part":
         stats_train = _matrix_stats(X[train_rows], scale)
@@ -248,18 +250,9 @@ def _mode_parts(packed, stats_from, scale):
                       else stats_train)
     else:
         stats_train = stats_test = stats_all
-    return ((_standardized(X[test_rows], stats_train), tau[test_rows], mu[test_rows]),
-            (_standardized(X[train_rows], stats_test), tau[train_rows], mu[train_rows]),
-            (_standardized(X, stats_all), tau, mu))
-
-
-def _misclassified(w, part, layout):
-    """Error counts of ``w`` over one ``(Xi, tau, mu)`` part, and the sorted
-    layout numbers of the patterns it misclassifies."""
-    Xi, tau, mu = part
-    f = _fields(w, Xi)
-    return (_error_counts(f, tau),
-            sorted(layout[m] for m in mu[tau * f <= 0.0].tolist()))
+    return tuple(PatternSet(_standardized(X[rows], stats), tau[rows], mu[rows])
+                 for rows, stats in ((test_rows, stats_train), (train_rows, stats_test),
+                                     (slice(None), stats_all)))
 
 
 def run_mode(mode_name, stats_from, scale, train_raw, test_raw, flip_labels=False):
@@ -267,13 +260,12 @@ def run_mode(mode_name, stats_from, scale, train_raw, test_raw, flip_labels=Fals
     table = load_published_table()
     w_train, w_test, w_sonar = (load_published_weights(name).vector
                                 for name in PUBLISHED_NAMES)
-    test_part, train_part, (Xi_all, tau_all, mu_all) = _mode_parts(
-        _packed(train_raw, test_raw, flip_labels), stats_from, scale)
+    parts = _mode_parts(_raw_arrays(train_raw, test_raw, flip_labels), stats_from, scale)
     layout = paper_layout_numbering(train_raw, test_raw)
-
-    counts_test, mu_test = _misclassified(w_train, test_part, layout)
-    counts_train, mu_train = _misclassified(w_test, train_part, layout)
-    counts_sonar = _error_counts(_fields(w_sonar, Xi_all), tau_all)
+    rep_test, rep_train, rep_sonar = (evaluate(w, part) for w, part in
+                                      zip((w_train, w_test, w_sonar), parts))
+    mu_test, mu_train = (sorted(layout[r.mu] for r in rep.records)
+                         for rep in (rep_test, rep_train))
 
     pub_test = sorted(r["mu"] for r in table["test_side"])
     pub_train = sorted(r["mu"] for r in table["train_side"])
@@ -281,12 +273,14 @@ def run_mode(mode_name, stats_from, scale, train_raw, test_raw, flip_labels=Fals
     # spot-check the published stabilities under W_Sonar by layout number,
     # one scalar dot per row as ``stability`` takes it (a matrix product
     # may round the last bit differently)
-    row_of = {layout[m]: k for k, m in enumerate(mu_all.tolist())}
+    all_part = parts[2]
+    row_of = {layout[m]: k for k, m in enumerate(all_part.mu.tolist())}
     gamma_rows = []
     for side in ("test_side", "train_side"):
         for rec in table[side]:
             k = row_of.get(rec["mu"])
-            got = None if k is None else float(tau_all[k]) * field(w_sonar, Xi_all[k])
+            got = (None if k is None
+                   else float(all_part.tau[k]) * field(w_sonar, all_part.Xi[k]))
             gamma_rows.append({
                 "mu": rec["mu"], "published": rec["gamma_sonar"], "computed": got,
                 "abs_err": None if got is None else abs(got - rec["gamma_sonar"]),
@@ -298,9 +292,9 @@ def run_mode(mode_name, stats_from, scale, train_raw, test_raw, flip_labels=Fals
 
     return ModeResult(
         mode=mode_name,
-        counts_test_side=counts_test,
-        counts_train_side=counts_train,
-        counts_sonar=counts_sonar,
+        counts_test_side=rep_test.counts,
+        counts_train_side=rep_train.counts,
+        counts_sonar=rep_sonar.counts,
         mu_test_side=mu_test,
         mu_train_side=mu_train,
         table_match_test=(mu_test == pub_test),
@@ -326,15 +320,14 @@ def perturbation_analysis(train_raw, test_raw, stats_from, scale,
     only to +-5e-5. Redraw every component uniformly within that band and
     report the spread of the three error counts over the draws.
     """
-    parts = _mode_parts(_packed(train_raw, test_raw, flip_labels), stats_from, scale)
+    parts = _mode_parts(_raw_arrays(train_raw, test_raw, flip_labels), stats_from, scale)
     ws = [load_published_weights(name).vector.w for name in PUBLISHED_NAMES]
     # the jitter stream in the order a loop over draws, then vectors, takes it
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(-amplitude, amplitude, size=(n_draws, len(ws), len(ws[0])))
     out = {}
-    for k, (key, w, (Xi, tau, _)) in enumerate(zip(_PERTURBED, ws, parts)):
-        errors = np.sum(tau[:, None] * (Xi @ (w + jitter[:, k]).T) <= 0.0,
-                        axis=0).tolist()
+    for k, (key, w, part) in enumerate(zip(_PERTURBED, ws, parts)):
+        errors = np.sum(part.folded @ (w + jitter[:, k]).T <= 0.0, axis=0).tolist()
         out[key] = {"min": min(errors), "max": max(errors),
                     "distinct": sorted(set(errors))}
     return out

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .data import PatternSet
 from .perceptron import (
-    TrainingConfig, TrainingTrace, WeightVector, _anneal, _pack,
+    TrainingConfig, TrainingTrace, WeightVector, minimerror_train,
 )
 
 
@@ -136,8 +137,8 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
     """
     if not patterns:
         raise ValueError("cannot grow a network on an empty pattern set")
-    Xi, tau = _pack(patterns)
-    P = len(patterns)
+    ps = PatternSet.of(patterns)
+    Xi, tau, P = ps.Xi, ps.tau, len(ps)
     cap = P - 1 if max_hidden is None else min(max_hidden, P - 1)
 
     trace = GrowthTrace()
@@ -147,7 +148,7 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
     prev_errors = None
 
     while True:
-        w, utrace = _anneal(targets[:, None] * Xi, config)
+        w, utrace = minimerror_train(PatternSet(Xi, targets, ps.mu), config)
         sigma = _sign(Xi @ w.w)
         errs = int(np.sum(sigma != targets))
         if prev_errors is not None and errs >= prev_errors:
@@ -163,7 +164,7 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
         if errs == 0:
             # internal representations (1, sigma_1..H), one row per pattern
             reps = np.column_stack([np.ones(P), *states])
-            out_w, out_trace = _anneal(tau[:, None] * reps, config)
+            out_w, out_trace = minimerror_train(PatternSet(reps, tau, ps.mu), config)
             model = NetworkModel(hidden=tuple(units), output=out_w)
             net_errs = int(np.count_nonzero(network_output(model, Xi) != tau))
             trace.output_attempts.append(OutputAttempt(len(units), net_errs))

@@ -17,9 +17,10 @@ progressively sharpens E toward the true misclassification count. The
 returned weights are those of the best epoch seen (fewest training errors,
 ties broken by the larger minimal stability).
 
-The anneal works on the label-folded pattern matrix tXi (row mu is
-tau_mu * xi_mu), packed once per training call, so that each epoch is two
-matrix-vector products:
+Every trainer and evaluator takes a data.PatternSet (or a LabeledPattern
+sequence, which PatternSet.of packs). The anneal works on its label-folded
+pattern matrix tXi (row mu is tau_mu * xi_mu), derived once per PatternSet,
+so that each epoch is two matrix-vector products:
 
     gamma = tXi @ w / ||w||                                  stabilities
     grad  = (c @ tXi) / ||w|| - (c . gamma) w / ||w||^2      dE/dw
@@ -38,6 +39,8 @@ import math
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
+
+from .data import PatternSet
 
 
 class TrainingError(RuntimeError):
@@ -168,18 +171,6 @@ class TrainingTrace:
         return [r.errors for r in self.records]
 
 
-def _pack(patterns):
-    Xi = np.array([p.xi for p in patterns], dtype=float)
-    tau = np.array([p.tau for p in patterns], dtype=float)
-    return Xi, tau
-
-
-def _folded(patterns):
-    """The label-folded pattern matrix: row mu is tau_mu * xi_mu."""
-    Xi, tau = _pack(patterns)
-    return tau[:, None] * Xi
-
-
 def field(w: WeightVector, xi) -> float:
     """Signed distance of the pattern to the hyperplane normal to w."""
     xi = np.asarray(xi, dtype=float)
@@ -210,7 +201,7 @@ def cost(w: WeightVector, patterns, T: float) -> float:
         raise ValueError("temperature must be positive")
     if not patterns:
         raise ValueError("cost of an empty pattern set is undefined")
-    gam = _fields(w, _folded(patterns))
+    gam = _fields(w, PatternSet.of(patterns).folded)
     return float(0.5 * np.sum(1.0 - np.tanh(gam / (2.0 * T))))
 
 
@@ -226,7 +217,7 @@ def cost_gradient(w: WeightVector, patterns, T: float):
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
-    tXi = _folded(patterns)
+    tXi = PatternSet.of(patterns).folded
     gam = (tXi @ w.w) / w.norm
     return _gradient(w.w, w.norm, tXi, gam, gam / (2.0 * T), T)
 
@@ -240,27 +231,20 @@ def _gradient(w, nw, tXi, gam, h, T):
     return (c @ tXi) / nw - (c @ gam) / (nw * nw) * w
 
 
-def _hebbian(tXi, rng):
-    """Center of mass of the folded rows, rescaled to ||w||^2 = dim, with a
-    seeded random direction when it cancels to zero. (w, used_fallback)."""
-    w = tXi.mean(axis=0)
-    fallback = False
-    if np.linalg.norm(w) < 1e-300:
-        w = rng.standard_normal(tXi.shape[1])
-        fallback = True
-    return WeightVector(w).rescaled(), fallback
-
-
 def hebbian_init(patterns, rng=None):
     """Center-of-mass start: w = mean of tau * xi, rescaled to ||w||^2 = dim.
 
     A perfectly balanced set cancels to the zero vector; the fallback is a
-    seeded random direction. Returns (WeightVector, used_fallback).
+    random direction drawn from ``rng`` (default seed 0). Returns
+    (WeightVector, used_fallback).
     """
     if not patterns:
         raise ValueError("cannot initialize from an empty pattern set")
-    return _hebbian(_folded(patterns),
-                    np.random.default_rng(0) if rng is None else rng)
+    w = PatternSet.of(patterns).folded.mean(axis=0)
+    if np.linalg.norm(w) < 1e-300:
+        rng = np.random.default_rng(0) if rng is None else rng
+        return WeightVector(rng.standard_normal(len(w))).rescaled(), True
+    return WeightVector(w).rescaled(), False
 
 
 def count_errors(w: WeightVector, patterns):
@@ -272,8 +256,8 @@ def count_errors(w: WeightVector, patterns):
     """
     if not patterns:
         return 0, 0, 0
-    Xi, tau = _pack(patterns)
-    return _error_counts(_fields(w, Xi), tau)
+    ps = PatternSet.of(patterns)
+    return _error_counts(_fields(w, ps.Xi), ps.tau)
 
 
 def _error_counts(f, tau):
@@ -295,13 +279,10 @@ def minimerror_train(patterns, config: TrainingConfig):
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
-    return _anneal(_folded(patterns), config)
-
-
-def _anneal(tXi, config: TrainingConfig):
-    """``minimerror_train`` on the label-folded pattern matrix ``tXi``."""
+    ps = PatternSet.of(patterns)
+    tXi = ps.folded
     dim = tXi.shape[1]
-    wv, fallback = _hebbian(tXi, np.random.default_rng(config.seed))
+    wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
     w = wv.w.copy()
     trace = TrainingTrace(hebbian_fallback=fallback)
     theta = config.temp_ratio
@@ -350,7 +331,7 @@ def rosenblatt_train(patterns, config: TrainingConfig):
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
-    tXi = _folded(patterns)
+    tXi = PatternSet.of(patterns).folded
     dim = tXi.shape[1]
     rng = np.random.default_rng(config.seed)
     w = rng.standard_normal(dim)

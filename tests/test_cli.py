@@ -128,6 +128,7 @@ def test_diverged_training_exit_2(sonar_path, balanced_split_path, tmp_path,
               "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err == "error: non-finite state at epoch 1\n"
+    assert not (tmp_path / "o").exists()
 
 
 class TestEmitReport:

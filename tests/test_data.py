@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoplane import (
-    ParseError, RawPattern, SplitError, SplitSpec, StatsError,
+    ParseError, PatternSet, RawPattern, SplitError, SplitSpec, StatsError,
     compute_stats, default_split, parse_sonar_file, parse_split_file,
     split, standardize,
 )
@@ -249,4 +249,31 @@ class TestArrayStandardization:
 
     def test_empty_part_standardizes_to_nothing(self, all_std):
         _, stats = all_std
-        assert standardize([], stats) == []
+        assert len(standardize([], stats)) == 0
+
+
+class TestPatternSet:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), P=st.integers(1, 30), n=st.integers(0, 8))
+    def test_rows_round_trip(self, data, P, n):
+        """Rows repack to the same bits, carry Python int mu and tau, and
+        each folded row is exactly tau * xi."""
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        X = data.draw(st.lists(st.lists(finite, min_size=n, max_size=n),
+                               min_size=P, max_size=P))
+        Xi = np.column_stack([np.ones(P), np.array(X, dtype=float).reshape(P, n)])
+        tau = np.array(data.draw(st.lists(st.sampled_from((-1, 1)),
+                                          min_size=P, max_size=P)), dtype=int)
+        mu = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=P,
+                                         max_size=P, unique=True)), dtype=int)
+        ps = PatternSet(Xi, tau, mu)
+        assert PatternSet.of(ps) is ps
+        rows = list(ps)
+        assert len(rows) == len(ps) == P
+        again = PatternSet.of(rows)
+        for a, b in ((again.Xi, Xi), (again.tau, tau), (again.mu, mu)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for k, row in enumerate(rows):
+            assert type(row.mu) is int and type(row.tau) is int
+            assert (row.mu, row.tau) == (mu[k], tau[k])
+            assert ps.folded[k].tobytes() == (row.tau * row.xi).tobytes()

@@ -250,6 +250,23 @@ class TestNetworkSerialization:
             assert np.array_equal(a.w, b.w)
         assert np.array_equal(model.output.w, m2.output.w)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), H=st.integers(1, 5), dim=st.integers(1, 8))
+    def test_roundtrip_is_bitwise(self, data, H, dim):
+        def vector(n):
+            w = np.array(data.draw(st.lists(st.floats(-1e100, 1e100),
+                                            min_size=n, max_size=n)))
+            assume(0.0 < np.linalg.norm(w))
+            return WeightVector(w)
+        model = NetworkModel(hidden=tuple(vector(dim) for _ in range(H)),
+                             output=vector(H + 1))
+        buf = io.StringIO()
+        save_network(model, buf)
+        loaded = load_network(buf.getvalue())
+        assert len(loaded.hidden) == H
+        for a, b in zip((*model.hidden, model.output), (*loaded.hidden, loaded.output)):
+            assert b.w.tobytes() == a.w.tobytes()
+
     def test_header_required(self):
         with pytest.raises(ValueError, match="H="):
             load_network("1.0\n2.0\n")

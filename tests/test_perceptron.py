@@ -404,6 +404,16 @@ class TestSerialization:
         w2 = load_weights(buf.getvalue())
         assert np.array_equal(w.w, w2.w)
 
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.integers(1, 70).flatmap(lambda dim: st.lists(
+        st.floats(-1e100, 1e100), min_size=dim, max_size=dim)))
+    def test_line_roundtrip_is_bitwise(self, w):
+        w = np.array(w)
+        assume(0.0 < np.linalg.norm(w))
+        buf = io.StringIO()
+        save_weights(WeightVector(w), buf)
+        assert load_weights(buf.getvalue()).w.tobytes() == w.tobytes()
+
     def test_table_layout_accepted(self):
         text = "0.5, -0.25, 1.0\n2.0 3.0\n"
         w = load_weights(text)
