@@ -14,7 +14,9 @@ equal exit codes, streams and artifacts.
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests and
 ``report`` output do not depend on where the checkout or the scratch root
-lives.
+lives. ``verify`` also runs on seeded random class-balanced splits written
+into that root, because only splits other than the bundled one exercise
+the mapping of rows to the paper's layout numbers.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import monoplane
-from monoplane import cli
+from monoplane import cli, data
 
 REPO = Path(__file__).resolve().parent.parent
 ASSETS = Path(monoplane.__file__).resolve().parent / "assets"
@@ -46,6 +50,21 @@ FORMATS = ("json", "csv", "text")
 SONAR = ["--dataset", "sonar.all-data", "--split-file", "balanced.split"]
 XOR = ["grow", "--dataset", "xor.csv", "--features", "2", "--part", "all",
        "--config", "xor.cfg"]
+# seeds of the random splits verify also runs on
+RANDOM_SPLIT_SEEDS = (1, 2, 3, 4)
+
+
+def random_split_text(raw, seed, n_mines=49, n_rocks=55):
+    """A split file drawn like perfbench's verify-sweep splits: ``n_mines``
+    mines and ``n_rocks`` rocks learn, the rest are held out."""
+    rng = np.random.default_rng(seed)
+    mines = [p.mu for p in raw if p.label == data.MINE]
+    rocks = [p.mu for p in raw if p.label == data.ROCK]
+    learn = set(rng.choice(mines, n_mines, replace=False).tolist())
+    learn |= set(rng.choice(rocks, n_rocks, replace=False).tolist())
+    held = sorted(set(mines + rocks) - learn)
+    return ("[train]\n" + "".join(f"{m}\n" for m in sorted(learn))
+            + "[test]\n" + "".join(f"{m}\n" for m in held))
 
 
 def run_matrix():
@@ -59,11 +78,15 @@ def run_matrix():
                 runs.append((name, ["train", *SONAR, "--part", part,
                                     "--format", fmt, "--out", name]
                              + (["--flip-labels"] if flip else [])))
-    for fmt in FORMATS:
-        for flip in (False, True):
-            name = f"verify-{fmt}{'-flip' if flip else ''}"
-            runs.append((name, ["verify", *SONAR, "--format", fmt,
-                                "--out", name] + (["--flip-labels"] if flip else [])))
+    splits = {"": "balanced.split",
+              **{f"random{s}-": f"random{s}.split" for s in RANDOM_SPLIT_SEEDS}}
+    for prefix, split_file in splits.items():
+        for fmt in FORMATS:
+            for flip in (False, True):
+                name = f"verify-{prefix}{fmt}{'-flip' if flip else ''}"
+                runs.append((name, ["verify", "--dataset", "sonar.all-data",
+                                    "--split-file", split_file, "--format", fmt,
+                                    "--out", name] + (["--flip-labels"] if flip else [])))
     for fmt in FORMATS:
         runs.append((f"grow-xor-{fmt}", [*XOR, "--format", fmt,
                                          "--out", f"grow-xor-{fmt}"]))
@@ -84,6 +107,9 @@ def hashes(root: Path):
     for name, src in INPUTS.items():
         shutil.copyfile(src, root / name)
     (root / "xor.cfg").write_text(XOR_CFG)
+    raw = data.load_file(root / "sonar.all-data")
+    for seed in RANDOM_SPLIT_SEEDS:
+        (root / f"random{seed}.split").write_text(random_split_text(raw, seed))
     out = {}
     for name, argv in run_matrix():
         stdout, stderr = io.StringIO(), io.StringIO()

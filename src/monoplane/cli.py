@@ -281,7 +281,6 @@ def cmd_verify(args):
     exit_ok, results, extras = verify_published(
         train, test, flip_labels=args.flip_labels)
 
-    text = _verify_text(results, extras, exit_ok)
     if args.format == "csv":
         lines = ["mode,errs_wtrain_on_test,errs_wtest_on_train,errs_wsonar_all,"
                  "table_match_test,table_match_train"]
@@ -294,6 +293,8 @@ def cmd_verify(args):
         payload = {"modes": [vars(r) for r in results],
                    **extras, "reproduced": exit_ok}
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    else:
+        text = _verify_text(results, extras, exit_ok)
 
     if args.out:
         out_dir = Path(args.out)

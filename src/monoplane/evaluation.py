@@ -31,7 +31,6 @@ _ASSET_FILES = {"W_Train": "w_train.txt", "W_Test": "w_test.txt",
                 "W_Sonar": "w_sonar.txt"}
 
 
-@functools.cache
 def _asset_text(name):
     return resources.files("monoplane.assets").joinpath(name).read_text()
 
@@ -60,6 +59,14 @@ def load_published_table():
     vector, stability under W_Sonar, and the class label.
     """
     return json.loads(_asset_text("table6.json"))
+
+
+@functools.cache
+def _published():
+    """The published table and the three vectors in ``PUBLISHED_NAMES``
+    order, parsed once per process (callers must not mutate them)."""
+    return load_published_table(), tuple(load_published_weights(name).vector
+                                         for name in PUBLISHED_NAMES)
 
 
 @dataclass(frozen=True)
@@ -223,48 +230,46 @@ class ModeResult:
     gamma_check: dict
 
 
-def _raw_arrays(train_raw, test_raw, flip_labels):
-    """The raw parts packed once: the feature matrix of every pattern in mu
-    order, its labels ``tau`` and numbers ``mu``, and the row indices of the
-    Train and Test parts in that matrix."""
+def mode_parts(train_raw, test_raw, flip_labels=False):
+    """The PatternSets the three published vectors classify, keyed by mode
+    name in ``STANDARDIZATION_MODES`` order. Each value holds, in
+    ``PUBLISHED_NAMES`` order, the Test part in Train-stats coordinates,
+    the Train part in Test-stats coordinates, and every pattern in full-set
+    coordinates; the ``all`` modes use the full-set statistics throughout.
+    The raw parts are packed once. Each part keeps file order, the full set
+    is in file mu order, and ``mu`` holds each pattern's number in the
+    paper's layout."""
     all_raw = sorted(train_raw + test_raw, key=lambda p: p.mu)
     X = np.array([p.features for p in all_raw], dtype=float)
     tau = _labels(all_raw, flip_labels)
-    mu = np.array([p.mu for p in all_raw])
-    row = {m: k for k, m in enumerate(mu.tolist())}
+    layout = paper_layout_numbering(train_raw, test_raw)
+    mu = np.array([layout[p.mu] for p in all_raw], dtype=int)
+    row = {p.mu: k for k, p in enumerate(all_raw)}
     train_rows, test_rows = (np.array([row[p.mu] for p in part], dtype=int)
                              for part in (train_raw, test_raw))
-    return X, tau, mu, train_rows, test_rows
+    parts = {}
+    for mode_name, stats_from, scale in STANDARDIZATION_MODES:
+        stats_all = _matrix_stats(X, scale)
+        if stats_from == "part":
+            stats_train = _matrix_stats(X[train_rows], scale)
+            stats_test = (_matrix_stats(X[test_rows], scale) if test_rows.size
+                          else stats_train)
+        else:
+            stats_train = stats_test = stats_all
+        parts[mode_name] = tuple(
+            PatternSet(_standardized(X[rows], stats), tau[rows], mu[rows])
+            for rows, stats in ((test_rows, stats_train), (train_rows, stats_test),
+                                (slice(None), stats_all)))
+    return parts
 
 
-def _mode_parts(arrays, stats_from, scale):
-    """The PatternSets the three published vectors classify under one mode,
-    in ``PUBLISHED_NAMES`` order: the Test part in Train-stats coordinates,
-    the Train part in Test-stats coordinates, and every pattern in full-set
-    coordinates. The ``all`` modes use the full-set statistics throughout."""
-    X, tau, mu, train_rows, test_rows = arrays
-    stats_all = _matrix_stats(X, scale)
-    if stats_from == "part":
-        stats_train = _matrix_stats(X[train_rows], scale)
-        stats_test = (_matrix_stats(X[test_rows], scale) if test_rows.size
-                      else stats_train)
-    else:
-        stats_train = stats_test = stats_all
-    return tuple(PatternSet(_standardized(X[rows], stats), tau[rows], mu[rows])
-                 for rows, stats in ((test_rows, stats_train), (train_rows, stats_test),
-                                     (slice(None), stats_all)))
-
-
-def run_mode(mode_name, stats_from, scale, train_raw, test_raw, flip_labels=False):
-    """Evaluate the three published vectors under one standardization mode."""
-    table = load_published_table()
-    w_train, w_test, w_sonar = (load_published_weights(name).vector
-                                for name in PUBLISHED_NAMES)
-    parts = _mode_parts(_raw_arrays(train_raw, test_raw, flip_labels), stats_from, scale)
-    layout = paper_layout_numbering(train_raw, test_raw)
-    rep_test, rep_train, rep_sonar = (evaluate(w, part) for w, part in
-                                      zip((w_train, w_test, w_sonar), parts))
-    mu_test, mu_train = (sorted(layout[r.mu] for r in rep.records)
+def run_mode(mode_name, parts):
+    """Evaluate the three published vectors on the ``mode_name`` entry of
+    ``parts``, a ``mode_parts`` result."""
+    table, ws = _published()
+    sets = parts[mode_name]
+    rep_test, rep_train, rep_sonar = map(evaluate, ws, sets)
+    mu_test, mu_train = (sorted(r.mu for r in rep.records)
                          for rep in (rep_test, rep_train))
 
     pub_test = sorted(r["mu"] for r in table["test_side"])
@@ -273,8 +278,8 @@ def run_mode(mode_name, stats_from, scale, train_raw, test_raw, flip_labels=Fals
     # spot-check the published stabilities under W_Sonar by layout number,
     # one scalar dot per row as ``stability`` takes it (a matrix product
     # may round the last bit differently)
-    all_part = parts[2]
-    row_of = {layout[m]: k for k, m in enumerate(all_part.mu.tolist())}
+    all_part, w_sonar = sets[2], ws[2]
+    row_of = {m: k for k, m in enumerate(all_part.mu.tolist())}
     gamma_rows = []
     for side in ("test_side", "train_side"):
         for rec in table[side]:
@@ -311,17 +316,15 @@ def run_mode(mode_name, stats_from, scale, train_raw, test_raw, flip_labels=Fals
 _PERTURBED = ("W_Train_on_test", "W_Test_on_train", "W_Sonar_on_all")
 
 
-def perturbation_analysis(train_raw, test_raw, stats_from, scale,
-                          n_draws=100, amplitude=5e-5, seed=0,
-                          flip_labels=False):
-    """Sensitivity of the error counts to table truncation.
+def perturbation_analysis(parts, n_draws=100, amplitude=5e-5, seed=0):
+    """Sensitivity of the error counts to table truncation, on ``parts``,
+    one entry of ``mode_parts``.
 
     The published weights carry four decimals, so each component is known
     only to +-5e-5. Redraw every component uniformly within that band and
     report the spread of the three error counts over the draws.
     """
-    parts = _mode_parts(_raw_arrays(train_raw, test_raw, flip_labels), stats_from, scale)
-    ws = [load_published_weights(name).vector.w for name in PUBLISHED_NAMES]
+    ws = [w.w for w in _published()[1]]
     # the jitter stream in the order a loop over draws, then vectors, takes it
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(-amplitude, amplitude, size=(n_draws, len(ws), len(ws[0])))
@@ -336,13 +339,12 @@ def perturbation_analysis(train_raw, test_raw, stats_from, scale,
 def published_norms():
     """Euclidean norms of the three published vectors (all close to
     sqrt(N+1), which identifies the normalization the tables use)."""
-    return {name: load_published_weights(name).vector.norm
-            for name in PUBLISHED_NAMES}
+    return {name: w.norm for name, w in zip(PUBLISHED_NAMES, _published()[1])}
 
 
 def cosine_report():
     """Pairwise cosines of the published vectors in both modes."""
-    ws = {name: load_published_weights(name).vector for name in PUBLISHED_NAMES}
+    ws = dict(zip(PUBLISHED_NAMES, _published()[1]))
     pairs = [("W_Sonar", "W_Train"), ("W_Sonar", "W_Test"), ("W_Train", "W_Test")]
     published = {"(W_Sonar,W_Train)": 0.51615, "(W_Sonar,W_Test)": 0.34238,
                  "(W_Train,W_Test)": 0.4}
@@ -364,25 +366,21 @@ def verify_published(train_raw, test_raw, flip_labels=False):
     reproduces both published misclassification sets exactly. The
     perturbation analysis in ``extras`` runs in the closest mode and names it.
     """
-    results = [run_mode(mode_name, stats_from, scale, train_raw, test_raw,
-                        flip_labels=flip_labels)
-               for mode_name, stats_from, scale in STANDARDIZATION_MODES]
+    parts = mode_parts(train_raw, test_raw, flip_labels)
+    results = [run_mode(mode_name, parts) for mode_name in parts]
     exit_ok = any(r.table_match_test and r.table_match_train for r in results)
 
     def closeness(r):
         return (len(r.missing_test) + len(r.extra_test)
                 + len(r.missing_train) + len(r.extra_train))
     closest = min(results, key=closeness)
-    _, stats_from, scale = next(m for m in STANDARDIZATION_MODES
-                                if m[0] == closest.mode)
     extras = {
         "closest_mode": closest.mode,
         "norms": published_norms(),
         "cosines": cosine_report(),
         "perturbation": {
             "mode": closest.mode,
-            "spreads": perturbation_analysis(train_raw, test_raw, stats_from,
-                                             scale, flip_labels=flip_labels),
+            "spreads": perturbation_analysis(parts[closest.mode]),
         },
     }
     return exit_ok, results, extras

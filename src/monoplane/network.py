@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import PatternSet
 from .perceptron import (
-    TrainingConfig, TrainingTrace, WeightVector, minimerror_train,
+    TrainingConfig, TrainingTrace, WeightVector, minimerror_train, save_weights,
 )
 
 
@@ -186,11 +186,8 @@ def save_network(model: NetworkModel, stream):
     """Header ``H=<n>``, then one weight block per hidden unit, then the
     output block (H+1 lines)."""
     stream.write(f"H={len(model.hidden)}\n")
-    for u in model.hidden:
-        for v in u.w:
-            stream.write(f"{float(v)!r}\n")
-    for v in model.output.w:
-        stream.write(f"{float(v)!r}\n")
+    for w in (*model.hidden, model.output):
+        save_weights(w, stream)
 
 
 def load_network(source) -> NetworkModel:

@@ -28,7 +28,7 @@ from monoplane import (
     network_output, rosenblatt_train, stability,
 )
 from monoplane.cli import main as cli_main
-from monoplane.evaluation import run_mode, verify_published
+from monoplane.evaluation import mode_parts, run_mode, verify_published
 
 from conftest import make_ls_patterns, xor_patterns
 
@@ -104,7 +104,7 @@ def test_criterion_04_published_sonar_separator(balanced_parts):
     """W_Sonar must separate all 208 patterns, with the 44 published
     stabilities matched to 1e-3."""
     train_raw, test_raw = balanced_parts
-    r = run_mode("part-std", "part", "std", train_raw, test_raw)
+    r = run_mode("part-std", mode_parts(train_raw, test_raw))
     assert r.counts_sonar[0] == 0
     assert r.gamma_check["n_within_1e-3"] == 44
 

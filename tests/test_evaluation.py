@@ -7,12 +7,13 @@ import pytest
 
 from monoplane import (
     LabeledPattern, WeightVector, compute_stats, cosine, count_errors, evaluate,
-    load_published_table, load_published_weights, separability_probe,
-    stability, standardize, verify_published,
+    load_published_table, load_published_weights, load_weights,
+    separability_probe, stability, standardize, verify_published,
 )
+from monoplane import evaluation
 from monoplane.evaluation import (
-    PUBLISHED_NAMES, STANDARDIZATION_MODES, ModeResult, paper_layout_numbering,
-    perturbation_analysis, published_norms, run_mode,
+    PUBLISHED_NAMES, STANDARDIZATION_MODES, ModeResult, mode_parts,
+    paper_layout_numbering, perturbation_analysis, published_norms, run_mode,
 )
 
 from conftest import make_ls_patterns, xor_patterns
@@ -188,7 +189,7 @@ class TestLayoutNumbering:
 class TestModeSweep:
     def test_run_mode_structure(self, balanced_parts):
         train, test = balanced_parts
-        r = run_mode("part-std", "part", "std", train, test)
+        r = run_mode("part-std", mode_parts(train, test))
         assert r.counts_test_side[0] == len(r.mu_test_side)
         assert r.counts_train_side[0] == len(r.mu_train_side)
         assert r.counts_test_side[1] + r.counts_test_side[2] == r.counts_test_side[0]
@@ -196,7 +197,7 @@ class TestModeSweep:
 
     def test_perturbation_analysis_spread(self, balanced_parts):
         train, test = balanced_parts
-        sens = perturbation_analysis(train, test, "part", "std", n_draws=20)
+        sens = perturbation_analysis(mode_parts(train, test)["part-std"], n_draws=20)
         for key in ("W_Train_on_test", "W_Test_on_train", "W_Sonar_on_all"):
             assert sens[key]["min"] <= sens[key]["max"]
 
@@ -205,7 +206,7 @@ class TestModeSweep:
         """The batched analysis equals redrawing and recounting one vector
         at a time from the same seeded stream."""
         train, test = balanced_parts
-        _, stats_from, scale = mode
+        mode_name, stats_from, scale = mode
         full = sorted(train + test, key=lambda p: p.mu)
         if stats_from == "part":
             stats_tr = compute_stats(train, mode=scale)
@@ -227,16 +228,15 @@ class TestModeSweep:
                 seen[key].add(count_errors(WeightVector(w + jitter), pats)[0])
         want = {key: {"min": min(v), "max": max(v), "distinct": sorted(v)}
                 for key, v in seen.items()}
-        assert perturbation_analysis(train, test, stats_from, scale) == want
+        assert perturbation_analysis(mode_parts(train, test)[mode_name]) == want
 
     def test_perturbation_runs_in_closest_mode(self, balanced_parts):
         train, test = balanced_parts
         _, _, extras = verify_published(train, test)
         pert = extras["perturbation"]
         assert pert["mode"] == extras["closest_mode"]
-        _, stats_from, scale = next(m for m in STANDARDIZATION_MODES
-                                    if m[0] == extras["closest_mode"])
-        assert pert["spreads"] == perturbation_analysis(train, test, stats_from, scale)
+        assert pert["spreads"] == perturbation_analysis(
+            mode_parts(train, test)[extras["closest_mode"]])
 
 
 def _random_balanced_split(raw, seed, n_mines=49, n_rocks=55):
@@ -332,12 +332,52 @@ class TestArrayVerify:
         mode_name, stats_from, scale = mode
         sets = _reference_mode_sets(train, test, stats_from, scale, flip_labels)
         want = _reference_run_mode(mode_name, sets, paper_layout_numbering(train, test))
-        got = run_mode(mode_name, stats_from, scale, train, test,
-                       flip_labels=flip_labels)
+        parts = mode_parts(train, test, flip_labels=flip_labels)
+        got = run_mode(mode_name, parts)
         assert vars(got) == vars(want)
         assert all(type(r["computed"]) is float for r in got.gamma_check["rows"])
-        assert perturbation_analysis(train, test, stats_from, scale,
-                                     flip_labels=flip_labels) == _reference_spreads(sets)
+        assert perturbation_analysis(parts[mode_name]) == _reference_spreads(sets)
+
+    @pytest.mark.parametrize("flip_labels", (False, True))
+    def test_mode_parts_rows(self, parts, flip_labels):
+        """Every part holds the reference rows bitwise, in the reference
+        order, numbered in the paper's layout."""
+        train, test = parts
+        layout = paper_layout_numbering(train, test)
+        got = mode_parts(train, test, flip_labels=flip_labels)
+        assert list(got) == [m[0] for m in STANDARDIZATION_MODES]
+        for mode_name, stats_from, scale in STANDARDIZATION_MODES:
+            want = _reference_mode_sets(train, test, stats_from, scale, flip_labels)
+            for part, ref in zip(got[mode_name], want):
+                assert part.mu.tolist() == [layout[p.mu] for p in ref]
+                assert part.tau.tolist() == [p.tau for p in ref]
+                assert part.Xi.tobytes() == np.array([p.xi for p in ref]).tobytes()
+            records = evaluate(load_published_weights("W_Train").vector,
+                               got[mode_name][0]).records
+            assert records and all(type(r.mu) is int and type(r.tau) is int
+                                   for r in records)
+
+    def test_verify_numbers_layout_once(self, balanced_parts, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return paper_layout_numbering(*args)
+        monkeypatch.setattr(evaluation, "paper_layout_numbering", counted)
+        verify_published(*balanced_parts)
+        assert len(calls) == 1
+
+    def test_verify_parses_published_assets_once(self, balanced_parts, monkeypatch):
+        calls = []
+
+        def counted(source):
+            calls.append(source)
+            return load_weights(source)
+        monkeypatch.setattr(evaluation, "load_weights", counted)
+        evaluation._published.cache_clear()
+        verify_published(*balanced_parts)
+        verify_published(*balanced_parts)
+        assert len(calls) <= 3
 
     def test_verify_builds_no_pattern_lists(self, balanced_parts, monkeypatch):
         """Neither ``standardize`` nor ``count_errors`` runs in verify, under
