@@ -4,12 +4,13 @@ Usage:
 
     PYTHONPATH=<checkout>/src python scripts/artifact_hashes.py OUT.json
 
-Runs ``monoplane.cli.main`` in-process over a fixed matrix of ``train``,
-``verify``, ``grow`` and ``report`` invocations and writes one JSON object
-mapping ``<run>/exit``, ``<run>/stdout``, ``<run>/stderr`` and
-``<run>/<output file>`` to the sha256 of those bytes. Run it once with each
-of two checkouts on ``PYTHONPATH`` and diff the two files: equal JSON means
-equal exit codes, streams and artifacts.
+Runs ``monoplane.cli.main`` in-process over a fixed matrix of ``train``
+(default and separation schedules), ``verify``, ``grow`` and ``report``
+invocations and writes one JSON object mapping ``<run>/exit``,
+``<run>/stdout``, ``<run>/stderr`` and ``<run>/<output file>`` to the
+sha256 of those bytes. Run it once with each of two checkouts on
+``PYTHONPATH`` and diff the two files: equal JSON means equal exit codes,
+streams and artifacts.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests and
@@ -78,6 +79,11 @@ def run_matrix():
                 runs.append((name, ["train", *SONAR, "--part", part,
                                     "--format", fmt, "--out", name]
                              + (["--flip-labels"] if flip else [])))
+    # the certification schedule, with its two-temperature window
+    for part in ("train", "test", "all"):
+        name = f"train-{part}-separation-json"
+        runs.append((name, ["train", *SONAR, "--part", part, "--config",
+                            "separation", "--format", "json", "--out", name]))
     splits = {"": "balanced.split",
               **{f"random{s}-": f"random{s}.split" for s in RANDOM_SPLIT_SEEDS}}
     for prefix, split_file in splits.items():

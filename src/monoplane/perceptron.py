@@ -26,7 +26,9 @@ so that each epoch is two matrix-vector products:
     grad  = (c @ tXi) / ||w|| - (c . gamma) w / ||w||^2      dE/dw
 
 with c_mu = -sech^2(gamma_mu / 2T_mu) / (4 T_mu). T_mu is one temperature
-for the plain cost, or the two-temperature window of the asymmetric cost.
+for the plain cost, or the two-temperature window of the asymmetric cost,
+which is again one temperature once every stability is nonnegative. An
+epoch counts errors only when the minimal stability is not positive.
 
 A classic fixed-increment perceptron with pocket-style retention is provided
 as a baseline for generalization comparisons.
@@ -295,11 +297,15 @@ def minimerror_train(patterns, config: TrainingConfig):
     while T > config.t_min and epoch < config.max_epochs:
         nw = math.sqrt(w @ w)
         gam = (tXi @ w) / nw
-        errors = int(np.count_nonzero(gam <= 0.0))
         min_stab = float(gam.min())
+        # no stability is <= 0 above a positive minimum; a NaN minimum
+        # still goes to the count
+        errors = 0 if min_stab > 0.0 else int(np.count_nonzero(gam <= 0.0))
         h = gam / (2.0 * T)
-        E = float(0.5 * np.sum(1.0 - np.tanh(h)))
-        if not math.isfinite(E) or not np.isfinite(w).all():
+        E = float(0.5 * (1.0 - np.tanh(h)).sum())
+        # w enters every epoch rescaled to norm sqrt(dim), so nw is finite
+        # exactly when w is
+        if not math.isfinite(E) or not math.isfinite(nw):
             raise TrainingError(f"non-finite state at epoch {epoch}", trace)
         trace.append(EpochRecord(T, E, errors, min_stab))
         key = (errors, -min_stab)
@@ -308,9 +314,14 @@ def minimerror_train(patterns, config: TrainingConfig):
             best_w = w.copy()
             trace.best_epoch = epoch
 
-        # two-temperature window: theta*T on the well-classified side
-        r = np.where(gam >= 0.0, theta, 1.0)
-        grad = _gradient(w, nw, tXi, gam, h / r, T * r)
+        # two-temperature window: theta*T on the well-classified side. It
+        # is one temperature for the plain cost and, the common case late
+        # in an anneal, when every pattern is on that side.
+        if theta == 1.0 or min_stab >= 0.0:
+            grad = _gradient(w, nw, tXi, gam, h / theta, T * theta)
+        else:
+            r = np.where(gam >= 0.0, theta, 1.0)
+            grad = _gradient(w, nw, tXi, gam, h / r, T * r)
         gn = math.sqrt(grad @ grad)
         if gn > 0.0:
             w -= (config.learning_rate / gn) * grad
@@ -328,6 +339,8 @@ def rosenblatt_train(patterns, config: TrainingConfig):
     each misclassified pattern apply w <- w + learning_rate * tau * xi,
     until an errorless pass or max_epochs. The returned weights are the
     best snapshot seen, so the result is well defined on non-separable data.
+    Weights that collapse to zero or whose norm is not finite raise
+    TrainingError.
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
@@ -348,6 +361,8 @@ def rosenblatt_train(patterns, config: TrainingConfig):
         nw = np.linalg.norm(w)
         if nw == 0.0:
             raise TrainingError(f"weights collapsed to zero at epoch {epoch}", trace)
+        if not math.isfinite(nw):
+            raise TrainingError(f"non-finite state at epoch {epoch}", trace)
         gam = (tXi @ w) / nw
         errors = int(np.count_nonzero(gam <= 0.0))
         min_stab = float(gam.min())

@@ -53,6 +53,14 @@ def test_std_train_stats(balanced_parts, train_std):
 
 
 @pytest.fixture(scope="session")
+def test_std(balanced_parts):
+    """Test part standardized with its own statistics."""
+    _, test_raw = balanced_parts
+    stats = compute_stats(test_raw)
+    return standardize(test_raw, stats), stats
+
+
+@pytest.fixture(scope="session")
 def all_std(raw_patterns):
     stats = compute_stats(raw_patterns)
     return standardize(raw_patterns, stats), stats
@@ -74,6 +82,13 @@ def separation_config():
 def trained_train_separator(train_std, separation_config):
     """The expensive run shared by evaluation and acceptance tests."""
     patterns, _ = train_std
+    return minimerror_train(patterns, separation_config)
+
+
+@pytest.fixture(scope="session")
+def trained_test_separator(test_std, separation_config):
+    """The Test-part run that criteria 2 and 9 share."""
+    patterns, _ = test_std
     return minimerror_train(patterns, separation_config)
 
 

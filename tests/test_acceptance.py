@@ -53,15 +53,14 @@ def test_criterion_01_train_separability(sonar_path, balanced_split_path,
     assert SEPARATION_CONFIG.max_epochs <= 100000
 
 
-def test_criterion_02_test_and_full_separability(balanced_parts, raw_patterns,
+def test_criterion_02_test_and_full_separability(raw_patterns, test_std,
+                                                 trained_test_separator,
                                                  separation_config):
     """The Test part and the combined 208-pattern set are both learned
     with zero errors."""
     from monoplane import compute_stats, standardize
-    _, test_raw = balanced_parts
-    stats_te = compute_stats(test_raw)
-    test_patterns = standardize(test_raw, stats_te)
-    w_te, _ = minimerror_train(test_patterns, separation_config)
+    test_patterns, _ = test_std
+    w_te, _ = trained_test_separator
     assert count_errors(w_te, test_patterns)[0] == 0
 
     stats_all = compute_stats(raw_patterns)
@@ -202,13 +201,13 @@ def test_criterion_08_monoplane_properties():
     assert all(network_output(ls_model, p.xi) == p.tau for p in ls_pats)
 
 
-def test_criterion_09_rosenblatt_baseline(balanced_parts, separation_config,
-                                          trained_train_separator, train_std,
-                                          test_std_train_stats):
+def test_criterion_09_rosenblatt_baseline(balanced_parts, trained_train_separator,
+                                          trained_test_separator, train_std,
+                                          test_std, test_std_train_stats):
     """The fixed-increment baseline generalizes no better than the annealed
     trainer, averaged over 10 seeds, in both learning directions."""
-    from monoplane import compute_stats, standardize
-    train_raw, test_raw = balanced_parts
+    from monoplane import standardize
+    train_raw, _ = balanced_parts
 
     # forward: learn Train, evaluate on Test
     train_patterns, _ = train_std
@@ -225,10 +224,9 @@ def test_criterion_09_rosenblatt_baseline(balanced_parts, separation_config,
         egs_fwd.append(count_errors(w_rb, test_std_train_stats)[0])
 
     # reverse: learn Test, evaluate on Train
-    stats_te = compute_stats(test_raw)
-    test_patterns = standardize(test_raw, stats_te)
+    test_patterns, stats_te = test_std
     train_eval = standardize(train_raw, stats_te)
-    w_mm_rev, _ = minimerror_train(test_patterns, separation_config)
+    w_mm_rev = trained_test_separator[0]
     assert count_errors(w_mm_rev, test_patterns)[0] == 0
     eg_mm_rev = count_errors(w_mm_rev, train_eval)[0]
     egs_rev = []

@@ -1,14 +1,16 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from monoplane import (
-    LabeledPattern, TrainingConfig, WeightVector, cost, cost_gradient,
-    count_errors, field, hebbian_init, load_weights, minimerror_train,
-    rosenblatt_train, save_weights, stability,
+    SEPARATION_CONFIG, LabeledPattern, PatternSet, TrainingConfig,
+    TrainingError, WeightVector, cost, cost_gradient, count_errors, field,
+    hebbian_init, load_weights, minimerror_train, rosenblatt_train,
+    save_weights, stability,
 )
 from monoplane.perceptron import (
     EpochRecord, TrainingTrace, _gradient, weights_to_table_text,
@@ -233,6 +235,78 @@ class TestHebbian:
         assert w1.norm == pytest.approx(np.sqrt(61))
 
 
+def reference_minimerror(patterns, config):
+    """The annealing epoch written one numpy call per step, kept as the
+    reference for ``minimerror_train``."""
+    ps = PatternSet.of(patterns)
+    tXi = ps.folded
+    dim = tXi.shape[1]
+    wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
+    w = wv.w.copy()
+    trace = TrainingTrace(hebbian_fallback=fallback)
+    theta = config.temp_ratio
+    best, best_w = None, w.copy()
+    T, epoch = config.t_initial, 0
+    while T > config.t_min and epoch < config.max_epochs:
+        nw = math.sqrt(w @ w)
+        gam = (tXi @ w) / nw
+        errors = int(np.count_nonzero(gam <= 0.0))
+        min_stab = float(gam.min())
+        h = gam / (2.0 * T)
+        E = float(0.5 * np.sum(1.0 - np.tanh(h)))
+        if not math.isfinite(E) or not np.isfinite(w).all():
+            raise TrainingError(f"non-finite state at epoch {epoch}", trace)
+        trace.append(EpochRecord(T, E, errors, min_stab))
+        if best is None or (errors, -min_stab) < best:
+            best, best_w = (errors, -min_stab), w.copy()
+            trace.best_epoch = epoch
+        r = np.where(gam >= 0.0, theta, 1.0)
+        grad = _gradient(w, nw, tXi, gam, h / r, T * r)
+        gn = math.sqrt(grad @ grad)
+        if gn > 0.0:
+            w -= (config.learning_rate / gn) * grad
+        w *= math.sqrt(dim) / math.sqrt(w @ w)
+        T *= config.t_decay
+        epoch += 1
+    return WeightVector(best_w), trace
+
+
+@st.composite
+def anneal_problems(draw):
+    """(PatternSet, kind): a separable set, random labels, or random labels
+    with every row repeated under the opposite label, whose Hebbian mean is
+    exactly zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = draw(st.integers(2, 40))
+    dim = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["separable", "random", "cancelling"]))
+    if kind == "separable":
+        return PatternSet.of(make_ls_patterns(rng, n=P, dim=dim)[0]), kind
+    n = P // 2 if kind == "cancelling" else P
+    Xi = np.column_stack([np.ones(n), rng.standard_normal((n, dim))])
+    tau = rng.choice([-1, 1], size=n)
+    if kind == "cancelling":
+        Xi = np.repeat(Xi, 2, axis=0)
+        tau = np.column_stack([tau, -tau]).ravel()
+    return PatternSet(Xi, tau, np.arange(1, len(tau) + 1)), kind
+
+
+@st.composite
+def anneal_schedules(draw):
+    """Schedules of at most 300 epochs with the plain cost, the separation
+    window or any window ratio in [0.01, 2]."""
+    return TrainingConfig(
+        t_initial=draw(st.floats(0.05, 10.0)),
+        t_min=draw(st.floats(1e-4, 1e-2)),
+        t_decay=draw(st.floats(0.9, 0.999)),
+        learning_rate=draw(st.floats(0.001, 0.5)),
+        max_epochs=draw(st.integers(1, 300)),
+        seed=draw(st.integers(0, 3)),
+        temp_ratio=draw(st.one_of(st.just(1.0), st.just(0.02),
+                                  st.floats(0.01, 2.0))),
+    )
+
+
 class TestMinimerror:
     def test_two_pattern_ls(self, fast_config):
         w, trace = minimerror_train(two_point_set(), fast_config)
@@ -275,6 +349,35 @@ class TestMinimerror:
     def test_empty_set_rejected(self, fast_config):
         with pytest.raises(ValueError):
             minimerror_train([], fast_config)
+
+    @pytest.mark.parametrize("learning_rate", [1e308, 1e200])
+    def test_diverged_anneal_stops_at_epoch_1(self, all_std, learning_rate):
+        """The first step overflows the norm, the rescale leaves a zero or
+        NaN vector, and the second epoch's cost is NaN."""
+        patterns, _ = all_std
+        cfg = replace(SEPARATION_CONFIG, learning_rate=learning_rate)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError,
+                              match=r"^non-finite state at epoch 1$") as exc:
+            minimerror_train(patterns, cfg)
+        assert len(exc.value.trace) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=anneal_problems(), schedule=anneal_schedules())
+    def test_epoch_matches_reference_loop(self, problem, schedule):
+        """Weights, retained epoch, fallback flag and every trace record
+        equal the reference loop's bit for bit."""
+        ps, kind = problem
+        w, trace = minimerror_train(ps, schedule)
+        w_ref, trace_ref = reference_minimerror(ps, schedule)
+        assert w.w.tobytes() == w_ref.w.tobytes()
+        assert trace.best_epoch == trace_ref.best_epoch
+        assert trace.hebbian_fallback == trace_ref.hebbian_fallback
+        assert trace.hebbian_fallback == (kind == "cancelling")
+        a, b = io.StringIO(), io.StringIO()
+        trace.to_csv(a)
+        trace_ref.to_csv(b)
+        assert a.getvalue() == b.getvalue()
 
 
 def per_pattern_rosenblatt(patterns, config):
@@ -340,6 +443,17 @@ class TestRosenblatt:
         trace.to_csv(a)
         trace_ref.to_csv(b)
         assert a.getvalue() == b.getvalue()
+
+    def test_overflowing_norm_raises(self, train_std):
+        """A step too large for the norm to stay finite stops the run at
+        once instead of counting every stability as 0."""
+        pats, _ = train_std
+        cfg = TrainingConfig(learning_rate=1e300, max_epochs=50)
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingError,
+                              match=r"^non-finite state at epoch 0$") as exc:
+            rosenblatt_train(pats, cfg)
+        assert len(exc.value.trace) == 0
 
     def test_seed_changes_start(self):
         pats = two_point_set()
