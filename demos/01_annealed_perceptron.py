@@ -59,8 +59,9 @@ def main():
           f"window ratio {cfg.temp_ratio}")
     w, trace = minimerror_train(train, cfg)
 
+    records = trace.records
     for epoch in (0, 1000, 5000, 20000, trace.best_epoch):
-        r = trace.records[min(epoch, len(trace.records) - 1)]
+        r = records[min(epoch, len(records) - 1)]
         print(f"  epoch {epoch:>6}: T={r.temperature:.2e}  E={r.cost:8.3f}  "
               f"errors={r.errors:3d}  min stability={r.min_stability:+.4f}")
 

@@ -5,19 +5,21 @@ Usage:
     PYTHONPATH=<checkout>/src python scripts/artifact_hashes.py OUT.json
 
 Runs ``monoplane.cli.main`` in-process over a fixed matrix of ``train``
-(default and separation schedules), ``verify``, ``grow`` and ``report``
-invocations and writes one JSON object mapping ``<run>/exit``,
-``<run>/stdout``, ``<run>/stderr`` and ``<run>/<output file>`` to the
-sha256 of those bytes. Run it once with each of two checkouts on
-``PYTHONPATH`` and diff the two files: equal JSON means equal exit codes,
-streams and artifacts.
+(default and separation schedules), ``verify``, ``grow`` (XOR, and parity
+3 and 4 with the default schedule) and ``report`` invocations and writes
+one JSON object mapping ``<run>/exit``, ``<run>/stdout``, ``<run>/stderr``
+and ``<run>/<output file>`` to the sha256 of those bytes. Run it once
+with each of two checkouts on ``PYTHONPATH`` and diff the two files: equal
+JSON means equal exit codes, streams and artifacts.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests and
 ``report`` output do not depend on where the checkout or the scratch root
 lives. ``verify`` also runs on seeded random class-balanced splits written
 into that root, because only splits other than the bundled one exercise
-the mapping of rows to the paper's layout numbers.
+the mapping of rows to the paper's layout numbers. ``grow`` also runs on
+parity-3 and parity-4 files written there: parity 3 grows three hidden
+units, parity 4 stalls with several units trained.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -53,6 +56,8 @@ XOR = ["grow", "--dataset", "xor.csv", "--features", "2", "--part", "all",
        "--config", "xor.cfg"]
 # seeds of the random splits verify also runs on
 RANDOM_SPLIT_SEEDS = (1, 2, 3, 4)
+# bit counts of the parity problems grow also runs on
+PARITY_BITS = (3, 4)
 
 
 def random_split_text(raw, seed, n_mines=49, n_rocks=55):
@@ -66,6 +71,13 @@ def random_split_text(raw, seed, n_mines=49, n_rocks=55):
     held = sorted(set(mines + rocks) - learn)
     return ("[train]\n" + "".join(f"{m}\n" for m in sorted(learn))
             + "[test]\n" + "".join(f"{m}\n" for m in held))
+
+
+def parity_text(n):
+    """All ``n``-bit 0/1 inputs, labelled M when an odd number of bits is 1
+    and R otherwise (``xor.csv`` is the case n = 2)."""
+    return "".join(",".join(map(str, bits)) + (",M\n" if sum(bits) % 2 else ",R\n")
+                   for bits in itertools.product((0, 1), repeat=n))
 
 
 def run_matrix():
@@ -98,6 +110,11 @@ def run_matrix():
                                          "--out", f"grow-xor-{fmt}"]))
     runs.append(("grow-xor-stall", [*XOR, "--max-hidden", "1",
                                     "--out", "grow-xor-stall"]))
+    # the default schedule, as perfbench's grow-toy workload runs it
+    for n in PARITY_BITS:
+        runs.append((f"grow-parity{n}", ["grow", "--dataset", f"parity{n}.csv",
+                                         "--features", str(n), "--part", "all",
+                                         "--out", f"grow-parity{n}"]))
     runs.append(("report", ["report", "train-train-json/weights.txt",
                             "train-test-json/weights.txt",
                             "grow-xor-json/network.txt"]))
@@ -116,6 +133,8 @@ def hashes(root: Path):
     raw = data.load_file(root / "sonar.all-data")
     for seed in RANDOM_SPLIT_SEEDS:
         (root / f"random{seed}.split").write_text(random_split_text(raw, seed))
+    for n in PARITY_BITS:
+        (root / f"parity{n}.csv").write_text(parity_text(n))
     out = {}
     for name, argv in run_matrix():
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import PatternSet
 from .perceptron import (
-    TrainingConfig, TrainingTrace, WeightVector, minimerror_train, save_weights,
+    TrainingConfig, WeightVector, minimerror_train, save_weights,
 )
 
 
@@ -74,10 +74,11 @@ class OutputAttempt:
 
 @dataclass
 class GrowthTrace:
+    """Internal error count of every trained unit and network error count
+    of every output attempt, in growth order."""
+
     units: list = dc_field(default_factory=list)
     output_attempts: list = dc_field(default_factory=list)
-    unit_traces: list = dc_field(default_factory=list)
-    output_trace: TrainingTrace = None
 
     def internal_error_sequence(self):
         return [u.internal_errors for u in self.units]
@@ -148,7 +149,7 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
     prev_errors = None
 
     while True:
-        w, utrace = minimerror_train(PatternSet(Xi, targets, ps.mu), config)
+        w, _ = minimerror_train(PatternSet(Xi, targets, ps.mu), config)
         sigma = _sign(Xi @ w.w)
         errs = int(np.sum(sigma != targets))
         if prev_errors is not None and errs >= prev_errors:
@@ -159,16 +160,14 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
         units.append(w)
         states.append(sigma)
         trace.units.append(UnitRecord(len(units), errs))
-        trace.unit_traces.append(utrace)
 
         if errs == 0:
             # internal representations (1, sigma_1..H), one row per pattern
             reps = np.column_stack([np.ones(P), *states])
-            out_w, out_trace = minimerror_train(PatternSet(reps, tau, ps.mu), config)
+            out_w, _ = minimerror_train(PatternSet(reps, tau, ps.mu), config)
             model = NetworkModel(hidden=tuple(units), output=out_w)
             net_errs = int(np.count_nonzero(network_output(model, Xi) != tau))
             trace.output_attempts.append(OutputAttempt(len(units), net_errs))
-            trace.output_trace = out_trace
             if net_errs == 0:
                 return model, trace
             # output imperfect: grow further (the recursion over an

@@ -30,6 +30,11 @@ for the plain cost, or the two-temperature window of the asymmetric cost,
 which is again one temperature once every stability is nonnegative. An
 epoch counts errors only when the minimal stability is not positive.
 
+The trace is four columns (temperature, cost, errors, minimal stability).
+The descent never reads the cost, so an epoch only stores its h = gamma/2T
+in a row of a block buffer, and the cost column comes from one tanh and
+one row sum per block of _BLOCK epochs.
+
 A classic fixed-increment perceptron with pocket-style retention is provided
 as a baseline for generalization comparisons.
 """
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -149,28 +154,48 @@ class EpochRecord:
     min_stability: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrainingTrace:
-    """Per-epoch observability of a run, plus which epoch was retained."""
+    """Per-epoch observability of a run, plus which epoch was retained.
 
-    records: list = dc_field(default_factory=list)
+    One entry per epoch in each column: ``temperature``, ``cost`` and
+    ``min_stability`` as float64, ``errors`` as int64. ``records``,
+    ``error_counts`` and ``to_csv`` read them as Python floats and ints.
+    """
+
+    temperature: np.ndarray
+    cost: np.ndarray
+    errors: np.ndarray
+    min_stability: np.ndarray
     best_epoch: int = -1
     hebbian_fallback: bool = False
 
-    def append(self, rec):
-        self.records.append(rec)
+    @classmethod
+    def from_rows(cls, rows, best_epoch=-1, hebbian_fallback=False):
+        """A trace from (temperature, cost, errors, min_stability) rows."""
+        T, E, errors, stab = zip(*rows) if rows else ((),) * 4
+        return cls(np.array(T, dtype=float), np.array(E, dtype=float),
+                   np.array(errors, dtype=np.int64),
+                   np.array(stab, dtype=float), best_epoch, hebbian_fallback)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.errors)
+
+    def _rows(self):
+        return zip(self.temperature.tolist(), self.cost.tolist(),
+                   self.errors.tolist(), self.min_stability.tolist())
+
+    @property
+    def records(self):
+        return [EpochRecord(*r) for r in self._rows()]
 
     def to_csv(self, stream):
         stream.write("epoch,temperature,cost,errors,min_stability\n")
-        for i, r in enumerate(self.records):
-            stream.write(f"{i},{r.temperature!r},{r.cost!r},{r.errors},"
-                         f"{r.min_stability!r}\n")
+        stream.writelines(f"{i},{T!r},{E!r},{errors},{stab!r}\n"
+                          for i, (T, E, errors, stab) in enumerate(self._rows()))
 
     def error_counts(self):
-        return [r.errors for r in self.records]
+        return self.errors.tolist()
 
 
 def field(w: WeightVector, xi) -> float:
@@ -192,8 +217,7 @@ def _fields(w: WeightVector, Xi):
 
 def _sech2(x):
     # sech^2 via exp(-|x|) to avoid cosh overflow for saturated windows
-    ax = np.abs(x)
-    e = np.exp(-np.minimum(ax, 350.0))
+    e = np.exp(np.maximum(np.copysign(x, -1.0), -350.0))
     return np.square(2.0 * e / (1.0 + e * e))
 
 
@@ -230,7 +254,7 @@ def _gradient(w, nw, tXi, gam, h, T):
     is a scalar temperature or one temperature per pattern, and ``h`` is
     ``gam / (2T)``, which the caller has at hand."""
     c = _sech2(h) / (-4.0 * T)
-    return (c @ tXi) / nw - (c @ gam) / (nw * nw) * w
+    return np.dot(c, tXi) / nw - np.dot(c, gam) / (nw * nw) * w
 
 
 def hebbian_init(patterns, rng=None):
@@ -270,6 +294,27 @@ def _error_counts(f, tau):
     return total, false_pos, false_neg
 
 
+# epochs whose cost is computed together: h rows are buffered per block
+_BLOCK = 256
+
+
+def _close_block(blocks, H, k, temps, errs, stabs):
+    """Append copies of the first ``k`` epochs of a block to ``blocks`` as
+    trace columns, with the cost E = 1/2 sum(1 - tanh h) of each h row of
+    ``H``. The buffers are then free for the next block."""
+    h = H[:k]
+    np.tanh(h, out=h)
+    np.subtract(1.0, h, out=h)
+    E = h.sum(axis=1)
+    E *= 0.5
+    blocks.append((temps[:k].copy(), E, errs[:k].copy(), stabs[:k].copy()))
+
+
+def _block_trace(blocks, best_epoch, fallback):
+    return TrainingTrace(*(np.concatenate(c) for c in zip(*blocks)),
+                         best_epoch, fallback)
+
+
 def minimerror_train(patterns, config: TrainingConfig):
     """Annealed minimization of the smoothed error count.
 
@@ -283,53 +328,73 @@ def minimerror_train(patterns, config: TrainingConfig):
         raise ValueError("cannot train on an empty pattern set")
     ps = PatternSet.of(patterns)
     tXi = ps.folded
-    dim = tXi.shape[1]
+    P, dim = tXi.shape
     wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
     w = wv.w.copy()
-    trace = TrainingTrace(hebbian_fallback=fallback)
     theta = config.temp_ratio
+    lr, t_min, t_decay = config.learning_rate, config.t_min, config.t_decay
+    max_epochs = config.max_epochs
+    root_dim = math.sqrt(dim)
 
-    best = None     # (errors, -min_stability) lexicographic, lower is better
+    H = np.empty((_BLOCK, P))   # row k: h = gamma / 2T of the block's epoch k
+    h_rows = list(H)
+    blocks = []
+    temps, errs, stabs = np.empty(_BLOCK), np.empty(_BLOCK, np.int64), np.empty(_BLOCK)
+
+    best_epoch = -1     # best (errors, -min_stability), lexicographic
+    best_errors = best_stab = None
     best_w = w.copy()
     T = config.t_initial
-    epoch = 0
-    root_dim = math.sqrt(dim)
-    while T > config.t_min and epoch < config.max_epochs:
-        nw = math.sqrt(w @ w)
-        gam = (tXi @ w) / nw
-        min_stab = float(gam.min())
-        # no stability is <= 0 above a positive minimum; a NaN minimum
-        # still goes to the count
-        errors = 0 if min_stab > 0.0 else int(np.count_nonzero(gam <= 0.0))
-        h = gam / (2.0 * T)
-        E = float(0.5 * (1.0 - np.tanh(h)).sum())
-        # w enters every epoch rescaled to norm sqrt(dim), so nw is finite
-        # exactly when w is
-        if not math.isfinite(E) or not math.isfinite(nw):
-            raise TrainingError(f"non-finite state at epoch {epoch}", trace)
-        trace.append(EpochRecord(T, E, errors, min_stab))
-        key = (errors, -min_stab)
-        if best is None or key < best:
-            best = key
-            best_w = w.copy()
-            trace.best_epoch = epoch
+    epoch = k = 0
+    # a diverged step is caught by the test below, not by numpy warnings
+    with np.errstate(all="ignore"):
+        while T > t_min and epoch < max_epochs:
+            if k == _BLOCK:
+                _close_block(blocks, H, k, temps, errs, stabs)
+                k = 0
+            nw = math.sqrt(np.dot(w, w))
+            gam = np.dot(tXi, w)
+            gam /= nw
+            min_stab = float(gam.min())
+            # w enters every epoch rescaled to norm sqrt(dim), so nw is
+            # finite exactly when w is; the cost is NaN exactly when a
+            # stability is, and then so is their minimum
+            if not math.isfinite(nw) or math.isnan(min_stab):
+                _close_block(blocks, H, k, temps, errs, stabs)
+                raise TrainingError(f"non-finite state at epoch {epoch}",
+                                    _block_trace(blocks, best_epoch, fallback))
+            # no stability is <= 0 above a positive minimum
+            errors = 0 if min_stab > 0.0 else int(np.count_nonzero(gam <= 0.0))
+            h = np.divide(gam, 2.0 * T, out=h_rows[k])
+            temps[k] = T
+            errs[k] = errors
+            stabs[k] = min_stab
+            if best_epoch < 0 or errors < best_errors or (
+                    errors == best_errors and min_stab > best_stab):
+                best_errors, best_stab, best_epoch = errors, min_stab, epoch
+                best_w = w.copy()
 
-        # two-temperature window: theta*T on the well-classified side. It
-        # is one temperature for the plain cost and, the common case late
-        # in an anneal, when every pattern is on that side.
-        if theta == 1.0 or min_stab >= 0.0:
-            grad = _gradient(w, nw, tXi, gam, h / theta, T * theta)
-        else:
-            r = np.where(gam >= 0.0, theta, 1.0)
-            grad = _gradient(w, nw, tXi, gam, h / r, T * r)
-        gn = math.sqrt(grad @ grad)
-        if gn > 0.0:
-            w -= (config.learning_rate / gn) * grad
-        w *= root_dim / math.sqrt(w @ w)
-        T *= config.t_decay
-        epoch += 1
+            # two-temperature window: theta*T on the well-classified side. It
+            # is one temperature for the plain cost and, the common case late
+            # in an anneal, when every pattern is on that side.
+            if theta == 1.0:
+                grad = _gradient(w, nw, tXi, gam, h, T)
+            elif min_stab >= 0.0:
+                grad = _gradient(w, nw, tXi, gam, h / theta, T * theta)
+            else:
+                r = np.where(gam >= 0.0, theta, 1.0)
+                grad = _gradient(w, nw, tXi, gam, h / r, T * r)
+            gn = math.sqrt(np.dot(grad, grad))
+            if gn > 0.0:
+                grad *= lr / gn
+                w -= grad
+            w *= root_dim / math.sqrt(np.dot(w, w))
+            T *= t_decay
+            epoch += 1
+            k += 1
 
-    return WeightVector(best_w), trace
+    _close_block(blocks, H, k, temps, errs, stabs)
+    return WeightVector(best_w), _block_trace(blocks, best_epoch, fallback)
 
 
 def rosenblatt_train(patterns, config: TrainingConfig):
@@ -349,33 +414,38 @@ def rosenblatt_train(patterns, config: TrainingConfig):
     rng = np.random.default_rng(config.seed)
     w = rng.standard_normal(dim)
     w *= np.sqrt(dim) / np.linalg.norm(w)
-    rows = list(tXi)
-    trace = TrainingTrace()
+    trows = list(tXi)
+    rows = []
 
     best = None
+    best_epoch = -1
     best_w = w.copy()
-    for epoch in range(config.max_epochs):
-        for trow in rows:
-            if trow @ w <= 0.0:
-                w = w + config.learning_rate * trow
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise TrainingError(f"weights collapsed to zero at epoch {epoch}", trace)
-        if not math.isfinite(nw):
-            raise TrainingError(f"non-finite state at epoch {epoch}", trace)
-        gam = (tXi @ w) / nw
-        errors = int(np.count_nonzero(gam <= 0.0))
-        min_stab = float(gam.min())
-        trace.append(EpochRecord(float("nan"), float(errors), errors, min_stab))
-        key = (errors, -min_stab)
-        if best is None or key < best:
-            best = key
-            best_w = w.copy()
-            trace.best_epoch = epoch
-        if errors == 0:
-            break
+    # an overflowing norm is caught by the test below, not by numpy warnings
+    with np.errstate(all="ignore"):
+        for epoch in range(config.max_epochs):
+            for trow in trows:
+                if np.dot(trow, w) <= 0.0:
+                    w = w + config.learning_rate * trow
+            nw = np.linalg.norm(w)
+            if nw == 0.0:
+                raise TrainingError(f"weights collapsed to zero at epoch {epoch}",
+                                    TrainingTrace.from_rows(rows, best_epoch))
+            if not math.isfinite(nw):
+                raise TrainingError(f"non-finite state at epoch {epoch}",
+                                    TrainingTrace.from_rows(rows, best_epoch))
+            gam = (tXi @ w) / nw
+            errors = int(np.count_nonzero(gam <= 0.0))
+            min_stab = float(gam.min())
+            rows.append((float("nan"), float(errors), errors, min_stab))
+            key = (errors, -min_stab)
+            if best is None or key < best:
+                best = key
+                best_w = w.copy()
+                best_epoch = epoch
+            if errors == 0:
+                break
 
-    return WeightVector(best_w).rescaled(), trace
+    return WeightVector(best_w).rescaled(), TrainingTrace.from_rows(rows, best_epoch)
 
 
 def save_weights(w: WeightVector, stream):

@@ -116,7 +116,7 @@ class TestTrain:
         assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ("train", "grow"))
 def test_diverged_training_exit_2(sonar_path, balanced_split_path, tmp_path,
                                   capsys, command):

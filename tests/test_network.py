@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from monoplane import (
     GrowthStallError, LabeledPattern, NetworkModel, TrainingConfig,
-    WeightVector, count_errors, grow_network, hidden_states, internal_targets,
-    load_network, minimerror_train, network_output, save_network,
+    TrainingTrace, WeightVector, count_errors, grow_network, hidden_states,
+    internal_targets, load_network, minimerror_train, network_output,
+    save_network,
 )
 
 from conftest import make_ls_patterns, xor_patterns
@@ -215,6 +216,17 @@ class TestGrowth:
             [LabeledPattern(mu=p.mu, xi=np.concatenate([[1.0], reps[j]]), tau=p.tau)
              for j, p in enumerate(pats)], fast_config)
         assert np.array_equal(model.output.w, ref.w)
+
+    def test_growth_trace_keeps_no_epoch_traces(self, fast_config):
+        """A growth trace holds per-unit counts, not the units' anneals."""
+        pats = [LabeledPattern(mu=k, xi=np.array([1.0, *bits]), tau=int(np.prod(bits)))
+                for k, bits in enumerate(itertools.product((-1.0, 1.0), repeat=3),
+                                         start=1)]
+        _, trace = grow_network(pats, fast_config)
+        held = [v for value in vars(trace).values()
+                for v in (value if isinstance(value, list) else [value])]
+        assert len(held) == len(trace.units) + len(trace.output_attempts)
+        assert not any(isinstance(v, TrainingTrace) for v in held)
 
     def test_max_hidden_stall(self):
         pats = xor_patterns()

@@ -1,5 +1,7 @@
 import io
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from monoplane import (
     save_weights, stability,
 )
 from monoplane.perceptron import (
-    EpochRecord, TrainingTrace, _gradient, weights_to_table_text,
+    _BLOCK, TrainingTrace, _gradient, weights_to_table_text,
 )
 
 from conftest import make_ls_patterns, xor_patterns
@@ -243,9 +245,9 @@ def reference_minimerror(patterns, config):
     dim = tXi.shape[1]
     wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
     w = wv.w.copy()
-    trace = TrainingTrace(hebbian_fallback=fallback)
+    rows = []
     theta = config.temp_ratio
-    best, best_w = None, w.copy()
+    best, best_w, best_epoch = None, w.copy(), -1
     T, epoch = config.t_initial, 0
     while T > config.t_min and epoch < config.max_epochs:
         nw = math.sqrt(w @ w)
@@ -255,11 +257,12 @@ def reference_minimerror(patterns, config):
         h = gam / (2.0 * T)
         E = float(0.5 * np.sum(1.0 - np.tanh(h)))
         if not math.isfinite(E) or not np.isfinite(w).all():
-            raise TrainingError(f"non-finite state at epoch {epoch}", trace)
-        trace.append(EpochRecord(T, E, errors, min_stab))
+            raise TrainingError(f"non-finite state at epoch {epoch}",
+                                TrainingTrace.from_rows(rows, best_epoch, fallback))
+        rows.append((T, E, errors, min_stab))
         if best is None or (errors, -min_stab) < best:
             best, best_w = (errors, -min_stab), w.copy()
-            trace.best_epoch = epoch
+            best_epoch = epoch
         r = np.where(gam >= 0.0, theta, 1.0)
         grad = _gradient(w, nw, tXi, gam, h / r, T * r)
         gn = math.sqrt(grad @ grad)
@@ -268,7 +271,7 @@ def reference_minimerror(patterns, config):
         w *= math.sqrt(dim) / math.sqrt(w @ w)
         T *= config.t_decay
         epoch += 1
-    return WeightVector(best_w), trace
+    return WeightVector(best_w), TrainingTrace.from_rows(rows, best_epoch, fallback)
 
 
 @st.composite
@@ -356,9 +359,10 @@ class TestMinimerror:
         NaN vector, and the second epoch's cost is NaN."""
         patterns, _ = all_std
         cfg = replace(SEPARATION_CONFIG, learning_rate=learning_rate)
-        with np.errstate(over="ignore", invalid="ignore"), \
+        with warnings.catch_warnings(), \
                 pytest.raises(TrainingError,
                               match=r"^non-finite state at epoch 1$") as exc:
+            warnings.simplefilter("error")
             minimerror_train(patterns, cfg)
         assert len(exc.value.trace) == 1
 
@@ -379,6 +383,59 @@ class TestMinimerror:
         trace_ref.to_csv(b)
         assert a.getvalue() == b.getvalue()
 
+    @pytest.mark.parametrize("temp_ratio", [1.0, 0.02])
+    @pytest.mark.parametrize("epochs", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                        3 * _BLOCK + 17])
+    def test_block_boundaries_match_reference_loop(self, epochs, temp_ratio):
+        """Schedules that end one epoch short of a cost block, on its
+        boundary, one past it and inside a later block equal the reference
+        loop bit for bit."""
+        rng = np.random.default_rng(epochs)
+        ps = PatternSet.of(make_ls_patterns(rng, n=30, dim=5)[0])
+        schedule = TrainingConfig(t_initial=1.0, t_min=1e-300, t_decay=0.99,
+                                  learning_rate=0.05, max_epochs=epochs,
+                                  temp_ratio=temp_ratio)
+        w, trace = minimerror_train(ps, schedule)
+        w_ref, trace_ref = reference_minimerror(ps, schedule)
+        assert len(trace) == epochs
+        assert w.w.tobytes() == w_ref.w.tobytes()
+        assert trace.best_epoch == trace_ref.best_epoch
+        assert trace.hebbian_fallback == trace_ref.hebbian_fallback
+        a, b = io.StringIO(), io.StringIO()
+        trace.to_csv(a)
+        trace_ref.to_csv(b)
+        assert a.getvalue().splitlines() == b.getvalue().splitlines()
+
+    def test_trace_is_compact_and_typed(self):
+        """A default-schedule trace keeps at most 64 bytes per epoch, and
+        reads back as Python floats and ints."""
+        rng = np.random.default_rng(13)
+        ps = PatternSet.of(make_ls_patterns(rng, n=40, dim=5)[0])
+        ps.folded                       # cached on the set, not the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            w, trace = minimerror_train(ps, TrainingConfig())
+            del w
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 9206
+        assert retained <= 64 * len(trace)
+
+        rec = trace.records[trace.best_epoch]
+        assert [type(v) for v in (rec.temperature, rec.cost, rec.errors,
+                                  rec.min_stability)] == [float, float, int, float]
+        assert {type(e) for e in trace.error_counts()} == {int}
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == len(trace) + 1
+        # a numpy scalar would be written as np.float64(...) and not parse
+        for line in lines[1:]:
+            epoch, T, E, errors, stab = line.split(",")
+            int(epoch), float(T), float(E), int(errors), float(stab)
+
 
 def per_pattern_rosenblatt(patterns, config):
     """The fixed-increment rule on unfolded rows, kept as the reference."""
@@ -387,8 +444,8 @@ def per_pattern_rosenblatt(patterns, config):
     dim = Xi.shape[1]
     w = np.random.default_rng(config.seed).standard_normal(dim)
     w *= np.sqrt(dim) / np.linalg.norm(w)
-    trace = TrainingTrace()
-    best, best_w = None, w.copy()
+    rows = []
+    best, best_w, best_epoch = None, w.copy(), -1
     for epoch in range(config.max_epochs):
         for j in range(len(Xi)):
             if tau[j] * (Xi[j] @ w) <= 0.0:
@@ -396,13 +453,13 @@ def per_pattern_rosenblatt(patterns, config):
         gam = tau * (Xi @ w) / np.linalg.norm(w)
         errors = int(np.sum(gam <= 0.0))
         min_stab = float(gam.min())
-        trace.append(EpochRecord(float("nan"), float(errors), errors, min_stab))
+        rows.append((float("nan"), float(errors), errors, min_stab))
         if best is None or (errors, -min_stab) < best:
             best, best_w = (errors, -min_stab), w.copy()
-            trace.best_epoch = epoch
+            best_epoch = epoch
         if errors == 0:
             break
-    return WeightVector(best_w).rescaled(), trace
+    return WeightVector(best_w).rescaled(), TrainingTrace.from_rows(rows, best_epoch)
 
 
 class TestRosenblatt:
@@ -449,9 +506,10 @@ class TestRosenblatt:
         once instead of counting every stability as 0."""
         pats, _ = train_std
         cfg = TrainingConfig(learning_rate=1e300, max_epochs=50)
-        with np.errstate(over="ignore"), \
+        with warnings.catch_warnings(), \
                 pytest.raises(TrainingError,
                               match=r"^non-finite state at epoch 0$") as exc:
+            warnings.simplefilter("error")
             rosenblatt_train(pats, cfg)
         assert len(exc.value.trace) == 0
 
