@@ -59,11 +59,11 @@ def main():
           f"window ratio {cfg.temp_ratio}")
     w, trace = minimerror_train(train, cfg)
 
-    records = trace.records
     for epoch in (0, 1000, 5000, 20000, trace.best_epoch):
-        r = records[min(epoch, len(records) - 1)]
-        print(f"  epoch {epoch:>6}: T={r.temperature:.2e}  E={r.cost:8.3f}  "
-              f"errors={r.errors:3d}  min stability={r.min_stability:+.4f}")
+        k = min(epoch, len(trace) - 1)
+        print(f"  epoch {epoch:>6}: T={trace.temperature[k]:.2e}  "
+              f"E={trace.cost[k]:8.3f}  errors={trace.errors[k]:3d}  "
+              f"min stability={trace.min_stability[k]:+.4f}")
 
     total, fp, fn = count_errors(w, train)
     stabilities = [stability(w, p) for p in train]

@@ -37,10 +37,10 @@ def main():
     model, trace = grow_network(pats, cfg)
 
     print(f"\ngrown network: H = {len(model.hidden)} hidden units")
-    print("internal-error sequence:", trace.internal_error_sequence())
-    for a in trace.output_attempts:
-        print(f"output unit trained over {a.n_hidden} hidden states -> "
-              f"{a.network_errors} network errors")
+    print("internal-error sequence:", trace.units)
+    for n_hidden, net_errs in trace.output_attempts:
+        print(f"output unit trained over {n_hidden} hidden states -> "
+              f"{net_errs} network errors")
 
     print("\nper-pattern bookkeeping (parity identity):")
     tau = np.array([p.tau for p in pats])

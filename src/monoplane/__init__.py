@@ -15,9 +15,8 @@ from .data import (
     standardize,
 )
 from .evaluation import (
-    EvaluationReport, MisclassifiedRecord, ProbeVerdict, PublishedWeights,
-    cosine, evaluate, load_published_table, load_published_weights,
-    separability_probe, verify_published,
+    EvaluationReport, ProbeVerdict, cosine, evaluate, load_published_table,
+    load_published_weights, separability_probe, verify_published,
 )
 from .network import (
     GrowthStallError, GrowthTrace, NetworkModel, grow_network, hidden_states,

@@ -219,7 +219,7 @@ def cmd_grow(args):
     report = {
         "part": args.part,
         "hidden_units": len(model.hidden),
-        "internal_error_sequence": gtrace.internal_error_sequence(),
+        "internal_error_sequence": gtrace.units,
         "training_errors": train_errs,
     }
     if evalp:

@@ -105,7 +105,6 @@ class PatternSet:
 class StandardizationStats:
     mean: np.ndarray
     scale: np.ndarray
-    mode: str = "std"
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def _matrix_stats(X, mode):
             f"constant feature(s) {', '.join(str(i + 1) for i in zeros)}: "
             f"scale would be zero"
         )
-    return StandardizationStats(mean=mean, scale=scale, mode=mode)
+    return StandardizationStats(mean=mean, scale=scale)
 
 
 def _standardized(X, stats):

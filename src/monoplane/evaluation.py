@@ -35,19 +35,12 @@ def _asset_text(name):
     return resources.files("monoplane.assets").joinpath(name).read_text()
 
 
-@dataclass(frozen=True)
-class PublishedWeights:
-    name: str
-    vector: WeightVector
-
-
-def load_published_weights(name) -> PublishedWeights:
+def load_published_weights(name) -> WeightVector:
     """One of the three embedded benchmark separator vectors."""
     if name not in _ASSET_FILES:
         raise KeyError(f"unknown published weights {name!r}; "
                        f"expected one of {PUBLISHED_NAMES}")
-    return PublishedWeights(name=name,
-                            vector=load_weights(_asset_text(_ASSET_FILES[name])))
+    return load_weights(_asset_text(_ASSET_FILES[name]))
 
 
 def load_published_table():
@@ -65,26 +58,26 @@ def load_published_table():
 def _published():
     """The published table and the three vectors in ``PUBLISHED_NAMES``
     order, parsed once per process (callers must not mutate them)."""
-    return load_published_table(), tuple(load_published_weights(name).vector
-                                         for name in PUBLISHED_NAMES)
-
-
-@dataclass(frozen=True)
-class MisclassifiedRecord:
-    i: int
-    mu: int
-    field_value: float
-    gamma_reference: float
-    tau: int
+    return load_published_table(), tuple(map(load_published_weights,
+                                             PUBLISHED_NAMES))
 
 
 @dataclass
 class EvaluationReport:
-    """Counts, per-pattern records, and optional named cosines."""
+    """Counts, the misclassified patterns, and optional named cosines.
+
+    ``mu``, ``field``, ``tau`` and ``gamma_reference`` hold one entry per
+    misclassified pattern, in pattern-number order: its number, its field
+    under the classifier, its label, and its stability under the reference
+    separator (None without one).
+    """
 
     set_size: int
     counts: tuple
-    records: list
+    mu: list
+    field: list
+    tau: list
+    gamma_reference: list
     cosines: dict = dc_field(default_factory=dict)
 
     @property
@@ -101,9 +94,10 @@ class EvaluationReport:
                        "false_neg": self.counts[2]},
             "error_fraction": self.error_fraction,
             "records": [
-                {"i": r.i, "mu": r.mu, "field": r.field_value,
-                 "gamma_reference": r.gamma_reference, "tau": r.tau}
-                for r in self.records
+                {"i": i, "mu": mu, "field": f, "gamma_reference": g, "tau": tau}
+                for i, (mu, f, g, tau) in enumerate(
+                    zip(self.mu, self.field, self.gamma_reference, self.tau),
+                    start=1)
             ],
             "cosines": self.cosines,
         }
@@ -112,26 +106,22 @@ class EvaluationReport:
 def evaluate(classifier: WeightVector, patterns, reference=None) -> EvaluationReport:
     """Misclassification report of ``classifier`` over ``patterns``.
 
-    Every misclassified pattern is recorded with its field under the
+    Every misclassified pattern is listed with its field under the
     classifier and, when a reference separator is supplied, its stability
-    under that reference; records are sorted by pattern number.
+    under that reference, in pattern-number order.
     """
     if not patterns:
-        return EvaluationReport(set_size=0, counts=(0, 0, 0), records=[])
+        return EvaluationReport(set_size=0, counts=(0, 0, 0), mu=[], field=[],
+                                tau=[], gamma_reference=[])
     ps = PatternSet.of(patterns)
     f = _fields(classifier, ps.Xi)
     wrong = np.flatnonzero(ps.tau * f <= 0.0)
     wrong = wrong[np.argsort(ps.mu[wrong], kind="stable")]
     gam_ref = ([None] * len(wrong) if reference is None
                else (ps.tau * _fields(reference, ps.Xi))[wrong].tolist())
-    records = [
-        MisclassifiedRecord(i=i, mu=mu, field_value=fv, gamma_reference=g, tau=tau)
-        for i, (mu, fv, g, tau) in enumerate(
-            zip(ps.mu[wrong].tolist(), f[wrong].tolist(), gam_ref,
-                ps.tau[wrong].tolist()), start=1)
-    ]
     return EvaluationReport(set_size=len(ps), counts=_error_counts(f, ps.tau),
-                            records=records)
+                            mu=ps.mu[wrong].tolist(), field=f[wrong].tolist(),
+                            tau=ps.tau[wrong].tolist(), gamma_reference=gam_ref)
 
 
 def cosine(a: WeightVector, b: WeightVector, raw_eq8=False) -> float:
@@ -269,8 +259,7 @@ def run_mode(mode_name, parts):
     table, ws = _published()
     sets = parts[mode_name]
     rep_test, rep_train, rep_sonar = map(evaluate, ws, sets)
-    mu_test, mu_train = (sorted(r.mu for r in rep.records)
-                         for rep in (rep_test, rep_train))
+    mu_test, mu_train = rep_test.mu, rep_train.mu
 
     pub_test = sorted(r["mu"] for r in table["test_side"])
     pub_train = sorted(r["mu"] for r in table["train_side"])

@@ -13,10 +13,12 @@ where it erred. Unrolling the recursion gives the parity identity
 so once some unit reaches zero errors on its targets, the true label is a
 function of the hidden states realized on the training set, and an output
 perceptron is trained over the internal representations (1, sigma_1..H).
-If that output unit cannot reach zero errors, growth resumes with one more
-hidden unit. Every appended unit must strictly reduce the internal error
-count of its predecessor; a unit that fails to do so stalls the growth,
-which surfaces as an error carrying the trace.
+Every appended unit must strictly reduce the internal error count of its
+predecessor; a unit that fails to do so stalls the growth, which surfaces
+as an error carrying the trace. Growth also stalls when the output unit
+over an errorless unit's states cannot reach zero errors: the next unit's
+targets would all be +1, and no unit can have fewer than its
+predecessor's zero errors.
 """
 
 from __future__ import annotations
@@ -61,35 +63,22 @@ class NetworkModel:
 
 
 @dataclass
-class UnitRecord:
-    h: int
-    internal_errors: int
-
-
-@dataclass
-class OutputAttempt:
-    n_hidden: int
-    network_errors: int
-
-
-@dataclass
 class GrowthTrace:
-    """Internal error count of every trained unit and network error count
-    of every output attempt, in growth order."""
+    """What growth did, in growth order: ``units`` holds the internal error
+    count of every trained unit (unit h at index h - 1), and
+    ``output_attempts`` one (hidden units, network errors) pair per output
+    unit trained."""
 
     units: list = dc_field(default_factory=list)
     output_attempts: list = dc_field(default_factory=list)
 
-    def internal_error_sequence(self):
-        return [u.internal_errors for u in self.units]
-
     def to_csv(self, stream):
         stream.write("unit,internal_errors\n")
-        for u in self.units:
-            stream.write(f"{u.h},{u.internal_errors}\n")
+        for h, errs in enumerate(self.units, start=1):
+            stream.write(f"{h},{errs}\n")
         stream.write("output_attempt_after_units,network_errors\n")
-        for a in self.output_attempts:
-            stream.write(f"{a.n_hidden},{a.network_errors}\n")
+        for n_hidden, net_errs in self.output_attempts:
+            stream.write(f"{n_hidden},{net_errs}\n")
 
 
 def _sign(x):
@@ -134,7 +123,8 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
 
     Postcondition on success: zero network errors on ``patterns`` and
     H <= P - 1. Raises GrowthStallError when a new unit cannot strictly
-    reduce its predecessor's internal error count or the cap is hit first.
+    reduce its predecessor's internal error count, when the output unit
+    over an errorless unit's states errs, or when the cap is hit first.
     """
     if not patterns:
         raise ValueError("cannot grow a network on an empty pattern set")
@@ -152,14 +142,13 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
         w, _ = minimerror_train(PatternSet(Xi, targets, ps.mu), config)
         sigma = _sign(Xi @ w.w)
         errs = int(np.sum(sigma != targets))
+        trace.units.append(errs)
         if prev_errors is not None and errs >= prev_errors:
-            trace.units.append(UnitRecord(len(units) + 1, errs))
             raise GrowthStallError(
                 f"unit {len(units) + 1} has {errs} internal errors, "
                 f"not fewer than its predecessor's {prev_errors}", trace)
         units.append(w)
         states.append(sigma)
-        trace.units.append(UnitRecord(len(units), errs))
 
         if errs == 0:
             # internal representations (1, sigma_1..H), one row per pattern
@@ -167,12 +156,14 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
             out_w, _ = minimerror_train(PatternSet(reps, tau, ps.mu), config)
             model = NetworkModel(hidden=tuple(units), output=out_w)
             net_errs = int(np.count_nonzero(network_output(model, Xi) != tau))
-            trace.output_attempts.append(OutputAttempt(len(units), net_errs))
+            trace.output_attempts.append((len(units), net_errs))
             if net_errs == 0:
                 return model, trace
-            # output imperfect: grow further (the recursion over an
-            # errorless unit yields all-+1 targets, so the strict-decrease
-            # check above will stall out rather than loop forever)
+            # a further unit would learn all-+1 targets and could not have
+            # fewer than this unit's zero errors
+            raise GrowthStallError(
+                f"output unit over {len(units)} hidden units has {net_errs} "
+                f"network errors after an errorless unit", trace)
 
         if len(units) >= cap:
             raise GrowthStallError(

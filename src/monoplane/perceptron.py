@@ -146,21 +146,13 @@ SEPARATION_CONFIG = TrainingConfig(
 )
 
 
-@dataclass
-class EpochRecord:
-    temperature: float
-    cost: float
-    errors: int
-    min_stability: float
-
-
 @dataclass(frozen=True, eq=False)
 class TrainingTrace:
     """Per-epoch observability of a run, plus which epoch was retained.
 
     One entry per epoch in each column: ``temperature``, ``cost`` and
-    ``min_stability`` as float64, ``errors`` as int64. ``records``,
-    ``error_counts`` and ``to_csv`` read them as Python floats and ints.
+    ``min_stability`` as float64, ``errors`` as int64. ``to_csv`` writes
+    them as Python floats and ints.
     """
 
     temperature: np.ndarray
@@ -181,21 +173,12 @@ class TrainingTrace:
     def __len__(self):
         return len(self.errors)
 
-    def _rows(self):
-        return zip(self.temperature.tolist(), self.cost.tolist(),
-                   self.errors.tolist(), self.min_stability.tolist())
-
-    @property
-    def records(self):
-        return [EpochRecord(*r) for r in self._rows()]
-
     def to_csv(self, stream):
         stream.write("epoch,temperature,cost,errors,min_stability\n")
+        rows = zip(self.temperature.tolist(), self.cost.tolist(),
+                   self.errors.tolist(), self.min_stability.tolist())
         stream.writelines(f"{i},{T!r},{E!r},{errors},{stab!r}\n"
-                          for i, (T, E, errors, stab) in enumerate(self._rows()))
-
-    def error_counts(self):
-        return self.errors.tolist()
+                          for i, (T, E, errors, stab) in enumerate(rows))
 
 
 def field(w: WeightVector, xi) -> float:

@@ -34,18 +34,18 @@ class TestPublishedAssets:
             assert hashlib.sha256(data).hexdigest() == want, name
 
     def test_w_train_endpoints(self):
-        w = load_published_weights("W_Train").vector
+        w = load_published_weights("W_Train")
         assert len(w) == 61
         assert w.w[0] == pytest.approx(-0.0692)
         assert w.w[-1] == pytest.approx(0.0015)
 
     def test_w_test_endpoints(self):
-        w = load_published_weights("W_Test").vector
+        w = load_published_weights("W_Test")
         assert len(w) == 61
         assert w.w[0] == pytest.approx(-0.4035)
 
     def test_w_sonar_largest_entry(self):
-        w = load_published_weights("W_Sonar").vector
+        w = load_published_weights("W_Sonar")
         assert w.w[0] == pytest.approx(-0.0290)
         assert w.w[31] == pytest.approx(3.3527)
         assert np.argmax(np.abs(w.w)) == 31
@@ -78,7 +78,7 @@ class TestEvaluate:
         w, _ = minimerror_train(pats, fast_config)
         rep = evaluate(w, pats)
         assert rep.counts == (0, 0, 0)
-        assert rep.records == []
+        assert rep.mu == []
         assert rep.error_fraction == 0.0
 
     def test_records_sorted_and_consistent(self):
@@ -87,14 +87,13 @@ class TestEvaluate:
         w = WeightVector(rng.standard_normal(7))
         ref = WeightVector(rng.standard_normal(7))
         rep = evaluate(w, pats, reference=ref)
-        assert rep.counts[0] == len(rep.records)
+        assert rep.counts[0] == len(rep.mu)
         assert rep.counts[0] == rep.counts[1] + rep.counts[2]
-        mus = [r.mu for r in rep.records]
-        assert mus == sorted(mus)
-        for r in rep.records:
-            p = next(p for p in pats if p.mu == r.mu)
-            assert r.tau * r.field_value <= 0
-            assert r.gamma_reference == pytest.approx(stability(ref, p))
+        assert rep.mu == sorted(rep.mu)
+        for mu, f, tau, g in zip(rep.mu, rep.field, rep.tau, rep.gamma_reference):
+            p = next(p for p in pats if p.mu == mu)
+            assert tau * f <= 0
+            assert g == pytest.approx(stability(ref, p))
 
     def test_error_fraction_one_decimal(self):
         rng = np.random.default_rng(42)
@@ -109,7 +108,7 @@ class TestEvaluate:
         w = WeightVector(rng.standard_normal(5))
         rep = evaluate(w, pats)
         as_json = rep.to_json_dict()
-        assert len(as_json["records"]) == len(rep.records)
+        assert len(as_json["records"]) == len(rep.mu)
 
 
 class TestCosine:
@@ -137,7 +136,7 @@ class TestCosine:
     def test_published_pairs_both_modes(self):
         """The two modes bracket the published Table 5 values but neither
         reproduces them; the verifier reports this rather than patching it."""
-        ws = {n: load_published_weights(n).vector for n in PUBLISHED_NAMES}
+        ws = {n: load_published_weights(n) for n in PUBLISHED_NAMES}
         true_st = cosine(ws["W_Sonar"], ws["W_Train"])
         raw_st = cosine(ws["W_Sonar"], ws["W_Train"], raw_eq8=True)
         assert true_st == pytest.approx(0.36922, abs=1e-4)
@@ -213,7 +212,7 @@ class TestModeSweep:
             stats_te = compute_stats(test, mode=scale)
         else:
             stats_tr = stats_te = compute_stats(full, mode=scale)
-        ws = {name: load_published_weights(name).vector.w for name in PUBLISHED_NAMES}
+        ws = {name: load_published_weights(name).w for name in PUBLISHED_NAMES}
         sets = {
             "W_Train_on_test": (ws["W_Train"], standardize(test, stats_tr)),
             "W_Test_on_train": (ws["W_Test"], standardize(train, stats_te)),
@@ -271,8 +270,7 @@ def _reference_mode_sets(train, test, stats_from, scale, flip_labels):
 
 def _reference_run_mode(mode_name, sets, layout):
     table = load_published_table()
-    w_train, w_test, w_sonar = (load_published_weights(n).vector
-                                for n in PUBLISHED_NAMES)
+    w_train, w_test, w_sonar = map(load_published_weights, PUBLISHED_NAMES)
     test_std, train_std, all_std = sets
     mu_test = sorted(layout[p.mu] for p in test_std if stability(w_train, p) <= 0)
     mu_train = sorted(layout[p.mu] for p in train_std if stability(w_test, p) <= 0)
@@ -304,7 +302,7 @@ def _reference_run_mode(mode_name, sets, layout):
 
 
 def _reference_spreads(sets, n_draws=100):
-    ws = [load_published_weights(n).vector.w for n in PUBLISHED_NAMES]
+    ws = [load_published_weights(n).w for n in PUBLISHED_NAMES]
     rng = np.random.default_rng(0)
     jitter = rng.uniform(-5e-5, 5e-5, size=(n_draws, len(ws), len(ws[0])))
     out = {}
@@ -352,10 +350,9 @@ class TestArrayVerify:
                 assert part.mu.tolist() == [layout[p.mu] for p in ref]
                 assert part.tau.tolist() == [p.tau for p in ref]
                 assert part.Xi.tobytes() == np.array([p.xi for p in ref]).tobytes()
-            records = evaluate(load_published_weights("W_Train").vector,
-                               got[mode_name][0]).records
-            assert records and all(type(r.mu) is int and type(r.tau) is int
-                                   for r in records)
+            rep = evaluate(load_published_weights("W_Train"), got[mode_name][0])
+            assert rep.mu and all(type(mu) is int and type(tau) is int
+                                  for mu, tau in zip(rep.mu, rep.tau))
 
     def test_verify_numbers_layout_once(self, balanced_parts, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from monoplane import network
 from monoplane import (
     GrowthStallError, LabeledPattern, NetworkModel, TrainingConfig,
     TrainingTrace, WeightVector, count_errors, grow_network, hidden_states,
@@ -163,7 +164,7 @@ class TestGrowth:
         pats, _ = make_ls_patterns(rng, n=40, dim=6)
         model, trace = grow_network(pats, fast_config)
         assert len(model.hidden) == 1
-        assert trace.internal_error_sequence() == [0]
+        assert trace.units == [0]
         # network coincides with its sole perceptron on every training pattern
         unit = model.hidden[0]
         for p in pats:
@@ -176,7 +177,7 @@ class TestGrowth:
         assert len(model.hidden) == 2
         errs = sum(1 for p in pats if network_output(model, p.xi) != p.tau)
         assert errs == 0
-        seq = trace.internal_error_sequence()
+        seq = trace.units
         assert seq[-1] == 0
         assert all(b < a for a, b in zip(seq, seq[1:]))
 
@@ -234,6 +235,29 @@ class TestGrowth:
             grow_network(pats, xor_config(), max_hidden=1)
         assert exc.value.trace is not None
         assert len(exc.value.trace.units) >= 1
+
+    def test_failed_output_after_errorless_unit_stalls(self, monkeypatch):
+        """Units sign(x1) and sign(x2) on XOR are errorless by unit 2 and
+        realize all four state pairs, so no output unit can be exact:
+        growth stalls right after it, without training a further unit."""
+        pats = [LabeledPattern(mu=k, xi=np.array([1.0, a, b]), tau=int(a * b))
+                for k, (a, b) in enumerate(itertools.product((-1.0, 1.0),
+                                                             repeat=2), start=1)]
+        weights = [WeightVector(np.array(w)) for w in
+                   ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                    [1.0, 0.0, 0.0])]
+        calls = []
+
+        def stub(patterns, config):
+            calls.append(patterns)
+            return weights[len(calls) - 1], None
+        monkeypatch.setattr(network, "minimerror_train", stub)
+        with pytest.raises(GrowthStallError,
+                           match="output unit .* 2 network errors") as exc:
+            grow_network(pats, xor_config())
+        assert len(calls) == 3
+        assert exc.value.trace.units == [2, 0]
+        assert exc.value.trace.output_attempts == [(2, 2)]
 
     def test_bound_is_p_minus_1(self, fast_config):
         rng = np.random.default_rng(21)
