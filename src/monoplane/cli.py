@@ -118,8 +118,18 @@ def _manifest(args, command, dataset_path, split_source, config, outputs):
         "outputs": sorted(outputs),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": _blas_build(),
     }
     return json.dumps(m, indent=1, sort_keys=True) + "\n"
+
+
+def _blas_build():
+    """The BLAS numpy was built with as "<name> <version>", or None."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):
+        return None
 
 
 def _prepare_run(args):

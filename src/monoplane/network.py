@@ -82,7 +82,10 @@ class GrowthTrace:
 
 
 def _sign(x):
-    # sign(0) = +1: zero fields are measure-zero but must be deterministic
+    """+1 where x >= 0, else -1. A unit must realize a +-1 output for every
+    pattern, so a zero field gives +1; perceptron.count_errors instead
+    counts a zero field as an error, because a separation certificate
+    needs every stability strictly positive."""
     return np.where(np.asarray(x) >= 0.0, 1, -1)
 
 

@@ -23,17 +23,19 @@ pattern matrix tXi (row mu is tau_mu * xi_mu), derived once per PatternSet,
 so that each epoch is two matrix-vector products:
 
     gamma = tXi @ w / ||w||                                  stabilities
-    grad  = (c @ tXi) / ||w|| - (c . gamma) w / ||w||^2      dE/dw
+    d     = u @ tXi - (u . gamma) w / ||w||                  descent direction
 
-with c_mu = -sech^2(gamma_mu / 2T_mu) / (4 T_mu). T_mu is one temperature
-for the plain cost, or the two-temperature window of the asymmetric cost,
-which is again one temperature once every stability is nonnegative. An
-epoch counts errors only when the minimal stability is not positive.
+with u_mu = sech^2(gamma_mu / 2T_mu) / r_mu for the window temperatures
+T_mu = r_mu T (r_mu = temp_ratio where gamma_mu >= 0, else 1). The gradient
+of E is -d / (4T ||w||), and the step w += lr d / ||d|| cancels that
+positive factor, so the epoch computes neither it nor the common 1/r_mu of
+a one-temperature window (the plain cost, or every stability nonnegative).
+An epoch counts errors only when the minimal stability is not positive.
 
 The trace is four columns (temperature, cost, errors, minimal stability).
-The descent never reads the cost, so an epoch only stores its h = gamma/2T
-in a row of a block buffer, and the cost column comes from one tanh and
-one row sum per block of _BLOCK epochs.
+The descent never reads the cost, so an epoch computes its gamma in place
+in a row of a block buffer, and the cost column comes from one division by
+2T, one tanh and one row sum per block of _BLOCK epochs.
 
 A classic fixed-increment perceptron with pocket-style retention is provided
 as a baseline for generalization comparisons.
@@ -199,9 +201,11 @@ def _fields(w: WeightVector, Xi):
 
 
 def _sech2(x):
-    # sech^2 via exp(-|x|) to avoid cosh overflow for saturated windows
-    e = np.exp(np.maximum(np.copysign(x, -1.0), -350.0))
-    return np.square(2.0 * e / (1.0 + e * e))
+    # 1/cosh^2; past |x| ~355 cosh^2 overflows to inf and sech^2 is 0, so
+    # callers run this under np.errstate(over="ignore")
+    c = np.cosh(x)
+    c *= c
+    return np.divide(1.0, c, out=c)
 
 
 def cost(w: WeightVector, patterns, T: float) -> float:
@@ -218,26 +222,36 @@ def cost_gradient(w: WeightVector, patterns, T: float):
     """Exact gradient of ``cost`` with respect to w.
 
     With the label-folded rows tau*xi stacked in tXi, the stabilities
-    gamma = tXi @ w / ||w|| and c_mu = -sech^2(gamma_mu/2T)/(4T):
+    gamma = tXi @ w / ||w|| and u_mu = sech^2(gamma_mu/2T) / T:
 
-        dE/dw = (c @ tXi) / ||w|| - (c . gamma) w / ||w||^2
+        dE/dw = -(u @ tXi - (u . gamma) w / ||w||) / (4 ||w||)
 
     Each pattern's share is orthogonal to w, so the whole gradient is.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
+    if not patterns:
+        raise ValueError("cost of an empty pattern set is undefined")
     tXi = PatternSet.of(patterns).folded
     gam = (tXi @ w.w) / w.norm
     return _gradient(w.w, w.norm, tXi, gam, gam / (2.0 * T), T)
 
 
+def _direction(w, nw, tXi, gam, u):
+    """Descent direction u @ tXi - (u . gam) w / nw at weights ``w`` of norm
+    ``nw``, for the stabilities ``gam`` of the folded rows ``tXi`` and one
+    nonnegative weight ``u`` per pattern."""
+    d = np.dot(u, tXi)
+    d -= (np.dot(u, gam) / nw) * w
+    return d
+
+
 def _gradient(w, nw, tXi, gam, h, T):
-    """Gradient of the smoothed error count at raw weights ``w`` of norm
-    ``nw``, given the stabilities ``gam`` of the folded rows ``tXi``. ``T``
-    is a scalar temperature or one temperature per pattern, and ``h`` is
-    ``gam / (2T)``, which the caller has at hand."""
-    c = _sech2(h) / (-4.0 * T)
-    return np.dot(c, tXi) / nw - np.dot(c, gam) / (nw * nw) * w
+    """Gradient of E: the direction with u = sech^2(h) / T, times -1/(4 nw).
+    ``T`` is scalar or one temperature per pattern, ``h`` is gam / (2T)."""
+    with np.errstate(over="ignore"):
+        u = _sech2(h) / T
+    return _direction(w, nw, tXi, gam, u) * (-0.25 / nw)
 
 
 def hebbian_init(patterns, rng=None):
@@ -260,8 +274,11 @@ def count_errors(w: WeightVector, patterns):
     """(total, false_pos, false_neg) of w over the set.
 
     total counts stability <= 0, so a pattern exactly on the hyperplane is
-    an error; false_pos/false_neg use strict field signs per the reporting
-    convention (a zero field lands in neither bucket).
+    an error: a separation certificate needs every stability strictly
+    positive. false_pos/false_neg use strict field signs per the reporting
+    convention (a zero field lands in neither bucket). network._sign
+    differs on purpose: it maps a zero field to +1, because a network unit
+    must realize a +-1 output for every pattern.
     """
     if not patterns:
         return 0, 0, 0
@@ -277,15 +294,17 @@ def _error_counts(f, tau):
     return total, false_pos, false_neg
 
 
-# epochs whose cost is computed together: h rows are buffered per block
+# epochs whose cost is computed together: gamma rows are buffered per block
 _BLOCK = 256
 
 
-def _close_block(blocks, H, k, temps, errs, stabs):
+def _close_block(blocks, G, k, temps, errs, stabs):
     """Append copies of the first ``k`` epochs of a block to ``blocks`` as
-    trace columns, with the cost E = 1/2 sum(1 - tanh h) of each h row of
-    ``H``. The buffers are then free for the next block."""
-    h = H[:k]
+    trace columns, with the cost E = 1/2 sum(1 - tanh(gamma / 2T)) of each
+    gamma row of ``G`` at its temperature. The buffers are then free for
+    the next block."""
+    h = G[:k]
+    np.divide(h, 2.0 * temps[:k, None], out=h)
     np.tanh(h, out=h)
     np.subtract(1.0, h, out=h)
     E = h.sum(axis=1)
@@ -301,7 +320,7 @@ def _block_trace(blocks, best_epoch, fallback):
 def minimerror_train(patterns, config: TrainingConfig):
     """Annealed minimization of the smoothed error count.
 
-    From a Hebbian start, repeat {normalized full-batch gradient step;
+    From a Hebbian start, repeat {normalized full-batch descent step;
     rescale ||w||^2 = dim; T <- T * t_decay} until T < t_min or max_epochs.
     The asymmetric window applies temperature temp_ratio*T to patterns with
     nonnegative stability and T to the rest; temp_ratio=1 is the plain cost.
@@ -319,8 +338,8 @@ def minimerror_train(patterns, config: TrainingConfig):
     max_epochs = config.max_epochs
     root_dim = math.sqrt(dim)
 
-    H = np.empty((_BLOCK, P))   # row k: h = gamma / 2T of the block's epoch k
-    h_rows = list(H)
+    G = np.empty((_BLOCK, P))   # row k: the stabilities of the block's epoch k
+    g_rows = list(G)
     blocks = []
     temps, errs, stabs = np.empty(_BLOCK), np.empty(_BLOCK, np.int64), np.empty(_BLOCK)
 
@@ -329,26 +348,26 @@ def minimerror_train(patterns, config: TrainingConfig):
     best_w = w.copy()
     T = config.t_initial
     epoch = k = 0
-    # a diverged step is caught by the test below, not by numpy warnings
+    # a diverged step is caught by the test below, and a saturated window
+    # overflows cosh^2 to inf, neither by numpy warnings
     with np.errstate(all="ignore"):
         while T > t_min and epoch < max_epochs:
             if k == _BLOCK:
-                _close_block(blocks, H, k, temps, errs, stabs)
+                _close_block(blocks, G, k, temps, errs, stabs)
                 k = 0
             nw = math.sqrt(np.dot(w, w))
-            gam = np.dot(tXi, w)
+            gam = np.dot(tXi, w, out=g_rows[k])
             gam /= nw
             min_stab = float(gam.min())
             # w enters every epoch rescaled to norm sqrt(dim), so nw is
             # finite exactly when w is; the cost is NaN exactly when a
             # stability is, and then so is their minimum
             if not math.isfinite(nw) or math.isnan(min_stab):
-                _close_block(blocks, H, k, temps, errs, stabs)
+                _close_block(blocks, G, k, temps, errs, stabs)
                 raise TrainingError(f"non-finite state at epoch {epoch}",
                                     _block_trace(blocks, best_epoch, fallback))
             # no stability is <= 0 above a positive minimum
             errors = 0 if min_stab > 0.0 else int(np.count_nonzero(gam <= 0.0))
-            h = np.divide(gam, 2.0 * T, out=h_rows[k])
             temps[k] = T
             errs[k] = errors
             stabs[k] = min_stab
@@ -359,24 +378,25 @@ def minimerror_train(patterns, config: TrainingConfig):
 
             # two-temperature window: theta*T on the well-classified side. It
             # is one temperature for the plain cost and, the common case late
-            # in an anneal, when every pattern is on that side.
-            if theta == 1.0:
-                grad = _gradient(w, nw, tXi, gam, h, T)
-            elif min_stab >= 0.0:
-                grad = _gradient(w, nw, tXi, gam, h / theta, T * theta)
+            # in an anneal, when every pattern is on that side; its 1/theta
+            # then cancels in the step normalization.
+            if theta == 1.0 or min_stab >= 0.0:
+                u = _sech2(gam / (2.0 * T * theta))
             else:
                 r = np.where(gam >= 0.0, theta, 1.0)
-                grad = _gradient(w, nw, tXi, gam, h / r, T * r)
-            gn = math.sqrt(np.dot(grad, grad))
-            if gn > 0.0:
-                grad *= lr / gn
-                w -= grad
+                u = _sech2(gam / (2.0 * T * r))
+                u /= r
+            d = _direction(w, nw, tXi, gam, u)
+            dn = math.sqrt(np.dot(d, d))
+            if dn > 0.0:
+                d *= lr / dn
+                w += d
             w *= root_dim / math.sqrt(np.dot(w, w))
             T *= t_decay
             epoch += 1
             k += 1
 
-    _close_block(blocks, H, k, temps, errs, stabs)
+    _close_block(blocks, G, k, temps, errs, stabs)
     return WeightVector(best_w), _block_trace(blocks, best_epoch, fallback)
 
 

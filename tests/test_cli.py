@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monoplane.cli import _emit_report, main
+from monoplane.cli import _blas_build, _emit_report, main
 
 FAST_CFG = "t_initial=1.0\nt_min=1e-3\nt_decay=0.99\nlearning_rate=0.05\nmax_epochs=2000\n"
 
@@ -57,11 +57,17 @@ class TestTrain:
         assert len(m["dataset_sha256"]) == 64
         assert m["python"] == platform.python_version()
         assert m["numpy"] == np.__version__
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert m["blas"] == f"{blas['name']} {blas['version']}"
         rep = json.loads((out / "report.json").read_text())
         assert rep["learning_set_size"] == 104
         assert "generalization" in rep
         assert rep["generalization"]["counts"]["total"] == len(
             rep["generalization"]["records"])
+
+    def test_blas_is_none_when_numpy_does_not_expose_it(self, monkeypatch):
+        monkeypatch.setattr(np.__config__, "CONFIG", {}, raising=False)
+        assert _blas_build() is None
 
     def test_part_all_has_no_generalization(self, sonar_path, tmp_path,
                                             fast_cfg_path):

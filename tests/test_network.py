@@ -259,6 +259,28 @@ class TestGrowth:
         assert exc.value.trace.units == [2, 0]
         assert exc.value.trace.output_attempts == [(2, 2)]
 
+    def test_zero_field_conventions(self, monkeypatch):
+        """A pattern exactly on a unit's hyperplane is an error without a
+        side to count_errors, a +1 output to the network, and no internal
+        error to growth, which counts with the network's sign."""
+        pats = [LabeledPattern(mu=k, xi=np.array(xi), tau=tau)
+                for k, (xi, tau) in enumerate((([1, 1, 0], +1), ([1, -1, 0], -1),
+                                               ([1, 0, 1], +1)), start=1)]
+        hidden = WeightVector(np.array([0, 1, 0]))
+        output = WeightVector(np.array([0, 1]))
+        assert hidden.w @ pats[2].xi == 0.0
+        assert count_errors(hidden, pats) == (1, 0, 0)
+        model = NetworkModel(hidden=(hidden,), output=output)
+        assert network_output(model, pats[2].xi) == +1
+
+        weights = iter([hidden, output])
+        monkeypatch.setattr(network, "minimerror_train",
+                            lambda patterns, config: (next(weights), None))
+        grown, trace = grow_network(pats, xor_config())
+        assert trace.units == [0]
+        assert trace.output_attempts == [(1, 0)]
+        assert network_output(grown, np.array([p.xi for p in pats])).tolist() == [1, -1, 1]
+
     def test_bound_is_p_minus_1(self, fast_config):
         rng = np.random.default_rng(21)
         pats, _ = make_ls_patterns(rng, n=12, dim=3)

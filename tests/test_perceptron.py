@@ -1,3 +1,4 @@
+import decimal
 import io
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from monoplane import (
     SEPARATION_CONFIG, LabeledPattern, PatternSet, TrainingConfig,
@@ -15,7 +16,7 @@ from monoplane import (
     save_weights, stability,
 )
 from monoplane.perceptron import (
-    _BLOCK, TrainingTrace, _gradient, weights_to_table_text,
+    _BLOCK, TrainingTrace, _gradient, _sech2, weights_to_table_text,
 )
 
 from conftest import make_ls_patterns, xor_patterns
@@ -136,6 +137,27 @@ class TestGradient:
         g = cost_gradient(w, pats, T)
         assert np.linalg.norm(g) < 1e-20
 
+    def test_empty_set_rejected_like_cost(self):
+        w = WeightVector(np.ones(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (cost, cost_gradient):
+                with pytest.raises(ValueError,
+                                   match="^cost of an empty pattern set is undefined$"):
+                    f(w, [], 1.0)
+
+    def test_tiny_temperature_is_finite_without_warnings(self):
+        rng = np.random.default_rng(8)
+        pats, _ = make_ls_patterns(rng, n=30, dim=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in (WeightVector(np.array([0.5, 1.0])),
+                      WeightVector(np.array([-0.5, 1.0]))):
+                assert np.isfinite(cost_gradient(w, two_point_set(), 1e-6)).all()
+            for _ in range(10):
+                w = WeightVector(rng.standard_normal(6))
+                assert np.isfinite(cost_gradient(w, pats, 1e-6)).all()
+
     def test_orthogonal_to_weights(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -163,6 +185,34 @@ def two_temperature_cost(w, Xi, tau, T, ratio):
     gam = tau * (Xi @ w) / np.linalg.norm(w)
     Teff = np.where(gam >= 0.0, ratio * T, T)
     return float(0.5 * np.sum(1.0 - np.tanh(gam / (2.0 * Teff))))
+
+
+def decimal_sech2(x):
+    """sech^2(x) = 4 / (e^x + e^-x)^2 at 40 significant digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        e = decimal.Decimal(x).exp()
+        return float(4 / (e + 1 / e) ** 2)
+
+
+class TestSech2:
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(-300.0, 300.0))
+    @example(x=0.0)
+    @example(x=5e-324)
+    @example(x=-300.0)
+    @example(x=300.0)
+    def test_relative_error_against_decimal(self, x):
+        ref = decimal_sech2(x)
+        assert abs(float(_sech2(np.array([x]))[0]) - ref) <= 1e-14 * ref
+
+    def test_saturated_is_zero_not_nan_or_inf(self):
+        xs = np.array([360.0, 400.0, 709.0, 711.0, 1e5, 1e300, np.inf])
+        xs = np.concatenate([xs, -xs])
+        with np.errstate(over="ignore"):
+            got = _sech2(xs)
+        assert np.isfinite(got).all()
+        assert np.all((got >= 0.0) & (got <= 1e-300))
 
 
 class TestGradientKernel:
@@ -207,6 +257,35 @@ class TestGradientKernel:
         assert np.max(np.abs(g - fd)) <= 1e-5 * max(np.max(np.abs(fd)), 1e-3 / nw)
 
 
+class TestStepDirection:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), P=st.integers(1, 40),
+           dim=st.integers(2, 12), T=st.floats(0.05, 5.0),
+           theta=st.one_of(st.just(1.0), st.floats(0.01, 2.0)))
+    def test_is_the_normalized_negative_gradient(self, seed, P, dim, T, theta):
+        """The epoch's step d/||d|| is -g/||g|| for the gradient g of the
+        outer form at the window temperatures: every factor the epoch
+        drops is a positive constant."""
+        rng = np.random.default_rng(seed)
+        Xi = np.column_stack([np.ones(P), rng.standard_normal((P, dim - 1))])
+        tau = rng.choice([-1.0, 1.0], size=P)
+        w = rng.standard_normal(dim) * rng.uniform(0.1, 10.0)
+        tXi = tau[:, None] * Xi
+        nw = np.linalg.norm(w)
+        gam = (tXi @ w) / nw
+        Teff = np.where(gam >= 0.0, theta * T, T)
+
+        d = reference_direction(w, tXi, T, theta)
+        g = outer_gradient(w, Xi, tau, Teff)
+        dn, gn = np.linalg.norm(d), np.linalg.norm(g)
+        assume(dn > 0.0 and gn > 0.0)
+        # as in TestGradientKernel, round-off is relative to the summed
+        # magnitudes of the gradient's terms, here scaled by 1/||g||
+        c = np.cosh(np.minimum(np.abs(gam / (2.0 * Teff)), 350.0)) ** -2.0 / (4.0 * Teff)
+        scale = (c @ np.abs(tXi)) / nw + (c @ np.abs(gam)) / nw**2 * np.abs(w)
+        assert np.linalg.norm(d / dn + g / gn) <= 1e-12 * np.linalg.norm(scale) / gn
+
+
 class TestHebbian:
     def test_single_pattern_separates_itself(self):
         p = pat([1.0, 0.4, -0.2], +1)
@@ -237,6 +316,22 @@ class TestHebbian:
         assert w1.norm == pytest.approx(np.sqrt(61))
 
 
+def reference_direction(w, tXi, T, theta):
+    """The epoch's unnormalized descent direction at ``w``, one numpy call
+    per step: pattern weights sech^2(gamma / 2 theta T) when every
+    stability is nonnegative, else sech^2(gamma / 2rT) / r with r = theta
+    on the well-classified side and 1 on the other."""
+    nw = math.sqrt(w @ w)
+    gam = (tXi @ w) / nw
+    with np.errstate(over="ignore"):
+        if gam.min() >= 0.0:
+            u = _sech2(gam / (2.0 * T * theta))
+        else:
+            r = np.where(gam >= 0.0, theta, 1.0)
+            u = _sech2(gam / (2.0 * T * r)) / r
+    return u @ tXi - ((u @ gam) / nw) * w
+
+
 def reference_minimerror(patterns, config):
     """The annealing epoch written one numpy call per step, kept as the
     reference for ``minimerror_train``."""
@@ -246,7 +341,6 @@ def reference_minimerror(patterns, config):
     wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
     w = wv.w.copy()
     rows = []
-    theta = config.temp_ratio
     best, best_w, best_epoch = None, w.copy(), -1
     T, epoch = config.t_initial, 0
     while T > config.t_min and epoch < config.max_epochs:
@@ -263,11 +357,10 @@ def reference_minimerror(patterns, config):
         if best is None or (errors, -min_stab) < best:
             best, best_w = (errors, -min_stab), w.copy()
             best_epoch = epoch
-        r = np.where(gam >= 0.0, theta, 1.0)
-        grad = _gradient(w, nw, tXi, gam, h / r, T * r)
-        gn = math.sqrt(grad @ grad)
-        if gn > 0.0:
-            w -= (config.learning_rate / gn) * grad
+        d = reference_direction(w, tXi, T, config.temp_ratio)
+        dn = math.sqrt(d @ d)
+        if dn > 0.0:
+            w += (config.learning_rate / dn) * d
         w *= math.sqrt(dim) / math.sqrt(w @ w)
         T *= config.t_decay
         epoch += 1
