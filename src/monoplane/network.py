@@ -142,7 +142,8 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
     prev_errors = None
 
     while True:
-        w, _ = minimerror_train(PatternSet(Xi, targets, ps.mu), config)
+        # a stall's traceback keeps this frame alive; keep no anneal trace in it
+        w = minimerror_train(PatternSet(Xi, targets, ps.mu), config)[0]
         sigma = _sign(Xi @ w.w)
         errs = int(np.sum(sigma != targets))
         trace.units.append(errs)
@@ -156,7 +157,7 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
         if errs == 0:
             # internal representations (1, sigma_1..H), one row per pattern
             reps = np.column_stack([np.ones(P), *states])
-            out_w, _ = minimerror_train(PatternSet(reps, tau, ps.mu), config)
+            out_w = minimerror_train(PatternSet(reps, tau, ps.mu), config)[0]
             model = NetworkModel(hidden=tuple(units), output=out_w)
             net_errs = int(np.count_nonzero(network_output(model, Xi) != tau))
             trace.output_attempts.append((len(units), net_errs))

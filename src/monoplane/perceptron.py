@@ -20,22 +20,28 @@ ties broken by the larger minimal stability).
 Every trainer and evaluator takes a data.PatternSet (or a LabeledPattern
 sequence, which PatternSet.of packs). The anneal works on its label-folded
 pattern matrix tXi (row mu is tau_mu * xi_mu), derived once per PatternSet,
-so that each epoch is two matrix-vector products:
+with w stored as the last row of the stacked matrix M = [tXi; w]. An epoch
+is then two matrix-vector products:
 
-    gamma = tXi @ w / ||w||                                  stabilities
-    d     = u @ tXi - (u . gamma) w / ||w||                  descent direction
+    M @ w = [tXi @ w, w . w]               gamma = tXi @ w / ||w||
+    d     = [u, -(u . tXi @ w) / (w . w)] @ M
+          = u @ tXi - (u . gamma) w / ||w||                  descent direction
 
 with u_mu = sech^2(gamma_mu / 2T_mu) / r_mu for the window temperatures
 T_mu = r_mu T (r_mu = temp_ratio where gamma_mu >= 0, else 1). The gradient
-of E is -d / (4T ||w||), and the step w += lr d / ||d|| cancels that
-positive factor, so the epoch computes neither it nor the common 1/r_mu of
-a one-temperature window (the plain cost, or every stability nonnegative).
-An epoch counts errors only when the minimal stability is not positive.
+of E is -d / (4T ||w||), and the step w += (lr ||w|| / sqrt(dim)) d / ||d||
+cancels that positive factor, so the epoch computes neither it nor the
+common 1/r_mu of a one-temperature window (the plain cost, or every
+stability nonnegative). The step is a fixed fraction of ||w|| and nothing
+else depends on the scale of w, so w is not rescaled every epoch: it is
+multiplied by an exact power of two when w . w passes 4 dim. An epoch
+counts errors only when the minimal stability is not positive, and takes
+no step when every gamma_mu / 2T_mu is past ~355.6, where sech^2 is 0.
 
 The trace is four columns (temperature, cost, errors, minimal stability).
-The descent never reads the cost, so an epoch computes its gamma in place
-in a row of a block buffer, and the cost column comes from one division by
-2T, one tanh and one row sum per block of _BLOCK epochs.
+The descent never reads the cost, so an epoch writes M @ w in place in a
+row of a block buffer, and the cost column comes from one division by
+2T ||w||, one tanh and one row sum per block of _BLOCK epochs.
 
 A classic fixed-increment perceptron with pocket-style retention is provided
 as a baseline for generalization comparisons.
@@ -200,10 +206,10 @@ def _fields(w: WeightVector, Xi):
     return (Xi @ w.w) / w.norm
 
 
-def _sech2(x):
+def _sech2(x, out=None):
     # 1/cosh^2; past |x| ~355 cosh^2 overflows to inf and sech^2 is 0, so
     # callers run this under np.errstate(over="ignore")
-    c = np.cosh(x)
+    c = np.cosh(x, out=out)
     c *= c
     return np.divide(1.0, c, out=c)
 
@@ -237,21 +243,15 @@ def cost_gradient(w: WeightVector, patterns, T: float):
     return _gradient(w.w, w.norm, tXi, gam, gam / (2.0 * T), T)
 
 
-def _direction(w, nw, tXi, gam, u):
-    """Descent direction u @ tXi - (u . gam) w / nw at weights ``w`` of norm
-    ``nw``, for the stabilities ``gam`` of the folded rows ``tXi`` and one
-    nonnegative weight ``u`` per pattern."""
-    d = np.dot(u, tXi)
-    d -= (np.dot(u, gam) / nw) * w
-    return d
-
-
 def _gradient(w, nw, tXi, gam, h, T):
-    """Gradient of E: the direction with u = sech^2(h) / T, times -1/(4 nw).
+    """Gradient of E at weights ``w`` of norm ``nw``: the descent direction
+    u @ tXi - (u . gam) w / nw with u = sech^2(h) / T, times -1/(4 nw).
     ``T`` is scalar or one temperature per pattern, ``h`` is gam / (2T)."""
     with np.errstate(over="ignore"):
         u = _sech2(h) / T
-    return _direction(w, nw, tXi, gam, u) * (-0.25 / nw)
+    d = np.dot(u, tXi)
+    d -= (np.dot(u, gam) / nw) * w
+    return d * (-0.25 / nw)
 
 
 def hebbian_init(patterns, rng=None):
@@ -301,10 +301,13 @@ _BLOCK = 256
 def _close_block(blocks, G, k, temps, errs, stabs):
     """Append copies of the first ``k`` epochs of a block to ``blocks`` as
     trace columns, with the cost E = 1/2 sum(1 - tanh(gamma / 2T)) of each
-    gamma row of ``G`` at its temperature. The buffers are then free for
-    the next block."""
-    h = G[:k]
-    np.divide(h, 2.0 * temps[:k, None], out=h)
+    row of ``G`` at its temperature. A row is tXi @ w with w . w in its last
+    slot, so gamma / 2T is the rest of the row over 2T sqrt(last slot). The
+    buffers are then free for the next block."""
+    h = G[:k, :-1]
+    s = np.sqrt(G[:k, -1])
+    s *= 2.0 * temps[:k]
+    np.divide(h, s[:, None], out=h)
     np.tanh(h, out=h)
     np.subtract(1.0, h, out=h)
     E = h.sum(axis=1)
@@ -321,25 +324,41 @@ def minimerror_train(patterns, config: TrainingConfig):
     """Annealed minimization of the smoothed error count.
 
     From a Hebbian start, repeat {normalized full-batch descent step;
-    rescale ||w||^2 = dim; T <- T * t_decay} until T < t_min or max_epochs.
-    The asymmetric window applies temperature temp_ratio*T to patterns with
-    nonnegative stability and T to the rest; temp_ratio=1 is the plain cost.
-    Deterministic for a fixed pattern order and config.
+    T <- T * t_decay} until T < t_min or max_epochs, and return the
+    retained weights rescaled to ||w||^2 = dim. The asymmetric window
+    applies temperature temp_ratio*T to patterns with nonnegative stability
+    and T to the rest; temp_ratio=1 is the plain cost. Deterministic for a
+    fixed pattern order and config.
+
+    The step has length lr ||w|| / sqrt(dim), a fixed fraction of ||w||,
+    and everything else the epoch computes is invariant under the scale of
+    w, so w is not rescaled every epoch. When w . w passes 4 dim, w is
+    multiplied by a power of two that brings it below 2 dim: an exact
+    scaling, so every other bit of the anneal stays the same.
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
     ps = PatternSet.of(patterns)
-    tXi = ps.folded
-    P, dim = tXi.shape
+    P, dim = ps.folded.shape
     wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
-    w = wv.w.copy()
+    # w is the last row of M = [tXi; w], so M @ w is tXi @ w and w . w
+    M = np.empty((P + 1, dim))
+    M[:P] = ps.folded
+    w = M[P]
+    w[:] = wv.w
     theta = config.temp_ratio
     lr, t_min, t_decay = config.learning_rate, config.t_min, config.t_decay
     max_epochs = config.max_epochs
     root_dim = math.sqrt(dim)
+    ww_max = 4.0 * dim
 
-    G = np.empty((_BLOCK, P))   # row k: the stabilities of the block's epoch k
-    g_rows = list(G)
+    G = np.empty((_BLOCK, P + 1))   # row k: M @ w at the block's epoch k
+    g_rows = [(row, row[:P]) for row in G]
+    # the pattern weights u, then -(u . tXi @ w) / (w . w), so that
+    # uext @ M = u @ tXi - (u . gamma / ||w||) w
+    uext = np.empty(P + 1)
+    u = uext[:P]
+    d = np.empty(dim)
     blocks = []
     temps, errs, stabs = np.empty(_BLOCK), np.empty(_BLOCK, np.int64), np.empty(_BLOCK)
 
@@ -355,19 +374,26 @@ def minimerror_train(patterns, config: TrainingConfig):
             if k == _BLOCK:
                 _close_block(blocks, G, k, temps, errs, stabs)
                 k = 0
-            nw = math.sqrt(np.dot(w, w))
-            gam = np.dot(tXi, w, out=g_rows[k])
-            gam /= nw
-            min_stab = float(gam.min())
-            # w enters every epoch rescaled to norm sqrt(dim), so nw is
-            # finite exactly when w is; the cost is NaN exactly when a
-            # stability is, and then so is their minimum
+            row, raw = g_rows[k]
+            M.dot(w, out=row)
+            ww = row.item(P)
+            if ww > ww_max:
+                w *= math.ldexp(1.0, -(math.frexp(ww / dim)[1] // 2))
+                M.dot(w, out=row)
+                ww = row.item(P)
+            nw = math.sqrt(ww)
+            # dividing by nw > 0 is monotone, so this is the minimum of the
+            # stabilities raw / nw bit for bit
+            min_stab = float(np.minimum.reduce(raw)) / nw
+            # w . w is kept below 4 dim, so nw is not finite only when the
+            # last step overflowed w or w . w; the cost is NaN exactly when
+            # a stability is, and then so is their minimum
             if not math.isfinite(nw) or math.isnan(min_stab):
                 _close_block(blocks, G, k, temps, errs, stabs)
                 raise TrainingError(f"non-finite state at epoch {epoch}",
                                     _block_trace(blocks, best_epoch, fallback))
             # no stability is <= 0 above a positive minimum
-            errors = 0 if min_stab > 0.0 else int(np.count_nonzero(gam <= 0.0))
+            errors = 0 if min_stab > 0.0 else int(np.count_nonzero(raw <= 0.0))
             temps[k] = T
             errs[k] = errors
             stabs[k] = min_stab
@@ -376,28 +402,43 @@ def minimerror_train(patterns, config: TrainingConfig):
                 best_errors, best_stab, best_epoch = errors, min_stab, epoch
                 best_w = w.copy()
 
-            # two-temperature window: theta*T on the well-classified side. It
-            # is one temperature for the plain cost and, the common case late
-            # in an anneal, when every pattern is on that side; its 1/theta
-            # then cancels in the step normalization.
-            if theta == 1.0 or min_stab >= 0.0:
-                u = _sech2(gam / (2.0 * T * theta))
-            else:
-                r = np.where(gam >= 0.0, theta, 1.0)
-                u = _sech2(gam / (2.0 * T * r))
-                u /= r
-            d = _direction(w, nw, tXi, gam, u)
-            dn = math.sqrt(np.dot(d, d))
-            if dn > 0.0:
-                d *= lr / dn
-                w += d
-            w *= root_dim / math.sqrt(np.dot(w, w))
+            # past gamma / 2T_mu ~355.6 cosh^2 overflows and sech^2 is 0. A
+            # saturated window, every stability above 712 theta T, gives d = 0
+            # and no step.
+            if min_stab < 712.0 * theta * T:
+                # two-temperature window: theta*T on the well-classified side.
+                # It is one temperature for the plain cost and, the common case
+                # late in an anneal, when every pattern is on that side; its
+                # 1/theta then cancels in the step normalization. gamma / 2T_mu
+                # is raw / (2T ||w|| r_mu).
+                s = 2.0 * T * nw
+                if theta == 1.0 or min_stab >= 0.0:
+                    _sech2(np.divide(raw, theta * s, out=u), out=u)
+                else:
+                    r = np.where(raw >= 0.0, theta, 1.0)
+                    _sech2(np.divide(raw, r * s, out=u), out=u)
+                    u /= r
+                uext[P] = -float(u.dot(raw)) / ww
+                uext.dot(M, out=d)
+                dn = math.sqrt(d.dot(d))
+                # d . d underflows once ||d|| < ~1.5e-162, d / ||d|| does not.
+                # Scaled to a largest pattern weight of 1, the weights give the
+                # same direction with every term of it normal, whatever the
+                # scale of w.
+                if dn < 1e-150 and (u_max := float(np.maximum.reduce(u))) > 0.0:
+                    u /= u_max
+                    uext[P] = -float(u.dot(raw)) / ww
+                    uext.dot(M, out=d)
+                    dn = math.sqrt(d.dot(d))
+                if dn > 0.0:
+                    d *= lr * nw / (root_dim * dn)
+                    w += d
             T *= t_decay
             epoch += 1
             k += 1
 
     _close_block(blocks, G, k, temps, errs, stabs)
-    return WeightVector(best_w), _block_trace(blocks, best_epoch, fallback)
+    return WeightVector(best_w).rescaled(), _block_trace(blocks, best_epoch, fallback)
 
 
 def rosenblatt_train(patterns, config: TrainingConfig):

@@ -1,5 +1,6 @@
 import io
 import itertools
+import traceback
 
 import numpy as np
 import pytest
@@ -230,11 +231,16 @@ class TestGrowth:
         assert not any(isinstance(v, TrainingTrace) for v in held)
 
     def test_max_hidden_stall(self):
+        """The stall carries the growth trace; its traceback, which keeps
+        grow_network's frame alive, holds no unit's anneal trace."""
         pats = xor_patterns()
         with pytest.raises(GrowthStallError) as exc:
             grow_network(pats, xor_config(), max_hidden=1)
         assert exc.value.trace is not None
         assert len(exc.value.trace.units) >= 1
+        held = [v for frame, _ in traceback.walk_tb(exc.value.__traceback__)
+                for v in frame.f_locals.values()]
+        assert not any(isinstance(v, TrainingTrace) for v in held)
 
     def test_failed_output_after_errorless_unit_stalls(self, monkeypatch):
         """Units sign(x1) and sign(x2) on XOR are errorless by unit 2 and

@@ -275,7 +275,7 @@ class TestStepDirection:
         gam = (tXi @ w) / nw
         Teff = np.where(gam >= 0.0, theta * T, T)
 
-        d = reference_direction(w, tXi, T, theta)
+        d = reference_direction(np.vstack([tXi, w]), T, theta)
         g = outer_gradient(w, Xi, tau, Teff)
         dn, gn = np.linalg.norm(d), np.linalg.norm(g)
         assume(dn > 0.0 and gn > 0.0)
@@ -316,65 +316,75 @@ class TestHebbian:
         assert w1.norm == pytest.approx(np.sqrt(61))
 
 
-def reference_direction(w, tXi, T, theta):
-    """The epoch's unnormalized descent direction at ``w``, one numpy call
-    per step: pattern weights sech^2(gamma / 2 theta T) when every
-    stability is nonnegative, else sech^2(gamma / 2rT) / r with r = theta
-    on the well-classified side and 1 on the other."""
-    nw = math.sqrt(w @ w)
-    gam = (tXi @ w) / nw
+def reference_direction(M, T, theta):
+    """The epoch's unnormalized descent direction at w = M[-1] for the
+    folded rows tXi = M[:-1], one numpy call per step: pattern weights
+    sech^2(gamma / 2 theta T) when every stability is nonnegative, else
+    sech^2(gamma / 2rT) / r with r = theta on the well-classified side and
+    1 on the other, and -(u . gamma / ||w||) as the weight of w. A
+    direction whose norm is below 1e-150 is recomputed from the pattern
+    weights divided by the largest one."""
+    raw = M @ M[-1]
+    nw = math.sqrt(raw[-1])
+    gam = raw[:-1] / nw
+    s = 2.0 * T * nw
     with np.errstate(over="ignore"):
         if gam.min() >= 0.0:
-            u = _sech2(gam / (2.0 * T * theta))
+            u = _sech2(raw[:-1] / (theta * s))
         else:
             r = np.where(gam >= 0.0, theta, 1.0)
-            u = _sech2(gam / (2.0 * T * r)) / r
-    return u @ tXi - ((u @ gam) / nw) * w
+            u = _sech2(raw[:-1] / (r * s)) / r
+    d = np.append(u, -(u @ raw[:-1]) / raw[-1]) @ M
+    if math.sqrt(d @ d) < 1e-150 and u.max() > 0.0:
+        u = u / u.max()
+        d = np.append(u, -(u @ raw[:-1]) / raw[-1]) @ M
+    return d
 
 
 def reference_minimerror(patterns, config):
     """The annealing epoch written one numpy call per step, kept as the
-    reference for ``minimerror_train``."""
+    reference for ``minimerror_train``. w is the last row of the stacked
+    matrix [tXi; w] and is never renormalized, so it grows by a factor
+    sqrt(1 + lr^2 / dim) an epoch until w . w overflows."""
     ps = PatternSet.of(patterns)
-    tXi = ps.folded
-    dim = tXi.shape[1]
     wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
-    w = wv.w.copy()
+    M = np.vstack([ps.folded, wv.w])
+    w = M[-1]
+    root_dim = math.sqrt(len(w))
     rows = []
     best, best_w, best_epoch = None, w.copy(), -1
     T, epoch = config.t_initial, 0
     while T > config.t_min and epoch < config.max_epochs:
-        nw = math.sqrt(w @ w)
-        gam = (tXi @ w) / nw
+        raw = M @ w
+        nw = math.sqrt(raw[-1])
+        gam = raw[:-1] / nw
         errors = int(np.count_nonzero(gam <= 0.0))
         min_stab = float(gam.min())
-        h = gam / (2.0 * T)
-        E = float(0.5 * np.sum(1.0 - np.tanh(h)))
-        if not math.isfinite(E) or not np.isfinite(w).all():
+        E = float(0.5 * np.sum(1.0 - np.tanh(raw[:-1] / (2.0 * T * nw))))
+        if not math.isfinite(nw) or not math.isfinite(E):
             raise TrainingError(f"non-finite state at epoch {epoch}",
                                 TrainingTrace.from_rows(rows, best_epoch, fallback))
         rows.append((T, E, errors, min_stab))
         if best is None or (errors, -min_stab) < best:
             best, best_w = (errors, -min_stab), w.copy()
             best_epoch = epoch
-        d = reference_direction(w, tXi, T, config.temp_ratio)
+        d = reference_direction(M, T, config.temp_ratio)
         dn = math.sqrt(d @ d)
         if dn > 0.0:
-            w += (config.learning_rate / dn) * d
-        w *= math.sqrt(dim) / math.sqrt(w @ w)
+            w += (config.learning_rate * nw / (root_dim * dn)) * d
         T *= config.t_decay
         epoch += 1
-    return WeightVector(best_w), TrainingTrace.from_rows(rows, best_epoch, fallback)
+    return WeightVector(best_w).rescaled(), TrainingTrace.from_rows(rows, best_epoch, fallback)
 
 
 @st.composite
-def anneal_problems(draw):
+def anneal_problems(draw, max_features=8):
     """(PatternSet, kind): a separable set, random labels, or random labels
     with every row repeated under the opposite label, whose Hebbian mean is
     exactly zero."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     P = draw(st.integers(2, 40))
-    dim = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, max_features))
     kind = draw(st.sampled_from(["separable", "random", "cancelling"]))
     if kind == "separable":
         return PatternSet.of(make_ls_patterns(rng, n=P, dim=dim)[0]), kind
@@ -388,15 +398,15 @@ def anneal_problems(draw):
 
 
 @st.composite
-def anneal_schedules(draw):
-    """Schedules of at most 300 epochs with the plain cost, the separation
-    window or any window ratio in [0.01, 2]."""
+def anneal_schedules(draw, learning_rate=(0.001, 0.5), max_epochs=300):
+    """Schedules of at most ``max_epochs`` epochs with the plain cost, the
+    separation window or any window ratio in [0.01, 2]."""
     return TrainingConfig(
         t_initial=draw(st.floats(0.05, 10.0)),
         t_min=draw(st.floats(1e-4, 1e-2)),
         t_decay=draw(st.floats(0.9, 0.999)),
-        learning_rate=draw(st.floats(0.001, 0.5)),
-        max_epochs=draw(st.integers(1, 300)),
+        learning_rate=draw(st.floats(*learning_rate)),
+        max_epochs=draw(st.integers(1, max_epochs)),
         seed=draw(st.integers(0, 3)),
         temp_ratio=draw(st.one_of(st.just(1.0), st.just(0.02),
                                   st.floats(0.01, 2.0))),
@@ -448,8 +458,8 @@ class TestMinimerror:
 
     @pytest.mark.parametrize("learning_rate", [1e308, 1e200])
     def test_diverged_anneal_stops_at_epoch_1(self, all_std, learning_rate):
-        """The first step overflows the norm, the rescale leaves a zero or
-        NaN vector, and the second epoch's cost is NaN."""
+        """The first step overflows w . w (lr = 1e200) or w itself
+        (lr = 1e308), so the second epoch's norm is not finite."""
         patterns, _ = all_std
         cfg = replace(SEPARATION_CONFIG, learning_rate=learning_rate)
         with warnings.catch_warnings(), \
@@ -475,6 +485,71 @@ class TestMinimerror:
         trace.to_csv(a)
         trace_ref.to_csv(b)
         assert a.getvalue().splitlines() == b.getvalue().splitlines()
+
+    @settings(max_examples=50, deadline=None)
+    @given(problem=anneal_problems(max_features=3),
+           schedule=anneal_schedules(learning_rate=(0.5, 20.0), max_epochs=2000))
+    @example(problem=(PatternSet(np.array([[1.0, 0.3], [1.0, -1.2], [1.0, 0.8]]),
+                                 np.array([1, -1, -1]), np.array([1, 2, 3])),
+                      "random"),
+             schedule=TrainingConfig(t_initial=1.0, t_min=1e-3, t_decay=0.99,
+                                     learning_rate=10.0, max_epochs=2000))
+    def test_renormalization_is_exact_and_bounded(self, problem, schedule):
+        """Steps that grow w . w by 1 + lr^2 / dim an epoch never overflow,
+        the result has ||w||^2 = dim, and the power-of-two rescales change
+        no bit: the run equals the never-renormalized reference loop for as
+        long as that one stays finite."""
+        ps, _ = problem
+        w, trace = minimerror_train(ps, schedule)
+        assert w.w @ w.w == pytest.approx(len(w), rel=1e-12)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                w_ref, trace_ref = reference_minimerror(ps, schedule)
+        except TrainingError as exc:
+            w_ref, trace_ref = None, exc.trace
+        n = len(trace_ref)
+        for name in ("temperature", "cost", "errors", "min_stability"):
+            assert (getattr(trace, name)[:n].tobytes()
+                    == getattr(trace_ref, name).tobytes())
+        if w_ref is not None:
+            assert len(trace) == n
+            assert trace.best_epoch == trace_ref.best_epoch
+            assert w.w.tobytes() == w_ref.w.tobytes()
+
+    def test_step_survives_an_underflowing_direction_norm(self):
+        """With every |gamma / 2T| in (186, 355), d . d underflows to 0
+        though d does not; the epoch still turns w by atan(lr / sqrt(dim))
+        toward the less stable pattern, whose weight sech^2 dominates."""
+        pats = [pat([1.0, 2.0], +1, mu=1), pat([1.0, 1.2], +1, mu=2)]
+        cfg = TrainingConfig(t_initial=0.0036, t_min=1e-3, t_decay=0.99,
+                             learning_rate=0.05, max_epochs=2)
+        _, trace = minimerror_train(pats, cfg)
+        tXi = PatternSet.of(pats).folded
+        w0 = hebbian_init(pats)[0].w
+        w0 = w0 / np.linalg.norm(w0)
+        gam = tXi @ w0
+        for T in trace.temperature:
+            assert np.all((186.0 < gam / (2.0 * T)) & (gam / (2.0 * T) < 355.0))
+        x = tXi[np.argmin(gam)]
+        n = x - (x @ w0) * w0
+        w1 = w0 + (cfg.learning_rate / math.sqrt(2.0)) * n / np.linalg.norm(n)
+        assert trace.min_stability[0] == pytest.approx(gam.min(), rel=1e-12)
+        assert trace.min_stability[1] == pytest.approx(
+            np.min(tXi @ w1) / np.linalg.norm(w1), rel=1e-12)
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_cost_column_is_the_cost_at_the_retained_epoch(self, part, request):
+        """The block cost divides each gamma row by 2T ||w|| itself; at the
+        retained epoch of a separation-schedule run it equals ``cost`` of
+        the returned weights."""
+        patterns, _ = request.getfixturevalue(f"{part}_std")
+        w, trace = request.getfixturevalue(f"trained_{part}_separator")
+        best = trace.best_epoch
+        # beyond 1e-12 relative, each term may differ by one rounding of
+        # tanh near +-1 (2^-53)
+        assert trace.cost[best] == pytest.approx(
+            cost(w, patterns, trace.temperature[best]),
+            rel=1e-12, abs=len(patterns) * 2.0**-53)
 
     @pytest.mark.parametrize("temp_ratio", [1.0, 0.02])
     @pytest.mark.parametrize("epochs", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
