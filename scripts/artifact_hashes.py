@@ -64,8 +64,8 @@ def random_split_text(raw, seed, n_mines=49, n_rocks=55):
     """A split file drawn like perfbench's verify-sweep splits: ``n_mines``
     mines and ``n_rocks`` rocks learn, the rest are held out."""
     rng = np.random.default_rng(seed)
-    mines = [p.mu for p in raw if p.label == data.MINE]
-    rocks = [p.mu for p in raw if p.label == data.ROCK]
+    mines = raw.mu[raw.tau == -1].tolist()
+    rocks = raw.mu[raw.tau == 1].tolist()
     learn = set(rng.choice(mines, n_mines, replace=False).tolist())
     learn |= set(rng.choice(rocks, n_rocks, replace=False).tolist())
     held = sorted(set(mines + rocks) - learn)

@@ -139,7 +139,7 @@ def _prepare_run(args):
     path, patterns, train, test, split_source = _load_parts(args, args.features)
     config = _load_config(args.config, args.seed)
     learn_raw, eval_raw = {"train": (train, test), "test": (test, train),
-                           "all": (patterns, [])}[args.part]
+                           "all": (patterns, patterns.take([]))}[args.part]
     if not learn_raw:
         raise UsageError(f"part {args.part!r} selects no patterns")
     stats = dataio.compute_stats(

@@ -1,10 +1,11 @@
 """Sonar benchmark ingestion: CSV parsing, train/test division, standardization.
 
 The benchmark file is plain CSV: 60 reals in [0, 1] followed by a class token
-(R for rock, M for mine), one pattern per line. Patterns are numbered mu =
-1..n in file order. The default division sends mu 1..104 to the learning part
-and mu 105..208 to the generalization part; a split file with ``[train]`` /
-``[test]`` sections overrides that when the distribution order differs.
+(R for rock, M for mine), one pattern per line. A file is read into one
+``RawSet``, its patterns numbered mu = 1..n in file order. The default division
+sends mu 1..104 to the learning part and mu 105..208 to the generalization part;
+a split file with ``[train]`` / ``[test]`` sections overrides that when the
+distribution order differs.
 
 Standardization is the per-feature z-score
 
@@ -14,11 +15,14 @@ with mean and scale computed over a chosen learning set only. ``scale`` is
 the population standard deviation by default; ``variance`` mode divides by
 the mean squared deviation instead and is kept selectable because the two
 conventions are easy to confuse and produce very different geometry.
+``compute_stats`` and ``standardize`` are the one path from a ``RawSet`` to
+the ``PatternSet`` that trainers and evaluators read.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +30,7 @@ import numpy as np
 ROCK = "R"
 MINE = "M"
 
-_LABEL_ALIASES = {
-    "R": ROCK, "ROCK": ROCK,
-    "M": MINE, "MINE": MINE,
-}
+_LABEL_TAU = {"R": +1, "ROCK": +1, "M": -1, "MINE": -1}
 
 
 class ParseError(ValueError):
@@ -46,7 +47,7 @@ class StatsError(ValueError):
 
 @dataclass(frozen=True)
 class RawPattern:
-    """One benchmark pattern as read from disk, before standardization."""
+    """One row of a RawSet, as indexing or iterating it yields."""
 
     mu: int
     features: tuple
@@ -69,11 +70,34 @@ class LabeledPattern:
 
 
 @dataclass(frozen=True, eq=False)
+class RawSet:
+    """Benchmark patterns as read from disk, before standardization: row k
+    of the float ``(P, n)`` matrix ``X`` holds the features of the pattern
+    numbered ``mu[k]``, and ``tau[k]`` is its label as parsed (rock +1,
+    mine -1). Indexing and iteration yield RawPattern rows."""
+
+    X: np.ndarray
+    tau: np.ndarray
+    mu: np.ndarray
+
+    def take(self, rows):
+        """The RawSet of the rows that ``rows`` selects, in that order."""
+        return RawSet(self.X[rows], self.tau[rows], self.mu[rows])
+
+    def __len__(self):
+        return len(self.tau)
+
+    def __getitem__(self, k):
+        return RawPattern(mu=int(self.mu[k]), features=tuple(self.X[k].tolist()),
+                          label=ROCK if self.tau[k] > 0 else MINE)
+
+
+@dataclass(frozen=True, eq=False)
 class PatternSet:
-    """Standardized patterns packed as arrays: row k of ``Xi`` is the
-    pattern numbered ``mu[k]`` (``Xi[k, 0]`` is the bias coordinate 1) and
-    ``tau[k]`` is its +-1 label. Indexing and iteration yield
-    LabeledPattern rows."""
+    """Standardized patterns packed as arrays, as ``standardize`` returns
+    them: row k of ``Xi`` is the pattern numbered ``mu[k]`` (``Xi[k, 0]`` is
+    the bias coordinate 1) and ``tau[k]`` is its +-1 label. Indexing and
+    iteration yield LabeledPattern rows."""
 
     Xi: np.ndarray
     tau: np.ndarray
@@ -114,17 +138,17 @@ class SplitSpec:
 
 
 def parse_sonar_file(lines, n_features=60, require_unit_range=True):
-    """Parse a benchmark text stream into RawPatterns numbered in file order.
+    """Parse a benchmark text stream into a RawSet numbered in file order.
 
     ``lines`` is any iterable of text lines (an open file works). Malformed
     lines raise ParseError naming the 1-based line number. Values outside
     [0, 1] raise unless ``require_unit_range`` is False, which permits
-    non-benchmark data such as bundled toy fixtures.
+    non-benchmark data such as bundled toy fixtures; a value that is not
+    finite raises either way.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
-    patterns = []
-    mu = 0
+    rows, taus = [], []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -139,8 +163,8 @@ def parse_sonar_file(lines, n_features=60, require_unit_range=True):
             values = [float(p) for p in parts[:-1]]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: unparseable number ({exc})") from None
-        label = _LABEL_ALIASES.get(parts[-1].upper())
-        if label is None:
+        tau = _LABEL_TAU.get(parts[-1].upper())
+        if tau is None:
             raise ParseError(f"line {lineno}: unknown class label {parts[-1]!r}")
         if require_unit_range:
             for i, v in enumerate(values):
@@ -149,9 +173,15 @@ def parse_sonar_file(lines, n_features=60, require_unit_range=True):
                         f"line {lineno}: feature {i + 1} value {v} outside [0, 1] "
                         f"(pass require_unit_range=False to accept)"
                     )
-        mu += 1
-        patterns.append(RawPattern(mu=mu, features=tuple(values), label=label))
-    return patterns
+        else:
+            for i, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise ParseError(f"line {lineno}: feature {i + 1} value {v} "
+                                     f"is not finite")
+        rows.append(values)
+        taus.append(tau)
+    return RawSet(X=np.array(rows, dtype=float).reshape(len(rows), n_features),
+                  tau=np.array(taus, dtype=int), mu=np.arange(1, len(rows) + 1))
 
 
 def load_file(path, n_features=60, require_unit_range=True):
@@ -160,18 +190,19 @@ def load_file(path, n_features=60, require_unit_range=True):
                                 require_unit_range=require_unit_range)
 
 
-def default_split(patterns):
+def default_split(raw):
     """The benchmark division by absolute index: mu 1..104 vs mu 105..208."""
-    mus = {p.mu for p in patterns}
+    mus = raw.mu.tolist()
     return SplitSpec(
         train_indices=frozenset(m for m in mus if m <= 104),
         test_indices=frozenset(m for m in mus if m > 104),
     )
 
 
-def split(patterns, spec):
-    """Divide patterns per ``spec``, preserving file order within each part."""
-    mus = {p.mu for p in patterns}
+def split(raw, spec):
+    """Divide a RawSet per ``spec`` into two, preserving file order within
+    each part."""
+    mus = set(raw.mu.tolist())
     missing = sorted((spec.train_indices | spec.test_indices) - mus)
     if missing:
         raise SplitError(f"split references indices outside the dataset: {missing}")
@@ -181,9 +212,8 @@ def split(patterns, spec):
     uncovered = sorted(mus - (spec.train_indices | spec.test_indices))
     if uncovered:
         raise SplitError(f"split does not cover indices: {uncovered}")
-    train = [p for p in patterns if p.mu in spec.train_indices]
-    test = [p for p in patterns if p.mu in spec.test_indices]
-    return train, test
+    return tuple(raw.take(np.isin(raw.mu, list(part)))
+                 for part in (spec.train_indices, spec.test_indices))
 
 
 def parse_split_file(lines):
@@ -217,14 +247,20 @@ def load_split_file(path):
         return parse_split_file(fh)
 
 
-def _matrix_stats(X, mode):
-    """``compute_stats`` of a ``(P, n)`` feature matrix."""
-    if X.shape[0] == 0:
+def compute_stats(raw, mode="std"):
+    """Per-feature mean and scale over a learning set, a RawSet.
+
+    mode="std": scale is the population standard deviation (divisor P).
+    mode="variance": scale is the mean squared deviation, i.e. no square
+    root. A zero scale (constant feature) is an error rather than a silent
+    divide-by-zero.
+    """
+    if len(raw) == 0:
         raise StatsError("cannot compute statistics of an empty pattern list")
     if mode not in ("std", "variance"):
         raise StatsError(f"unknown scale mode {mode!r}")
-    mean = X.mean(axis=0)
-    var = ((X - mean) ** 2).mean(axis=0)
+    mean = raw.X.mean(axis=0)
+    var = ((raw.X - mean) ** 2).mean(axis=0)
     scale = np.sqrt(var) if mode == "std" else var
     zeros = np.where(scale == 0.0)[0]
     if zeros.size:
@@ -235,52 +271,16 @@ def _matrix_stats(X, mode):
     return StandardizationStats(mean=mean, scale=scale)
 
 
-def _standardized(X, stats):
-    """The ``(P, 1+n)`` pattern matrix of a ``(P, n)`` feature matrix in the
-    coordinates of ``stats``: column 0 is the bias coordinate 1."""
-    Xi = np.empty((X.shape[0], X.shape[1] + 1), dtype=float)
-    Xi[:, 0] = 1.0
-    Xi[:, 1:] = (X - stats.mean) / stats.scale
-    return Xi
-
-
-def _labels(patterns, flip_labels):
-    """tau of each RawPattern as an int array: rock -> +1, mine -> -1,
-    swapped by ``flip_labels``."""
-    rock = -1 if flip_labels else +1
-    return np.array([rock if p.label == ROCK else -rock for p in patterns], dtype=int)
-
-
-def compute_stats(patterns, mode="std"):
-    """Per-feature mean and scale over a learning set.
-
-    mode="std": scale is the population standard deviation (divisor P).
-    mode="variance": scale is the mean squared deviation, i.e. no square
-    root. A zero scale (constant feature) is an error rather than a silent
-    divide-by-zero.
-    """
-    return _matrix_stats(np.array([p.features for p in patterns], dtype=float), mode)
-
-
-def standardize(patterns, stats, flip_labels=False):
-    """Map RawPatterns to a PatternSet in the coordinates of ``stats``.
+def standardize(raw, stats, flip_labels=False):
+    """Map a RawSet to a PatternSet in the coordinates of ``stats``.
 
     xi[0] = 1 (bias coordinate), xi[i] = (features[i-1] - mean) / scale.
     Labels map rock -> +1 and mine -> -1 unless ``flip_labels``.
     """
     n = len(stats.mean)
-    for p in patterns:
-        if len(p.features) != n:
-            raise StatsError(
-                f"pattern mu={p.mu} has {len(p.features)} features, "
-                f"stats cover {n}"
-            )
-    X = np.array([p.features for p in patterns], dtype=float).reshape(len(patterns), n)
-    return PatternSet(Xi=_standardized(X, stats), tau=_labels(patterns, flip_labels),
-                      mu=np.array([p.mu for p in patterns], dtype=int))
-
-
-def class_counts(patterns):
-    """(rocks, mines) tally of RawPatterns."""
-    rocks = sum(p.label == ROCK for p in patterns)
-    return rocks, len(patterns) - rocks
+    if raw.X.shape[1] != n:
+        raise StatsError(f"patterns have {raw.X.shape[1]} features, stats cover {n}")
+    Xi = np.empty((len(raw), n + 1), dtype=float)
+    Xi[:, 0] = 1.0
+    Xi[:, 1:] = (raw.X - stats.mean) / stats.scale
+    return PatternSet(Xi=Xi, tau=-raw.tau if flip_labels else raw.tau, mu=raw.mu)

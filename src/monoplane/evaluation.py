@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .data import PatternSet, _labels, _matrix_stats, _standardized
+from .data import PatternSet, RawSet, compute_stats, standardize
 from .perceptron import (
     TrainingConfig, WeightVector, _error_counts, _fields, count_errors, field,
     load_weights, minimerror_train, rosenblatt_train,
@@ -182,7 +182,7 @@ def separability_probe(patterns, budget: TrainingConfig) -> ProbeVerdict:
 
 
 def paper_layout_numbering(train, test):
-    """Renumber patterns in the published convention.
+    """Renumber the patterns of two RawSets in the published convention.
 
     The published tables number the learning part 1..104 and the
     generalization part 105..208, mines before rocks within each part
@@ -190,9 +190,8 @@ def paper_layout_numbering(train, test):
     """
     order = []
     for part in (train, test):
-        order.extend(sorted((p for p in part if p.label == "M"), key=lambda p: p.mu))
-        order.extend(sorted((p for p in part if p.label == "R"), key=lambda p: p.mu))
-    return {p.mu: k + 1 for k, p in enumerate(order)}
+        order.extend(part.mu[np.lexsort((part.mu, part.tau))].tolist())
+    return {m: k + 1 for k, m in enumerate(order)}
 
 
 STANDARDIZATION_MODES = (
@@ -226,30 +225,28 @@ def mode_parts(train_raw, test_raw, flip_labels=False):
     ``PUBLISHED_NAMES`` order, the Test part in Train-stats coordinates,
     the Train part in Test-stats coordinates, and every pattern in full-set
     coordinates; the ``all`` modes use the full-set statistics throughout.
-    The raw parts are packed once. Each part keeps file order, the full set
-    is in file mu order, and ``mu`` holds each pattern's number in the
-    paper's layout."""
-    all_raw = sorted(train_raw + test_raw, key=lambda p: p.mu)
-    X = np.array([p.features for p in all_raw], dtype=float)
-    tau = _labels(all_raw, flip_labels)
+    Each part keeps its row order, the full set is in file mu order, and
+    ``mu`` holds each pattern's number in the paper's layout."""
     layout = paper_layout_numbering(train_raw, test_raw)
-    mu = np.array([layout[p.mu] for p in all_raw], dtype=int)
-    row = {p.mu: k for k, p in enumerate(all_raw)}
-    train_rows, test_rows = (np.array([row[p.mu] for p in part], dtype=int)
-                             for part in (train_raw, test_raw))
+    mu = np.concatenate((train_raw.mu, test_raw.mu))
+    numbered = RawSet(np.concatenate((train_raw.X, test_raw.X)),
+                      np.concatenate((train_raw.tau, test_raw.tau)),
+                      np.array([layout[m] for m in mu.tolist()], dtype=int))
+    n_train = len(train_raw)
+    train, test = numbered.take(slice(n_train)), numbered.take(slice(n_train, None))
+    full = numbered.take(np.argsort(mu, kind="stable"))
     parts = {}
     for mode_name, stats_from, scale in STANDARDIZATION_MODES:
-        stats_all = _matrix_stats(X, scale)
+        stats_all = compute_stats(full, scale)
         if stats_from == "part":
-            stats_train = _matrix_stats(X[train_rows], scale)
-            stats_test = (_matrix_stats(X[test_rows], scale) if test_rows.size
-                          else stats_train)
+            stats_train = compute_stats(train, scale)
+            stats_test = compute_stats(test, scale) if len(test) else stats_train
         else:
             stats_train = stats_test = stats_all
         parts[mode_name] = tuple(
-            PatternSet(_standardized(X[rows], stats), tau[rows], mu[rows])
-            for rows, stats in ((test_rows, stats_train), (train_rows, stats_test),
-                                (slice(None), stats_all)))
+            standardize(raw, stats, flip_labels)
+            for raw, stats in ((test, stats_train), (train, stats_test),
+                               (full, stats_all)))
     return parts
 
 

@@ -468,7 +468,7 @@ def rosenblatt_train(patterns, config: TrainingConfig):
     with np.errstate(all="ignore"):
         for epoch in range(config.max_epochs):
             for trow in trows:
-                if np.dot(trow, w) <= 0.0:
+                if trow.dot(w) <= 0.0:
                     w = w + config.learning_rate * trow
             nw = np.linalg.norm(w)
             if nw == 0.0:

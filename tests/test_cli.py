@@ -108,6 +108,18 @@ class TestTrain:
                     "--out", str(tmp_path / "o")]) == 2
         assert "expected 60 values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    def test_non_finite_feature_exit_2(self, tmp_path, capsys, value):
+        """--any-range lifts the [0, 1] check, not the finiteness check."""
+        data = tmp_path / "bad.csv"
+        data.write_text(f"0.1,{value},R\n0.3,0.4,M\n")
+        out = tmp_path / "o"
+        assert run(["train", "--dataset", str(data), "--features", "2",
+                    "--any-range", "--part", "all", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: feature 2 ") and "not finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, message", [
         ("bogus=1", "unknown config key 'bogus'"),
         ("t_decay=2", "need 0 < t_decay < 1"),

@@ -3,29 +3,43 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoplane import (
-    ParseError, PatternSet, RawPattern, SplitError, SplitSpec, StatsError,
+    ParseError, PatternSet, RawSet, SplitError, SplitSpec, StatsError,
     compute_stats, default_split, parse_sonar_file, parse_split_file,
     split, standardize,
 )
-from monoplane.data import _matrix_stats, _standardized, class_counts
 
 
 def _toy_lines(rows):
     return "\n".join(",".join(str(v) for v in r) for r in rows)
 
 
+def _class_counts(raw):
+    """(rocks, mines) tally of a RawSet."""
+    rocks = int(np.count_nonzero(raw.tau == 1))
+    return rocks, len(raw) - rocks
+
+
+def _raw_set(rows, labels):
+    """A RawSet of feature rows and "R"/"M" labels, numbered from 1."""
+    return RawSet(X=np.array(rows, dtype=float).reshape(len(rows), -1),
+                  tau=np.array([1 if lab == "R" else -1 for lab in labels]),
+                  mu=np.arange(1, len(rows) + 1))
+
+
 class TestParse:
     def test_benchmark_counts(self, raw_patterns):
         assert len(raw_patterns) == 208
-        rocks, mines = class_counts(raw_patterns)
+        rocks, mines = _class_counts(raw_patterns)
         assert (rocks, mines) == (97, 111)
+        assert raw_patterns.X.shape == (208, 60)
 
     def test_mu_is_file_order(self, raw_patterns):
-        assert [p.mu for p in raw_patterns] == list(range(1, 209))
+        assert raw_patterns.mu.tolist() == list(range(1, 209))
 
     def test_empty_file(self):
-        assert parse_sonar_file("") == []
-        assert parse_sonar_file("\n\n") == []
+        for text in ("", "\n\n"):
+            raw = parse_sonar_file(text)
+            assert len(raw) == 0 and raw.X.shape == (0, 60)
 
     def test_wrong_arity_names_line(self):
         good = ",".join(["0.1"] * 60) + ",R"
@@ -41,14 +55,25 @@ class TestParse:
     def test_case_insensitive_labels(self):
         lines = (",".join(["0.1"] * 60) + ",r\n" + ",".join(["0.2"] * 60) + ",m")
         pats = parse_sonar_file(lines)
-        assert [p.label for p in pats] == ["R", "M"]
+        assert pats.tau.tolist() == [1, -1]
 
     def test_range_check_default_and_override(self):
         line = ",".join(["1.5"] + ["0.1"] * 59) + ",R"
         with pytest.raises(ParseError, match=r"outside \[0, 1\]"):
             parse_sonar_file(line)
         pats = parse_sonar_file(line, require_unit_range=False)
-        assert pats[0].features[0] == 1.5
+        assert pats.X[0, 0] == 1.5
+
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    def test_non_finite_feature_rejected_in_any_range(self, value):
+        line = ",".join(["0.1", "0.2", value] + ["0.1"] * 57) + ",R"
+        with pytest.raises(ParseError) as exc:
+            parse_sonar_file("\n" + line, require_unit_range=False)
+        assert str(exc.value) == (f"line 2: feature 3 value {float(value)} "
+                                  f"is not finite")
+        # the unit-range check rejects it with its own message
+        with pytest.raises(ParseError, match=r"line 2: feature 3 .* outside \[0, 1\]"):
+            parse_sonar_file("\n" + line)
 
     def test_unparseable_number(self):
         line = ",".join(["abc"] + ["0.1"] * 59) + ",R"
@@ -60,20 +85,20 @@ class TestSplit:
     def test_default_split_indices(self, raw_patterns):
         spec = default_split(raw_patterns)
         train, test = split(raw_patterns, spec)
-        assert [p.mu for p in train] == list(range(1, 105))
-        assert [p.mu for p in test] == list(range(105, 209))
+        assert train.mu.tolist() == list(range(1, 105))
+        assert test.mu.tolist() == list(range(105, 209))
 
     def test_balanced_split_reproduces_published_class_table(self, balanced_parts):
         train, test = balanced_parts
-        assert class_counts(train) == (55, 49)
-        assert class_counts(test) == (42, 62)
+        assert _class_counts(train) == (55, 49)
+        assert _class_counts(test) == (42, 62)
         assert len(train) == len(test) == 104
 
     def test_degenerate_all_train(self, raw_patterns):
         spec = SplitSpec(train_indices=frozenset(range(1, 209)),
                          test_indices=frozenset())
         train, test = split(raw_patterns, spec)
-        assert len(train) == 208 and test == []
+        assert len(train) == 208 and len(test) == 0
 
     def test_out_of_range_index(self, raw_patterns):
         spec = SplitSpec(train_indices=frozenset([1, 300]),
@@ -85,7 +110,7 @@ class TestSplit:
         spec = SplitSpec(train_indices=frozenset([5, 2, 150]),
                          test_indices=frozenset(set(range(1, 209)) - {5, 2, 150}))
         train, _ = split(raw_patterns, spec)
-        assert [p.mu for p in train] == [2, 5, 150]
+        assert train.mu.tolist() == [2, 5, 150]
 
     def test_uncovered_indices_rejected(self, raw_patterns):
         spec = SplitSpec(train_indices=frozenset([1]), test_indices=frozenset([2]))
@@ -107,6 +132,45 @@ class TestSplitFile:
     def test_bad_integer(self):
         with pytest.raises(ParseError, match="integer"):
             parse_split_file("[train]\nx7\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), P=st.integers(1, 40), n=st.integers(1, 4))
+    def test_partition_round_trip(self, data, P, n):
+        """A partition of 1..P written as a split file, with comments and
+        blank lines, parses back to itself, and ``split`` selects exactly
+        its rows of the source set in file order."""
+        in_train = data.draw(st.lists(st.booleans(), min_size=P, max_size=P))
+        want = {"train": [m for m in range(1, P + 1) if in_train[m - 1]],
+                "test": [m for m in range(1, P + 1) if not in_train[m - 1]]}
+        filler = st.sampled_from(("", "   ", "# a comment", "  # indented"))
+        lines = [data.draw(filler)]
+        for section in data.draw(st.permutations(("train", "test"))):
+            lines.append(data.draw(st.sampled_from(
+                (f"[{section}]", f"[ {section.upper()} ]", f"[{section}]  # part"))))
+            for m in data.draw(st.permutations(want[section])):
+                lines.append(data.draw(st.sampled_from((f"{m}", f"  {m}  # mu"))))
+                lines.append(data.draw(filler))
+        spec = parse_split_file("\n".join(lines))
+        assert spec == SplitSpec(train_indices=frozenset(want["train"]),
+                                 test_indices=frozenset(want["test"]))
+
+        rows = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                                  min_size=P, max_size=P))
+        labels = data.draw(st.lists(st.sampled_from("RM"), min_size=P, max_size=P))
+        raw = parse_sonar_file(_toy_lines([[*r, lab] for r, lab in zip(rows, labels)]),
+                               n_features=n)
+        source = np.array(rows, dtype=float)
+        for part, name in zip(split(raw, spec), ("train", "test")):
+            assert part.mu.tolist() == want[name]
+            k = np.array(want[name], dtype=int) - 1
+            assert part.X.shape == (len(k), n)
+            assert part.X.tobytes() == source[k].tobytes()
+            assert part.tau.tobytes() == raw.tau[k].tobytes()
+            for j, row in enumerate(part):
+                m = want[name][j]
+                assert type(row.mu) is int and row.mu == m
+                assert row.label == labels[m - 1] == ("R" if part.tau[j] == 1 else "M")
+                assert row.features == tuple(rows[m - 1])
 
 
 class TestStats:
@@ -131,7 +195,7 @@ class TestStats:
 
     def test_empty_list(self):
         with pytest.raises(StatsError, match="empty"):
-            compute_stats([])
+            compute_stats(parse_sonar_file(""))
 
     def test_constant_feature_named(self):
         rows = [[0.5, 0.1] + [0.2] * 58 + ["R"],
@@ -160,9 +224,10 @@ class TestStandardize:
 
     def test_label_mapping_and_flip(self, raw_patterns, all_std):
         _, stats = all_std
-        std = standardize(raw_patterns[:1], stats)
+        first = raw_patterns.take(slice(1))
+        std = standardize(first, stats)
         assert std[0].tau == +1           # first benchmark pattern is a rock
-        flipped = standardize(raw_patterns[:1], stats, flip_labels=True)
+        flipped = standardize(first, stats, flip_labels=True)
         assert flipped[0].tau == -1
 
     def test_feature_at_mean_maps_to_zero(self):
@@ -174,9 +239,9 @@ class TestStandardize:
 
     def test_dimension_mismatch(self, all_std):
         _, stats = all_std
-        bad = RawPattern(mu=1, features=(0.1, 0.2), label="R")
+        bad = _raw_set([(0.1, 0.2)], "R")
         with pytest.raises(StatsError, match="features"):
-            standardize([bad], stats)
+            standardize(bad, stats)
 
     def test_test_part_means_nonzero_under_train_stats(self, test_std_train_stats):
         """Statistics come from the learning set only, so the held-out part
@@ -186,8 +251,8 @@ class TestStandardize:
 
 
 class TestArrayStandardization:
-    """The array helpers behind ``compute_stats`` and ``standardize`` give the
-    bits of the matrix statistics and of the per-pattern z-score."""
+    """``compute_stats`` and ``standardize`` give the bits of the matrix
+    statistics and of the per-pattern z-score."""
 
     @staticmethod
     def _reference_stats(rows, mode):
@@ -204,52 +269,48 @@ class TestArrayStandardization:
             st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
             min_size=P, max_size=P))
         labels = data.draw(st.lists(st.sampled_from("RM"), min_size=P, max_size=P))
-        pats = [RawPattern(mu=k + 1, features=tuple(r), label=lab)
-                for k, (r, lab) in enumerate(zip(rows, labels))]
+        pats = _raw_set(rows, labels)
         mean, scale = self._reference_stats(rows, mode)
         zeros = np.flatnonzero(scale == 0.0)
         if zeros.size:
             message = (f"constant feature(s) {', '.join(str(i + 1) for i in zeros)}: "
                        f"scale would be zero")
-            for fn in (lambda: compute_stats(pats, mode=mode),
-                       lambda: _matrix_stats(np.array(rows), mode)):
-                with pytest.raises(StatsError) as exc:
-                    fn()
-                assert str(exc.value) == message
+            with pytest.raises(StatsError) as exc:
+                compute_stats(pats, mode=mode)
+            assert str(exc.value) == message
             return
         stats = compute_stats(pats, mode=mode)
         assert stats.mean.tobytes() == mean.tobytes()
         assert stats.scale.tobytes() == scale.tobytes()
-        Xi = _standardized(np.array(rows), stats)
         std = standardize(pats, stats, flip_labels=flip)
-        for k, (p, q) in enumerate(zip(pats, std)):
+        assert len(std) == P
+        for k, (r, lab, q) in enumerate(zip(rows, labels, std)):
             xi = np.empty(n + 1)
             xi[0] = 1.0
-            xi[1:] = (np.asarray(p.features) - stats.mean) / stats.scale
-            assert q.xi.tobytes() == xi.tobytes() == Xi[k].tobytes()
-            tau = +1 if p.label == "R" else -1
-            assert (q.mu, q.tau) == (p.mu, -tau if flip else tau)
+            xi[1:] = (np.asarray(r, dtype=float) - stats.mean) / stats.scale
+            assert q.xi.tobytes() == xi.tobytes()
+            tau = +1 if lab == "R" else -1
+            assert (q.mu, q.tau) == (k + 1, -tau if flip else tau)
 
     @pytest.mark.parametrize("mode", ("std", "variance"))
     def test_constant_feature_message(self, mode):
-        pats = [RawPattern(mu=1, features=(0.5, 0.1, 0.3), label="R"),
-                RawPattern(mu=2, features=(0.5, 0.9, 0.3), label="M")]
+        pats = _raw_set([(0.5, 0.1, 0.3), (0.5, 0.9, 0.3)], "RM")
         with pytest.raises(StatsError) as exc:
             compute_stats(pats, mode=mode)
         assert str(exc.value) == "constant feature(s) 1, 3: scale would be zero"
 
     def test_feature_count_mismatch_message(self):
-        pats = [RawPattern(mu=1, features=(0.1, 0.2), label="R"),
-                RawPattern(mu=2, features=(0.9, 0.4), label="M")]
+        pats = _raw_set([(0.1, 0.2), (0.9, 0.4)], "RM")
         stats = compute_stats(pats)
-        bad = pats + [RawPattern(mu=3, features=(0.1, 0.2, 0.3), label="R")]
+        # a raw set is one matrix, so the width mismatch is the whole set's
+        bad = _raw_set([(0.1, 0.2, 0.3)], "R")
         with pytest.raises(StatsError) as exc:
             standardize(bad, stats)
-        assert str(exc.value) == "pattern mu=3 has 3 features, stats cover 2"
+        assert str(exc.value) == "patterns have 3 features, stats cover 2"
 
-    def test_empty_part_standardizes_to_nothing(self, all_std):
+    def test_empty_part_standardizes_to_nothing(self, raw_patterns, all_std):
         _, stats = all_std
-        assert len(standardize([], stats)) == 0
+        assert len(standardize(raw_patterns.take([]), stats)) == 0
 
 
 class TestPatternSet:

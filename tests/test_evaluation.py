@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from monoplane import (
-    LabeledPattern, WeightVector, compute_stats, cosine, count_errors, evaluate,
-    load_published_table, load_published_weights, load_weights,
+    LabeledPattern, RawSet, WeightVector, compute_stats, cosine, count_errors,
+    evaluate, load_published_table, load_published_weights, load_weights,
     separability_probe, stability, standardize, verify_published,
 )
 from monoplane import evaluation
@@ -175,13 +175,13 @@ class TestLayoutNumbering:
         layout = paper_layout_numbering(train, test)
         assert sorted(layout.values()) == list(range(1, 209))
         # mines of the learning part take 1..49, its rocks 50..104
-        train_mines = sorted(p.mu for p in train if p.label == "M")
+        train_mines = sorted(train.mu[train.tau == -1].tolist())
         assert [layout[m] for m in train_mines] == list(range(1, 50))
-        train_rocks = sorted(p.mu for p in train if p.label == "R")
+        train_rocks = sorted(train.mu[train.tau == 1].tolist())
         assert [layout[m] for m in train_rocks] == list(range(50, 105))
-        test_mines = sorted(p.mu for p in test if p.label == "M")
+        test_mines = sorted(test.mu[test.tau == -1].tolist())
         assert [layout[m] for m in test_mines] == list(range(105, 167))
-        test_rocks = sorted(p.mu for p in test if p.label == "R")
+        test_rocks = sorted(test.mu[test.tau == 1].tolist())
         assert [layout[m] for m in test_rocks] == list(range(167, 209))
 
 
@@ -206,7 +206,7 @@ class TestModeSweep:
         at a time from the same seeded stream."""
         train, test = balanced_parts
         mode_name, stats_from, scale = mode
-        full = sorted(train + test, key=lambda p: p.mu)
+        full = _full_set(train, test)
         if stats_from == "part":
             stats_tr = compute_stats(train, mode=scale)
             stats_te = compute_stats(test, mode=scale)
@@ -238,19 +238,26 @@ class TestModeSweep:
             mode_parts(train, test)[extras["closest_mode"]])
 
 
+def _full_set(train, test):
+    """The rows of two RawSets as one RawSet in mu order."""
+    X, tau, mu = (np.concatenate((a, b)) for a, b in
+                  ((train.X, test.X), (train.tau, test.tau), (train.mu, test.mu)))
+    return RawSet(X, tau, mu).take(np.argsort(mu))
+
+
 def _random_balanced_split(raw, seed, n_mines=49, n_rocks=55):
     rng = np.random.default_rng(seed)
-    mines = [p.mu for p in raw if p.label == "M"]
-    rocks = [p.mu for p in raw if p.label == "R"]
+    mines = raw.mu[raw.tau == -1].tolist()
+    rocks = raw.mu[raw.tau == 1].tolist()
     learn = set(rng.choice(mines, n_mines, replace=False).tolist())
     learn |= set(rng.choice(rocks, n_rocks, replace=False).tolist())
-    return ([p for p in raw if p.mu in learn],
-            [p for p in raw if p.mu not in learn])
+    in_learn = np.isin(raw.mu, list(learn))
+    return raw.take(in_learn), raw.take(~in_learn)
 
 
 def _reference_mode_sets(train, test, stats_from, scale, flip_labels):
     """The three sets of a mode standardized one pattern at a time."""
-    full = sorted(train + test, key=lambda p: p.mu)
+    full = _full_set(train, test)
     stats_all = compute_stats(full, mode=scale)
     if stats_from == "part":
         stats_tr = compute_stats(train, mode=scale)
@@ -261,10 +268,10 @@ def _reference_mode_sets(train, test, stats_from, scale, flip_labels):
 
     def std(part, stats):
         return [LabeledPattern(
-            mu=p.mu,
-            xi=np.concatenate(([1.0], (np.asarray(p.features) - stats.mean)
-                               / stats.scale)),
-            tau=sign * (1 if p.label == "R" else -1)) for p in part]
+            mu=int(mu),
+            xi=np.concatenate(([1.0], (x - stats.mean) / stats.scale)),
+            tau=sign * (1 if t == 1 else -1))
+            for x, t, mu in zip(part.X, part.tau.tolist(), part.mu)]
     return std(test, stats_tr), std(train, stats_te), std(full, stats_all)
 
 
@@ -377,16 +384,38 @@ class TestArrayVerify:
         assert len(calls) <= 3
 
     def test_verify_builds_no_pattern_lists(self, balanced_parts, monkeypatch):
-        """Neither ``standardize`` nor ``count_errors`` runs in verify, under
-        any name a monoplane module binds them to."""
+        """Verify builds no per-pattern row (``RawPattern`` or
+        ``LabeledPattern``) and never runs ``count_errors``, under any name a
+        monoplane module binds them to."""
         def boom(*args, **kwargs):
             raise AssertionError("called on the verify path")
         for name in ("monoplane", "monoplane.data", "monoplane.perceptron",
                      "monoplane.evaluation", "monoplane.cli"):
             module = importlib.import_module(name)
-            for fn in ("standardize", "count_errors"):
+            for fn in ("RawPattern", "LabeledPattern", "count_errors"):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, boom)
         train, test = balanced_parts
         exit_ok, results, _ = verify_published(train, test)
         assert not exit_ok and len(results) == 4
+
+    def test_mode_parts_standardizes_through_public_functions(self, balanced_parts,
+                                                              monkeypatch):
+        """Every set ``mode_parts`` returns is a ``standardize`` result in
+        coordinates that ``compute_stats`` returned, so wrappers of the two
+        public functions see all of verify's standardization."""
+        made_stats, used_stats, made_sets = [], [], []
+
+        def stats(*args, **kwargs):
+            made_stats.append(compute_stats(*args, **kwargs))
+            return made_stats[-1]
+
+        def std(raw, coords, *args, **kwargs):
+            used_stats.append(coords)
+            made_sets.append(standardize(raw, coords, *args, **kwargs))
+            return made_sets[-1]
+        monkeypatch.setattr(evaluation, "compute_stats", stats)
+        monkeypatch.setattr(evaluation, "standardize", std)
+        parts = mode_parts(*balanced_parts)
+        assert [s for sets in parts.values() for s in sets] == made_sets
+        assert all(any(u is m for m in made_stats) for u in used_stats)
