@@ -226,7 +226,8 @@ def mode_parts(train_raw, test_raw, flip_labels=False):
     the Train part in Test-stats coordinates, and every pattern in full-set
     coordinates; the ``all`` modes use the full-set statistics throughout.
     Each part keeps its row order, the full set is in file mu order, and
-    ``mu`` holds each pattern's number in the paper's layout."""
+    ``mu`` holds each pattern's number in the paper's layout. The full set
+    is standardized once per scale, and both modes of that scale share it."""
     layout = paper_layout_numbering(train_raw, test_raw)
     mu = np.concatenate((train_raw.mu, test_raw.mu))
     numbered = RawSet(np.concatenate((train_raw.X, test_raw.X)),
@@ -235,18 +236,21 @@ def mode_parts(train_raw, test_raw, flip_labels=False):
     n_train = len(train_raw)
     train, test = numbered.take(slice(n_train)), numbered.take(slice(n_train, None))
     full = numbered.take(np.argsort(mu, kind="stable"))
+    full_sets = {}      # scale: (full-set stats, full set in them)
     parts = {}
     for mode_name, stats_from, scale in STANDARDIZATION_MODES:
-        stats_all = compute_stats(full, scale)
+        if scale not in full_sets:
+            stats = compute_stats(full, scale)
+            full_sets[scale] = stats, standardize(full, stats, flip_labels)
+        stats_all, full_set = full_sets[scale]
         if stats_from == "part":
             stats_train = compute_stats(train, scale)
             stats_test = compute_stats(test, scale) if len(test) else stats_train
         else:
             stats_train = stats_test = stats_all
-        parts[mode_name] = tuple(
-            standardize(raw, stats, flip_labels)
-            for raw, stats in ((test, stats_train), (train, stats_test),
-                               (full, stats_all)))
+        parts[mode_name] = (standardize(test, stats_train, flip_labels),
+                            standardize(train, stats_test, flip_labels),
+                            full_set)
     return parts
 
 

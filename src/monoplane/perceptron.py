@@ -37,6 +37,9 @@ else depends on the scale of w, so w is not rescaled every epoch: it is
 multiplied by an exact power of two when w . w passes 4 dim. An epoch
 counts errors only when the minimal stability is not positive, and takes
 no step when every gamma_mu / 2T_mu is past ~355.6, where sech^2 is 0.
+Such an epoch freezes the anneal: w never moves again and T only falls, so
+the remaining epochs repeat its row, and they are filled a block at a time
+instead of being run one by one.
 
 The trace is four columns (temperature, cost, errors, minimal stability).
 The descent never reads the cost, so an epoch writes M @ w in place in a
@@ -50,6 +53,7 @@ as a baseline for generalization comparisons.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -183,9 +187,21 @@ class TrainingTrace:
 
     def to_csv(self, stream):
         stream.write("epoch,temperature,cost,errors,min_stability\n")
+        # a run of bitwise-equal minimal stabilities (the rows of a frozen
+        # anneal) shares one repr, made only when the run is reached, so at
+        # most one run's text is alive; the int64 view keeps 0.0 and -0.0
+        # apart
+        stab = self.min_stability
+        bits = stab.view(np.int64)
+        new = np.ones(len(bits), dtype=bool)
+        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        stab_text = itertools.chain.from_iterable(map(
+            itertools.repeat, map(repr, stab[starts].tolist()),
+            np.diff(starts, append=len(bits)).tolist()))
         rows = zip(self.temperature.tolist(), self.cost.tolist(),
-                   self.errors.tolist(), self.min_stability.tolist())
-        stream.writelines(f"{i},{T!r},{E!r},{errors},{stab!r}\n"
+                   self.errors.tolist(), stab_text)
+        stream.writelines(f"{i},{T!r},{E!r},{errors},{stab}\n"
                           for i, (T, E, errors, stab) in enumerate(rows))
 
 
@@ -335,6 +351,12 @@ def minimerror_train(patterns, config: TrainingConfig):
     w, so w is not rescaled every epoch. When w . w passes 4 dim, w is
     multiplied by a power of two that brings it below 2 dim: an exact
     scaling, so every other bit of the anneal stays the same.
+
+    From the first epoch whose every stability is at least 712 temp_ratio
+    T, the window is saturated and no later epoch moves w, changes the
+    minimal stability or displaces the retained epoch. The remaining trace
+    rows are then filled a block at a time, each with its own temperature
+    and cost, and the trace keeps one row per epoch.
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
@@ -365,6 +387,7 @@ def minimerror_train(patterns, config: TrainingConfig):
     best_epoch = -1     # best (errors, -min_stability), lexicographic
     best_errors = best_stab = None
     best_w = w.copy()
+    frozen = None       # M @ w of the first epoch that took no step
     T = config.t_initial
     epoch = k = 0
     # a diverged step is caught by the test below, and a saturated window
@@ -374,6 +397,25 @@ def minimerror_train(patterns, config: TrainingConfig):
             if k == _BLOCK:
                 _close_block(blocks, G, k, temps, errs, stabs)
                 k = 0
+            if frozen is not None:
+                # w no longer moves, so every remaining epoch repeats the
+                # frozen row at its own T: fill the rest of the block with
+                # the temperatures T *= t_decay gives, up to the first one
+                # at or below t_min. An equal stability never takes over
+                # the retained epoch.
+                n = min(_BLOCK - k, max_epochs - epoch)
+                t = np.full(n + 1, t_decay)
+                t[0] = T
+                np.multiply.accumulate(t, out=t)
+                n = int(np.argmax(t <= t_min)) or n
+                temps[k:k + n] = t[:n]
+                G[k:k + n] = frozen
+                errs[k:k + n] = errors
+                stabs[k:k + n] = min_stab
+                T = float(t[n])
+                epoch += n
+                k += n
+                continue
             row, raw = g_rows[k]
             M.dot(w, out=row)
             ww = row.item(P)
@@ -433,6 +475,9 @@ def minimerror_train(patterns, config: TrainingConfig):
                 if dn > 0.0:
                     d *= lr * nw / (root_dim * dn)
                     w += d
+            else:
+                # _close_block overwrites G, so keep the row
+                frozen = row.copy()
             T *= t_decay
             epoch += 1
             k += 1

@@ -417,5 +417,27 @@ class TestArrayVerify:
         monkeypatch.setattr(evaluation, "compute_stats", stats)
         monkeypatch.setattr(evaluation, "standardize", std)
         parts = mode_parts(*balanced_parts)
-        assert [s for sets in parts.values() for s in sets] == made_sets
+        returned = {id(s) for sets in parts.values() for s in sets}
+        assert returned == {id(s) for s in made_sets}
+        assert len(returned) == len(made_sets)
         assert all(any(u is m for m in made_stats) for u in used_stats)
+
+    def test_verify_standardizes_the_full_set_once_per_scale(self, balanced_parts,
+                                                             monkeypatch):
+        """A verify computes the 6 distinct statistics (Train part, Test
+        part and full set, per scale) and makes the 10 distinct sets; both
+        modes of a scale share the full set."""
+        calls = {"compute_stats": 0, "standardize": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(evaluation, "compute_stats", counted(compute_stats))
+        monkeypatch.setattr(evaluation, "standardize", counted(standardize))
+        verify_published(*balanced_parts)
+        assert calls == {"compute_stats": 6, "standardize": 10}
+        parts = mode_parts(*balanced_parts)
+        assert parts["part-std"][2] is parts["all-std"][2]
+        assert parts["part-variance"][2] is parts["all-variance"][2]

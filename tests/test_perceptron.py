@@ -574,6 +574,88 @@ class TestMinimerror:
         trace_ref.to_csv(b)
         assert a.getvalue().splitlines() == b.getvalue().splitlines()
 
+    @pytest.mark.parametrize("temp_ratio", [1.0, 0.02])
+    @pytest.mark.parametrize("freeze, max_epochs, stop", [
+        (0, 2 * _BLOCK + 5, None),              # a saturated Hebbian start
+        (_BLOCK, 3 * _BLOCK + 17, None),        # slot 0, max_epochs in the fill
+        (2 * _BLOCK - 1, 3 * _BLOCK + 17, None),  # slot _BLOCK - 1
+        (100, 3 * _BLOCK, None),                # the fill ends on a boundary
+        (100, 100000, 2 * _BLOCK + 44),         # t_min in the fill
+        (2 * _BLOCK + 9, 2 * _BLOCK + 10, None),  # frozen on the last epoch
+    ], ids=["start", "slot-0", "last-slot", "boundary", "t_min", "last-epoch"])
+    def test_frozen_fill_matches_reference_loop(self, freeze, max_epochs, stop,
+                                                temp_ratio):
+        """An anneal that freezes at a chosen epoch (every stability at least
+        712 temp_ratio T from then on) equals the reference loop, which runs
+        every epoch, bit for bit in every trace column, the retained epoch
+        and the weights. A tiny step keeps the minimal stability within
+        1e-6 of its start, so a start T of that stability over 712
+        temp_ratio, times t_decay^(1/2 - freeze), freezes the run at
+        ``freeze``; a t_min half a decay above epoch ``stop``'s temperature
+        ends it there."""
+        rng = np.random.default_rng(freeze)
+        n, dim = 30, 5
+        tau = rng.choice([-1, 1], size=n)
+        x = rng.standard_normal((n, dim)) * 0.2
+        x[:, 0] = tau * (1.0 + np.abs(x[:, 0]))
+        ps = PatternSet(np.column_stack([np.ones(n), x]), tau, np.arange(1, n + 1))
+        w0 = hebbian_init(ps)[0].w
+        s = float(np.min(ps.folded @ w0)) / np.linalg.norm(w0)
+        assert s > 0.0
+        t_decay = 0.99
+        t0 = s / (712.0 * temp_ratio) * t_decay ** (0.5 - freeze)
+        schedule = TrainingConfig(
+            t_initial=t0, t_decay=t_decay, learning_rate=1e-9,
+            t_min=1e-300 if stop is None else t0 * t_decay ** (stop - 0.5),
+            max_epochs=max_epochs, temp_ratio=temp_ratio)
+        w, trace = minimerror_train(ps, schedule)
+        w_ref, trace_ref = reference_minimerror(ps, schedule)
+        frozen = trace_ref.min_stability >= (712.0 * temp_ratio
+                                             * trace_ref.temperature)
+        assert len(trace_ref) == (max_epochs if stop is None else stop)
+        assert frozen[freeze:].all() and not frozen[:freeze].any()
+        for name in ("temperature", "cost", "errors", "min_stability"):
+            assert (getattr(trace, name).tobytes()
+                    == getattr(trace_ref, name).tobytes())
+        assert trace.best_epoch == trace_ref.best_epoch
+        assert w.w.tobytes() == w_ref.w.tobytes()
+
+    def test_train_separator_stays_frozen(self, trained_train_separator):
+        """From the first epoch of the Train-part separation run whose every
+        stability is at least 712 theta T, no step is taken: each of the
+        remaining 34,400 rows has the same minimal stability bits and no
+        error, and the retained epoch comes before them."""
+        _, trace = trained_train_separator
+        theta = SEPARATION_CONFIG.temp_ratio
+        frozen = trace.min_stability >= 712.0 * theta * trace.temperature
+        first = int(np.argmax(frozen))
+        assert frozen[first:].all()
+        assert len(trace) - first == 34400
+        bits = trace.min_stability[first:].view(np.int64)
+        assert (bits == bits[0]).all()
+        assert not trace.errors[first:].any()
+        assert trace.best_epoch < first
+
+    def test_csv_matches_a_per_row_repr_writer(self):
+        """Minimal stabilities that share one repr per run of equal bits
+        write the text of a per-row repr: 0.0 next to -0.0, NaN runs and a
+        long repeated run included."""
+        stabs = ([0.0, -0.0, -0.0, 0.0, float("nan"), float("nan"), 1.5]
+                 + [0.1 + 0.2] * 600 + [0.3, float("nan"), -0.0, 5e-324])
+        rows = [(0.999 ** i, i / 7.0, i % 3, v) for i, v in enumerate(stabs)]
+        trace = TrainingTrace.from_rows(rows, best_epoch=2)
+        want = "epoch,temperature,cost,errors,min_stability\n" + "".join(
+            f"{i},{T!r},{E!r},{errors},{stab!r}\n"
+            for i, (T, E, errors, stab) in enumerate(rows))
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        assert buf.getvalue() == want
+        for short in (TrainingTrace.from_rows([]), TrainingTrace.from_rows(rows[:1])):
+            buf = io.StringIO()
+            short.to_csv(buf)
+            assert want.startswith(buf.getvalue())
+            assert buf.getvalue().count("\n") == len(short) + 1
+
     def test_trace_is_compact_and_typed(self):
         """A default-schedule trace keeps at most 64 bytes per epoch, and
         writes its rows as Python floats and ints."""
