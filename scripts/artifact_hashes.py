@@ -19,7 +19,11 @@ lives. ``verify`` also runs on seeded random class-balanced splits written
 into that root, because only splits other than the bundled one exercise
 the mapping of rows to the paper's layout numbers. ``grow`` also runs on
 parity-3 and parity-4 files written there: parity 3 grows three hidden
-units, parity 4 stalls with several units trained.
+units, parity 4 stalls with several units trained. ``train`` and ``verify``
+also run on edited copies of the sonar file written there: one malformed
+field, label or value each, so that every parser diagnostic is hashed, and
+two well-formed files, one in a loose layout and one with a number that
+only Python's ``float`` reads.
 """
 
 from __future__ import annotations
@@ -58,6 +62,17 @@ XOR = ["grow", "--dataset", "xor.csv", "--features", "2", "--part", "all",
 RANDOM_SPLIT_SEEDS = (1, 2, 3, 4)
 # bit counts of the parity problems grow also runs on
 PARITY_BITS = (3, 4)
+# sonar file variants: (field, token) written into line 101, None drops the field
+VARIANT_LINE = 100
+VARIANT_EDITS = {
+    "fields": (6, None),
+    "label": (60, "Q"),
+    "range": (6, "1.5"),
+    "token": (6, "abc"),
+    "nan": (6, "nan"),
+    "underscore": (6, "0.1_5"),
+}
+VARIANTS = (*VARIANT_EDITS, "loose")
 
 
 def random_split_text(raw, seed, n_mines=49, n_rocks=55):
@@ -78,6 +93,32 @@ def parity_text(n):
     and R otherwise (``xor.csv`` is the case n = 2)."""
     return "".join(",".join(map(str, bits)) + (",M\n" if sum(bits) % 2 else ",R\n")
                    for bits in itertools.product((0, 1), repeat=n))
+
+
+def variant_texts(text):
+    """``{variant: text}``: the sonar file with one field of line 101
+    edited per ``VARIANT_EDITS``, and ``loose``, the same patterns with
+    blank lines, spaces and tabs around the values, and word or lower-case
+    labels."""
+    lines = text.splitlines()
+    out = {}
+    for name, (field, token) in VARIANT_EDITS.items():
+        fields = lines[VARIANT_LINE].split(",")
+        if token is None:
+            del fields[field]
+        else:
+            fields[field] = token
+        edited = [*lines[:VARIANT_LINE], ",".join(fields), *lines[VARIANT_LINE + 1:]]
+        out[name] = "\n".join(edited) + "\n"
+    loose = ["", "  "]
+    for k, line in enumerate(lines):
+        *values, label = line.split(",")
+        label = ("rock" if label == "R" else "mine", label.lower(), f" {label} ")[k % 3]
+        loose.append((",", " , ", ",\t")[k % 3].join(values + [label]))
+        if k % 50 == 49:
+            loose.append("\t")
+    out["loose"] = "\n".join(loose) + "\n"
+    return out
 
 
 def run_matrix():
@@ -118,6 +159,15 @@ def run_matrix():
     runs.append(("report", ["report", "train-train-json/weights.txt",
                             "train-test-json/weights.txt",
                             "grow-xor-json/network.txt"]))
+    for variant in VARIANTS:
+        for command in ("train", "verify"):
+            name = f"{command}-{variant}"
+            runs.append((name, [command, "--dataset", f"sonar-{variant}.csv",
+                                "--split-file", "balanced.split", "--out", name]))
+    # the finiteness check that --any-range keeps
+    runs.append(("train-nan-any-range", ["train", "--dataset", "sonar-nan.csv",
+                                         "--split-file", "balanced.split",
+                                         "--any-range", "--out", "train-nan-any-range"]))
     return runs
 
 
@@ -135,6 +185,8 @@ def hashes(root: Path):
         (root / f"random{seed}.split").write_text(random_split_text(raw, seed))
     for n in PARITY_BITS:
         (root / f"parity{n}.csv").write_text(parity_text(n))
+    for variant, text in variant_texts((root / "sonar.all-data").read_text()).items():
+        (root / f"sonar-{variant}.csv").write_text(text)
     out = {}
     for name, argv in run_matrix():
         stdout, stderr = io.StringIO(), io.StringIO()

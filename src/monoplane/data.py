@@ -140,14 +140,23 @@ class SplitSpec:
 def parse_sonar_file(lines, n_features=60, require_unit_range=True):
     """Parse a benchmark text stream into a RawSet numbered in file order.
 
-    ``lines`` is any iterable of text lines (an open file works). Malformed
-    lines raise ParseError naming the 1-based line number. Values outside
-    [0, 1] raise unless ``require_unit_range`` is False, which permits
-    non-benchmark data such as bundled toy fixtures; a value that is not
-    finite raises either way.
+    ``lines`` is a string or any iterable of text lines (an open file works).
+    Blank lines are skipped. Malformed lines raise ParseError naming the
+    1-based line number. Values outside [0, 1] raise unless
+    ``require_unit_range`` is False, which permits non-benchmark data such
+    as bundled toy fixtures; a value that is not finite raises either way.
+
+    The values are read by numpy's C text reader in one call. When a line
+    fails a check, or holds a number that only Python's ``float`` accepts
+    (such as ``0.1_5``), the file is read again line by line, which names
+    the first bad line or returns the same RawSet.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
+    lines = list(lines)
+    raw = _read_table(lines, n_features, require_unit_range)
+    if raw is not None:
+        return raw
     rows, taus = [], []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -182,6 +191,33 @@ def parse_sonar_file(lines, n_features=60, require_unit_range=True):
         taus.append(tau)
     return RawSet(X=np.array(rows, dtype=float).reshape(len(rows), n_features),
                   tau=np.array(taus, dtype=int), mu=np.arange(1, len(rows) + 1))
+
+
+def _read_table(lines, n_features, require_unit_range):
+    """The RawSet of ``lines`` from one ``np.loadtxt`` call, or None when a
+    line fails a check of ``parse_sonar_file``'s line loop or the reader
+    rejects a value."""
+    body = [line for line in lines if line.strip()]
+    if not body:
+        return None  # loadtxt warns on no data; the line loop reads none
+    taus = []
+    for line in body:
+        tau = _LABEL_TAU.get(line.rsplit(",", 1)[-1].strip().upper())
+        # usecols ignores extra fields, so the comma count is the field check
+        if tau is None or line.count(",") != n_features:
+            return None
+        taus.append(tau)
+    try:
+        # comments=None: a "#" is part of a value, which the loop rejects
+        X = np.loadtxt(body, delimiter=",", usecols=range(n_features),
+                       dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # NaN fails both comparisons, as it fails 0.0 <= v <= 1.0 in the loop
+    ok = (X >= 0.0) & (X <= 1.0) if require_unit_range else np.isfinite(X)
+    if not ok.all():
+        return None
+    return RawSet(X=X, tau=np.array(taus, dtype=int), mu=np.arange(1, len(body) + 1))
 
 
 def load_file(path, n_features=60, require_unit_range=True):

@@ -116,6 +116,10 @@ class TrainingConfig:
     temp_ratio: float = 1.0
 
     def __post_init__(self):
+        for name in ("t_initial", "t_min", "learning_rate", "temp_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"need a finite {name}, got {value}")
         if not (self.t_initial >= self.t_min > 0):
             raise ValueError("need t_initial >= t_min > 0")
         if not (0 < self.t_decay < 1):

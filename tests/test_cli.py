@@ -123,7 +123,8 @@ class TestTrain:
     @pytest.mark.parametrize("line, message", [
         ("bogus=1", "unknown config key 'bogus'"),
         ("t_decay=2", "need 0 < t_decay < 1"),
-    ], ids=["unknown-key", "bad-value"])
+        ("learning_rate = nan", "bad --config: need a finite learning_rate, got nan"),
+    ], ids=["unknown-key", "bad-value", "non-finite"])
     def test_bad_config_file_exit_2(self, sonar_path, tmp_path, capsys,
                                     line, message):
         cfg = tmp_path / "bad.cfg"
@@ -132,6 +133,7 @@ class TestTrain:
                     "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,12 +1,17 @@
+import io
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoplane import (
     ParseError, PatternSet, RawSet, SplitError, SplitSpec, StatsError,
-    compute_stats, default_split, parse_sonar_file, parse_split_file,
-    split, standardize,
+    compute_stats, default_split, load_file, parse_sonar_file,
+    parse_split_file, split, standardize,
 )
+from monoplane.data import _read_table
 
 
 def _toy_lines(rows):
@@ -26,6 +31,113 @@ def _raw_set(rows, labels):
                   mu=np.arange(1, len(rows) + 1))
 
 
+_LABEL_TAU = {"R": +1, "ROCK": +1, "M": -1, "MINE": -1}
+
+
+def _reference_parse(lines, n_features=60, require_unit_range=True):
+    """The line-at-a-time parser that ``parse_sonar_file`` must agree with:
+    the same RawSet bits, or a ParseError with the same text."""
+    if isinstance(lines, str):
+        lines = lines.splitlines()
+    rows, taus = [], []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != n_features + 1:
+            raise ParseError(
+                f"line {lineno}: expected {n_features} values plus a label, "
+                f"got {len(parts)} fields"
+            )
+        try:
+            values = [float(p) for p in parts[:-1]]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: unparseable number ({exc})") from None
+        tau = _LABEL_TAU.get(parts[-1].upper())
+        if tau is None:
+            raise ParseError(f"line {lineno}: unknown class label {parts[-1]!r}")
+        if require_unit_range:
+            for i, v in enumerate(values):
+                if not 0.0 <= v <= 1.0:
+                    raise ParseError(
+                        f"line {lineno}: feature {i + 1} value {v} outside [0, 1] "
+                        f"(pass require_unit_range=False to accept)"
+                    )
+        else:
+            for i, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise ParseError(f"line {lineno}: feature {i + 1} value {v} "
+                                     f"is not finite")
+        rows.append(values)
+        taus.append(tau)
+    return RawSet(X=np.array(rows, dtype=float).reshape(len(rows), n_features),
+                  tau=np.array(taus, dtype=int), mu=np.arange(1, len(rows) + 1))
+
+
+_PAD = st.sampled_from(["", " ", "\t", "  ", " \t"])
+_VALUE = st.one_of(
+    st.floats(0.0, 1.0).map(lambda v: f"{v:.4f}"),
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from(["0", "1", "+.5", "1e-1", "0.0", "-0.0", "1.0"]),
+)
+_LABEL = st.sampled_from(["R", "M", "r", "m", "rock", "mine", " Mine ", "ROCK"])
+# tokens that one check or the other rejects, and some that only float() reads
+_BAD_VALUE = st.one_of(
+    st.sampled_from(["0.1_5", "abc", "", "nan", "inf", "-inf", "1.0001", "0.1#2",
+                     "#0.1", "-0.5", "1e400", "0x1p-1", "0.5 0.5", '"0.5"',
+                     "\u00a00.5", "\u0660.5", "0.5\x00", "Infinity", "+nan"]),
+    st.text(alphabet="0123456789.+-eE_ \t\x0b\x0c\xa0#naifINF\"", max_size=6),
+)
+
+
+@st.composite
+def _sonar_file(draw):
+    """(lines, n_features, defect): a well-formed benchmark file with blank
+    lines mixed in, then at most one defect in one of its pattern lines."""
+    n = draw(st.one_of(st.integers(1, 6), st.just(60)))
+    # a row repeats up to 6 drawn cells, which keeps 60-feature files cheap
+    cells = st.lists(st.tuples(_PAD, _VALUE, _PAD).map("".join),
+                     min_size=1, max_size=min(n, 6))
+    rows = draw(st.lists(st.tuples(
+        cells.map(lambda c: [c[i % len(c)] for i in range(n)]), _LABEL), max_size=6))
+    defect = draw(st.sampled_from([None, "extra", "missing", "label", "value"])
+                  if rows else st.none())
+    if defect is not None:
+        k = draw(st.integers(0, len(rows) - 1))
+        values, label = rows[k]
+        if defect == "extra":
+            values = values + ["0.5"]
+        elif defect == "missing":
+            values = values[:-1]
+        elif defect == "label":
+            label = draw(st.sampled_from(["Q", "", "rocks", "R M", "1"]))
+        else:
+            values = list(values)
+            field = draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+            values[field] = draw(_BAD_VALUE)
+        rows[k] = values, label
+    lines = [",".join(values + [label]) for values, label in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t", "  \t "])))
+    return lines, n, defect
+
+
+def _outcome(parse, lines, kind, n, require_unit_range):
+    """A parse of ``lines`` passed as a str, a list or an open file, as
+    comparable values: the RawSet's bits or the ParseError's text."""
+    source = {"str": lambda: "\n".join(lines),
+              "list": lambda: list(lines),
+              "file": lambda: io.StringIO("".join(f"{line}\n" for line in lines))}[kind]()
+    try:
+        raw = parse(source, n_features=n, require_unit_range=require_unit_range)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return (raw.X.shape, raw.X.dtype, raw.X.view(np.int64).tolist(),
+            raw.tau.tolist(), raw.mu.tolist())
+
+
 class TestParse:
     def test_benchmark_counts(self, raw_patterns):
         assert len(raw_patterns) == 208
@@ -36,6 +148,7 @@ class TestParse:
     def test_mu_is_file_order(self, raw_patterns):
         assert raw_patterns.mu.tolist() == list(range(1, 209))
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_file(self):
         for text in ("", "\n\n"):
             raw = parse_sonar_file(text)
@@ -79,6 +192,48 @@ class TestParse:
         line = ",".join(["abc"] + ["0.1"] * 59) + ",R"
         with pytest.raises(ParseError, match="line 1"):
             parse_sonar_file(line)
+
+    @pytest.mark.parametrize("token", [
+        "0.1_5", "abc", "", "nan", "inf", "-inf", "1.0001", "0.1#2", "0.5 #",
+        "#0.1", "1e400", "-0.0", " +.5\t"])
+    def test_each_bad_value_matches_line_loop(self, token):
+        """One token in the first, a middle or the last field of one line:
+        the same outcome as the reference loop in every mode and input kind."""
+        good = ["0.25,0.5,0.75,R", "", "1,0,0.125, mine"]
+        for field in range(3):
+            values = good[2].split(",")
+            values[field] = token
+            lines = good[:2] + [",".join(values)] + good[:1]
+            for require_unit_range in (True, False):
+                for kind in ("str", "list", "file"):
+                    assert (_outcome(parse_sonar_file, lines, kind, 3, require_unit_range)
+                            == _outcome(_reference_parse, lines, kind, 3,
+                                        require_unit_range))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_sonar_file(), kind=st.sampled_from(["str", "list", "file"]),
+           require_unit_range=st.booleans())
+    def test_matches_line_loop(self, case, kind, require_unit_range):
+        """Every file gives the reference loop's RawSet bits or ParseError
+        text; a well-formed one is read by the C reader."""
+        lines, n, defect = case
+        assert (_outcome(parse_sonar_file, lines, kind, n, require_unit_range)
+                == _outcome(_reference_parse, lines, kind, n, require_unit_range))
+        if defect is None and any(line.strip() for line in lines):
+            assert _read_table(lines, n, require_unit_range) is not None
+
+    def test_canonical_file_takes_c_reader(self, sonar_path):
+        """Read in one numpy call, the canonical file's parse peaks well
+        below the line loop's, whose per-line float lists outlive the loop
+        beside the finished matrix."""
+        load_file(sonar_path)
+        tracemalloc.start()
+        try:
+            raw = load_file(sonar_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * raw.X.nbytes
 
 
 class TestSplit:

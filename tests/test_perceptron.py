@@ -799,6 +799,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainingConfig(temp_ratio=0.0)
 
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("name", ("t_initial", "t_min", "learning_rate",
+                                      "temp_ratio"))
+    def test_non_finite_knob_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^need a finite {name}, got {value}$"):
+            TrainingConfig(**{name: value})
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "cfg"
         p.write_text("t_initial = 2.5\nseed=7\n# comment\ntemp_ratio=0.5\n")
