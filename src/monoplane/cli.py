@@ -193,6 +193,7 @@ def cmd_train(args):
                             "false_neg": train_errors[2]},
         "best_epoch": trace.best_epoch,
         "epochs_run": len(trace),
+        "stop": trace.stop,
         "hebbian_fallback": trace.hebbian_fallback,
     }
     if evalp:

@@ -37,9 +37,9 @@ else depends on the scale of w, so w is not rescaled every epoch: it is
 multiplied by an exact power of two when w . w passes 4 dim. An epoch
 counts errors only when the minimal stability is not positive, and takes
 no step when every gamma_mu / 2T_mu is past ~355.6, where sech^2 is 0.
-Such an epoch freezes the anneal: w never moves again and T only falls, so
-the remaining epochs repeat its row, and they are filled a block at a time
-instead of being run one by one.
+Such an epoch ends the anneal: w would never move again and T only falls,
+so no later epoch could change w, the minimal stability or the retained
+epoch. The trace ends with that epoch and says why the anneal stopped.
 
 The trace is four columns (temperature, cost, errors, minimal stability).
 The descent never reads the cost, so an epoch writes M @ w in place in a
@@ -53,7 +53,6 @@ as a baseline for generalization comparisons.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -116,6 +115,11 @@ class TrainingConfig:
     temp_ratio: float = 1.0
 
     def __post_init__(self):
+        # a bool is an int to isinstance; a float or NaN max_epochs would run
+        for name in ("max_epochs", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"need an integer {name}, got {value!r}")
         for name in ("t_initial", "t_min", "learning_rate", "temp_ratio"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -128,6 +132,8 @@ class TrainingConfig:
             raise ValueError("need learning_rate > 0")
         if self.max_epochs < 1:
             raise ValueError("need max_epochs >= 1")
+        if self.seed < 0:
+            raise ValueError("need seed >= 0")
         if self.temp_ratio <= 0:
             raise ValueError("need temp_ratio > 0")
 
@@ -146,7 +152,10 @@ class TrainingConfig:
                 key, val = (s.strip() for s in line.split("=", 1))
                 if key not in casts:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                kwargs[key] = casts[key](val)
+                try:
+                    kwargs[key] = casts[key](val)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad {key}: {exc}") from None
         return cls(**kwargs)
 
     def to_dict(self):
@@ -166,9 +175,11 @@ SEPARATION_CONFIG = TrainingConfig(
 class TrainingTrace:
     """Per-epoch observability of a run, plus which epoch was retained.
 
-    One entry per epoch in each column: ``temperature``, ``cost`` and
+    One entry per epoch run in each column: ``temperature``, ``cost`` and
     ``min_stability`` as float64, ``errors`` as int64. ``to_csv`` writes
-    them as Python floats and ints.
+    them as Python floats and ints. ``stop`` says why an anneal ended:
+    "frozen" (its last epoch took no step, and no later one would),
+    "t_min" or "max_epochs"; it is None for other trainers.
     """
 
     temperature: np.ndarray
@@ -177,6 +188,7 @@ class TrainingTrace:
     min_stability: np.ndarray
     best_epoch: int = -1
     hebbian_fallback: bool = False
+    stop: str | None = None
 
     @classmethod
     def from_rows(cls, rows, best_epoch=-1, hebbian_fallback=False):
@@ -191,21 +203,9 @@ class TrainingTrace:
 
     def to_csv(self, stream):
         stream.write("epoch,temperature,cost,errors,min_stability\n")
-        # a run of bitwise-equal minimal stabilities (the rows of a frozen
-        # anneal) shares one repr, made only when the run is reached, so at
-        # most one run's text is alive; the int64 view keeps 0.0 and -0.0
-        # apart
-        stab = self.min_stability
-        bits = stab.view(np.int64)
-        new = np.ones(len(bits), dtype=bool)
-        np.not_equal(bits[1:], bits[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        stab_text = itertools.chain.from_iterable(map(
-            itertools.repeat, map(repr, stab[starts].tolist()),
-            np.diff(starts, append=len(bits)).tolist()))
         rows = zip(self.temperature.tolist(), self.cost.tolist(),
-                   self.errors.tolist(), stab_text)
-        stream.writelines(f"{i},{T!r},{E!r},{errors},{stab}\n"
+                   self.errors.tolist(), self.min_stability.tolist())
+        stream.writelines(f"{i},{T!r},{E!r},{errors},{stab!r}\n"
                           for i, (T, E, errors, stab) in enumerate(rows))
 
 
@@ -335,16 +335,16 @@ def _close_block(blocks, G, k, temps, errs, stabs):
     blocks.append((temps[:k].copy(), E, errs[:k].copy(), stabs[:k].copy()))
 
 
-def _block_trace(blocks, best_epoch, fallback):
+def _block_trace(blocks, best_epoch, fallback, stop=None):
     return TrainingTrace(*(np.concatenate(c) for c in zip(*blocks)),
-                         best_epoch, fallback)
+                         best_epoch, fallback, stop)
 
 
 def minimerror_train(patterns, config: TrainingConfig):
     """Annealed minimization of the smoothed error count.
 
     From a Hebbian start, repeat {normalized full-batch descent step;
-    T <- T * t_decay} until T < t_min or max_epochs, and return the
+    T <- T * t_decay} until T <= t_min or max_epochs, and return the
     retained weights rescaled to ||w||^2 = dim. The asymmetric window
     applies temperature temp_ratio*T to patterns with nonnegative stability
     and T to the rest; temp_ratio=1 is the plain cost. Deterministic for a
@@ -356,11 +356,13 @@ def minimerror_train(patterns, config: TrainingConfig):
     multiplied by a power of two that brings it below 2 dim: an exact
     scaling, so every other bit of the anneal stays the same.
 
-    From the first epoch whose every stability is at least 712 temp_ratio
-    T, the window is saturated and no later epoch moves w, changes the
-    minimal stability or displaces the retained epoch. The remaining trace
-    rows are then filled a block at a time, each with its own temperature
-    and cost, and the trace keeps one row per epoch.
+    An epoch whose every stability is at least 712 temp_ratio T saturates
+    the window: it takes no step, and neither would any later epoch, so
+    none could move w, change the minimal stability or displace the
+    retained epoch. The anneal ends there. The trace has one row per epoch
+    run, and its ``stop`` is "frozen" when the last row is such an epoch,
+    even if the schedule ends there too, else "t_min" when T fell to t_min
+    and "max_epochs" otherwise.
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
@@ -391,7 +393,6 @@ def minimerror_train(patterns, config: TrainingConfig):
     best_epoch = -1     # best (errors, -min_stability), lexicographic
     best_errors = best_stab = None
     best_w = w.copy()
-    frozen = None       # M @ w of the first epoch that took no step
     T = config.t_initial
     epoch = k = 0
     # a diverged step is caught by the test below, and a saturated window
@@ -401,25 +402,6 @@ def minimerror_train(patterns, config: TrainingConfig):
             if k == _BLOCK:
                 _close_block(blocks, G, k, temps, errs, stabs)
                 k = 0
-            if frozen is not None:
-                # w no longer moves, so every remaining epoch repeats the
-                # frozen row at its own T: fill the rest of the block with
-                # the temperatures T *= t_decay gives, up to the first one
-                # at or below t_min. An equal stability never takes over
-                # the retained epoch.
-                n = min(_BLOCK - k, max_epochs - epoch)
-                t = np.full(n + 1, t_decay)
-                t[0] = T
-                np.multiply.accumulate(t, out=t)
-                n = int(np.argmax(t <= t_min)) or n
-                temps[k:k + n] = t[:n]
-                G[k:k + n] = frozen
-                errs[k:k + n] = errors
-                stabs[k:k + n] = min_stab
-                T = float(t[n])
-                epoch += n
-                k += n
-                continue
             row, raw = g_rows[k]
             M.dot(w, out=row)
             ww = row.item(P)
@@ -443,6 +425,7 @@ def minimerror_train(patterns, config: TrainingConfig):
             temps[k] = T
             errs[k] = errors
             stabs[k] = min_stab
+            k += 1
             if best_epoch < 0 or errors < best_errors or (
                     errors == best_errors and min_stab > best_stab):
                 best_errors, best_stab, best_epoch = errors, min_stab, epoch
@@ -450,44 +433,45 @@ def minimerror_train(patterns, config: TrainingConfig):
 
             # past gamma / 2T_mu ~355.6 cosh^2 overflows and sech^2 is 0. A
             # saturated window, every stability above 712 theta T, gives d = 0
-            # and no step.
-            if min_stab < 712.0 * theta * T:
-                # two-temperature window: theta*T on the well-classified side.
-                # It is one temperature for the plain cost and, the common case
-                # late in an anneal, when every pattern is on that side; its
-                # 1/theta then cancels in the step normalization. gamma / 2T_mu
-                # is raw / (2T ||w|| r_mu).
-                s = 2.0 * T * nw
-                if theta == 1.0 or min_stab >= 0.0:
-                    _sech2(np.divide(raw, theta * s, out=u), out=u)
-                else:
-                    r = np.where(raw >= 0.0, theta, 1.0)
-                    _sech2(np.divide(raw, r * s, out=u), out=u)
-                    u /= r
+            # and no step, and so does every later epoch: w stays and T falls.
+            if min_stab >= 712.0 * theta * T:
+                stop = "frozen"
+                break
+            # two-temperature window: theta*T on the well-classified side. It
+            # is one temperature for the plain cost and, the common case late
+            # in an anneal, when every pattern is on that side; its 1/theta
+            # then cancels in the step normalization. gamma / 2T_mu is
+            # raw / (2T ||w|| r_mu).
+            s = 2.0 * T * nw
+            if theta == 1.0 or min_stab >= 0.0:
+                _sech2(np.divide(raw, theta * s, out=u), out=u)
+            else:
+                r = np.where(raw >= 0.0, theta, 1.0)
+                _sech2(np.divide(raw, r * s, out=u), out=u)
+                u /= r
+            uext[P] = -float(u.dot(raw)) / ww
+            uext.dot(M, out=d)
+            dn = math.sqrt(d.dot(d))
+            # d . d underflows once ||d|| < ~1.5e-162, d / ||d|| does not.
+            # Scaled to a largest pattern weight of 1, the weights give the
+            # same direction with every term of it normal, whatever the scale
+            # of w.
+            if dn < 1e-150 and (u_max := float(np.maximum.reduce(u))) > 0.0:
+                u /= u_max
                 uext[P] = -float(u.dot(raw)) / ww
                 uext.dot(M, out=d)
                 dn = math.sqrt(d.dot(d))
-                # d . d underflows once ||d|| < ~1.5e-162, d / ||d|| does not.
-                # Scaled to a largest pattern weight of 1, the weights give the
-                # same direction with every term of it normal, whatever the
-                # scale of w.
-                if dn < 1e-150 and (u_max := float(np.maximum.reduce(u))) > 0.0:
-                    u /= u_max
-                    uext[P] = -float(u.dot(raw)) / ww
-                    uext.dot(M, out=d)
-                    dn = math.sqrt(d.dot(d))
-                if dn > 0.0:
-                    d *= lr * nw / (root_dim * dn)
-                    w += d
-            else:
-                # _close_block overwrites G, so keep the row
-                frozen = row.copy()
+            if dn > 0.0:
+                d *= lr * nw / (root_dim * dn)
+                w += d
             T *= t_decay
             epoch += 1
-            k += 1
+        else:
+            stop = "t_min" if T <= t_min else "max_epochs"
 
     _close_block(blocks, G, k, temps, errs, stabs)
-    return WeightVector(best_w).rescaled(), _block_trace(blocks, best_epoch, fallback)
+    return (WeightVector(best_w).rescaled(),
+            _block_trace(blocks, best_epoch, fallback, stop))
 
 
 def rosenblatt_train(patterns, config: TrainingConfig):

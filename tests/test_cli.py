@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monoplane.cli import _blas_build, _emit_report, main
+from monoplane.cli import SUFFIX, _blas_build, _emit_report, main
 
 FAST_CFG = "t_initial=1.0\nt_min=1e-3\nt_decay=0.99\nlearning_rate=0.05\nmax_epochs=2000\n"
 
@@ -124,7 +124,11 @@ class TestTrain:
         ("bogus=1", "unknown config key 'bogus'"),
         ("t_decay=2", "need 0 < t_decay < 1"),
         ("learning_rate = nan", "bad --config: need a finite learning_rate, got nan"),
-    ], ids=["unknown-key", "bad-value", "non-finite"])
+        ("max_epochs = 1e5", "bad.cfg:6: bad max_epochs: invalid literal for "
+                             "int() with base 10: '1e5'"),
+        ("seed = true", "bad.cfg:6: bad seed: invalid literal for int() "
+                        "with base 10: 'true'"),
+    ], ids=["unknown-key", "bad-value", "non-finite", "bad-int", "bad-seed"])
     def test_bad_config_file_exit_2(self, sonar_path, tmp_path, capsys,
                                     line, message):
         cfg = tmp_path / "bad.cfg"
@@ -134,6 +138,40 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists()
+
+
+class TestStop:
+    """The train report says why the anneal ended, in every format."""
+
+    @pytest.mark.parametrize("part, fmt, epochs", [
+        ("train", "json", 23160), ("test", "csv", 20365), ("all", "text", 35187),
+    ])
+    def test_separation_runs_end_frozen(self, sonar_path, balanced_split_path,
+                                        tmp_path, part, fmt, epochs):
+        out = tmp_path / "o"
+        assert run(["train", "--dataset", str(sonar_path),
+                    "--split-file", str(balanced_split_path),
+                    "--config", "separation", "--part", part,
+                    "--format", fmt, "--out", str(out)]) == 0
+        text = (out / f"report.{SUFFIX[fmt]}").read_text()
+        if fmt == "json":
+            rep = json.loads(text)
+            assert (rep["stop"], rep["epochs_run"]) == ("frozen", epochs)
+        elif fmt == "csv":
+            assert {"stop,'frozen'", f"epochs_run,{epochs}"} <= set(text.splitlines())
+        else:
+            assert {"stop: frozen", f"epochs_run: {epochs}"} <= set(text.splitlines())
+        # a header and one row per epoch run
+        assert (out / "trace.csv").read_text().count("\n") == epochs + 1
+
+    def test_default_schedule_ends_at_t_min(self, sonar_path,
+                                            balanced_split_path, tmp_path):
+        out = tmp_path / "o"
+        assert run(["train", "--dataset", str(sonar_path),
+                    "--split-file", str(balanced_split_path),
+                    "--part", "train", "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert (rep["stop"], rep["epochs_run"]) == ("t_min", 9206)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

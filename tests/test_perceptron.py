@@ -345,13 +345,15 @@ def reference_minimerror(patterns, config):
     """The annealing epoch written one numpy call per step, kept as the
     reference for ``minimerror_train``. w is the last row of the stacked
     matrix [tXi; w] and is never renormalized, so it grows by a factor
-    sqrt(1 + lr^2 / dim) an epoch until w . w overflows."""
+    sqrt(1 + lr^2 / dim) an epoch until w . w overflows. Every scheduled
+    epoch runs, a saturated one too. Returns the weights, the trace, whose
+    ``stop`` is "t_min" or "max_epochs", and whether each epoch stepped."""
     ps = PatternSet.of(patterns)
     wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
     M = np.vstack([ps.folded, wv.w])
     w = M[-1]
     root_dim = math.sqrt(len(w))
-    rows = []
+    rows, stepped = [], []
     best, best_w, best_epoch = None, w.copy(), -1
     T, epoch = config.t_initial, 0
     while T > config.t_min and epoch < config.max_epochs:
@@ -370,11 +372,45 @@ def reference_minimerror(patterns, config):
             best_epoch = epoch
         d = reference_direction(M, T, config.temp_ratio)
         dn = math.sqrt(d @ d)
+        stepped.append(dn > 0.0)
         if dn > 0.0:
             w += (config.learning_rate * nw / (root_dim * dn)) * d
         T *= config.t_decay
         epoch += 1
-    return WeightVector(best_w).rescaled(), TrainingTrace.from_rows(rows, best_epoch, fallback)
+    trace = replace(TrainingTrace.from_rows(rows, best_epoch, fallback),
+                    stop="t_min" if T <= config.t_min else "max_epochs")
+    return WeightVector(best_w).rescaled(), trace, np.array(stepped, dtype=bool)
+
+
+def assert_reference_prefix(w, trace, reference, config):
+    """The anneal ran the reference loop's epochs up to the first saturated
+    one (every stability at least 712 temp_ratio T) or, with none, all of
+    them: its trace is the reference's rows through its last epoch bit for
+    bit, with the same weights, retained epoch and fallback flag. Ended
+    "frozen", it ended at that saturated epoch, and every later reference
+    epoch repeats it: no step, the same minimal stability bits and errors,
+    and no later retained epoch. Otherwise it ended as the reference did."""
+    w_ref, trace_ref, stepped = reference
+    n = len(trace)
+    for name in ("temperature", "cost", "errors", "min_stability"):
+        assert (getattr(trace, name).tobytes()
+                == getattr(trace_ref, name)[:n].tobytes())
+    assert w.w.tobytes() == w_ref.w.tobytes()
+    assert trace.best_epoch == trace_ref.best_epoch
+    assert trace.hebbian_fallback == trace_ref.hebbian_fallback
+    saturated = trace_ref.min_stability >= (712.0 * config.temp_ratio
+                                            * trace_ref.temperature)
+    assert not saturated[:n - 1].any()
+    if trace.stop == "frozen":
+        assert saturated[n - 1]
+        assert not stepped[n - 1:].any()
+        bits = trace_ref.min_stability[n - 1:].view(np.int64)
+        assert (bits == bits[0]).all()
+        assert (trace_ref.errors[n - 1:] == trace_ref.errors[n - 1]).all()
+        assert trace.best_epoch <= n - 1
+    else:
+        assert n == len(trace_ref) and not saturated.any()
+        assert trace.stop == trace_ref.stop
 
 
 @st.composite
@@ -473,18 +509,17 @@ class TestMinimerror:
     @given(problem=anneal_problems(), schedule=anneal_schedules())
     def test_epoch_matches_reference_loop(self, problem, schedule):
         """Weights, retained epoch, fallback flag and every trace record
-        equal the reference loop's bit for bit."""
+        equal the reference loop's bit for bit, through the freeze epoch
+        of an anneal that freezes."""
         ps, kind = problem
         w, trace = minimerror_train(ps, schedule)
-        w_ref, trace_ref = reference_minimerror(ps, schedule)
-        assert w.w.tobytes() == w_ref.w.tobytes()
-        assert trace.best_epoch == trace_ref.best_epoch
-        assert trace.hebbian_fallback == trace_ref.hebbian_fallback
+        reference = reference_minimerror(ps, schedule)
+        assert_reference_prefix(w, trace, reference, schedule)
         assert trace.hebbian_fallback == (kind == "cancelling")
         a, b = io.StringIO(), io.StringIO()
         trace.to_csv(a)
-        trace_ref.to_csv(b)
-        assert a.getvalue().splitlines() == b.getvalue().splitlines()
+        reference[1].to_csv(b)
+        assert a.getvalue().splitlines() == b.getvalue().splitlines()[:len(trace) + 1]
 
     @settings(max_examples=50, deadline=None)
     @given(problem=anneal_problems(max_features=3),
@@ -498,23 +533,22 @@ class TestMinimerror:
         """Steps that grow w . w by 1 + lr^2 / dim an epoch never overflow,
         the result has ||w||^2 = dim, and the power-of-two rescales change
         no bit: the run equals the never-renormalized reference loop for as
-        long as that one stays finite."""
+        long as that one stays finite. A reference that diverges has moved
+        w at every epoch, so the anneal has not frozen before it."""
         ps, _ = problem
         w, trace = minimerror_train(ps, schedule)
         assert w.w @ w.w == pytest.approx(len(w), rel=1e-12)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                w_ref, trace_ref = reference_minimerror(ps, schedule)
+                reference = reference_minimerror(ps, schedule)
         except TrainingError as exc:
-            w_ref, trace_ref = None, exc.trace
-        n = len(trace_ref)
-        for name in ("temperature", "cost", "errors", "min_stability"):
-            assert (getattr(trace, name)[:n].tobytes()
-                    == getattr(trace_ref, name).tobytes())
-        if w_ref is not None:
-            assert len(trace) == n
-            assert trace.best_epoch == trace_ref.best_epoch
-            assert w.w.tobytes() == w_ref.w.tobytes()
+            n = len(exc.trace)
+            assert len(trace) >= n
+            for name in ("temperature", "cost", "errors", "min_stability"):
+                assert (getattr(trace, name)[:n].tobytes()
+                        == getattr(exc.trace, name).tobytes())
+        else:
+            assert_reference_prefix(w, trace, reference, schedule)
 
     def test_step_survives_an_underflowing_direction_norm(self):
         """With every |gamma / 2T| in (186, 355), d . d underflows to 0
@@ -556,43 +590,49 @@ class TestMinimerror:
                                         3 * _BLOCK + 17])
     def test_block_boundaries_match_reference_loop(self, epochs, temp_ratio):
         """Schedules that end one epoch short of a cost block, on its
-        boundary, one past it and inside a later block equal the reference
-        loop bit for bit."""
+        boundary and one past it, and a longer one that freezes inside a
+        later block, equal the reference loop bit for bit."""
         rng = np.random.default_rng(epochs)
         ps = PatternSet.of(make_ls_patterns(rng, n=30, dim=5)[0])
         schedule = TrainingConfig(t_initial=1.0, t_min=1e-300, t_decay=0.99,
                                   learning_rate=0.05, max_epochs=epochs,
                                   temp_ratio=temp_ratio)
         w, trace = minimerror_train(ps, schedule)
-        w_ref, trace_ref = reference_minimerror(ps, schedule)
-        assert len(trace) == epochs
-        assert w.w.tobytes() == w_ref.w.tobytes()
-        assert trace.best_epoch == trace_ref.best_epoch
-        assert trace.hebbian_fallback == trace_ref.hebbian_fallback
+        reference = reference_minimerror(ps, schedule)
+        assert_reference_prefix(w, trace, reference, schedule)
+        if epochs > 3 * _BLOCK:
+            assert trace.stop == "frozen" and _BLOCK < len(trace) < epochs
+        else:
+            assert trace.stop == "max_epochs" and len(trace) == epochs
         a, b = io.StringIO(), io.StringIO()
         trace.to_csv(a)
-        trace_ref.to_csv(b)
-        assert a.getvalue().splitlines() == b.getvalue().splitlines()
+        reference[1].to_csv(b)
+        assert a.getvalue().splitlines() == b.getvalue().splitlines()[:len(trace) + 1]
 
     @pytest.mark.parametrize("temp_ratio", [1.0, 0.02])
-    @pytest.mark.parametrize("freeze, max_epochs, stop", [
-        (0, 2 * _BLOCK + 5, None),              # a saturated Hebbian start
-        (_BLOCK, 3 * _BLOCK + 17, None),        # slot 0, max_epochs in the fill
-        (2 * _BLOCK - 1, 3 * _BLOCK + 17, None),  # slot _BLOCK - 1
-        (100, 3 * _BLOCK, None),                # the fill ends on a boundary
-        (100, 100000, 2 * _BLOCK + 44),         # t_min in the fill
-        (2 * _BLOCK + 9, 2 * _BLOCK + 10, None),  # frozen on the last epoch
-    ], ids=["start", "slot-0", "last-slot", "boundary", "t_min", "last-epoch"])
-    def test_frozen_fill_matches_reference_loop(self, freeze, max_epochs, stop,
-                                                temp_ratio):
-        """An anneal that freezes at a chosen epoch (every stability at least
-        712 temp_ratio T from then on) equals the reference loop, which runs
-        every epoch, bit for bit in every trace column, the retained epoch
-        and the weights. A tiny step keeps the minimal stability within
-        1e-6 of its start, so a start T of that stability over 712
-        temp_ratio, times t_decay^(1/2 - freeze), freezes the run at
-        ``freeze``; a t_min half a decay above epoch ``stop``'s temperature
-        ends it there."""
+    @pytest.mark.parametrize("freeze, max_epochs, t_min_at, stop", [
+        (0, 2 * _BLOCK + 5, None, "frozen"),    # a saturated Hebbian start
+        (_BLOCK, 3 * _BLOCK + 17, None, "frozen"),      # block slot 0
+        (2 * _BLOCK - 1, 3 * _BLOCK + 17, None, "frozen"),  # slot _BLOCK - 1
+        (100, 3 * _BLOCK, None, "frozen"),      # max_epochs on a boundary
+        (100, 100000, 2 * _BLOCK + 44, "frozen"),   # t_min after the freeze
+        (2 * _BLOCK + 9, 2 * _BLOCK + 10, None, "frozen"),  # the last epoch
+        (2 * _BLOCK + 9, 100000, 2 * _BLOCK + 10, "frozen"),  # ... by t_min
+        (2 * _BLOCK + 44, 100000, _BLOCK + 3, "t_min"),
+        (2 * _BLOCK + 44, _BLOCK + 3, None, "max_epochs"),
+    ], ids=["start", "slot-0", "last-slot", "boundary", "t_min", "last-epoch",
+            "last-epoch-t_min", "t_min-first", "max_epochs-first"])
+    def test_frozen_fill_matches_reference_loop(self, freeze, max_epochs,
+                                                t_min_at, stop, temp_ratio):
+        """An anneal that would freeze at a chosen epoch (every stability at
+        least 712 temp_ratio T from then on) ends there, or earlier at
+        t_min or max_epochs, and equals the reference loop, which runs every
+        epoch, bit for bit in every trace column through its last epoch, the
+        retained epoch and the weights. A tiny step keeps the minimal
+        stability within 1e-6 of its start, so a start T of that stability
+        over 712 temp_ratio, times t_decay^(1/2 - freeze), freezes the run
+        at ``freeze``; a t_min half a decay above epoch ``t_min_at``'s
+        temperature ends the schedule there."""
         rng = np.random.default_rng(freeze)
         n, dim = 30, 5
         tau = rng.choice([-1, 1], size=n)
@@ -606,40 +646,35 @@ class TestMinimerror:
         t0 = s / (712.0 * temp_ratio) * t_decay ** (0.5 - freeze)
         schedule = TrainingConfig(
             t_initial=t0, t_decay=t_decay, learning_rate=1e-9,
-            t_min=1e-300 if stop is None else t0 * t_decay ** (stop - 0.5),
+            t_min=1e-300 if t_min_at is None else t0 * t_decay ** (t_min_at - 0.5),
             max_epochs=max_epochs, temp_ratio=temp_ratio)
         w, trace = minimerror_train(ps, schedule)
-        w_ref, trace_ref = reference_minimerror(ps, schedule)
+        reference = reference_minimerror(ps, schedule)
+        trace_ref = reference[1]
         frozen = trace_ref.min_stability >= (712.0 * temp_ratio
                                              * trace_ref.temperature)
-        assert len(trace_ref) == (max_epochs if stop is None else stop)
+        assert len(trace_ref) == (max_epochs if t_min_at is None else t_min_at)
         assert frozen[freeze:].all() and not frozen[:freeze].any()
-        for name in ("temperature", "cost", "errors", "min_stability"):
-            assert (getattr(trace, name).tobytes()
-                    == getattr(trace_ref, name).tobytes())
-        assert trace.best_epoch == trace_ref.best_epoch
-        assert w.w.tobytes() == w_ref.w.tobytes()
+        assert_reference_prefix(w, trace, reference, schedule)
+        assert trace.stop == stop
+        assert len(trace) == min(freeze + 1, len(trace_ref))
 
     def test_train_separator_stays_frozen(self, trained_train_separator):
-        """From the first epoch of the Train-part separation run whose every
-        stability is at least 712 theta T, no step is taken: each of the
-        remaining 34,400 rows has the same minimal stability bits and no
-        error, and the retained epoch comes before them."""
+        """The Train-part separation run ends at its first epoch whose every
+        stability is at least 712 theta T, 23,160 epochs into the 57,559 of
+        the schedule: only that last row is saturated, it has no error, and
+        the retained epoch comes before it."""
         _, trace = trained_train_separator
         theta = SEPARATION_CONFIG.temp_ratio
         frozen = trace.min_stability >= 712.0 * theta * trace.temperature
-        first = int(np.argmax(frozen))
-        assert frozen[first:].all()
-        assert len(trace) - first == 34400
-        bits = trace.min_stability[first:].view(np.int64)
-        assert (bits == bits[0]).all()
-        assert not trace.errors[first:].any()
-        assert trace.best_epoch < first
+        assert len(trace) == 23160 and trace.stop == "frozen"
+        assert frozen[-1] and not frozen[:-1].any()
+        assert trace.errors[-1] == 0
+        assert trace.best_epoch < len(trace) - 1
 
     def test_csv_matches_a_per_row_repr_writer(self):
-        """Minimal stabilities that share one repr per run of equal bits
-        write the text of a per-row repr: 0.0 next to -0.0, NaN runs and a
-        long repeated run included."""
+        """Every row is written with one repr per value: 0.0 next to -0.0,
+        NaN runs and a long repeated run included."""
         stabs = ([0.0, -0.0, -0.0, 0.0, float("nan"), float("nan"), 1.5]
                  + [0.1 + 0.2] * 600 + [0.3, float("nan"), -0.0, 5e-324])
         rows = [(0.999 ** i, i / 7.0, i % 3, v) for i, v in enumerate(stabs)]
@@ -806,6 +841,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^need a finite {name}, got {value}$"):
             TrainingConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_epochs", math.nan), ("max_epochs", 2.5), ("max_epochs", True),
+        ("max_epochs", np.int64(5)), ("seed", 1.5), ("seed", False),
+        ("seed", -1),
+    ], ids=["max_epochs-nan", "max_epochs-float", "max_epochs-bool",
+            "max_epochs-numpy", "seed-float", "seed-bool", "seed-negative"])
+    def test_integer_knob_rejected(self, name, value):
+        """The integer knobs take a Python int, not a float, a bool or a
+        numpy integer, which the manifest's JSON could not hold; a seed is
+        nonnegative, as numpy's generators need."""
+        with pytest.raises(ValueError, match=f"^need (an integer )?{name}\\b"):
+            TrainingConfig(**{name: value})
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "cfg"
         p.write_text("t_initial = 2.5\nseed=7\n# comment\ntemp_ratio=0.5\n")
@@ -818,6 +866,20 @@ class TestConfig:
         p.write_text("bogus=1\n")
         with pytest.raises(ValueError, match="bogus"):
             TrainingConfig.from_file(p)
+
+    @pytest.mark.parametrize("line, cast_error", [
+        ("max_epochs = 1e5", "invalid literal for int() with base 10: '1e5'"),
+        ("seed = true", "invalid literal for int() with base 10: 'true'"),
+        ("t_min = cold", "could not convert string to float: 'cold'"),
+    ], ids=["int-as-float", "int-as-bool", "float"])
+    def test_from_file_names_the_line_of_a_bad_value(self, tmp_path, line,
+                                                     cast_error):
+        p = tmp_path / "cfg"
+        p.write_text(f"t_initial = 2.5\n# comment\n{line}\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ValueError) as exc:
+            TrainingConfig.from_file(p)
+        assert str(exc.value) == f"{p}:3: bad {key}: {cast_error}"
 
 
 class TestSerialization:
