@@ -23,7 +23,12 @@ units, parity 4 stalls with several units trained. ``train`` and ``verify``
 also run on edited copies of the sonar file written there: one malformed
 field, label or value each, so that every parser diagnostic is hashed, and
 two well-formed files, one in a loose layout and one with a number that
-only Python's ``float`` reads.
+only Python's ``float`` reads. ``train --seed -1`` and ``grow --max-hidden
+0`` hash the usage errors of a bad option value.
+
+A run that raises instead of returning an exit code does not end the
+matrix: its ``exit`` item hashes the ``SystemExit`` code, or the name of
+the exception's type.
 """
 
 from __future__ import annotations
@@ -137,6 +142,8 @@ def run_matrix():
         name = f"train-{part}-separation-json"
         runs.append((name, ["train", *SONAR, "--part", part, "--config",
                             "separation", "--format", "json", "--out", name]))
+    runs.append(("train-seed-negative", ["train", *SONAR, "--seed", "-1",
+                                         "--out", "train-seed-negative"]))
     splits = {"": "balanced.split",
               **{f"random{s}-": f"random{s}.split" for s in RANDOM_SPLIT_SEEDS}}
     for prefix, split_file in splits.items():
@@ -151,6 +158,8 @@ def run_matrix():
                                          "--out", f"grow-xor-{fmt}"]))
     runs.append(("grow-xor-stall", [*XOR, "--max-hidden", "1",
                                     "--out", "grow-xor-stall"]))
+    runs.append(("grow-xor-max-hidden-0", [*XOR, "--max-hidden", "0",
+                                           "--out", "grow-xor-max-hidden-0"]))
     # the default schedule, as perfbench's grow-toy workload runs it
     for n in PARITY_BITS:
         runs.append((f"grow-parity{n}", ["grow", "--dataset", f"parity{n}.csv",
@@ -191,7 +200,12 @@ def hashes(root: Path):
     for name, argv in run_matrix():
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = cli.main(argv)
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            except Exception as exc:
+                rc = type(exc).__name__
         out[f"{name}/exit"] = _sha256(str(rc).encode())
         out[f"{name}/stdout"] = _sha256(stdout.getvalue().encode())
         out[f"{name}/stderr"] = _sha256(stderr.getvalue().encode())

@@ -61,7 +61,10 @@ def _load_config(arg, seed):
         except ValueError as exc:
             raise UsageError(f"bad --config: {exc}") from None
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+        try:
+            cfg = dataclasses.replace(cfg, seed=seed)
+        except ValueError as exc:
+            raise UsageError(f"bad --seed: {exc}") from None
     return cfg
 
 
@@ -213,6 +216,9 @@ def cmd_grow(args):
     path, split_source, config, learn, evalp, out_dir = _prepare_run(args)
     try:
         model, gtrace = grow_network(learn, config, max_hidden=args.max_hidden)
+    except ValueError as exc:
+        # the selected part is not empty, so only the cap is bad
+        raise UsageError(f"bad --max-hidden: {exc}") from None
     except GrowthStallError as exc:
         if exc.trace is not None:
             with _create(out_dir / "growth.csv") as fh:

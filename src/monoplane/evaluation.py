@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .data import PatternSet, RawSet, compute_stats, standardize
 from .perceptron import (
-    TrainingConfig, WeightVector, _error_counts, _fields, count_errors, field,
+    TrainingConfig, WeightVector, _error_counts, count_errors, field,
     load_weights, minimerror_train, rosenblatt_train,
 )
 
@@ -64,12 +64,13 @@ def _published():
 
 @dataclass
 class EvaluationReport:
-    """Counts, the misclassified patterns, and optional named cosines.
+    """Counts and the misclassified patterns.
 
-    ``mu``, ``field``, ``tau`` and ``gamma_reference`` hold one entry per
-    misclassified pattern, in pattern-number order: its number, its field
-    under the classifier, its label, and its stability under the reference
-    separator (None without one).
+    ``mu``, ``field`` and ``tau`` hold one entry per misclassified pattern,
+    in pattern-number order: its number, its field under the classifier
+    and its label. ``to_json_dict`` also writes each record's
+    ``gamma_reference`` as null and ``cosines`` as an empty object, keys the
+    report schema keeps.
     """
 
     set_size: int
@@ -77,8 +78,6 @@ class EvaluationReport:
     mu: list
     field: list
     tau: list
-    gamma_reference: list
-    cosines: dict = dc_field(default_factory=dict)
 
     @property
     def error_fraction(self) -> float:
@@ -94,34 +93,27 @@ class EvaluationReport:
                        "false_neg": self.counts[2]},
             "error_fraction": self.error_fraction,
             "records": [
-                {"i": i, "mu": mu, "field": f, "gamma_reference": g, "tau": tau}
-                for i, (mu, f, g, tau) in enumerate(
-                    zip(self.mu, self.field, self.gamma_reference, self.tau),
-                    start=1)
+                {"i": i, "mu": mu, "field": f, "gamma_reference": None, "tau": tau}
+                for i, (mu, f, tau) in enumerate(
+                    zip(self.mu, self.field, self.tau), start=1)
             ],
-            "cosines": self.cosines,
+            "cosines": {},
         }
 
 
-def evaluate(classifier: WeightVector, patterns, reference=None) -> EvaluationReport:
-    """Misclassification report of ``classifier`` over ``patterns``.
-
-    Every misclassified pattern is listed with its field under the
-    classifier and, when a reference separator is supplied, its stability
-    under that reference, in pattern-number order.
-    """
+def evaluate(classifier: WeightVector, patterns) -> EvaluationReport:
+    """Misclassification report of ``classifier`` over ``patterns``: every
+    misclassified pattern with its field, in pattern-number order."""
     if not patterns:
         return EvaluationReport(set_size=0, counts=(0, 0, 0), mu=[], field=[],
-                                tau=[], gamma_reference=[])
+                                tau=[])
     ps = PatternSet.of(patterns)
-    f = _fields(classifier, ps.Xi)
+    f = field(classifier, ps.Xi)
     wrong = np.flatnonzero(ps.tau * f <= 0.0)
     wrong = wrong[np.argsort(ps.mu[wrong], kind="stable")]
-    gam_ref = ([None] * len(wrong) if reference is None
-               else (ps.tau * _fields(reference, ps.Xi))[wrong].tolist())
     return EvaluationReport(set_size=len(ps), counts=_error_counts(f, ps.tau),
                             mu=ps.mu[wrong].tolist(), field=f[wrong].tolist(),
-                            tau=ps.tau[wrong].tolist(), gamma_reference=gam_ref)
+                            tau=ps.tau[wrong].tolist())
 
 
 def cosine(a: WeightVector, b: WeightVector, raw_eq8=False) -> float:
@@ -156,7 +148,7 @@ class ProbeVerdict:
 
     def recheck(self, patterns) -> bool:
         """Every stability under ``weights`` is strictly positive."""
-        return bool(_fields(self.weights, PatternSet.of(patterns).folded).min() > 0.0)
+        return bool(field(self.weights, PatternSet.of(patterns).folded).min() > 0.0)
 
 
 def separability_probe(patterns, budget: TrainingConfig) -> ProbeVerdict:
@@ -306,18 +298,19 @@ def run_mode(mode_name, parts):
 _PERTURBED = ("W_Train_on_test", "W_Test_on_train", "W_Sonar_on_all")
 
 
-def perturbation_analysis(parts, n_draws=100, amplitude=5e-5, seed=0):
+def perturbation_analysis(parts):
     """Sensitivity of the error counts to table truncation, on ``parts``,
     one entry of ``mode_parts``.
 
     The published weights carry four decimals, so each component is known
-    only to +-5e-5. Redraw every component uniformly within that band and
-    report the spread of the three error counts over the draws.
+    only to +-5e-5. Redraw every component uniformly within that band, 100
+    times from seed 0, and report the spread of the three error counts over
+    the draws.
     """
     ws = [w.w for w in _published()[1]]
     # the jitter stream in the order a loop over draws, then vectors, takes it
-    rng = np.random.default_rng(seed)
-    jitter = rng.uniform(-amplitude, amplitude, size=(n_draws, len(ws), len(ws[0])))
+    rng = np.random.default_rng(0)
+    jitter = rng.uniform(-5e-5, 5e-5, size=(100, len(ws), len(ws[0])))
     out = {}
     for k, (key, w, part) in enumerate(zip(_PERTURBED, ws, parts)):
         errors = np.sum(part.folded @ (w + jitter[:, k]).T <= 0.0, axis=0).tolist()

@@ -125,15 +125,20 @@ def grow_network(patterns, config: TrainingConfig, max_hidden=None):
     """Append annealed-trained hidden units until the output unit is exact.
 
     Postcondition on success: zero network errors on ``patterns`` and
-    H <= P - 1. Raises GrowthStallError when a new unit cannot strictly
+    H <= max(1, P - 1), and H <= ``max_hidden`` when given, which must be
+    at least 1. Raises GrowthStallError when a new unit cannot strictly
     reduce its predecessor's internal error count, when the output unit
     over an errorless unit's states errs, or when the cap is hit first.
     """
     if not patterns:
         raise ValueError("cannot grow a network on an empty pattern set")
+    if max_hidden is not None and max_hidden < 1:
+        raise ValueError(f"need max_hidden >= 1, got {max_hidden}")
     ps = PatternSet.of(patterns)
     Xi, tau, P = ps.Xi, ps.tau, len(ps)
-    cap = P - 1 if max_hidden is None else min(max_hidden, P - 1)
+    cap = max(1, P - 1)
+    if max_hidden is not None:
+        cap = min(cap, max_hidden)
 
     trace = GrowthTrace()
     units = []
@@ -184,11 +189,7 @@ def save_network(model: NetworkModel, stream):
         save_weights(w, stream)
 
 
-def load_network(source) -> NetworkModel:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
+def load_network(text) -> NetworkModel:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("H="):
         raise ValueError("network file must start with an H=<n> header")

@@ -7,6 +7,8 @@ quantities drive everything here:
     field(w, xi)     = (w . xi) / ||w||        signed distance to the plane
     stability(w, p)  = tau * field(w, p.xi)    positive iff well classified
 
+and field takes a (P, dim) pattern matrix as well, giving one field a row.
+
 Training minimizes the temperature-smoothed error count
 
     E(w, T) = 1/2 * sum_mu [ 1 - tanh(gamma_mu / 2T) ]
@@ -52,7 +54,6 @@ as a baseline for generalization comparisons.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -209,21 +210,20 @@ class TrainingTrace:
                           for i, (T, E, errors, stab) in enumerate(rows))
 
 
-def field(w: WeightVector, xi) -> float:
-    """Signed distance of the pattern to the hyperplane normal to w."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != w.w.shape:
-        raise ValueError(f"pattern has {xi.shape[0]} components, weights {len(w)}")
-    return float(w.w @ xi) / w.norm
+def field(w: WeightVector, X):
+    """Signed distance to the hyperplane normal to w: a float for one
+    pattern, an array of one entry per row for a (P, dim) matrix."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != len(w):
+        raise ValueError(f"patterns of shape {X.shape} do not have the "
+                         f"{len(w)} components of the weights")
+    f = (X @ w.w) / w.norm
+    return float(f) if X.ndim == 1 else f
 
 
 def stability(w: WeightVector, p) -> float:
     """tau * field: positive iff the pattern is well classified."""
     return p.tau * field(w, p.xi)
-
-
-def _fields(w: WeightVector, Xi):
-    return (Xi @ w.w) / w.norm
 
 
 def _sech2(x, out=None):
@@ -240,7 +240,7 @@ def cost(w: WeightVector, patterns, T: float) -> float:
         raise ValueError("temperature must be positive")
     if not patterns:
         raise ValueError("cost of an empty pattern set is undefined")
-    gam = _fields(w, PatternSet.of(patterns).folded)
+    gam = field(w, PatternSet.of(patterns).folded)
     return float(0.5 * np.sum(1.0 - np.tanh(gam / (2.0 * T))))
 
 
@@ -259,19 +259,12 @@ def cost_gradient(w: WeightVector, patterns, T: float):
     if not patterns:
         raise ValueError("cost of an empty pattern set is undefined")
     tXi = PatternSet.of(patterns).folded
-    gam = (tXi @ w.w) / w.norm
-    return _gradient(w.w, w.norm, tXi, gam, gam / (2.0 * T), T)
-
-
-def _gradient(w, nw, tXi, gam, h, T):
-    """Gradient of E at weights ``w`` of norm ``nw``: the descent direction
-    u @ tXi - (u . gam) w / nw with u = sech^2(h) / T, times -1/(4 nw).
-    ``T`` is scalar or one temperature per pattern, ``h`` is gam / (2T)."""
+    gam = field(w, tXi)
     with np.errstate(over="ignore"):
-        u = _sech2(h) / T
+        u = _sech2(gam / (2.0 * T)) / T
     d = np.dot(u, tXi)
-    d -= (np.dot(u, gam) / nw) * w
-    return d * (-0.25 / nw)
+    d -= (np.dot(u, gam) / w.norm) * w.w
+    return d * (-0.25 / w.norm)
 
 
 def hebbian_init(patterns, rng=None):
@@ -303,7 +296,7 @@ def count_errors(w: WeightVector, patterns):
     if not patterns:
         return 0, 0, 0
     ps = PatternSet.of(patterns)
-    return _error_counts(_fields(w, ps.Xi), ps.tau)
+    return _error_counts(field(w, ps.Xi), ps.tau)
 
 
 def _error_counts(f, tau):
@@ -531,12 +524,8 @@ def save_weights(w: WeightVector, stream):
         stream.write(f"{float(v)!r}\n")
 
 
-def load_weights(source) -> WeightVector:
+def load_weights(text) -> WeightVector:
     """Accept one-per-line or the comma/whitespace table layout."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("no weight values found")
@@ -547,11 +536,7 @@ def load_weights(source) -> WeightVector:
     return WeightVector(np.array(values))
 
 
-def weights_to_table_text(w: WeightVector, per_row=8):
+def weights_to_table_text(w: WeightVector):
     """Render in the published-table layout: 8 comma-separated values a row."""
-    out = io.StringIO()
-    vals = [f"{v: .4f}" for v in w.w]
-    for i in range(0, len(vals), per_row):
-        out.write(", ".join(v.strip() for v in vals[i:i + per_row]))
-        out.write("\n")
-    return out.getvalue()
+    vals = [f"{v:.4f}" for v in w.w]
+    return "".join(", ".join(vals[i:i + 8]) + "\n" for i in range(0, len(vals), 8))

@@ -139,6 +139,14 @@ class TestTrain:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ("train", "grow"))
+    def test_negative_seed_exit_2(self, sonar_path, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert run([command, "--dataset", str(sonar_path), "--seed", "-1",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad --seed: need seed >= 0\n"
+        assert not out.exists()
+
 
 class TestStop:
     """The train report says why the anneal ended, in every format."""
@@ -234,6 +242,18 @@ class TestGrow:
                   "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "stall" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("cap", ("0", "-3"))
+    def test_max_hidden_below_one_exit_2(self, tmp_path, capsys, cap):
+        from importlib import resources
+        xor = resources.files("monoplane.assets").joinpath("xor.csv")
+        out = tmp_path / "o"
+        rc = run(["grow", "--dataset", str(xor), "--features", "2",
+                  "--part", "all", "--max-hidden", cap, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --max-hidden: need max_hidden >= 1, got {cap}\n")
+        assert not out.exists()
 
 
 class TestVerify:

@@ -85,15 +85,17 @@ class TestEvaluate:
         rng = np.random.default_rng(41)
         pats, _ = make_ls_patterns(rng, n=60, dim=6)
         w = WeightVector(rng.standard_normal(7))
-        ref = WeightVector(rng.standard_normal(7))
-        rep = evaluate(w, pats, reference=ref)
+        rep = evaluate(w, pats)
         assert rep.counts[0] == len(rep.mu)
         assert rep.counts[0] == rep.counts[1] + rep.counts[2]
         assert rep.mu == sorted(rep.mu)
-        for mu, f, tau, g in zip(rep.mu, rep.field, rep.tau, rep.gamma_reference):
+        for mu, f, tau in zip(rep.mu, rep.field, rep.tau):
             p = next(p for p in pats if p.mu == mu)
-            assert tau * f <= 0
-            assert g == pytest.approx(stability(ref, p))
+            assert tau == p.tau and tau * f <= 0
+        as_json = rep.to_json_dict()
+        assert as_json["records"]
+        assert all(r["gamma_reference"] is None for r in as_json["records"])
+        assert as_json["cosines"] == {}
 
     def test_error_fraction_one_decimal(self):
         rng = np.random.default_rng(42)
@@ -196,7 +198,7 @@ class TestModeSweep:
 
     def test_perturbation_analysis_spread(self, balanced_parts):
         train, test = balanced_parts
-        sens = perturbation_analysis(mode_parts(train, test)["part-std"], n_draws=20)
+        sens = perturbation_analysis(mode_parts(train, test)["part-std"])
         for key in ("W_Train_on_test", "W_Test_on_train", "W_Sonar_on_all"):
             assert sens[key]["min"] <= sens[key]["max"]
 

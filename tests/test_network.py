@@ -242,6 +242,29 @@ class TestGrowth:
                 for v in frame.f_locals.values()]
         assert not any(isinstance(v, TrainingTrace) for v in held)
 
+    @pytest.mark.parametrize("max_hidden", [0, -3])
+    def test_cap_below_one_rejected_before_training(self, monkeypatch,
+                                                    max_hidden):
+        """A separable set would grow one unit, above a cap below 1."""
+        pats = [LabeledPattern(mu=k, xi=np.array([1.0, x]), tau=tau)
+                for k, (x, tau) in enumerate(((-2.0, -1), (-1.0, -1),
+                                              (1.0, 1), (2.0, 1)), start=1)]
+        calls = []
+        monkeypatch.setattr(network, "minimerror_train",
+                            lambda patterns, config: calls.append(patterns))
+        with pytest.raises(ValueError,
+                           match=rf"^need max_hidden >= 1, got {max_hidden}$"):
+            grow_network(pats, xor_config(), max_hidden=max_hidden)
+        assert calls == []
+
+    def test_single_pattern_grows_one_unit(self, fast_config):
+        """H <= max(1, P - 1): one pattern still needs one hidden unit."""
+        pats = [LabeledPattern(mu=1, xi=np.array([1.0, 0.3]), tau=-1)]
+        model, trace = grow_network(pats, fast_config)
+        assert len(model.hidden) == 1
+        assert trace.units == [0]
+        assert network_output(model, pats[0].xi) == -1
+
     def test_failed_output_after_errorless_unit_stalls(self, monkeypatch):
         """Units sign(x1) and sign(x2) on XOR are errorless by unit 2 and
         realize all four state pairs, so no output unit can be exact:

@@ -11,12 +11,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from monoplane import (
     SEPARATION_CONFIG, LabeledPattern, PatternSet, TrainingConfig,
-    TrainingError, WeightVector, cost, cost_gradient, count_errors, field,
-    hebbian_init, load_weights, minimerror_train, rosenblatt_train,
-    save_weights, stability,
+    TrainingError, WeightVector, cost, cost_gradient, count_errors, evaluate,
+    field, hebbian_init, load_published_weights, load_weights,
+    minimerror_train, rosenblatt_train, save_weights, stability,
 )
 from monoplane.perceptron import (
-    _BLOCK, TrainingTrace, _gradient, _sech2, weights_to_table_text,
+    _BLOCK, TrainingTrace, _sech2, weights_to_table_text,
 )
 
 from conftest import make_ls_patterns, xor_patterns
@@ -65,6 +65,50 @@ class TestFieldStability:
         w = WeightVector(np.ones(3))
         with pytest.raises(ValueError):
             field(w, np.ones(4))
+
+    @pytest.mark.parametrize("shape", [(4,), (2,), (5, 4), (5, 2), (0, 4),
+                                       (), (2, 5, 3)],
+                             ids=["row-4", "row-2", "matrix-5x4", "matrix-5x2",
+                                  "empty-0x4", "scalar", "three-axes"])
+    def test_width_mismatch_raises_for_both_shapes(self, shape):
+        w = WeightVector(np.ones(3))
+        with pytest.raises(ValueError, match=r"do not have the 3 components"):
+            field(w, np.ones(shape))
+
+    def test_matrix_on_train_part(self, train_std):
+        """One field per row: a float for a row, float64 entries for the
+        matrix, and the matrix is what count_errors and evaluate read."""
+        ps, _ = train_std
+        w = load_published_weights("W_Train")
+        f = field(w, ps.Xi)
+        assert f.dtype == np.float64
+        assert_rows_match(w, ps.Xi, f)
+        rep = evaluate(w, ps)
+        wrong = np.flatnonzero(ps.tau * f <= 0.0)
+        assert rep.counts == count_errors(w, ps)
+        assert rep.counts[0] == len(wrong) > 0
+        assert np.array(rep.field).tobytes() == f[wrong].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), P=st.integers(0, 40),
+           dim=st.integers(1, 70), scale=st.floats(1e-3, 1e3))
+    def test_matrix_matches_rows(self, seed, P, dim, scale):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((P, dim)) * scale
+        w = WeightVector(rng.standard_normal(dim) + 1.0)
+        assert_rows_match(w, X, field(w, X))
+
+
+def assert_rows_match(w, X, f):
+    """Row k of the matrix field ``f`` is the float ``field(w, X[k])`` up to
+    the round-off of one dot product: a matrix-vector product may sum a row
+    in another order than a single dot does, so the last bits can differ."""
+    assert isinstance(f, np.ndarray) and f.shape == (len(X),)
+    rows = [field(w, x) for x in X]
+    assert all(type(r) is float for r in rows)
+    eps = np.finfo(float).eps
+    bound = (2 * X.shape[1] + 2) * eps * (np.abs(X) @ np.abs(w.w)) / w.norm
+    assert np.all(np.abs(f - np.array(rows, dtype=float)) <= bound)
 
 
 class TestCost:
@@ -231,18 +275,20 @@ class TestGradientKernel:
         gam = (tXi @ w) / nw
         Teff = np.where(gam >= 0.0, ratio * T, T)
 
-        for temp in (T, Teff):
-            g = _gradient(w, nw, tXi, gam, gam / (2.0 * temp), temp)
-            ref = outer_gradient(w, Xi, tau, temp)
-            # both forms subtract two terms that can nearly cancel, so their
-            # round-off is relative to the sum of the terms' magnitudes, not
-            # to the (possibly far smaller) gradient they leave
-            c = np.cosh(np.minimum(np.abs(gam / (2.0 * temp)), 350.0)) ** -2.0 / (4.0 * temp)
-            scale = (c @ np.abs(tXi)) / nw + (c @ np.abs(gam)) / nw**2 * np.abs(w)
-            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(scale) + 1e-300
+        g = cost_gradient(WeightVector(w),
+                          PatternSet(Xi, tau.astype(int), np.arange(1, P + 1)), T)
+        ref = outer_gradient(w, Xi, tau, T)
+        # both forms subtract two terms that can nearly cancel, so their
+        # round-off is relative to the sum of the terms' magnitudes, not
+        # to the (possibly far smaller) gradient they leave
+        c = np.cosh(np.minimum(np.abs(gam / (2.0 * T)), 350.0)) ** -2.0 / (4.0 * T)
+        scale = (c @ np.abs(tXi)) / nw + (c @ np.abs(gam)) / nw**2 * np.abs(w)
+        assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(scale) + 1e-300
 
         # off the window's switch point, Teff is locally constant and the
-        # kernel is the exact gradient of the two-temperature cost
+        # outer form at the window temperatures, the reference
+        # TestStepDirection holds the anneal's step to, is the exact
+        # gradient of the two-temperature cost
         assume(np.min(np.abs(gam)) >= 1e-4)
         eps = 1e-6 * nw
         fd = np.empty(dim)
@@ -251,7 +297,7 @@ class TestGradientKernel:
             step[i] = eps
             fd[i] = (two_temperature_cost(w + step, Xi, tau, T, ratio)
                      - two_temperature_cost(w - step, Xi, tau, T, ratio)) / (2 * eps)
-        g = _gradient(w, nw, tXi, gam, gam / (2.0 * Teff), Teff)
+        g = outer_gradient(w, Xi, tau, Teff)
         # the floor sits well above the round-off of a difference quotient
         # of E (at most 40 terms) at this step, ~1e-8 / ||w||
         assert np.max(np.abs(g - fd)) <= 1e-5 * max(np.max(np.abs(fd)), 1e-3 / nw)
