@@ -6,7 +6,8 @@ Usage:
 
 Runs ``monoplane.cli.main`` in-process over a fixed matrix of ``train``
 (default and separation schedules), ``verify``, ``grow`` (XOR, and parity
-3 and 4 with the default schedule) and ``report`` invocations and writes
+3 and 4 with the default schedule) and ``report`` (weights, a network,
+a growth trace and a csv report) invocations and writes
 one JSON object mapping ``<run>/exit``, ``<run>/stdout``, ``<run>/stderr``
 and ``<run>/<output file>`` to the sha256 of those bytes. Run it once
 with each of two checkouts on ``PYTHONPATH`` and diff the two files: equal
@@ -168,6 +169,9 @@ def run_matrix():
     runs.append(("report", ["report", "train-train-json/weights.txt",
                             "train-test-json/weights.txt",
                             "grow-xor-json/network.txt"]))
+    # the trace and report files that train and grow write, printed verbatim
+    runs.append(("report-growth", ["report", "grow-xor-json/growth.csv"]))
+    runs.append(("report-csv", ["report", "train-train-csv/report.csv"]))
     for variant in VARIANTS:
         for command in ("train", "verify"):
             name = f"{command}-{variant}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -336,7 +337,8 @@ def cmd_report(args):
                 model = load_network(content)
                 texts.append(f"{p}: network with H={len(model.hidden)} hidden "
                              f"units, {len(model.hidden[0])} inputs each")
-            elif first.startswith(("epoch,", "{")):
+            elif first.startswith(("epoch,", "unit,", "key,", "{")):
+                # a trace, a growth trace or a json/csv report, verbatim
                 texts.append(f"{p}:\n{content.rstrip()}")
             else:
                 w = load_weights(content)
@@ -403,9 +405,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` uses, built on first use (not at import) and
+    kept for the process; ``parse_args`` returns a fresh namespace per call."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, dataio.ParseError, dataio.SplitError,

@@ -270,10 +270,11 @@ def parse_split_file(lines):
             continue
         if current is None:
             raise ParseError(f"line {lineno}: index before any [train]/[test] header")
-        try:
-            sections[current].add(int(line))
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected an integer index, got {line!r}") from None
+        # ASCII decimal digits only: int() also reads signs, underscores
+        # and non-ASCII digits
+        if not (line.isascii() and line.isdigit()):
+            raise ParseError(f"line {lineno}: expected an integer index, got {line!r}")
+        sections[current].add(int(line))
     return SplitSpec(train_indices=frozenset(sections["train"]),
                      test_indices=frozenset(sections["test"]))
 

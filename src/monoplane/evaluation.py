@@ -258,16 +258,16 @@ def run_mode(mode_name, parts):
     pub_train = sorted(r["mu"] for r in table["train_side"])
 
     # spot-check the published stabilities under W_Sonar by layout number,
-    # one scalar dot per row as ``stability`` takes it (a matrix product
-    # may round the last bit differently)
-    all_part, w_sonar = sets[2], ws[2]
-    row_of = {m: k for k, m in enumerate(all_part.mu.tolist())}
+    # read from one matrix field pass: the same product ``evaluate`` takes,
+    # so a row's stability is bit for bit the field it reports times tau
+    # (a one-row dot may round the last bit differently)
+    all_part = sets[2]
+    stability_of = dict(zip(all_part.mu.tolist(),
+                            (all_part.tau * field(ws[2], all_part.Xi)).tolist()))
     gamma_rows = []
     for side in ("test_side", "train_side"):
         for rec in table[side]:
-            k = row_of.get(rec["mu"])
-            got = (None if k is None
-                   else float(all_part.tau[k]) * field(w_sonar, all_part.Xi[k]))
+            got = stability_of.get(rec["mu"])
             gamma_rows.append({
                 "mu": rec["mu"], "published": rec["gamma_sonar"], "computed": got,
                 "abs_err": None if got is None else abs(got - rec["gamma_sonar"]),

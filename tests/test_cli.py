@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import platform
 from pathlib import Path
@@ -5,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monoplane.cli import SUFFIX, _blas_build, _emit_report, main
+from monoplane import cli
+from monoplane.cli import SUFFIX, _blas_build, _emit_report, build_parser, main
+from monoplane.network import GrowthTrace
 
 FAST_CFG = "t_initial=1.0\nt_min=1e-3\nt_decay=0.99\nlearning_rate=0.05\nmax_epochs=2000\n"
 
@@ -256,6 +260,50 @@ class TestGrow:
         assert not out.exists()
 
 
+class TestParser:
+    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        p = tmp_path / "trace.csv"
+        p.write_text("epoch,temperature,cost,errors,min_stability\n")
+        assert run(["report", str(p)]) == 0
+        assert run(["report", str(p)]) == 0
+        one_build = ["monoplane"] + [f"monoplane {cmd}" for cmd in
+                                     ("train", "grow", "verify", "report")]
+        assert built == one_build
+        # a caller of build_parser gets a parser of its own
+        assert build_parser() is not cli._parser()
+        assert built == one_build * 2
+
+    def test_no_state_leaks_between_calls(self, sonar_path, balanced_split_path,
+                                          tmp_path, fast_cfg_path):
+        common = ["train", "--dataset", str(sonar_path),
+                  "--split-file", str(balanced_split_path),
+                  "--config", fast_cfg_path]
+        assert run([*common, "--seed", "3", "--out", str(tmp_path / "a")]) == 0
+        assert run([*common, "--out", str(tmp_path / "b")]) == 0
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        # no --seed: the config's own seed, not the previous call's
+        assert manifest["seed"] == manifest["config"]["seed"] == 0
+        assert cli._parser().parse_args(["train"]).seed is None
+
+    def test_usage_error_then_valid_call(self, sonar_path, balanced_split_path,
+                                         capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["verify", "--bogus"])
+        assert info.value.code == 2
+        assert "--bogus" in capsys.readouterr().err
+        assert run(["verify", "--dataset", str(sonar_path), "--split-file",
+                    str(balanced_split_path)]) == 1
+        assert "closest mode: " in capsys.readouterr().out
+
+
 class TestVerify:
     def test_exit_1_and_diff_on_canonical_data(self, sonar_path,
                                                balanced_split_path, tmp_path,
@@ -328,6 +376,20 @@ class TestReport:
         p.write_text("epoch,temperature,cost,errors,min_stability\n0,1.0,5.0,3,-0.2\n")
         assert run(["report", str(p)]) == 0
         assert "temperature" in capsys.readouterr().out
+
+    def test_growth_and_csv_report_passthrough(self, tmp_path, capsys):
+        """grow's growth.csv and a --format csv report print verbatim."""
+        buf = io.StringIO()
+        GrowthTrace(units=[1, 0], output_attempts=[(1, 1), (2, 0)]).to_csv(buf)
+        growth = tmp_path / "growth.csv"
+        growth.write_text(buf.getvalue())
+        _emit_report({"part": "train", "training_errors": {"total": 0}},
+                     "csv", tmp_path, "report")
+        report = tmp_path / "report.csv"
+        assert run(["report", str(growth), str(report)]) == 0
+        assert capsys.readouterr().out == (
+            f"{growth}:\n{growth.read_text().rstrip()}\n"
+            f"{report}:\n{report.read_text().rstrip()}\n")
 
     def test_missing_artifact_exit_2(self, tmp_path):
         assert run(["report", str(tmp_path / "nope")]) == 2

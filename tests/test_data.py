@@ -288,6 +288,14 @@ class TestSplitFile:
         with pytest.raises(ParseError, match="integer"):
             parse_split_file("[train]\nx7\n")
 
+    @pytest.mark.parametrize("token", ["1_0", "+2", "٣", "-3"])
+    def test_only_ascii_decimal_indices(self, token):
+        """An index is ASCII digits only, although Python's int reads
+        underscores, signs and other scripts' digits."""
+        with pytest.raises(ParseError) as info:
+            parse_split_file(f"[train]\n1\n{token}\n")
+        assert str(info.value) == f"line 3: expected an integer index, got {token!r}"
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), P=st.integers(1, 40), n=st.integers(1, 4))
     def test_partition_round_trip(self, data, P, n):

@@ -7,7 +7,7 @@ import pytest
 
 from monoplane import (
     LabeledPattern, RawSet, WeightVector, compute_stats, cosine, count_errors,
-    evaluate, load_published_table, load_published_weights, load_weights,
+    evaluate, field, load_published_table, load_published_weights, load_weights,
     separability_probe, stability, standardize, verify_published,
 )
 from monoplane import evaluation
@@ -285,12 +285,14 @@ def _reference_run_mode(mode_name, sets, layout):
     mu_train = sorted(layout[p.mu] for p in train_std if stability(w_test, p) <= 0)
     pub_test = sorted(r["mu"] for r in table["test_side"])
     pub_train = sorted(r["mu"] for r in table["train_side"])
-    by_layout = {layout[p.mu]: p for p in all_std}
+    # W_Sonar stabilities from one matrix field of the full set, the product
+    # the misclassification report reads
+    f_sonar = field(w_sonar, np.array([p.xi for p in all_std])).tolist()
+    by_layout = {layout[p.mu]: p.tau * f for p, f in zip(all_std, f_sonar)}
     rows = []
     for side in ("test_side", "train_side"):
         for rec in table[side]:
-            p = by_layout.get(rec["mu"])
-            got = None if p is None else stability(w_sonar, p)
+            got = by_layout.get(rec["mu"])
             rows.append({"mu": rec["mu"], "published": rec["gamma_sonar"],
                          "computed": got,
                          "abs_err": None if got is None else abs(got - rec["gamma_sonar"])})
@@ -344,6 +346,29 @@ class TestArrayVerify:
         assert vars(got) == vars(want)
         assert all(type(r["computed"]) is float for r in got.gamma_check["rows"])
         assert perturbation_analysis(parts[mode_name]) == _reference_spreads(sets)
+
+    @pytest.mark.parametrize("flip_labels", (False, True))
+    def test_spot_check_reads_the_report_field(self, parts, flip_labels):
+        """Each spot-checked stability is, bit for bit, tau times the matrix
+        field of its pattern, so a pattern W_Sonar misclassifies carries
+        the field that ``evaluate`` reports for it."""
+        w_sonar = load_published_weights("W_Sonar")
+        sets = mode_parts(*parts, flip_labels=flip_labels)
+        n_misclassified = 0
+        for mode_name in sets:
+            full = sets[mode_name][2]
+            f = field(w_sonar, full.Xi)
+            row_of = {m: k for k, m in enumerate(full.mu.tolist())}
+            rep = evaluate(w_sonar, full)
+            reported = {mu: tau * fld
+                        for mu, fld, tau in zip(rep.mu, rep.field, rep.tau)}
+            for row in run_mode(mode_name, sets).gamma_check["rows"]:
+                k = row_of[row["mu"]]
+                assert row["computed"] == float(full.tau[k] * f[k])
+                if row["mu"] in reported:
+                    assert row["computed"] == reported[row["mu"]]
+                    n_misclassified += 1
+        assert n_misclassified > 0
 
     @pytest.mark.parametrize("flip_labels", (False, True))
     def test_mode_parts_rows(self, parts, flip_labels):
