@@ -172,6 +172,9 @@ SEPARATION_CONFIG = TrainingConfig(
 )
 
 
+_CSV_CHUNK_ROWS = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class TrainingTrace:
     """Per-epoch observability of a run, plus which epoch was retained.
@@ -204,10 +207,15 @@ class TrainingTrace:
 
     def to_csv(self, stream):
         stream.write("epoch,temperature,cost,errors,min_stability\n")
-        rows = zip(self.temperature.tolist(), self.cost.tolist(),
-                   self.errors.tolist(), self.min_stability.tolist())
-        stream.writelines(f"{i},{T!r},{E!r},{errors},{stab!r}\n"
-                          for i, (T, E, errors, stab) in enumerate(rows))
+        columns = (self.temperature, self.cost, self.errors, self.min_stability)
+        # a bounded number of rows at a time as Python numbers, so a long
+        # trace never holds all its values as Python objects at once
+        for start in range(0, len(self), _CSV_CHUNK_ROWS):
+            rows = zip(*(c[start:start + _CSV_CHUNK_ROWS].tolist()
+                         for c in columns))
+            stream.writelines(f"{i},{T!r},{E!r},{errors},{stab!r}\n"
+                              for i, (T, E, errors, stab)
+                              in enumerate(rows, start))
 
 
 def field(w: WeightVector, X):

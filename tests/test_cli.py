@@ -1,4 +1,5 @@
 import argparse
+import enum
 import io
 import json
 import platform
@@ -6,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monoplane import cli
-from monoplane.cli import SUFFIX, _blas_build, _emit_report, build_parser, main
+from monoplane.cli import (
+    SUFFIX, _blas_build, _emit_report, _json_text, build_parser, main,
+)
 from monoplane.network import GrowthTrace
 
 FAST_CFG = "t_initial=1.0\nt_min=1e-3\nt_decay=0.99\nlearning_rate=0.05\nmax_epochs=2000\n"
@@ -152,6 +156,18 @@ class TestTrain:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ("train", "grow"))
+    @pytest.mark.parametrize("features", ("0", "-1"))
+    def test_features_below_one_exit_2(self, sonar_path, tmp_path, capsys,
+                                       command, features):
+        out = tmp_path / "o"
+        assert run([command, "--dataset", str(sonar_path), "--features",
+                    features, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --features: need at least 1, got {features}\n")
+        assert not out.exists()
+
+
 class TestStop:
     """The train report says why the anneal ended, in every format."""
 
@@ -216,6 +232,76 @@ class TestEmitReport:
         assert (tmp_path / "r.txt").read_bytes() == (
             b"a.x: s\na.z: 0.1\nb: [1, 2.5, 'x']\nc: True\nd: None\n"
             b"e.f.g: -1.5e-20\n")
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+_KEYS = st.text(max_size=6) | st.sampled_from(
+    ["", "a", "\u00e9t\u00e9", "\u2603", "\x00\x1f", '"', "\\", "\ud800", "\U0001f600"])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, float("nan"),
+                     float("inf"), float("-inf")]),
+    st.floats(allow_nan=True).map(np.float64),
+    st.sampled_from([Colour.RED]),
+    st.text(max_size=8), _KEYS,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestJsonText:
+    """The report writer gives the stdlib's indent-1, sorted-key text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    @example([])
+    @example({})
+    @example({"a": [{}, [()]], "k": [[[]]], "": {"b": ()}})
+    def test_matches_stdlib(self, value):
+        assert _json_text(value) == json.dumps(value, indent=1, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        np.int64(3), {1, 2}, [np.int64(1)], {"a": {"b": {3}}}, {1: "a"},
+        {"a": {2: 0}}, object(),
+    ], ids=["np.int64", "set", "nested-np.int64", "nested-set", "int-key",
+            "nested-int-key", "object"])
+    def test_rejects_what_reports_never_hold(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+    def test_artifacts_are_stdlib_indent_1(self, sonar_path,
+                                           balanced_split_path, tmp_path,
+                                           fast_cfg_path, capsys):
+        from importlib import resources
+        xor = resources.files("monoplane.assets").joinpath("xor.csv")
+        runs = [
+            (["train", "--dataset", str(sonar_path), "--split-file",
+              str(balanced_split_path), "--config", fast_cfg_path],
+             0, "report.json"),
+            (["grow", "--dataset", str(xor), "--features", "2", "--part",
+              "all", "--config", fast_cfg_path], 0, "report.json"),
+            (["verify", "--dataset", str(sonar_path), "--split-file",
+              str(balanced_split_path), "--format", "json"], 1, "verify.json"),
+        ]
+        for argv, code, report in runs:
+            out = tmp_path / argv[0]
+            assert run([*argv, "--out", str(out)]) == code
+            for name in (report, "manifest.json"):
+                text = (out / name).read_text(encoding="utf-8")
+                assert text == json.dumps(json.loads(text), indent=1,
+                                          sort_keys=True) + "\n", (argv[0], name)
+        assert capsys.readouterr().out.endswith(
+            (tmp_path / "verify" / "verify.json").read_text(encoding="utf-8"))
 
 
 class TestGrow:

@@ -410,6 +410,32 @@ class TestArrayVerify:
         verify_published(*balanced_parts)
         assert len(calls) <= 3
 
+    def test_verify_draws_the_jitter_once(self, balanced_parts, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        evaluation._published.cache_clear()
+        first = verify_published(*balanced_parts)[2]["perturbation"]
+        second = verify_published(*balanced_parts)[2]["perturbation"]
+        assert calls == [(0,)]
+        assert first == second
+
+    def test_published_arrays_are_read_only(self):
+        evaluation._published.cache_clear()
+        _, ws, perturbed = evaluation._published()
+        for w, draws in zip(ws, perturbed):
+            assert draws.shape == (len(w), 100)
+            with pytest.raises(ValueError, match="read-only"):
+                w.w[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                draws[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                draws.base[0, 0] = 1.0
+
     def test_verify_builds_no_pattern_lists(self, balanced_parts, monkeypatch):
         """Verify builds no per-pattern row (``RawPattern`` or
         ``LabeledPattern``) and never runs ``count_errors``, under any name a

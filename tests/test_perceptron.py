@@ -737,6 +737,36 @@ class TestMinimerror:
             assert want.startswith(buf.getvalue())
             assert buf.getvalue().count("\n") == len(short) + 1
 
+    def test_csv_of_a_long_trace_is_written_in_bounded_memory(self, tmp_path):
+        """A trace as long as the all-208 separation anneal's (35,187 rows)
+        is written with the per-row bytes and never holds all its rows as
+        Python numbers: the writer's peak stays below 1.5 MB above its
+        start."""
+        rng = np.random.default_rng(5)
+        n = 35187
+        trace = TrainingTrace(0.9998 ** np.arange(n), rng.random(n) * 50,
+                              rng.integers(0, 40, n), rng.standard_normal(n))
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                trace.to_csv(fh)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        rows = zip(trace.temperature.tolist(), trace.cost.tolist(),
+                   trace.errors.tolist(), trace.min_stability.tolist())
+        want = ["epoch,temperature,cost,errors,min_stability\n"] + [
+            f"{i},{T!r},{E!r},{errors},{stab!r}\n"
+            for i, (T, E, errors, stab) in enumerate(rows)]
+        got = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # name the first differing line (a diff of the whole file is slow)
+        assert len(got) == len(want)
+        bad = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert bad is None, (bad, got[bad], want[bad])
+
     def test_trace_is_compact_and_typed(self):
         """A default-schedule trace keeps at most 64 bytes per epoch, and
         writes its rows as Python floats and ints."""
