@@ -22,10 +22,12 @@ the mapping of rows to the paper's layout numbers. ``grow`` also runs on
 parity-3 and parity-4 files written there: parity 3 grows three hidden
 units, parity 4 stalls with several units trained. ``train`` and ``verify``
 also run on edited copies of the sonar file written there: one malformed
-field, label or value each, so that every parser diagnostic is hashed, and
-two well-formed files, one in a loose layout and one with a number that
-only Python's ``float`` reads. ``train --seed -1`` and ``grow --max-hidden
-0`` hash the usage errors of a bad option value.
+field, label or value each, one number that only Python's ``float`` reads
+(``0.1_5``, which the parser rejects) and one leading byte that is not
+UTF-8, so that every parser diagnostic is hashed, and one well-formed file
+in a loose layout. ``train --seed -1`` and ``grow --max-hidden 0`` hash
+the usage errors of a bad option value, and ``report`` on two weight files
+of different lengths the error of a pair it cannot compare.
 
 A run that raises instead of returning an exit code does not end the
 matrix: its ``exit`` item hashes the ``SystemExit`` code, or the name of
@@ -78,7 +80,7 @@ VARIANT_EDITS = {
     "nan": (6, "nan"),
     "underscore": (6, "0.1_5"),
 }
-VARIANTS = (*VARIANT_EDITS, "loose")
+VARIANTS = (*VARIANT_EDITS, "loose", "not-utf8")
 
 
 def random_split_text(raw, seed, n_mines=49, n_rocks=55):
@@ -172,6 +174,8 @@ def run_matrix():
     # the trace and report files that train and grow write, printed verbatim
     runs.append(("report-growth", ["report", "grow-xor-json/growth.csv"]))
     runs.append(("report-csv", ["report", "train-train-csv/report.csv"]))
+    runs.append(("report-mismatch", ["report", "train-train-json/weights.txt",
+                                     "w2.txt"]))
     for variant in VARIANTS:
         for command in ("train", "verify"):
             name = f"{command}-{variant}"
@@ -200,6 +204,9 @@ def hashes(root: Path):
         (root / f"parity{n}.csv").write_text(parity_text(n))
     for variant, text in variant_texts((root / "sonar.all-data").read_text()).items():
         (root / f"sonar-{variant}.csv").write_text(text)
+    (root / "sonar-not-utf8.csv").write_bytes(
+        b"\xff" + (root / "sonar.all-data").read_bytes())
+    (root / "w2.txt").write_text("1.0\n2.0\n")
     out = {}
     for name, argv in run_matrix():
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -406,14 +406,20 @@ def cmd_report(args):
             # a malformed artifact (or non-UTF-8 bytes) is a usage error
             raise UsageError(f"cannot read {p}: {exc}") from None
     if len(loaded) == 2:
-        c = cosine(loaded[0], loaded[1], raw_eq8=args.raw_eq8)
+        try:
+            c = cosine(loaded[0], loaded[1], raw_eq8=args.raw_eq8)
+        except ValueError as exc:
+            raise UsageError(f"cannot compare the two weight vectors: {exc}") from None
         mode = "raw-eq8" if args.raw_eq8 else "true"
         texts.append(f"pairwise cosine ({mode}): {c!r}")
     print("\n".join(texts))
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser ``main`` uses, built on first use (not at import) and
+    kept for the process; ``parse_args`` returns a fresh namespace per call."""
     ap = argparse.ArgumentParser(
         prog="monoplane",
         description="Annealed perceptron training, constructive network "
@@ -462,15 +468,8 @@ def build_parser():
     return ap
 
 
-@functools.cache
-def _parser():
-    """The parser ``main`` uses, built on first use (not at import) and
-    kept for the process; ``parse_args`` returns a fresh namespace per call."""
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, dataio.ParseError, dataio.SplitError,

@@ -22,7 +22,6 @@ the ``PatternSet`` that trainers and evaluators read.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,89 +140,87 @@ def parse_sonar_file(lines, n_features=60, require_unit_range=True):
     """Parse a benchmark text stream into a RawSet numbered in file order.
 
     ``lines`` is a string or any iterable of text lines (an open file works).
-    Blank lines are skipped. Malformed lines raise ParseError naming the
-    1-based line number. Values outside [0, 1] raise unless
-    ``require_unit_range`` is False, which permits non-benchmark data such
-    as bundled toy fixtures; a value that is not finite raises either way.
+    Blank lines are skipped. Three passes each raise ParseError at the first
+    line that fails them, by 1-based number: the field count and the class
+    label of every line, then the numbers, then the values. A value outside
+    [0, 1] raises unless ``require_unit_range`` is False, which permits
+    non-benchmark data such as bundled toy fixtures; a value that is not
+    finite raises either way.
 
-    The values are read by numpy's C text reader in one call. When a line
-    fails a check, or holds a number that only Python's ``float`` accepts
-    (such as ``0.1_5``), the file is read again line by line, which names
-    the first bad line or returns the same RawSet.
+    numpy's C text reader reads the numbers in one call: what Python's
+    ``float`` reads, less underscores (``0.1_5``) and non-ASCII digits.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
-    lines = list(lines)
-    raw = _read_table(lines, n_features, require_unit_range)
-    if raw is not None:
-        return raw
-    rows, taus = [], []
+    linenos, body, taus = [], [], []
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != n_features + 1:
+        # usecols ignores extra fields, so the comma count is the field check
+        if line.count(",") != n_features:
             raise ParseError(
                 f"line {lineno}: expected {n_features} values plus a label, "
-                f"got {len(parts)} fields"
+                f"got {line.count(',') + 1} fields"
             )
-        try:
-            values = [float(p) for p in parts[:-1]]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: unparseable number ({exc})") from None
-        tau = _LABEL_TAU.get(parts[-1].upper())
+        label = line.rsplit(",", 1)[-1].strip()
+        tau = _LABEL_TAU.get(label.upper())
         if tau is None:
-            raise ParseError(f"line {lineno}: unknown class label {parts[-1]!r}")
-        if require_unit_range:
-            for i, v in enumerate(values):
-                if not 0.0 <= v <= 1.0:
-                    raise ParseError(
-                        f"line {lineno}: feature {i + 1} value {v} outside [0, 1] "
-                        f"(pass require_unit_range=False to accept)"
-                    )
-        else:
-            for i, v in enumerate(values):
-                if not math.isfinite(v):
-                    raise ParseError(f"line {lineno}: feature {i + 1} value {v} "
-                                     f"is not finite")
-        rows.append(values)
+            raise ParseError(f"line {lineno}: unknown class label {label!r}")
+        linenos.append(lineno)
+        body.append(line)
         taus.append(tau)
-    return RawSet(X=np.array(rows, dtype=float).reshape(len(rows), n_features),
-                  tau=np.array(taus, dtype=int), mu=np.arange(1, len(rows) + 1))
-
-
-def _read_table(lines, n_features, require_unit_range):
-    """The RawSet of ``lines`` from one ``np.loadtxt`` call, or None when a
-    line fails a check of ``parse_sonar_file``'s line loop or the reader
-    rejects a value."""
-    body = [line for line in lines if line.strip()]
-    if not body:
-        return None  # loadtxt warns on no data; the line loop reads none
-    taus = []
-    for line in body:
-        tau = _LABEL_TAU.get(line.rsplit(",", 1)[-1].strip().upper())
-        # usecols ignores extra fields, so the comma count is the field check
-        if tau is None or line.count(",") != n_features:
-            return None
-        taus.append(tau)
-    try:
-        # comments=None: a "#" is part of a value, which the loop rejects
-        X = np.loadtxt(body, delimiter=",", usecols=range(n_features),
-                       dtype=float, comments=None, ndmin=2)
+    try:  # loadtxt warns on no data
+        X = _read_values(body, n_features) if body else np.empty((0, n_features))
     except ValueError:
-        return None
-    # NaN fails both comparisons, as it fails 0.0 <= v <= 1.0 in the loop
+        raise _rejection(linenos, body, n_features) from None
+    # NaN fails both comparisons; argmin finds the first failure in row order
     ok = (X >= 0.0) & (X <= 1.0) if require_unit_range else np.isfinite(X)
     if not ok.all():
-        return None
+        k, i = divmod(int(ok.argmin()), n_features)
+        fault = ("outside [0, 1] (pass require_unit_range=False to accept)"
+                 if require_unit_range else "is not finite")
+        raise ParseError(f"line {linenos[k]}: feature {i + 1} value "
+                         f"{float(X[k, i])} {fault}")
     return RawSet(X=X, tau=np.array(taus, dtype=int), mu=np.arange(1, len(body) + 1))
 
 
+def _read_values(lines, n_features):
+    """The first ``n_features`` comma-separated numbers of each line, as a
+    float matrix; comments=None keeps a "#" part of a value."""
+    return np.loadtxt(lines, delimiter=",", usecols=range(n_features),
+                      dtype=float, comments=None, ndmin=2)
+
+
+def _rejection(linenos, body, n_features):
+    """The ParseError naming the first line that the reader rejects on its
+    own, and in it the first value that it rejects on its own; the reader
+    rejects a file only for a line that it also rejects on its own."""
+    for lineno, line in zip(linenos, body):
+        try:
+            _read_values([line], n_features)
+        except ValueError as exc:
+            for value in line.split(",")[:n_features]:
+                try:  # the comma keeps an empty value from reading as a blank line
+                    _read_values([value + ","], 1)
+                except ValueError:
+                    return ParseError(f"line {lineno}: unparseable number (could "
+                                      f"not convert string to float: {value.strip()!r})")
+            return ParseError(f"line {lineno}: {exc}")  # e.g. an embedded newline
+
+
 def load_file(path, n_features=60, require_unit_range=True):
+    return _load(parse_sonar_file, path, n_features=n_features,
+                 require_unit_range=require_unit_range)
+
+
+def _load(parse, path, **kwargs):
+    """``parse`` of the text file at ``path``; bytes that are not UTF-8
+    raise ParseError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_sonar_file(fh, n_features=n_features,
-                                require_unit_range=require_unit_range)
+        try:
+            return parse(fh, **kwargs)
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not a UTF-8 text file") from None
 
 
 def default_split(raw):
@@ -280,8 +277,7 @@ def parse_split_file(lines):
 
 
 def load_split_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_split_file(fh)
+    return _load(parse_split_file, path)
 
 
 def compute_stats(raw, mode="std"):

@@ -266,19 +266,19 @@ def run_mode(mode_name, parts):
     ``parts``, a ``mode_parts`` result."""
     table, ws, _ = _published()
     sets = parts[mode_name]
-    rep_test, rep_train, rep_sonar = map(evaluate, ws, sets)
+    rep_test, rep_train = evaluate(ws[0], sets[0]), evaluate(ws[1], sets[1])
     mu_test, mu_train = rep_test.mu, rep_train.mu
 
     pub_test = sorted(r["mu"] for r in table["test_side"])
     pub_train = sorted(r["mu"] for r in table["train_side"])
 
-    # spot-check the published stabilities under W_Sonar by layout number,
-    # read from one matrix field pass: the same product ``evaluate`` takes,
-    # so a row's stability is bit for bit the field it reports times tau
-    # (a one-row dot may round the last bit differently)
+    # W_Sonar's error counts and the spot-check of the published stabilities
+    # by layout number read one matrix field pass: the product ``evaluate``
+    # takes, so a row's stability is bit for bit its field times tau (a
+    # one-row dot may round the last bit differently)
     all_part = sets[2]
-    stability_of = dict(zip(all_part.mu.tolist(),
-                            (all_part.tau * field(ws[2], all_part.Xi)).tolist()))
+    f_sonar = field(ws[2], all_part.Xi)
+    stability_of = dict(zip(all_part.mu.tolist(), (all_part.tau * f_sonar).tolist()))
     gamma_rows = []
     for side in ("test_side", "train_side"):
         for rec in table[side]:
@@ -296,7 +296,7 @@ def run_mode(mode_name, parts):
         mode=mode_name,
         counts_test_side=rep_test.counts,
         counts_train_side=rep_train.counts,
-        counts_sonar=rep_sonar.counts,
+        counts_sonar=_error_counts(f_sonar, all_part.tau),
         mu_test_side=mu_test,
         mu_train_side=mu_train,
         table_match_test=(mu_test == pub_test),

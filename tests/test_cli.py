@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monoplane import cli
+from monoplane import (
+    TrainingConfig, compute_stats, load_file, load_split_file, minimerror_train,
+    save_weights, split, standardize,
+)
 from monoplane.cli import (
     SUFFIX, _blas_build, _emit_report, _json_text, build_parser, main,
 )
@@ -155,6 +158,42 @@ class TestTrain:
         assert capsys.readouterr().err == "error: bad --seed: need seed >= 0\n"
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("scale", ("std", "variance"))
+    @pytest.mark.parametrize("stats_from", ("part", "all"))
+    def test_scale_and_stats_from(self, sonar_path, balanced_split_path,
+                                  tmp_path, fast_cfg_path, scale, stats_from):
+        """The weights are the library's anneal on the learning part in the
+        coordinates of ``compute_stats(<part or all>, scale)``."""
+        out = tmp_path / "o"
+        assert run(["train", "--dataset", str(sonar_path),
+                    "--split-file", str(balanced_split_path),
+                    "--config", fast_cfg_path, "--scale", scale,
+                    "--stats-from", stats_from, "--out", str(out)]) == 0
+        raw = load_file(sonar_path)
+        learn_raw, _ = split(raw, load_split_file(balanced_split_path))
+        stats = compute_stats(raw if stats_from == "all" else learn_raw, mode=scale)
+        w, _ = minimerror_train(standardize(learn_raw, stats),
+                                TrainingConfig.from_file(fast_cfg_path))
+        buf = io.StringIO()
+        save_weights(w, buf)
+        assert (out / "weights.txt").read_text() == buf.getvalue()
+        m = json.loads((out / "manifest.json").read_text())
+        assert (m["scale"], m["stats_from"]) == (scale, stats_from)
+
+    @pytest.mark.parametrize("command", ("train", "verify"))
+    @pytest.mark.parametrize("bad", ("dataset", "split"))
+    def test_non_utf8_input_exit_2(self, sonar_path, balanced_split_path,
+                                   tmp_path, capsys, command, bad):
+        paths = {"dataset": sonar_path, "split": balanced_split_path}
+        source, paths[bad] = paths[bad], tmp_path / f"{bad}.bin"
+        paths[bad].write_bytes(b"\xff" + source.read_bytes())
+        out = tmp_path / "o"
+        assert run([command, "--dataset", str(paths["dataset"]),
+                    "--split-file", str(paths["split"]), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[bad]}: not a UTF-8 text file\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ("train", "grow"))
     @pytest.mark.parametrize("features", ("0", "-1"))
@@ -355,7 +394,7 @@ class TestParser:
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        cli._parser.cache_clear()
+        build_parser.cache_clear()
         p = tmp_path / "trace.csv"
         p.write_text("epoch,temperature,cost,errors,min_stability\n")
         assert run(["report", str(p)]) == 0
@@ -363,9 +402,6 @@ class TestParser:
         one_build = ["monoplane"] + [f"monoplane {cmd}" for cmd in
                                      ("train", "grow", "verify", "report")]
         assert built == one_build
-        # a caller of build_parser gets a parser of its own
-        assert build_parser() is not cli._parser()
-        assert built == one_build * 2
 
     def test_no_state_leaks_between_calls(self, sonar_path, balanced_split_path,
                                           tmp_path, fast_cfg_path):
@@ -377,7 +413,7 @@ class TestParser:
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
         # no --seed: the config's own seed, not the previous call's
         assert manifest["seed"] == manifest["config"]["seed"] == 0
-        assert cli._parser().parse_args(["train"]).seed is None
+        assert build_parser().parse_args(["train"]).seed is None
 
     def test_usage_error_then_valid_call(self, sonar_path, balanced_split_path,
                                          capsys):
@@ -476,6 +512,16 @@ class TestReport:
         assert capsys.readouterr().out == (
             f"{growth}:\n{growth.read_text().rstrip()}\n"
             f"{report}:\n{report.read_text().rstrip()}\n")
+
+    def test_weights_of_different_lengths_exit_2(self, tmp_path, capsys):
+        paths = []
+        for n in (3, 2):
+            p = tmp_path / f"w{n}.txt"
+            p.write_text("".join(f"{k + 1.0!r}\n" for k in range(n)))
+            paths.append(str(p))
+        assert run(["report", *paths]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot compare the two weight vectors: dimension mismatch: 3 vs 2\n")
 
     def test_missing_artifact_exit_2(self, tmp_path):
         assert run(["report", str(tmp_path / "nope")]) == 2

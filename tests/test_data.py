@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from monoplane import (
     ParseError, PatternSet, RawSet, SplitError, SplitSpec, StatsError,
-    compute_stats, default_split, load_file, parse_sonar_file,
+    compute_stats, default_split, load_file, load_split_file, parse_sonar_file,
     parse_split_file, split, standardize,
 )
-from monoplane.data import _read_table
 
 
 def _toy_lines(rows):
@@ -34,12 +33,22 @@ def _raw_set(rows, labels):
 _LABEL_TAU = {"R": +1, "ROCK": +1, "M": -1, "MINE": -1}
 
 
+def _reference_float(p):
+    """Python's ``float`` of ``p``, which must hold no underscore and no
+    non-ASCII digit."""
+    if "_" in p or any(c.isdecimal() and not c.isascii() for c in p):
+        raise ValueError(f"could not convert string to float: {p!r}")
+    return float(p)
+
+
 def _reference_parse(lines, n_features=60, require_unit_range=True):
     """The line-at-a-time parser that ``parse_sonar_file`` must agree with:
-    the same RawSet bits, or a ParseError with the same text."""
+    the same RawSet bits, or a ParseError with the same text. Each pass
+    names the first line that fails it: the field count and the label, then
+    the numbers, then the values."""
     if isinstance(lines, str):
         lines = lines.splitlines()
-    rows, taus = [], []
+    body = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -50,29 +59,29 @@ def _reference_parse(lines, n_features=60, require_unit_range=True):
                 f"line {lineno}: expected {n_features} values plus a label, "
                 f"got {len(parts)} fields"
             )
-        try:
-            values = [float(p) for p in parts[:-1]]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: unparseable number ({exc})") from None
         tau = _LABEL_TAU.get(parts[-1].upper())
         if tau is None:
             raise ParseError(f"line {lineno}: unknown class label {parts[-1]!r}")
-        if require_unit_range:
-            for i, v in enumerate(values):
-                if not 0.0 <= v <= 1.0:
-                    raise ParseError(
-                        f"line {lineno}: feature {i + 1} value {v} outside [0, 1] "
-                        f"(pass require_unit_range=False to accept)"
-                    )
-        else:
-            for i, v in enumerate(values):
-                if not math.isfinite(v):
-                    raise ParseError(f"line {lineno}: feature {i + 1} value {v} "
-                                     f"is not finite")
-        rows.append(values)
-        taus.append(tau)
+        body.append((lineno, parts[:-1], tau))
+    rows = []
+    for lineno, parts, _ in body:
+        try:
+            rows.append([_reference_float(p) for p in parts])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: unparseable number ({exc})") from None
+    for (lineno, _, _), values in zip(body, rows):
+        for i, v in enumerate(values):
+            if require_unit_range and not 0.0 <= v <= 1.0:
+                raise ParseError(
+                    f"line {lineno}: feature {i + 1} value {v} outside [0, 1] "
+                    f"(pass require_unit_range=False to accept)"
+                )
+            if not require_unit_range and not math.isfinite(v):
+                raise ParseError(f"line {lineno}: feature {i + 1} value {v} "
+                                 f"is not finite")
     return RawSet(X=np.array(rows, dtype=float).reshape(len(rows), n_features),
-                  tau=np.array(taus, dtype=int), mu=np.arange(1, len(rows) + 1))
+                  tau=np.array([tau for _, _, tau in body], dtype=int),
+                  mu=np.arange(1, len(rows) + 1))
 
 
 _PAD = st.sampled_from(["", " ", "\t", "  ", " \t"])
@@ -82,7 +91,8 @@ _VALUE = st.one_of(
     st.sampled_from(["0", "1", "+.5", "1e-1", "0.0", "-0.0", "1.0"]),
 )
 _LABEL = st.sampled_from(["R", "M", "r", "m", "rock", "mine", " Mine ", "ROCK"])
-# tokens that one check or the other rejects, and some that only float() reads
+# tokens that one check or another rejects; underscores and non-ASCII digits
+# are the numbers that Python's float reads and the parser does not
 _BAD_VALUE = st.one_of(
     st.sampled_from(["0.1_5", "abc", "", "nan", "inf", "-inf", "1.0001", "0.1#2",
                      "#0.1", "-0.5", "1e400", "0x1p-1", "0.5 0.5", '"0.5"',
@@ -93,7 +103,7 @@ _BAD_VALUE = st.one_of(
 
 @st.composite
 def _sonar_file(draw):
-    """(lines, n_features, defect): a well-formed benchmark file with blank
+    """(lines, n_features): a well-formed benchmark file with blank
     lines mixed in, then at most one defect in one of its pattern lines."""
     n = draw(st.one_of(st.integers(1, 6), st.just(60)))
     # a row repeats up to 6 drawn cells, which keeps 60-feature files cheap
@@ -121,7 +131,7 @@ def _sonar_file(draw):
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["", " ", "\t", "  \t "])))
-    return lines, n, defect
+    return lines, n
 
 
 def _outcome(parse, lines, kind, n, require_unit_range):
@@ -210,17 +220,56 @@ class TestParse:
                             == _outcome(_reference_parse, lines, kind, 3,
                                         require_unit_range))
 
+    @pytest.mark.parametrize("lines, message", [
+        (["abc,0.5,R", "0.5,0.5,Q"], "line 2: unknown class label 'Q'"),
+        (["abc,0.5,R", "0.5,R"], "line 2: expected 2 values plus a label, got 2 fields"),
+        (["1.5,0.5,R", "0.5, 0.1_5 ,R"], "line 2: unparseable number "
+                                         "(could not convert string to float: '0.1_5')"),
+        (["0.5,-1,R", "2,0.5,R"], "line 1: feature 2 value -1.0 outside [0, 1] "
+                                  "(pass require_unit_range=False to accept)"),
+    ], ids=["label", "fields", "number", "range"])
+    def test_each_pass_names_its_first_line(self, lines, message):
+        """A later line's defect is named first when an earlier pass checks
+        it: fields and labels, then numbers, then values."""
+        for parse in (parse_sonar_file, _reference_parse):
+            with pytest.raises(ParseError) as info:
+                parse(lines, n_features=2)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("token", ["0.1_5", "\u0660.5", "1\u0663"])
+    def test_float_only_numbers_rejected(self, token):
+        """Underscores and non-ASCII digits are not numbers here, although
+        Python's float reads them."""
+        float(token)
+        with pytest.raises(ParseError) as info:
+            parse_sonar_file(["0.25,0.5,R", f"0.5,{token},M"], n_features=2)
+        assert str(info.value) == (f"line 2: unparseable number (could not "
+                                   f"convert string to float: {token!r})")
+
+    def test_embedded_newline_names_its_line(self):
+        """A list item that holds a line break inside its label field passes
+        the label check, and the reader's rejection still names it."""
+        with pytest.raises(ParseError, match=r"^line 2: .*embedded newline"):
+            parse_sonar_file(["0.25,0.5,R", "0.5,0.5,\nM"], n_features=2)
+
     @settings(max_examples=200, deadline=None)
     @given(case=_sonar_file(), kind=st.sampled_from(["str", "list", "file"]),
            require_unit_range=st.booleans())
     def test_matches_line_loop(self, case, kind, require_unit_range):
         """Every file gives the reference loop's RawSet bits or ParseError
-        text; a well-formed one is read by the C reader."""
-        lines, n, defect = case
+        text."""
+        lines, n = case
         assert (_outcome(parse_sonar_file, lines, kind, n, require_unit_range)
                 == _outcome(_reference_parse, lines, kind, n, require_unit_range))
-        if defect is None and any(line.strip() for line in lines):
-            assert _read_table(lines, n, require_unit_range) is not None
+
+    @pytest.mark.parametrize("load", [
+        lambda path: load_file(path, n_features=2), load_split_file])
+    def test_non_utf8_file_named(self, tmp_path, load):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff[train]\n1\n0.5,0.5,R\n")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: not a UTF-8 text file"
 
     def test_canonical_file_takes_c_reader(self, sonar_path):
         """Read in one numpy call, the canonical file's parse peaks well

@@ -9,7 +9,8 @@ import pytest
 DEMOS = Path(__file__).parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["02_constructive_growth.py",
+@pytest.mark.parametrize("name", ["01_annealed_perceptron.py",
+                                  "02_constructive_growth.py",
                                   "04_published_tables.py"])
 def test_demo_exits_0(name, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name])
