@@ -2,10 +2,12 @@
 
 The claim: the 104-pattern learning part, the 104-pattern generalization
 part, and the combined 208-pattern set each admit a hyperplane with every
-pattern strictly on its correct side. This script retrains the annealed
-perceptron on all three sets and verifies the certificates (a separator is
-self-certifying: recheck that every stability is positive). The baseline
-fixed-increment rule is run alongside to compare generalization.
+pattern strictly on its correct side. This script decides each set's
+separability, solving for its maximal-stability separator w*, and rechecks
+the certificate (every stability under w* is positive). It prints the
+bracket on the optimal minimal stability kappa* and the number of patterns
+that support w*. The annealed perceptron and the baseline fixed-increment
+rule are then trained on the learning part to compare generalization.
 
 Run:  python demos/03_sonar_separability.py  [path/to/sonar.all-data]
 """
@@ -19,7 +21,7 @@ import numpy as np
 from monoplane import (
     SEPARATION_CONFIG, TrainingConfig, compute_stats, count_errors,
     load_file, load_split_file, minimerror_train, rosenblatt_train,
-    separability_probe, split, stability, standardize,
+    separability, split, standardize,
 )
 
 HERE = Path(__file__).parent
@@ -45,13 +47,16 @@ def main():
     for name, raw in jobs:
         stats = compute_stats(raw)
         std = standardize(raw, stats)
-        verdict = separability_probe(std, SEPARATION_CONFIG)
-        mark = "separable" if verdict.separable else "undetermined"
-        worst = min(stability(verdict.weights, p) for p in std)
-        print(f"{name:13s} ({len(std):3d} patterns): {mark} "
-              f"via {verdict.trainer}, worst stability {worst:+.4e}")
+        verdict = separability(std)
+        assert verdict.recheck(std)
         if verdict.separable:
-            assert verdict.recheck(std)
+            lower, upper = verdict.kappa
+            print(f"{name:13s} ({len(std):3d} patterns): separable, "
+                  f"kappa* in [{lower:.8f}, {upper:.8f}], "
+                  f"{np.count_nonzero(verdict.u)} support patterns")
+        else:
+            print(f"{name:13s} ({len(std):3d} patterns): not separable "
+                  f"(Gordan certificate)")
 
     # generalization: learn one part, misclassify some of the other
     print("\ngeneralization across the division:")

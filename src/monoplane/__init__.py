@@ -3,8 +3,8 @@
 The library has four layers: ``data`` ingests and standardizes the sonar
 benchmark, ``perceptron`` trains single binary units by deterministic
 annealing of a smoothed error count, ``network`` grows a single hidden
-layer until the training set is learned exactly, and ``evaluation`` checks
-separability claims and the published weight tables. ``cli`` ties them
+layer until the training set is learned exactly, and ``evaluation`` decides
+separability and checks the published weight tables. ``cli`` ties them
 into the ``monoplane`` command.
 """
 
@@ -15,8 +15,8 @@ from .data import (
     standardize,
 )
 from .evaluation import (
-    EvaluationReport, ProbeVerdict, cosine, evaluate, load_published_table,
-    load_published_weights, separability_probe, verify_published,
+    EvaluationReport, SeparabilityVerdict, cosine, evaluate, separability,
+    load_published_table, load_published_weights, verify_published,
 )
 from .network import (
     GrowthStallError, GrowthTrace, NetworkModel, grow_network, hidden_states,

@@ -1,5 +1,5 @@
 """Quantitative evaluation: published-weight verification, misclassification
-tables, hyperplane cosines, and a one-sided separability probe.
+tables, hyperplane cosines, and a two-sided separability decision.
 
 The published weight vectors for the three benchmark runs are embedded as
 data assets and checked against the source tables by tests. The verifier
@@ -21,10 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .data import PatternSet, RawSet, compute_stats, standardize
-from .perceptron import (
-    TrainingConfig, WeightVector, _error_counts, count_errors, field,
-    load_weights, minimerror_train, rosenblatt_train,
-)
+from .perceptron import WeightVector, _error_counts, field, load_weights
 
 PUBLISHED_NAMES = ("W_Train", "W_Test", "W_Sonar")
 _ASSET_FILES = {"W_Train": "w_train.txt", "W_Test": "w_test.txt",
@@ -147,41 +144,69 @@ def cosine(a: WeightVector, b: WeightVector, raw_eq8=False) -> float:
     return dot / (a.norm * b.norm)
 
 
-@dataclass(frozen=True)
-class ProbeVerdict:
-    """Outcome of the separability probe.
+_STEPS_PER_PATTERN = 3    # outer NNLS steps per pattern; a longer solve raises
+_GORDAN_ROUNDOFF = 1e-10  # max ||u @ tXi|| per unit of tXi's largest row norm
 
-    ``separable`` is True only when a returned weight vector strictly
-    separates the set (a checkable certificate). The probe never asserts
-    non-separability: a False verdict means undetermined at this budget.
-    """
+
+@dataclass(frozen=True)
+class SeparabilityVerdict:
+    """``separable`` with w* in ``weights`` and ``kappa`` bracketing its
+    minimal stability (w*'s own, then ||u @ tXi||), or not, with Gordan's
+    vector in ``u``, the NNLS multipliers (sum 1; w*'s support is u > 0)."""
 
     separable: bool
-    weights: WeightVector
-    errors: int
-    trainer: str
+    u: np.ndarray
+    weights: WeightVector | None = None
+    kappa: tuple | None = None
 
     def recheck(self, patterns) -> bool:
-        """Every stability under ``weights`` is strictly positive."""
-        return bool(field(self.weights, PatternSet.of(patterns).folded).min() > 0.0)
+        """w* separates ``patterns``, or u >= 0 passes ``_GORDAN_ROUNDOFF``."""
+        tXi = PatternSet.of(patterns).folded
+        if self.separable:
+            return bool(field(self.weights, tXi).min() > 0.0)
+        return bool(self.u.min() >= 0.0 and np.linalg.norm(self.u @ tXi)
+                    <= _GORDAN_ROUNDOFF * np.linalg.norm(tXi, axis=1).max())
 
 
-def separability_probe(patterns, budget: TrainingConfig) -> ProbeVerdict:
-    """Try to exhibit a separating hyperplane within the training budget."""
+def separability(patterns) -> SeparabilityVerdict:
+    """Decide separability of tXi, the label-folded patterns, with a
+    certificate: the NNLS u = argmin_{u>=0} ||E u - f||, E = [tXi^T; 1^T],
+    f = e_last (Lawson and Hanson, 1974, ch. 23) gives w* = argmin ||w|| s.t.
+    tXi w >= 1 as -r[:-1]/r[-1], r = E u - f, or else a Gordan u; or raises."""
     if not patterns:
-        raise ValueError("cannot probe an empty pattern set")
-    patterns = PatternSet.of(patterns)
-    w_mm, _ = minimerror_train(patterns, budget)
-    err_mm = count_errors(w_mm, patterns)[0]
-    if err_mm == 0:
-        return ProbeVerdict(True, w_mm, 0, "minimerror")
-    w_rb, _ = rosenblatt_train(patterns, budget)
-    err_rb = count_errors(w_rb, patterns)[0]
-    if err_rb == 0:
-        return ProbeVerdict(True, w_rb, 0, "rosenblatt")
-    if err_rb < err_mm:
-        return ProbeVerdict(False, w_rb, err_rb, "rosenblatt")
-    return ProbeVerdict(False, w_mm, err_mm, "minimerror")
+        raise ValueError("cannot decide separability of an empty pattern set")
+    tXi = PatternSet.of(patterns).folded
+    E, f = np.vstack((tXi.T, np.ones(len(tXi)))), np.eye(tXi.shape[1] + 1)[-1]
+    u, passive = np.zeros(len(tXi)), np.zeros(len(tXi), dtype=bool)
+    tol = 10 * max(E.shape) * np.finfo(float).eps * np.abs(E).max()
+    for _ in range(int(_STEPS_PER_PATTERN * len(u))):
+        g = np.where(passive, -np.inf, E.T @ (f - E @ u))
+        if g.max() <= tol:
+            break
+        passive[np.argmax(g)] = True
+        while True:
+            z = np.zeros_like(u)
+            z[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+            if (z[passive] > 0.0).all():
+                break
+            neg = np.flatnonzero(passive & (z <= 0.0))
+            ratio = u[neg] / (u[neg] - z[neg])
+            u += ratio.min() * (z - u)  # until the first of them reaches 0
+            u[neg[np.argmin(ratio)]] = 0.0
+            passive &= u > 0.0
+        u = z
+    else:
+        raise RuntimeError(f"NNLS took over {_STEPS_PER_PATTERN} steps per pattern")
+    r = E @ u - f
+    u /= u.sum()
+    if r[-1] < 0.0 and r[:-1].any():
+        w = WeightVector(r[:-1] / -r[-1])
+        kappa = (float(field(w, tXi).min()), float(np.linalg.norm(u @ tXi)))
+        if kappa[0] > 0.0:
+            return SeparabilityVerdict(True, u, w, kappa)
+    if (verdict := SeparabilityVerdict(False, u)).recheck(patterns):
+        return verdict
+    raise RuntimeError("neither a separator nor a Gordan vector verifies")
 
 
 # ---------------------------------------------------------------------------

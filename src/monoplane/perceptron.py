@@ -244,7 +244,7 @@ def _sech2(x, out=None):
 
 def cost(w: WeightVector, patterns, T: float) -> float:
     """Smoothed error count E = 1/2 sum [1 - tanh(gamma / 2T)], in (0, P)."""
-    if T <= 0:
+    if not T > 0:
         raise ValueError("temperature must be positive")
     if not patterns:
         raise ValueError("cost of an empty pattern set is undefined")
@@ -262,7 +262,7 @@ def cost_gradient(w: WeightVector, patterns, T: float):
 
     Each pattern's share is orthogonal to w, so the whole gradient is.
     """
-    if T <= 0:
+    if not T > 0:
         raise ValueError("temperature must be positive")
     if not patterns:
         raise ValueError("cost of an empty pattern set is undefined")

@@ -13,7 +13,9 @@ strict-expected-fail; the verification command publishes the per-mode
 diffs and the truncation perturbation analysis.
 
 The separability claims themselves (criteria 1 and 2) do hold on the
-canonical data and are certified here by retraining from scratch.
+canonical data and are certified here by retraining from scratch, and by
+the maximal-stability separator that ``separability`` solves for, which
+also bounds how stable the retrained separators can be.
 """
 
 import json
@@ -24,8 +26,9 @@ import pytest
 from monoplane import (
     SEPARATION_CONFIG, TrainingConfig, WeightVector, cosine, cost,
     cost_gradient, count_errors, grow_network, hidden_states,
-    internal_targets, load_published_weights, minimerror_train,
-    network_output, rosenblatt_train, stability,
+    field, internal_targets, load_published_weights, load_weights,
+    minimerror_train, network_output, rosenblatt_train, separability,
+    stability,
 )
 from monoplane.cli import main as cli_main
 from monoplane.evaluation import mode_parts, run_mode, verify_published
@@ -37,8 +40,17 @@ FAST_CFG_TEXT = ("t_initial=1.0\nt_min=1e-3\nt_decay=0.99\n"
                  "learning_rate=0.05\nmax_epochs=2000\n")
 
 
+def assert_max_stability_bounds(patterns, w):
+    """``separability`` finds ``patterns`` separable, its certificate
+    rechecks, and ``w``'s minimal stability is at most kappa*'s upper end."""
+    verdict = separability(patterns)
+    assert verdict.separable
+    assert verdict.recheck(patterns)
+    assert field(w, patterns.folded).min() <= verdict.kappa[1]
+
+
 def test_criterion_01_train_separability(sonar_path, balanced_split_path,
-                                         tmp_path):
+                                         tmp_path, train_std):
     """`train --part train` reaches 0/104 training errors in the default
     epoch budget; tuning within the exposed config is permitted."""
     out = tmp_path / "o"
@@ -51,6 +63,8 @@ def test_criterion_01_train_separability(sonar_path, balanced_split_path,
     assert rep["learning_set_size"] == 104
     assert rep["training_errors"]["total"] == 0
     assert SEPARATION_CONFIG.max_epochs <= 100000
+    w = load_weights((out / "weights.txt").read_text())
+    assert_max_stability_bounds(train_std[0], w)
 
 
 def test_criterion_02_test_and_full_separability(raw_patterns, test_std,
@@ -68,6 +82,8 @@ def test_criterion_02_test_and_full_separability(raw_patterns, test_std,
     w_all, _ = minimerror_train(all_patterns, separation_config)
     assert count_errors(w_all, all_patterns)[0] == 0
     assert min(stability(w_all, p) for p in all_patterns) > 0.0
+    assert_max_stability_bounds(test_patterns, w_te)
+    assert_max_stability_bounds(all_patterns, w_all)
 
 
 @pytest.mark.xfail(

@@ -11,6 +11,7 @@ DEMOS = Path(__file__).parent.parent / "demos"
 
 @pytest.mark.parametrize("name", ["01_annealed_perceptron.py",
                                   "02_constructive_growth.py",
+                                  "03_sonar_separability.py",
                                   "04_published_tables.py"])
 def test_demo_exits_0(name, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name])

@@ -1,14 +1,17 @@
 import hashlib
 import importlib
+import itertools
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoplane import (
-    LabeledPattern, RawSet, WeightVector, compute_stats, cosine, count_errors,
-    evaluate, field, load_published_table, load_published_weights, load_weights,
-    separability_probe, stability, standardize, verify_published,
+    LabeledPattern, PatternSet, RawSet, WeightVector, compute_stats, cosine,
+    count_errors, evaluate, field, load_published_table, load_published_weights,
+    load_weights, minimerror_train, rosenblatt_train, separability, stability,
+    standardize, verify_published,
 )
 from monoplane import evaluation
 from monoplane.evaluation import (
@@ -150,25 +153,161 @@ class TestProbe:
                                      trained_train_separator):
         patterns, _ = train_std
         w, _ = trained_train_separator
-        # reuse the session-trained separator as the probe's witness
+        # the session-trained separator is itself a separation certificate
         assert count_errors(w, patterns)[0] == 0
         assert min(stability(w, p) for p in patterns) > 0.0
 
-    def test_xor_is_undetermined(self, fast_config):
-        verdict = separability_probe(xor_patterns(), fast_config)
+    def test_xor_is_not_separable(self):
+        verdict = separability(xor_patterns())
         assert not verdict.separable
-        assert verdict.errors >= 1
+        assert verdict.weights is None and verdict.kappa is None
+        assert (verdict.u >= 0.0).all()
+        assert verdict.u.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(verdict.u, 0.25, atol=1e-15)
+        assert verdict.recheck(xor_patterns())
 
-    def test_certificate_soundness_on_toy(self, fast_config):
+    def test_certificate_soundness_on_toy(self):
         rng = np.random.default_rng(60)
         pats, _ = make_ls_patterns(rng, n=25, dim=4)
-        verdict = separability_probe(pats, fast_config)
+        verdict = separability(pats)
         assert verdict.separable
         assert verdict.recheck(pats)
 
-    def test_probe_rejects_empty(self, fast_config):
+    def test_probe_rejects_empty(self):
         with pytest.raises(ValueError):
-            separability_probe([], fast_config)
+            separability([])
+
+
+def random_set(seed, P, dim, rounded=False):
+    """P random patterns of ``dim`` inputs plus the bias, random labels;
+    ``rounded`` inputs are whole numbers, so ties and duplicates occur."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((P, dim))
+    if rounded:
+        X = np.round(X)
+    return PatternSet(Xi=np.hstack((np.ones((P, 1)), X)),
+                      tau=rng.choice([-1, 1], size=P), mu=np.arange(1, P + 1))
+
+
+def certificates(verdict, ps):
+    """Which of the two certificates ``verdict`` carries hold, checked here
+    independently of ``recheck``: (w* separates, u is a Gordan vector)."""
+    tXi = ps.folded
+    separates = (verdict.weights is not None
+                 and bool(field(verdict.weights, tXi).min() > 0.0))
+    u = verdict.u
+    gordan = bool((u >= 0.0).all() and abs(u.sum() - 1.0) <= 1e-12
+                  and np.linalg.norm(u @ tXi)
+                  <= evaluation._GORDAN_ROUNDOFF
+                  * np.linalg.norm(tXi, axis=1).max())
+    return separates, gordan
+
+
+def brute_force_separator(tXi):
+    """The least-norm w with tXi w >= 1, by enumerating the active subsets
+    S: w = A_S^T (A_S A_S^T)^-1 1 for A_S = tXi[S] of full row rank. None
+    when no subset gives a feasible w."""
+    best = None
+    for k in range(1, len(tXi) + 1):
+        for S in itertools.combinations(range(len(tXi)), k):
+            A = tXi[list(S)]
+            if np.linalg.matrix_rank(A) < k:
+                continue
+            w = A.T @ np.linalg.solve(A @ A.T, np.ones(k))
+            if (tXi @ w >= 1.0 - 1e-9).all() and (
+                    best is None or w @ w < best @ best):
+                best = w
+    return best
+
+
+class TestSeparability:
+    """``separability`` against independent checks of its certificates."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), P=st.integers(1, 40),
+           dim=st.integers(1, 8), rounded=st.integers(0, 4))
+    def test_exactly_one_certificate(self, fast_config, seed, P, dim, rounded):
+        ps = random_set(seed, P, dim, rounded=rounded == 0)
+        verdict = separability(ps)
+        separates, gordan = certificates(verdict, ps)
+        assert separates != gordan
+        assert verdict.separable == separates
+        assert verdict.recheck(ps)
+        if not verdict.separable:
+            return
+        # both ends are kappa* up to float64 rounding of their last bits, and
+        # a trainer can reach kappa* on a tiny set, so allow that rounding
+        lower, upper = verdict.kappa
+        upper *= 1.0 + 8 * np.finfo(float).eps
+        assert lower <= upper
+        # no separator's minimal stability beats kappa*
+        for w, _ in (minimerror_train(ps, fast_config),
+                     rosenblatt_train(ps, fast_config)):
+            assert field(w, ps.folded).min() <= upper
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), P=st.integers(1, 6),
+           dim=st.integers(1, 4))
+    def test_matches_brute_force_on_tiny_sets(self, seed, P, dim):
+        ps = random_set(seed, P, dim)
+        verdict = separability(ps)
+        best = brute_force_separator(ps.folded)
+        assert verdict.separable == (best is not None)
+        if best is not None:
+            np.testing.assert_allclose(verdict.weights.w, best,
+                                       rtol=1e-7, atol=1e-9)
+            assert verdict.kappa[1] == pytest.approx(
+                1.0 / np.linalg.norm(best), rel=1e-7)
+
+    def test_opposite_labels_on_one_input(self):
+        pats = [LabeledPattern(mu=1, xi=np.array([1.0, 0.3]), tau=1),
+                LabeledPattern(mu=2, xi=np.array([1.0, 0.3]), tau=-1)]
+        verdict = separability(pats)
+        assert not verdict.separable
+        np.testing.assert_allclose(verdict.u, 0.5, atol=1e-15)
+
+    def test_single_pattern(self):
+        pats = [LabeledPattern(mu=1, xi=np.array([1.0, 3.0, -4.0]), tau=-1)]
+        verdict = separability(pats)
+        assert verdict.separable and verdict.recheck(pats)
+        # w* is the folded row over its squared norm; kappa* its norm
+        np.testing.assert_allclose(verdict.weights.w,
+                                   np.array([-1.0, -3.0, 4.0]) / 26.0)
+        assert verdict.kappa == pytest.approx((np.sqrt(26.0),) * 2)
+
+    @pytest.mark.parametrize("per_pattern", [1 / 208, 0.25],
+                             ids=["one-step", "52-steps"])
+    def test_step_cap_raises(self, all_std, monkeypatch, per_pattern):
+        """All 208 patterns need one outer step per support pattern (57),
+        so a smaller cap raises instead of returning a verdict."""
+        patterns, _ = all_std
+        monkeypatch.setattr(evaluation, "_STEPS_PER_PATTERN", per_pattern)
+        with pytest.raises(RuntimeError, match="^NNLS took over"):
+            separability(patterns)
+
+    @pytest.mark.parametrize("name, kappa_star, support", [
+        ("train", 0.14313625, 46), ("test", 0.24759396, 42),
+        ("all", 0.01957064, 57)])
+    def test_sonar_kappa_star(self, train_std, test_std, all_std, name,
+                              kappa_star, support):
+        patterns = {"train": train_std, "test": test_std,
+                    "all": all_std}[name][0]
+        verdict = separability(patterns)
+        assert verdict.separable and verdict.recheck(patterns)
+        lower, upper = verdict.kappa
+        assert lower <= upper <= lower * (1.0 + 1e-9)
+        assert round(lower, 8) == round(upper, 8) == kappa_star
+        assert np.count_nonzero(verdict.u) == support
+
+    def test_sonar_label_permutations_not_separable(self, all_std):
+        patterns, _ = all_std
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            ps = PatternSet(patterns.Xi, rng.permutation(patterns.tau),
+                            patterns.mu)
+            verdict = separability(ps)
+            assert not verdict.separable and verdict.recheck(ps)
+            assert np.linalg.norm(verdict.u @ ps.folded) <= 1e-12
 
 
 class TestLayoutNumbering:

@@ -150,6 +150,11 @@ class TestCost:
         with pytest.raises(ValueError):
             cost(w, two_point_set(), T=0.0)
 
+    def test_nan_temperature(self):
+        w = WeightVector(np.ones(3))
+        with pytest.raises(ValueError, match="^temperature must be positive$"):
+            cost(w, xor_patterns(), float("nan"))
+
 
 class TestGradient:
     def finite_difference(self, w, pats, T, eps=1e-6):
@@ -180,6 +185,11 @@ class TestGradient:
         w = WeightVector(np.array([0.0, 1.0]))
         g = cost_gradient(w, pats, T)
         assert np.linalg.norm(g) < 1e-20
+
+    def test_nan_temperature(self):
+        w = WeightVector(np.ones(3))
+        with pytest.raises(ValueError, match="^temperature must be positive$"):
+            cost_gradient(w, xor_patterns(), float("nan"))
 
     def test_empty_set_rejected_like_cost(self):
         w = WeightVector(np.ones(2))
