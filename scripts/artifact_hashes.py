@@ -9,9 +9,14 @@ Runs ``monoplane.cli.main`` in-process over a fixed matrix of ``train``
 3 and 4 with the default schedule) and ``report`` (weights, a network,
 a growth trace and a csv report) invocations and writes
 one JSON object mapping ``<run>/exit``, ``<run>/stdout``, ``<run>/stderr``
-and ``<run>/<output file>`` to the sha256 of those bytes. Run it once
-with each of two checkouts on ``PYTHONPATH`` and diff the two files: equal
-JSON means equal exit codes, streams and artifacts.
+and ``<run>/<output file>`` to the sha256 of those bytes. Every ``*.json``
+output file, and the stdout of every ``verify --format json`` run, also
+gets a ``<key>#parsed`` item: the sha256 of
+``json.dumps(json.loads(bytes), sort_keys=True)``, which a change of
+whitespace alone leaves equal. The re-dumped text is compared rather than
+the parsed object because ``NaN != NaN``. Run it once with each of two
+checkouts on ``PYTHONPATH`` and diff the two files: equal JSON means equal
+exit codes, streams and artifacts. The matrix gives 500 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests and
@@ -26,8 +31,10 @@ field, label or value each, one number that only Python's ``float`` reads
 (``0.1_5``, which the parser rejects) and one leading byte that is not
 UTF-8, so that every parser diagnostic is hashed, and one well-formed file
 in a loose layout. ``train --seed -1`` and ``grow --max-hidden 0`` hash
-the usage errors of a bad option value, and ``report`` on two weight files
-of different lengths the error of a pair it cannot compare.
+the usage errors of a bad option value, ``train --any-range`` on a file of
+finite values whose mean overflows the error of non-finite statistics, and
+``report`` on two weight files of different lengths the error of a pair it
+cannot compare.
 
 A run that raises instead of returning an exit code does not end the
 matrix: its ``exit`` item hashes the ``SystemExit`` code, or the name of
@@ -81,6 +88,8 @@ VARIANT_EDITS = {
     "underscore": (6, "0.1_5"),
 }
 VARIANTS = (*VARIANT_EDITS, "loose", "not-utf8")
+# two features whose first column's mean overflows float64
+OVERFLOW_CSV = "1e308,0.5,R\n1e308,0.25,M\n-1e308,0.75,R\n1e308,0.1,M\n"
 
 
 def random_split_text(raw, seed, n_mines=49, n_rocks=55):
@@ -185,11 +194,20 @@ def run_matrix():
     runs.append(("train-nan-any-range", ["train", "--dataset", "sonar-nan.csv",
                                          "--split-file", "balanced.split",
                                          "--any-range", "--out", "train-nan-any-range"]))
+    runs.append(("train-overflow-any-range",
+                 ["train", "--dataset", "overflow.csv", "--features", "2",
+                  "--any-range", "--part", "all",
+                  "--out", "train-overflow-any-range"]))
     return runs
 
 
 def _sha256(data: bytes):
     return hashlib.sha256(data).hexdigest()
+
+
+def _parsed_sha256(data: bytes | str):
+    """sha256 of JSON bytes re-dumped with no whitespace and sorted keys."""
+    return _sha256(json.dumps(json.loads(data), sort_keys=True).encode())
 
 
 def hashes(root: Path):
@@ -207,6 +225,7 @@ def hashes(root: Path):
     (root / "sonar-not-utf8.csv").write_bytes(
         b"\xff" + (root / "sonar.all-data").read_bytes())
     (root / "w2.txt").write_text("1.0\n2.0\n")
+    (root / "overflow.csv").write_text(OVERFLOW_CSV)
     out = {}
     for name, argv in run_matrix():
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -220,11 +239,15 @@ def hashes(root: Path):
         out[f"{name}/exit"] = _sha256(str(rc).encode())
         out[f"{name}/stdout"] = _sha256(stdout.getvalue().encode())
         out[f"{name}/stderr"] = _sha256(stderr.getvalue().encode())
+        if argv[0] == "verify" and "json" in argv and stdout.getvalue():
+            out[f"{name}/stdout#parsed"] = _parsed_sha256(stdout.getvalue())
         run_dir = root / name
         if run_dir.is_dir():
             for f in sorted(p for p in run_dir.rglob("*") if p.is_file()):
-                out[f"{name}/{f.relative_to(run_dir).as_posix()}"] = \
-                    _sha256(f.read_bytes())
+                key = f"{name}/{f.relative_to(run_dir).as_posix()}"
+                out[key] = _sha256(f.read_bytes())
+                if f.suffix == ".json":
+                    out[f"{key}#parsed"] = _parsed_sha256(f.read_bytes())
     return out
 
 

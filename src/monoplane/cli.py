@@ -18,7 +18,6 @@ import json
 import os
 import platform
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -68,60 +67,6 @@ def _load_config(arg, seed):
         except ValueError as exc:
             raise UsageError(f"bad --seed: {exc}") from None
     return cfg
-
-
-_JSON_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(x):
-    text = float.__repr__(x)
-    return _JSON_FLOAT_WORDS.get(text, text)
-
-
-# encoders of the exact scalar types; bool is not int here
-_JSON_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _json_float,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
-def _json_text(obj, pad="\n"):
-    """The text ``json.dumps`` gives ``obj`` with an indent of 1 and sorted
-    keys, byte for byte.
-
-    Given an indent, the stdlib leaves its C encoder for nested generators
-    that resume once per value; this builds each non-empty container with
-    one join over a list instead. A dict key that is not a str, and any value
-    ``json.dumps`` rejects (a numpy integer, a set), raise ``TypeError``;
-    circular containers are not detected.
-    """
-    encode = _JSON_SCALARS.get(type(obj))
-    if encode is not None:
-        return encode(obj)
-    inner = pad + " "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-            for k, v in sorted(obj.items())]) + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join([
-            _json_text(v, inner) for v in obj]) + pad + "]"
-    # subclasses of the scalar types, in the stdlib's order
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _json_float(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} "
-                    f"is not JSON serializable")
 
 
 def _sha256(path):
@@ -181,7 +126,7 @@ def _manifest(args, command, dataset_path, split_source, config, outputs):
         "numpy": np.__version__,
         "blas": _blas_build(),
     }
-    return _json_text(m) + "\n"
+    return json.dumps(m, sort_keys=True) + "\n"
 
 
 def _blas_build():
@@ -222,7 +167,7 @@ def _leaves(obj, prefix=""):
 
 def _emit_report(report_dict, fmt, out_dir, stem):
     if fmt == "json":
-        text = _json_text(report_dict)
+        text = json.dumps(report_dict, sort_keys=True)
     elif fmt == "csv":
         text = "\n".join(
             ["key,value"]
@@ -272,11 +217,11 @@ def cmd_train(args):
 
 def cmd_grow(args):
     path, split_source, config, learn, evalp, out_dir = _prepare_run(args)
+    if args.max_hidden is not None and args.max_hidden < 1:
+        raise UsageError(
+            f"bad --max-hidden: need max_hidden >= 1, got {args.max_hidden}")
     try:
         model, gtrace = grow_network(learn, config, max_hidden=args.max_hidden)
-    except ValueError as exc:
-        # the selected part is not empty, so only the cap is bad
-        raise UsageError(f"bad --max-hidden: {exc}") from None
     except GrowthStallError as exc:
         if exc.trace is not None:
             with _create(out_dir / "growth.csv") as fh:
@@ -367,7 +312,7 @@ def cmd_verify(args):
     elif args.format == "json":
         payload = {"modes": [vars(r) for r in results],
                    **extras, "reproduced": exit_ok}
-        text = _json_text(payload) + "\n"
+        text = json.dumps(payload, sort_keys=True) + "\n"
     else:
         text = _verify_text(results, extras, exit_ok)
 

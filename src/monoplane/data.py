@@ -285,16 +285,23 @@ def compute_stats(raw, mode="std"):
 
     mode="std": scale is the population standard deviation (divisor P).
     mode="variance": scale is the mean squared deviation, i.e. no square
-    root. A zero scale (constant feature) is an error rather than a silent
-    divide-by-zero.
+    root. A mean or scale that overflows to a non-finite value, and a zero
+    scale (constant feature), are errors rather than a silent divide.
     """
     if len(raw) == 0:
         raise StatsError("cannot compute statistics of an empty pattern list")
     if mode not in ("std", "variance"):
         raise StatsError(f"unknown scale mode {mode!r}")
-    mean = raw.X.mean(axis=0)
-    var = ((raw.X - mean) ** 2).mean(axis=0)
-    scale = np.sqrt(var) if mode == "std" else var
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = raw.X.mean(axis=0)
+        var = ((raw.X - mean) ** 2).mean(axis=0)
+        scale = np.sqrt(var) if mode == "std" else var
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale)))
+    if bad.size:
+        raise StatsError(
+            f"feature(s) {', '.join(str(i + 1) for i in bad)}: "
+            f"mean or scale is not finite"
+        )
     zeros = np.where(scale == 0.0)[0]
     if zeros.size:
         raise StatsError(

@@ -152,7 +152,9 @@ _GORDAN_ROUNDOFF = 1e-10  # max ||u @ tXi|| per unit of tXi's largest row norm
 class SeparabilityVerdict:
     """``separable`` with w* in ``weights`` and ``kappa`` bracketing its
     minimal stability (w*'s own, then ||u @ tXi||), or not, with Gordan's
-    vector in ``u``, the NNLS multipliers (sum 1; w*'s support is u > 0)."""
+    vector in ``u``, the NNLS multipliers (sum 1; w*'s support is u > 0).
+    The two ends of ``kappa`` are kappa* computed two ways in float64, not
+    rounded outward, so the lower may exceed the upper by 1-2 ulps."""
 
     separable: bool
     u: np.ndarray
@@ -172,10 +174,13 @@ def separability(patterns) -> SeparabilityVerdict:
     """Decide separability of tXi, the label-folded patterns, with a
     certificate: the NNLS u = argmin_{u>=0} ||E u - f||, E = [tXi^T; 1^T],
     f = e_last (Lawson and Hanson, 1974, ch. 23) gives w* = argmin ||w|| s.t.
-    tXi w >= 1 as -r[:-1]/r[-1], r = E u - f, or else a Gordan u; or raises."""
+    tXi w >= 1 as -r[:-1]/r[-1], r = E u - f, or else a Gordan u; or raises,
+    also before the NNLS on an empty set or a NaN or infinite entry."""
     if not patterns:
         raise ValueError("cannot decide separability of an empty pattern set")
     tXi = PatternSet.of(patterns).folded
+    if not np.isfinite(tXi).all():
+        raise ValueError("cannot decide separability of a non-finite pattern")
     E, f = np.vstack((tXi.T, np.ones(len(tXi)))), np.eye(tXi.shape[1] + 1)[-1]
     u, passive = np.zeros(len(tXi)), np.zeros(len(tXi), dtype=bool)
     tol = 10 * max(E.shape) * np.finfo(float).eps * np.abs(E).max()

@@ -416,6 +416,16 @@ class TestStats:
         with pytest.raises(StatsError, match="1"):
             compute_stats(pats)
 
+    @pytest.mark.parametrize("mode", ("std", "variance"))
+    def test_overflowing_feature_named(self, mode):
+        """A sum past the float64 range is an error, not an inf scale."""
+        pats = parse_sonar_file("1e308,0.5,R\n1e308,0.25,M\n"
+                                "-1e308,0.75,R\n1e308,0.1,M\n",
+                                n_features=2, require_unit_range=False)
+        with pytest.raises(StatsError, match=r"^feature\(s\) 1: mean or "
+                                             r"scale is not finite$"):
+            compute_stats(pats, mode=mode)
+
     def test_train_stats_roundtrip(self, balanced_parts):
         """Standardizing the learning set with its own stats yields
         per-feature mean 0 and variance 1."""

@@ -177,6 +177,14 @@ class TestProbe:
         with pytest.raises(ValueError):
             separability([])
 
+    @pytest.mark.parametrize("value", (np.nan, np.inf))
+    def test_non_finite_entry_raises_before_lapack(self, capfd, value):
+        ps = random_set(5, P=6, dim=3)
+        ps.Xi[2, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            separability(ps)
+        assert capfd.readouterr().err == ""
+
 
 def random_set(seed, P, dim, rounded=False):
     """P random patterns of ``dim`` inputs plus the bias, random labels;
