@@ -50,32 +50,32 @@ def main():
           f"(eps_g {table['error_fraction_train_side']}%), "
           f"0 of W_Sonar over all 208")
 
-    ok, results, extras = verify_published(train_raw, test_raw)
-    print(f"\nmode sweep ({len(results)} standardization modes):")
-    for r in results:
-        print(f"  {r.mode:14s} W_Train/Test {r.counts_test_side[0]:3d}  "
-              f"W_Test/Train {r.counts_train_side[0]:3d}  "
-              f"W_Sonar/all {r.counts_sonar[0]:3d}  "
-              f"table match: {r.table_match_test and r.table_match_train}")
-    print(f"closest mode: {extras['closest_mode']}")
+    report = verify_published(train_raw, test_raw)
+    print(f"\nmode sweep ({len(report['modes'])} standardization modes):")
+    for r in report["modes"]:
+        print(f"  {r['mode']:14s} W_Train/Test {r['counts_test_side'][0]:3d}  "
+              f"W_Test/Train {r['counts_train_side'][0]:3d}  "
+              f"W_Sonar/all {r['counts_sonar'][0]:3d}  "
+              f"table match: {r['table_match_test'] and r['table_match_train']}")
+    print(f"closest mode: {report['closest_mode']}")
 
     print("\npublished vector norms (sqrt(61) = 7.8102 identifies the "
           "normalization ||w||^2 = N+1):")
-    for k, v in extras["norms"].items():
+    for k, v in report["norms"].items():
         print(f"  {k}: {v:.5f}")
 
     print("\ncosines, true / published-formula / published value:")
-    for k, v in extras["cosines"].items():
+    for k, v in report["cosines"].items():
         print(f"  {k:22s} {v['true_cosine']:+.5f} / {v['raw_eq8']:+.5f} "
               f"/ {v['published']}")
 
-    pert = extras["perturbation"]
+    pert = report["perturbation"]
     print(f"\ntruncation perturbation in {pert['mode']} "
           f"(every component +-5e-5, 100 draws):")
     for k, v in pert["spreads"].items():
         print(f"  {k:16s} error count ranges over {v['min']}..{v['max']}")
 
-    print(f"\nverdict: {'REPRODUCED' if ok else 'NOT REPRODUCED'} "
+    print(f"\nverdict: {'REPRODUCED' if report['reproduced'] else 'NOT REPRODUCED'} "
           f"(the separability claims themselves hold; see demo 03)")
 
 

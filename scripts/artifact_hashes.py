@@ -16,7 +16,7 @@ gets a ``<key>#parsed`` item: the sha256 of
 whitespace alone leaves equal. The re-dumped text is compared rather than
 the parsed object because ``NaN != NaN``. Run it once with each of two
 checkouts on ``PYTHONPATH`` and diff the two files: equal JSON means equal
-exit codes, streams and artifacts. The matrix gives 500 items.
+exit codes, streams and artifacts. The matrix gives 506 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests and
@@ -32,9 +32,12 @@ field, label or value each, one number that only Python's ``float`` reads
 UTF-8, so that every parser diagnostic is hashed, and one well-formed file
 in a loose layout. ``train --seed -1`` and ``grow --max-hidden 0`` hash
 the usage errors of a bad option value, ``train --any-range`` on a file of
-finite values whose mean overflows the error of non-finite statistics, and
-``report`` on two weight files of different lengths the error of a pair it
-cannot compare.
+finite values whose mean overflows the error of non-finite statistics,
+``train --any-range`` on a held-out value that standardizes to infinity
+the error naming that pattern, ``report`` on two weight files of different
+lengths the error of a pair it cannot compare, and ``report`` on a weight
+file holding ``1_0`` the error of a number outside the one grammar of the
+files the CLI reads.
 
 A run that raises instead of returning an exit code does not end the
 matrix: its ``exit`` item hashes the ``SystemExit`` code, or the name of
@@ -90,6 +93,9 @@ VARIANT_EDITS = {
 VARIANTS = (*VARIANT_EDITS, "loose", "not-utf8")
 # two features whose first column's mean overflows float64
 OVERFLOW_CSV = "1e308,0.5,R\n1e308,0.25,M\n-1e308,0.75,R\n1e308,0.1,M\n"
+# two features whose held-out first value standardizes to infinity
+HELD_OUT_OVERFLOW_CSV = "0.1,0.5,R\n0.2,0.25,M\n0.3,0.75,R\n1e308,0.1,M\n"
+HELD_OUT_OVERFLOW_SPLIT = "[train]\n1\n2\n3\n[test]\n4\n"
 
 
 def random_split_text(raw, seed, n_mines=49, n_rocks=55):
@@ -198,6 +204,11 @@ def run_matrix():
                  ["train", "--dataset", "overflow.csv", "--features", "2",
                   "--any-range", "--part", "all",
                   "--out", "train-overflow-any-range"]))
+    runs.append(("train-standardize-overflow",
+                 ["train", "--dataset", "held-out-overflow.csv", "--split-file",
+                  "held-out-overflow.split", "--features", "2", "--any-range",
+                  "--out", "train-standardize-overflow"]))
+    runs.append(("report-underscore", ["report", "w-underscore.txt"]))
     return runs
 
 
@@ -226,6 +237,9 @@ def hashes(root: Path):
         b"\xff" + (root / "sonar.all-data").read_bytes())
     (root / "w2.txt").write_text("1.0\n2.0\n")
     (root / "overflow.csv").write_text(OVERFLOW_CSV)
+    (root / "held-out-overflow.csv").write_text(HELD_OUT_OVERFLOW_CSV)
+    (root / "held-out-overflow.split").write_text(HELD_OUT_OVERFLOW_SPLIT)
+    (root / "w-underscore.txt").write_text("0.5\n1_0\n")
     out = {}
     for name, argv in run_matrix():
         stdout, stderr = io.StringIO(), io.StringIO()

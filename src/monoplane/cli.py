@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dataio
-from .evaluation import cosine, evaluate, verify_published
+from .evaluation import cosine, evaluate, load_published_table, verify_published
 from .network import (
     GrowthStallError, grow_network, load_network, network_output, save_network,
 )
@@ -254,43 +254,41 @@ def cmd_grow(args):
     return 0
 
 
-def _verify_text(results, extras, exit_ok):
+def _verify_text(report):
+    table = load_published_table()
     lines = []
-    for r in results:
-        lines.append(f"mode {r.mode}:")
-        lines.append(f"  W_Train on Test part: total={r.counts_test_side[0]} "
-                     f"F+={r.counts_test_side[1]} F-={r.counts_test_side[2]} "
-                     f"[published 20, 15 F+, 5 F-]")
-        lines.append(f"  W_Test on Train part: total={r.counts_train_side[0]} "
-                     f"F+={r.counts_train_side[1]} F-={r.counts_train_side[2]} "
-                     f"[published 24, 5 F+, 19 F-]")
-        lines.append(f"  W_Sonar on all: total={r.counts_sonar[0]} [published 0]")
-        lines.append(f"  table match: test-side={r.table_match_test} "
-                     f"train-side={r.table_match_train}")
-        if not r.table_match_test:
-            lines.append(f"    test-side missing mu: {r.missing_test}")
-            lines.append(f"    test-side extra mu:   {r.extra_test}")
-        if not r.table_match_train:
-            lines.append(f"    train-side missing mu: {r.missing_train}")
-            lines.append(f"    train-side extra mu:   {r.extra_train}")
-        gc = r.gamma_check
-        lines.append(f"  gamma(W_Sonar) spot-check: {gc['n_within_1e-3']}/44 "
-                     f"within 1e-3 (max abs err "
+    for r in report["modes"]:
+        lines.append(f"mode {r['mode']}:")
+        for side, label in (("test", "W_Train on Test part"),
+                            ("train", "W_Test on Train part")):
+            got, pub = r[f"counts_{side}_side"], table[f"counts_{side}_side"]
+            lines.append(f"  {label}: total={got[0]} F+={got[1]} F-={got[2]} "
+                         f"[published {pub[0]}, {pub[1]} F+, {pub[2]} F-]")
+        lines.append(f"  W_Sonar on all: total={r['counts_sonar'][0]} [published 0]")
+        lines.append(f"  table match: test-side={r['table_match_test']} "
+                     f"train-side={r['table_match_train']}")
+        for side in ("test", "train"):
+            if not r[f"table_match_{side}"]:
+                lines.append(f"    {side}-side missing mu: {r[f'missing_{side}']}")
+                lines.append(f"    {side}-side extra mu:   {r[f'extra_{side}']}")
+        gc = r["gamma_check"]
+        lines.append(f"  gamma(W_Sonar) spot-check: {gc['n_within_1e-3']}/"
+                     f"{len(gc['rows'])} within 1e-3 (max abs err "
                      f"{gc['max_abs_err'] if gc['max_abs_err'] is None else round(gc['max_abs_err'], 6)})")
-    lines.append(f"closest mode: {extras['closest_mode']}")
+    lines.append(f"closest mode: {report['closest_mode']}")
     lines.append("published vector norms (sqrt(61) = 7.81025):")
-    for k, v in extras["norms"].items():
+    for k, v in report["norms"].items():
         lines.append(f"  {k}: {v:.5f}")
     lines.append("cosines (true / raw-eq8 / published):")
-    for k, v in extras["cosines"].items():
+    for k, v in report["cosines"].items():
         lines.append(f"  {k}: {v['true_cosine']:.5f} / {v['raw_eq8']:.5f} "
                      f"/ {v['published']}")
-    pert = extras["perturbation"]
+    pert = report["perturbation"]
     lines.append(f"truncation perturbation in {pert['mode']} (+-5e-5 per component), "
                  f"error-count spread:")
     for k, v in pert["spreads"].items():
         lines.append(f"  {k}: min={v['min']} max={v['max']}")
-    lines.append(f"verdict: {'REPRODUCED' if exit_ok else 'NOT REPRODUCED'}")
+    lines.append(f"verdict: {'REPRODUCED' if report['reproduced'] else 'NOT REPRODUCED'}")
     return "\n".join(lines) + "\n"
 
 
@@ -298,23 +296,20 @@ def cmd_verify(args):
     path, patterns, train, test, split_source = _load_parts(args, 60)
     if not train or not test:
         raise UsageError("verification needs both a train and a test part")
-    exit_ok, results, extras = verify_published(
-        train, test, flip_labels=args.flip_labels)
+    report = verify_published(train, test, flip_labels=args.flip_labels)
 
     if args.format == "csv":
         lines = ["mode,errs_wtrain_on_test,errs_wtest_on_train,errs_wsonar_all,"
                  "table_match_test,table_match_train"]
-        for r in results:
-            lines.append(f"{r.mode},{r.counts_test_side[0]},"
-                         f"{r.counts_train_side[0]},{r.counts_sonar[0]},"
-                         f"{r.table_match_test},{r.table_match_train}")
+        for r in report["modes"]:
+            lines.append(f"{r['mode']},{r['counts_test_side'][0]},"
+                         f"{r['counts_train_side'][0]},{r['counts_sonar'][0]},"
+                         f"{r['table_match_test']},{r['table_match_train']}")
         text = "\n".join(lines) + "\n"
     elif args.format == "json":
-        payload = {"modes": [vars(r) for r in results],
-                   **extras, "reproduced": exit_ok}
-        text = json.dumps(payload, sort_keys=True) + "\n"
+        text = json.dumps(report, sort_keys=True) + "\n"
     else:
-        text = _verify_text(results, extras, exit_ok)
+        text = _verify_text(report)
 
     if args.out:
         out_dir = Path(args.out)
@@ -323,7 +318,7 @@ def cmd_verify(args):
         _write(out_dir / "manifest.json",
                _manifest(args, "verify", path, split_source, None, [name]))
     sys.stdout.write(text)
-    return 0 if exit_ok else 1
+    return 0 if report["reproduced"] else 1
 
 
 def cmd_report(args):

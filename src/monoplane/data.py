@@ -208,6 +208,19 @@ def _rejection(linenos, body, n_features):
             return ParseError(f"line {lineno}: {exc}")  # e.g. an embedded newline
 
 
+def read_number(token, cast=float):
+    """``cast(token)`` in the one number grammar of the files monoplane
+    reads: a float as the dataset reader reads it (Python's ``float`` less
+    underscores and non-ASCII digits), an int as ASCII digits after an
+    optional minus sign; else the ValueError ``cast`` raises, naming it."""
+    text = token.strip()
+    if text.isascii() and (text.removeprefix("-").isdigit() if cast is int
+                           else "_" not in text):
+        return cast(text)
+    raise ValueError(f"invalid literal for int() with base 10: {token!r}" if cast is int
+                     else f"could not convert string to float: {token!r}")
+
+
 def load_file(path, n_features=60, require_unit_range=True):
     return _load(parse_sonar_file, path, n_features=n_features,
                  require_unit_range=require_unit_range)
@@ -315,12 +328,19 @@ def standardize(raw, stats, flip_labels=False):
     """Map a RawSet to a PatternSet in the coordinates of ``stats``.
 
     xi[0] = 1 (bias coordinate), xi[i] = (features[i-1] - mean) / scale.
-    Labels map rock -> +1 and mine -> -1 unless ``flip_labels``.
+    Labels map rock -> +1 and mine -> -1 unless ``flip_labels``. The first
+    value that maps to a non-finite coordinate raises StatsError.
     """
     n = len(stats.mean)
     if raw.X.shape[1] != n:
         raise StatsError(f"patterns have {raw.X.shape[1]} features, stats cover {n}")
     Xi = np.empty((len(raw), n + 1), dtype=float)
     Xi[:, 0] = 1.0
-    Xi[:, 1:] = (raw.X - stats.mean) / stats.scale
+    with np.errstate(over="ignore"):
+        Xi[:, 1:] = (raw.X - stats.mean) / stats.scale
+    ok = np.isfinite(Xi)  # column i > 0 is feature i
+    if not ok.all():
+        k, i = divmod(int(ok.argmin()), n + 1)
+        raise StatsError(f"pattern mu={raw.mu[k]}: feature {i} value "
+                         f"{float(raw.X[k, i - 1])} does not standardize to a finite number")
     return PatternSet(Xi=Xi, tau=-raw.tau if flip_labels else raw.tau, mu=raw.mu)

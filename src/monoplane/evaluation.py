@@ -54,13 +54,16 @@ def load_published_table():
 @functools.cache
 def _published():
     """What verification reads, built on first use (not at import) and kept
-    for the process: the published table, the three vectors in
+    for the process: the published table, the sorted mu lists of its
+    ``test_side`` and ``train_side``, the three vectors in
     ``PUBLISHED_NAMES`` order, and their truncation-perturbed matrices in
     the same order. Perturbed matrix k is ``(w_k + jitter[:, k]).T``, one
     column per draw, for the 100 x 3 x 61 jitter of
     ``perturbation_analysis`` drawn once. Every array is read-only, so no
     caller can change what later calls read."""
     table = load_published_table()
+    pub_mu = tuple(sorted(r["mu"] for r in table[side])
+                   for side in ("test_side", "train_side"))
     ws = tuple(map(load_published_weights, PUBLISHED_NAMES))
     # the jitter stream in the order a loop over draws, then vectors, takes it
     jitter = np.random.default_rng(0).uniform(
@@ -71,7 +74,7 @@ def _published():
         draws = w.w + jitter[:, k]
         draws.flags.writeable = False
         perturbed.append(draws.T)
-    return table, ws, tuple(perturbed)
+    return table, pub_mu, ws, tuple(perturbed)
 
 
 @dataclass
@@ -239,23 +242,6 @@ STANDARDIZATION_MODES = (
 )
 
 
-@dataclass
-class ModeResult:
-    mode: str
-    counts_test_side: tuple
-    counts_train_side: tuple
-    counts_sonar: tuple
-    mu_test_side: list
-    mu_train_side: list
-    table_match_test: bool
-    table_match_train: bool
-    missing_test: list
-    extra_test: list
-    missing_train: list
-    extra_train: list
-    gamma_check: dict
-
-
 def mode_parts(train_raw, test_raw, flip_labels=False):
     """The PatternSets the three published vectors classify, keyed by mode
     name in ``STANDARDIZATION_MODES`` order. Each value holds, in
@@ -293,14 +279,12 @@ def mode_parts(train_raw, test_raw, flip_labels=False):
 
 def run_mode(mode_name, parts):
     """Evaluate the three published vectors on the ``mode_name`` entry of
-    ``parts``, a ``mode_parts`` result."""
-    table, ws, _ = _published()
+    ``parts``, a ``mode_parts`` result: one dict of the verify report's
+    ``modes`` list."""
+    table, (pub_test, pub_train), ws, _ = _published()
     sets = parts[mode_name]
     rep_test, rep_train = evaluate(ws[0], sets[0]), evaluate(ws[1], sets[1])
     mu_test, mu_train = rep_test.mu, rep_train.mu
-
-    pub_test = sorted(r["mu"] for r in table["test_side"])
-    pub_train = sorted(r["mu"] for r in table["train_side"])
 
     # W_Sonar's error counts and the spot-check of the published stabilities
     # by layout number read one matrix field pass: the product ``evaluate``
@@ -317,27 +301,24 @@ def run_mode(mode_name, parts):
                 "mu": rec["mu"], "published": rec["gamma_sonar"], "computed": got,
                 "abs_err": None if got is None else abs(got - rec["gamma_sonar"]),
             })
-    max_abs = max((r["abs_err"] for r in gamma_rows if r["abs_err"] is not None),
-                  default=None)
-    n_within = sum(1 for r in gamma_rows
-                   if r["abs_err"] is not None and r["abs_err"] <= 1e-3)
+    errs = [r["abs_err"] for r in gamma_rows if r["abs_err"] is not None]
 
-    return ModeResult(
-        mode=mode_name,
-        counts_test_side=rep_test.counts,
-        counts_train_side=rep_train.counts,
-        counts_sonar=_error_counts(f_sonar, all_part.tau),
-        mu_test_side=mu_test,
-        mu_train_side=mu_train,
-        table_match_test=(mu_test == pub_test),
-        table_match_train=(mu_train == pub_train),
-        missing_test=sorted(set(pub_test) - set(mu_test)),
-        extra_test=sorted(set(mu_test) - set(pub_test)),
-        missing_train=sorted(set(pub_train) - set(mu_train)),
-        extra_train=sorted(set(mu_train) - set(pub_train)),
-        gamma_check={"rows": gamma_rows, "max_abs_err": max_abs,
-                     "n_within_1e-3": n_within},
-    )
+    return {
+        "mode": mode_name,
+        "counts_test_side": rep_test.counts,
+        "counts_train_side": rep_train.counts,
+        "counts_sonar": _error_counts(f_sonar, all_part.tau),
+        "mu_test_side": mu_test,
+        "mu_train_side": mu_train,
+        "table_match_test": mu_test == pub_test,
+        "table_match_train": mu_train == pub_train,
+        "missing_test": sorted(set(pub_test) - set(mu_test)),
+        "extra_test": sorted(set(mu_test) - set(pub_test)),
+        "missing_train": sorted(set(pub_train) - set(mu_train)),
+        "extra_train": sorted(set(mu_train) - set(pub_train)),
+        "gamma_check": {"rows": gamma_rows, "max_abs_err": max(errs, default=None),
+                        "n_within_1e-3": sum(e <= 1e-3 for e in errs)},
+    }
 
 
 _PERTURBED = ("W_Train_on_test", "W_Test_on_train", "W_Sonar_on_all")
@@ -353,7 +334,7 @@ def perturbation_analysis(parts):
     the draws.
     """
     out = {}
-    for key, draws, part in zip(_PERTURBED, _published()[2], parts):
+    for key, draws, part in zip(_PERTURBED, _published()[3], parts):
         errors = np.sum(part.folded @ draws <= 0.0, axis=0).tolist()
         out[key] = {"min": min(errors), "max": max(errors),
                     "distinct": sorted(set(errors))}
@@ -363,12 +344,12 @@ def perturbation_analysis(parts):
 def published_norms():
     """Euclidean norms of the three published vectors (all close to
     sqrt(N+1), which identifies the normalization the tables use)."""
-    return {name: w.norm for name, w in zip(PUBLISHED_NAMES, _published()[1])}
+    return {name: w.norm for name, w in zip(PUBLISHED_NAMES, _published()[2])}
 
 
 def cosine_report():
     """Pairwise cosines of the published vectors in both modes."""
-    ws = dict(zip(PUBLISHED_NAMES, _published()[1]))
+    ws = dict(zip(PUBLISHED_NAMES, _published()[2]))
     pairs = [("W_Sonar", "W_Train"), ("W_Sonar", "W_Test"), ("W_Train", "W_Test")]
     published = {"(W_Sonar,W_Train)": 0.51615, "(W_Sonar,W_Test)": 0.34238,
                  "(W_Train,W_Test)": 0.4}
@@ -386,25 +367,24 @@ def cosine_report():
 def verify_published(train_raw, test_raw, flip_labels=False):
     """Sweep all standardization modes and diff against the published tables.
 
-    Returns (exit_ok, results, extras): exit_ok is True iff some mode
-    reproduces both published misclassification sets exactly. The
-    perturbation analysis in ``extras`` runs in the closest mode and names it.
+    Returns the report that ``verify --format json`` prints: ``modes``, one
+    ``run_mode`` dict per mode; ``closest_mode``, the mode with the fewest
+    missing and extra patterns; the published ``norms`` and ``cosines``;
+    the ``perturbation`` analysis in the closest mode, which it names; and
+    ``reproduced``, True iff some mode reproduces both published
+    misclassification sets exactly.
     """
     parts = mode_parts(train_raw, test_raw, flip_labels)
-    results = [run_mode(mode_name, parts) for mode_name in parts]
-    exit_ok = any(r.table_match_test and r.table_match_train for r in results)
-
-    def closeness(r):
-        return (len(r.missing_test) + len(r.extra_test)
-                + len(r.missing_train) + len(r.extra_train))
-    closest = min(results, key=closeness)
-    extras = {
-        "closest_mode": closest.mode,
+    modes = [run_mode(mode_name, parts) for mode_name in parts]
+    closest = min(modes, key=lambda r: sum(len(r[k]) for k in (
+        "missing_test", "extra_test", "missing_train", "extra_train")))["mode"]
+    return {
+        "modes": modes,
+        "closest_mode": closest,
         "norms": published_norms(),
         "cosines": cosine_report(),
-        "perturbation": {
-            "mode": closest.mode,
-            "spreads": perturbation_analysis(parts[closest.mode]),
-        },
+        "perturbation": {"mode": closest,
+                         "spreads": perturbation_analysis(parts[closest])},
+        "reproduced": any(r["table_match_test"] and r["table_match_train"]
+                          for r in modes),
     }
-    return exit_ok, results, extras

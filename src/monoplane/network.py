@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .data import PatternSet
+from .data import PatternSet, read_number
 from .perceptron import (
     TrainingConfig, WeightVector, minimerror_train, save_weights,
 )
@@ -193,8 +193,8 @@ def load_network(text) -> NetworkModel:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("H="):
         raise ValueError("network file must start with an H=<n> header")
-    H = int(lines[0][2:])
-    values = [float(v) for v in lines[1:]]
+    H = read_number(lines[0][2:], int)
+    values = [read_number(v) for v in lines[1:]]
     if H < 1:
         raise ValueError("network must declare at least one hidden unit")
     body = len(values) - (H + 1)

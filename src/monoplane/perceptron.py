@@ -59,7 +59,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import PatternSet
+from .data import PatternSet, read_number
 
 
 class TrainingError(RuntimeError):
@@ -154,7 +154,7 @@ class TrainingConfig:
                 if key not in casts:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
-                    kwargs[key] = casts[key](val)
+                    kwargs[key] = read_number(val, casts[key])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad {key}: {exc}") from None
         return cls(**kwargs)
@@ -538,7 +538,7 @@ def load_weights(text) -> WeightVector:
     if not tokens:
         raise ValueError("no weight values found")
     try:
-        values = [float(t) for t in tokens]
+        values = [read_number(t) for t in tokens]
     except ValueError as exc:
         raise ValueError(f"unparseable weight value: {exc}") from None
     return WeightVector(np.array(values))

@@ -110,6 +110,18 @@ def make_ls_patterns(rng, n=30, dim=5, margin=0.15):
     return pats, w
 
 
+def random_balanced_split(raw, seed, n_mines=49, n_rocks=55):
+    """A seeded class-balanced division of a RawSet: ``n_mines`` mines and
+    ``n_rocks`` rocks learn, the rest are held out; each part in file order."""
+    rng = np.random.default_rng(seed)
+    mines = raw.mu[raw.tau == -1].tolist()
+    rocks = raw.mu[raw.tau == 1].tolist()
+    learn = set(rng.choice(mines, n_mines, replace=False).tolist())
+    learn |= set(rng.choice(rocks, n_rocks, replace=False).tolist())
+    in_learn = np.isin(raw.mu, list(learn))
+    return raw.take(in_learn), raw.take(~in_learn)
+
+
 def xor_patterns():
     from monoplane import LabeledPattern
     coords = [(0.0, 0.0, +1), (0.0, 1.0, -1), (1.0, 0.0, -1), (1.0, 1.0, +1)]

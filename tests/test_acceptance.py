@@ -100,12 +100,13 @@ def test_criterion_03_published_weight_verification(balanced_parts):
     W_Test exactly the 24 published Train patterns under some documented
     mode; fallback tolerance is +-2 on both counts in the best mode."""
     train_raw, test_raw = balanced_parts
-    ok, results, extras = verify_published(train_raw, test_raw)
-    if ok:
+    report = verify_published(train_raw, test_raw)
+    if report["reproduced"]:
         return
     assert any(
-        abs(r.counts_test_side[0] - 20) <= 2 and abs(r.counts_train_side[0] - 24) <= 2
-        for r in results
+        abs(r["counts_test_side"][0] - 20) <= 2
+        and abs(r["counts_train_side"][0] - 24) <= 2
+        for r in report["modes"]
     ), ("no mode reproduces the published misclassification sets, and no "
         "mode lands within +-2 of the published counts (20, 24)")
 
@@ -122,8 +123,8 @@ def test_criterion_04_published_sonar_separator(balanced_parts):
     stabilities matched to 1e-3."""
     train_raw, test_raw = balanced_parts
     r = run_mode("part-std", mode_parts(train_raw, test_raw))
-    assert r.counts_sonar[0] == 0
-    assert r.gamma_check["n_within_1e-3"] == 44
+    assert r["counts_sonar"][0] == 0
+    assert r["gamma_check"]["n_within_1e-3"] == 44
 
 
 @pytest.mark.xfail(

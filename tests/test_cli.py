@@ -2,19 +2,23 @@ import argparse
 import io
 import json
 import platform
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from monoplane import (
-    TrainingConfig, compute_stats, load_file, load_split_file, minimerror_train,
-    save_weights, split, standardize,
+    TrainingConfig, cli, compute_stats, load_file, load_published_table,
+    load_split_file, minimerror_train, save_weights, split, standardize,
+    verify_published,
 )
 from monoplane.cli import (
     SUFFIX, _blas_build, _emit_report, build_parser, main,
 )
 from monoplane.network import GrowthTrace
+
+from conftest import random_balanced_split
 
 FAST_CFG = "t_initial=1.0\nt_min=1e-3\nt_decay=0.99\nlearning_rate=0.05\nmax_epochs=2000\n"
 
@@ -142,6 +146,21 @@ class TestTrain:
             "", "error: feature(s) 1: mean or scale is not finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ("train", "grow"))
+    def test_held_out_value_overflowing_exit_2(self, tmp_path, capsys, command):
+        """A held-out value that standardizes to infinity is a usage error
+        named by pattern and feature, and nothing is written."""
+        data = tmp_path / "ov.csv"
+        data.write_text("0.1,0.5,R\n0.2,0.25,M\n0.3,0.75,R\n1e308,0.1,M\n")
+        split_file = tmp_path / "ov.split"
+        split_file.write_text("[train]\n1\n2\n3\n[test]\n4\n")
+        out = tmp_path / "o"
+        assert run([command, "--dataset", str(data), "--split-file", str(split_file),
+                    "--features", "2", "--any-range", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: pattern mu=4: feature 1 value "
+                                       "1e+308 does not standardize to a finite number\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, message", [
         ("bogus=1", "unknown config key 'bogus'"),
         ("t_decay=2", "need 0 < t_decay < 1"),
@@ -150,15 +169,21 @@ class TestTrain:
                              "int() with base 10: '1e5'"),
         ("seed = true", "bad.cfg:6: bad seed: invalid literal for int() "
                         "with base 10: 'true'"),
-    ], ids=["unknown-key", "bad-value", "non-finite", "bad-int", "bad-seed"])
+        ("max_epochs = 1_000", "bad.cfg:6: bad max_epochs: invalid literal for "
+                               "int() with base 10: '1_000'"),
+        ("t_initial = \u0663", "bad.cfg:6: bad t_initial: could not convert "
+                               "string to float: '\u0663'"),
+    ], ids=["unknown-key", "bad-value", "non-finite", "bad-int", "bad-seed",
+            "underscore-int", "non-ascii-float"])
     def test_bad_config_file_exit_2(self, sonar_path, tmp_path, capsys,
                                     line, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(FAST_CFG + line + "\n")
+        cfg.write_text(FAST_CFG + line + "\n", encoding="utf-8")
         assert run(["train", "--dataset", str(sonar_path), "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ("train", "grow"))
@@ -426,6 +451,51 @@ class TestVerify:
         for k, v in payload["norms"].items():
             assert v == pytest.approx(np.sqrt(61), abs=2e-4)
 
+    @pytest.mark.parametrize("flip", (False, True), ids=["rock+1", "flip"])
+    @pytest.mark.parametrize("split_name", ("bundled", "random1"))
+    def test_json_is_the_library_report(self, sonar_path, balanced_split_path,
+                                        raw_patterns, tmp_path, capsys,
+                                        split_name, flip):
+        """``verify --format json`` prints exactly the object that
+        ``verify_published`` returns."""
+        split_path = balanced_split_path
+        if split_name == "random1":
+            train, test = random_balanced_split(raw_patterns, 1)
+            split_path = tmp_path / "random1.split"
+            split_path.write_text("".join(
+                f"[{name}]\n" + "".join(f"{m}\n" for m in part.mu.tolist())
+                for name, part in (("train", train), ("test", test))))
+        report = verify_published(*split(raw_patterns, load_split_file(split_path)),
+                                  flip_labels=flip)
+        rc = run(["verify", "--dataset", str(sonar_path), "--split-file",
+                  str(split_path), "--format", "json"]
+                 + (["--flip-labels"] if flip else []))
+        assert rc == 1
+        assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
+
+    def test_text_published_figures_come_from_the_table(
+            self, sonar_path, balanced_split_path, capsys, monkeypatch):
+        """Each mode's "[published ...]" counts are the table's
+        ``counts_*_side``, and the spot-check counts the table's rows."""
+        table = load_published_table()
+        n_rows = len(table["test_side"]) + len(table["train_side"])
+
+        def assert_figures_of(table):
+            run(["verify", "--dataset", str(sonar_path), "--split-file",
+                 str(balanced_split_path), "--format", "text"])
+            out = capsys.readouterr().out
+            for side in ("test", "train"):
+                total, false_pos, false_neg = table[f"counts_{side}_side"]
+                assert out.count(f"[published {total}, {false_pos} F+, "
+                                 f"{false_neg} F-]") == 4
+            assert len(re.findall(rf"spot-check: \d+/{n_rows} within", out)) == 4
+
+        assert_figures_of(table)
+        doctored = {**table, "counts_test_side": [21, 16, 5],
+                    "counts_train_side": [23, 4, 19]}
+        monkeypatch.setattr(cli, "load_published_table", lambda: doctored)
+        assert_figures_of(doctored)
+
     def test_shuffled_rows_break_mu_numbering(self, raw_patterns, tmp_path,
                                               capsys):
         """Without a split file the default division has no mine in the test
@@ -491,6 +561,22 @@ class TestReport:
         assert run(["report", *paths]) == 2
         assert capsys.readouterr().err == (
             "error: cannot compare the two weight vectors: dimension mismatch: 3 vs 2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.5\n1_0\n", "unparseable weight value: could not convert string "
+                        "to float: '1_0'"),
+        ("0.5\n\u0661\n", "unparseable weight value: could not convert string "
+                          "to float: '\u0661'"),
+        ("H=+1\n1.0\n2.0\n3.0\n", "invalid literal for int() with base 10: '+1'"),
+        ("H=1\n1.0\n1_0\n3.0\n", "could not convert string to float: '1_0'"),
+    ], ids=["weights-underscore", "weights-non-ascii", "network-plus",
+            "network-underscore"])
+    def test_number_outside_the_grammar_exit_2(self, tmp_path, capsys, text,
+                                               message):
+        p = tmp_path / "artifact.txt"
+        p.write_text(text, encoding="utf-8")
+        assert run(["report", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot read {p}: {message}\n")
 
     def test_missing_artifact_exit_2(self, tmp_path):
         assert run(["report", str(tmp_path / "nope")]) == 2

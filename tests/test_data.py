@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoplane import (
-    ParseError, PatternSet, RawSet, SplitError, SplitSpec, StatsError,
-    compute_stats, default_split, load_file, load_split_file, parse_sonar_file,
-    parse_split_file, split, standardize,
+    ParseError, PatternSet, RawSet, SplitError, SplitSpec, StandardizationStats,
+    StatsError, compute_stats, default_split, load_file, load_split_file,
+    parse_sonar_file, parse_split_file, split, standardize,
 )
+from monoplane.data import read_number
 
 
 def _toy_lines(rows):
@@ -385,6 +386,29 @@ class TestSplitFile:
                 assert row.features == tuple(rows[m - 1])
 
 
+class TestReadNumber:
+    @pytest.mark.parametrize("token, cast, value", [
+        (" 0.25 ", float, 0.25), ("+1e-3", float, 1e-3), ("-inf", float, -math.inf),
+        ("7", int, 7), ("-1", int, -1),
+    ])
+    def test_accepted(self, token, cast, value):
+        got = read_number(token, cast)
+        assert type(got) is cast and got == value
+
+    @pytest.mark.parametrize("token, cast", [
+        ("1_0", float), ("\u0661", float), ("0.\u0665", float),
+        ("1_000", int), ("\u0663", int), ("+1", int), ("1e5", int), ("", int),
+    ])
+    def test_rejected_naming_the_token(self, token, cast):
+        """What ``float`` or ``int`` would read beyond the grammar is
+        rejected with their own message for a token they cannot read."""
+        message = ("could not convert string to float" if cast is float
+                   else "invalid literal for int() with base 10")
+        with pytest.raises(ValueError) as info:
+            read_number(token, cast)
+        assert str(info.value) == f"{message}: {token!r}"
+
+
 class TestStats:
     def test_two_point_hand_computation(self):
         rows = [[0.0] * 60 + ["R"], [1.0] * 60 + ["M"]]
@@ -464,6 +488,22 @@ class TestStandardize:
         bad = _raw_set([(0.1, 0.2)], "R")
         with pytest.raises(StatsError, match="features"):
             standardize(bad, stats)
+
+    @pytest.mark.parametrize("mean, scale, value", [
+        (0.2, 0.1, 1e308),          # the division overflows
+        (-1e308, 1.0, 1.5e308),     # the subtraction overflows
+    ], ids=["divide", "subtract"])
+    def test_overflowing_value_named(self, mean, scale, value):
+        """A value far outside the statistics is a StatsError naming its
+        pattern and feature, not an infinite coordinate and a
+        RuntimeWarning."""
+        stats = StandardizationStats(mean=np.array([0.5, mean]),
+                                     scale=np.array([0.25, scale]))
+        raw = _raw_set([(0.1, 0.3), (0.2, value), (0.3, value)], "RMR")
+        with pytest.raises(StatsError) as info:
+            standardize(raw, stats)
+        assert str(info.value) == (f"pattern mu=2: feature 2 value {value!r} "
+                                   "does not standardize to a finite number")
 
     def test_test_part_means_nonzero_under_train_stats(self, test_std_train_stats):
         """Statistics come from the learning set only, so the held-out part

@@ -9,15 +9,27 @@ import pytest
 DEMOS = Path(__file__).parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["01_annealed_perceptron.py",
-                                  "02_constructive_growth.py",
-                                  "03_sonar_separability.py",
-                                  "04_published_tables.py"])
-def test_demo_exits_0(name, monkeypatch, capsys):
+def run_demo(name, monkeypatch, capsys):
+    """The stdout of demo ``name`` run as a script on the bundled data."""
     monkeypatch.setattr(sys, "argv", [name])
     monkeypatch.delenv("MONOPLANE_DATA", raising=False)
     try:
         runpy.run_path(str(DEMOS / name), run_name="__main__")
     except SystemExit as exc:
         assert exc.code in (None, 0)
-    assert capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["01_annealed_perceptron.py",
+                                  "02_constructive_growth.py",
+                                  "03_sonar_separability.py",
+                                  "04_published_tables.py"])
+def test_demo_exits_0(name, monkeypatch, capsys):
+    assert run_demo(name, monkeypatch, capsys)
+
+
+def test_published_tables_demo_output_is_pinned(monkeypatch, capsys):
+    """Demo 04 prints the verification story byte for byte as pinned in
+    ``data/04_published_tables.out``."""
+    pinned = Path(__file__).parent / "data" / "04_published_tables.out"
+    assert run_demo("04_published_tables.py", monkeypatch, capsys) == pinned.read_text()

@@ -15,11 +15,11 @@ from monoplane import (
 )
 from monoplane import evaluation
 from monoplane.evaluation import (
-    PUBLISHED_NAMES, STANDARDIZATION_MODES, ModeResult, mode_parts,
+    PUBLISHED_NAMES, STANDARDIZATION_MODES, mode_parts,
     paper_layout_numbering, perturbation_analysis, published_norms, run_mode,
 )
 
-from conftest import make_ls_patterns, xor_patterns
+from conftest import make_ls_patterns, random_balanced_split, xor_patterns
 
 # the embedded tables are data assets; any edit must be deliberate
 ASSET_SHA256 = {
@@ -338,10 +338,11 @@ class TestModeSweep:
     def test_run_mode_structure(self, balanced_parts):
         train, test = balanced_parts
         r = run_mode("part-std", mode_parts(train, test))
-        assert r.counts_test_side[0] == len(r.mu_test_side)
-        assert r.counts_train_side[0] == len(r.mu_train_side)
-        assert r.counts_test_side[1] + r.counts_test_side[2] == r.counts_test_side[0]
-        assert len(r.gamma_check["rows"]) == 44
+        assert r["counts_test_side"][0] == len(r["mu_test_side"])
+        assert r["counts_train_side"][0] == len(r["mu_train_side"])
+        total, false_pos, false_neg = r["counts_test_side"]
+        assert false_pos + false_neg == total
+        assert len(r["gamma_check"]["rows"]) == 44
 
     def test_perturbation_analysis_spread(self, balanced_parts):
         train, test = balanced_parts
@@ -380,11 +381,11 @@ class TestModeSweep:
 
     def test_perturbation_runs_in_closest_mode(self, balanced_parts):
         train, test = balanced_parts
-        _, _, extras = verify_published(train, test)
-        pert = extras["perturbation"]
-        assert pert["mode"] == extras["closest_mode"]
+        report = verify_published(train, test)
+        pert = report["perturbation"]
+        assert pert["mode"] == report["closest_mode"]
         assert pert["spreads"] == perturbation_analysis(
-            mode_parts(train, test)[extras["closest_mode"]])
+            mode_parts(train, test)[report["closest_mode"]])
 
 
 def _full_set(train, test):
@@ -392,16 +393,6 @@ def _full_set(train, test):
     X, tau, mu = (np.concatenate((a, b)) for a, b in
                   ((train.X, test.X), (train.tau, test.tau), (train.mu, test.mu)))
     return RawSet(X, tau, mu).take(np.argsort(mu))
-
-
-def _random_balanced_split(raw, seed, n_mines=49, n_rocks=55):
-    rng = np.random.default_rng(seed)
-    mines = raw.mu[raw.tau == -1].tolist()
-    rocks = raw.mu[raw.tau == 1].tolist()
-    learn = set(rng.choice(mines, n_mines, replace=False).tolist())
-    learn |= set(rng.choice(rocks, n_rocks, replace=False).tolist())
-    in_learn = np.isin(raw.mu, list(learn))
-    return raw.take(in_learn), raw.take(~in_learn)
 
 
 def _reference_mode_sets(train, test, stats_from, scale, flip_labels):
@@ -444,7 +435,7 @@ def _reference_run_mode(mode_name, sets, layout):
                          "computed": got,
                          "abs_err": None if got is None else abs(got - rec["gamma_sonar"])})
     errs = [r["abs_err"] for r in rows if r["abs_err"] is not None]
-    return ModeResult(
+    return dict(
         mode=mode_name,
         counts_test_side=count_errors(w_train, test_std),
         counts_train_side=count_errors(w_test, train_std),
@@ -479,7 +470,7 @@ class TestArrayVerify:
     def parts(self, request, raw_patterns, balanced_parts):
         if request.param == "bundled":
             return balanced_parts
-        return _random_balanced_split(raw_patterns, request.param)
+        return random_balanced_split(raw_patterns, request.param)
 
     @pytest.mark.parametrize("flip_labels", (False, True))
     @pytest.mark.parametrize("mode", STANDARDIZATION_MODES, ids=lambda m: m[0])
@@ -490,8 +481,8 @@ class TestArrayVerify:
         want = _reference_run_mode(mode_name, sets, paper_layout_numbering(train, test))
         parts = mode_parts(train, test, flip_labels=flip_labels)
         got = run_mode(mode_name, parts)
-        assert vars(got) == vars(want)
-        assert all(type(r["computed"]) is float for r in got.gamma_check["rows"])
+        assert got == want
+        assert all(type(r["computed"]) is float for r in got["gamma_check"]["rows"])
         assert perturbation_analysis(parts[mode_name]) == _reference_spreads(sets)
 
     @pytest.mark.parametrize("flip_labels", (False, True))
@@ -509,7 +500,7 @@ class TestArrayVerify:
             rep = evaluate(w_sonar, full)
             reported = {mu: tau * fld
                         for mu, fld, tau in zip(rep.mu, rep.field, rep.tau)}
-            for row in run_mode(mode_name, sets).gamma_check["rows"]:
+            for row in run_mode(mode_name, sets)["gamma_check"]["rows"]:
                 k = row_of[row["mu"]]
                 assert row["computed"] == float(full.tau[k] * f[k])
                 if row["mu"] in reported:
@@ -566,14 +557,14 @@ class TestArrayVerify:
             return default_rng(*args, **kwargs)
         monkeypatch.setattr(np.random, "default_rng", counted)
         evaluation._published.cache_clear()
-        first = verify_published(*balanced_parts)[2]["perturbation"]
-        second = verify_published(*balanced_parts)[2]["perturbation"]
+        first = verify_published(*balanced_parts)["perturbation"]
+        second = verify_published(*balanced_parts)["perturbation"]
         assert calls == [(0,)]
         assert first == second
 
     def test_published_arrays_are_read_only(self):
         evaluation._published.cache_clear()
-        _, ws, perturbed = evaluation._published()
+        _, _, ws, perturbed = evaluation._published()
         for w, draws in zip(ws, perturbed):
             assert draws.shape == (len(w), 100)
             with pytest.raises(ValueError, match="read-only"):
@@ -596,8 +587,8 @@ class TestArrayVerify:
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, boom)
         train, test = balanced_parts
-        exit_ok, results, _ = verify_published(train, test)
-        assert not exit_ok and len(results) == 4
+        report = verify_published(train, test)
+        assert not report["reproduced"] and len(report["modes"]) == 4
 
     def test_mode_parts_standardizes_through_public_functions(self, balanced_parts,
                                                               monkeypatch):

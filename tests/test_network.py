@@ -358,6 +358,21 @@ class TestNetworkSerialization:
         with pytest.raises(ValueError, match="H="):
             load_network("1.0\n2.0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("H=+1\n1.0\n2.0\n3.0\n", "invalid literal for int() with base 10: '+1'"),
+        ("H=1_0\n1.0\n2.0\n3.0\n", "invalid literal for int() with base 10: '1_0'"),
+        ("H=1\n1.0\n1_0\n3.0\n", "could not convert string to float: '1_0'"),
+        ("H=1\n1.0\n\u0662\n3.0\n", "could not convert string to float: '\u0662'"),
+    ], ids=["count-plus", "count-underscore", "value-underscore", "value-non-ascii"])
+    def test_number_outside_the_grammar_rejected(self, text, message):
+        with pytest.raises(ValueError) as info:
+            load_network(text)
+        assert str(info.value) == message
+
+    def test_negative_count_keeps_its_message(self):
+        with pytest.raises(ValueError, match="at least one hidden unit"):
+            load_network("H=-1\n1.0\n")
+
     def test_inconsistent_body(self):
         with pytest.raises(ValueError, match="inconsistent"):
             load_network("H=2\n1.0\n2.0\n3.0\n")

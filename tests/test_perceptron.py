@@ -967,6 +967,26 @@ class TestConfig:
             TrainingConfig.from_file(p)
         assert str(exc.value) == f"{p}:3: bad {key}: {cast_error}"
 
+    @pytest.mark.parametrize("line, cast_error", [
+        ("max_epochs=1_000", "invalid literal for int() with base 10: '1_000'"),
+        ("seed=+1", "invalid literal for int() with base 10: '+1'"),
+        ("t_initial=\u0663", "could not convert string to float: '\u0663'"),
+        ("t_min=1_0e-3", "could not convert string to float: '1_0e-3'"),
+    ], ids=["int-underscore", "int-plus", "float-non-ascii", "float-underscore"])
+    def test_from_file_reads_the_one_number_grammar(self, tmp_path, line,
+                                                    cast_error):
+        p = tmp_path / "cfg"
+        p.write_text(f"{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            TrainingConfig.from_file(p)
+        assert str(exc.value) == f"{p}:1: bad {line.split('=')[0]}: {cast_error}"
+
+    def test_from_file_negative_seed_keeps_its_message(self, tmp_path):
+        p = tmp_path / "cfg"
+        p.write_text("seed=-1\n")
+        with pytest.raises(ValueError, match="^need seed >= 0$"):
+            TrainingConfig.from_file(p)
+
 
 class TestSerialization:
     def test_line_roundtrip(self):
@@ -999,6 +1019,15 @@ class TestSerialization:
         assert len(rows) == 8
         assert len(rows[0].split(",")) == 8
         assert len(rows[-1].split(",")) == 5
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "0.\u0665"])
+    def test_number_outside_the_grammar_rejected(self, token):
+        """A token Python's ``float`` reads but the dataset reader does not
+        (an underscore, a non-ASCII digit) is not a weight."""
+        with pytest.raises(ValueError) as info:
+            load_weights(f"0.5, -0.25\n{token}\n")
+        assert str(info.value) == ("unparseable weight value: could not convert "
+                                   f"string to float: {token!r}")
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
