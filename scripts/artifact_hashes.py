@@ -3,6 +3,7 @@
 Usage:
 
     PYTHONPATH=<checkout>/src python scripts/artifact_hashes.py OUT.json
+    python scripts/artifact_hashes.py --compare PARENT.json CHANGE.json
 
 Runs ``monoplane.cli.main`` in-process over a fixed matrix of ``train``
 (default and separation schedules), ``verify``, ``grow`` (XOR, and parity
@@ -15,8 +16,10 @@ gets a ``<key>#parsed`` item: the sha256 of
 ``json.dumps(json.loads(bytes), sort_keys=True)``, which a change of
 whitespace alone leaves equal. The re-dumped text is compared rather than
 the parsed object because ``NaN != NaN``. Run it once with each of two
-checkouts on ``PYTHONPATH`` and diff the two files: equal JSON means equal
-exit codes, streams and artifacts. The matrix gives 506 items.
+checkouts on ``PYTHONPATH``, then ``--compare`` the two files: it prints
+each key whose hash differs or that only one file has, and a count, and
+exits 1 if there is any, so exit 0 means equal exit codes, streams and
+artifacts. The matrix gives 515 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests and
@@ -37,7 +40,10 @@ finite values whose mean overflows the error of non-finite statistics,
 the error naming that pattern, ``report`` on two weight files of different
 lengths the error of a pair it cannot compare, and ``report`` on a weight
 file holding ``1_0`` the error of a number outside the one grammar of the
-files the CLI reads.
+files the CLI reads, ``train`` on a config file that sets ``max_epochs``
+twice the error of a repeated key, and ``report`` on a network file whose
+header is ``H=+1``, and on one with a value ``x``, the errors naming the
+header and the value's line.
 
 A run that raises instead of returning an exit code does not end the
 matrix: its ``exit`` item hashes the ``SystemExit`` code, or the name of
@@ -59,16 +65,10 @@ from pathlib import Path
 
 import numpy as np
 
-import monoplane
-from monoplane import cli, data
-
 REPO = Path(__file__).resolve().parent.parent
-ASSETS = Path(monoplane.__file__).resolve().parent / "assets"
-INPUTS = {
-    "sonar.all-data": REPO / "tests" / "data" / "sonar.all-data",
-    "balanced.split": ASSETS / "splits" / "balanced.split",
-    "xor.csv": ASSETS / "xor.csv",
-}
+SONAR_FILE = REPO / "tests" / "data" / "sonar.all-data"
+# inputs copied from the assets of the package on PYTHONPATH
+ASSET_INPUTS = {"balanced.split": "splits/balanced.split", "xor.csv": "xor.csv"}
 # the schedule of tests/test_cli.py::TestGrow
 XOR_CFG = ("t_initial=1.0\nt_min=1e-4\nt_decay=0.995\n"
            "learning_rate=0.05\nmax_epochs=3000\nseed=1\n")
@@ -96,6 +96,13 @@ OVERFLOW_CSV = "1e308,0.5,R\n1e308,0.25,M\n-1e308,0.75,R\n1e308,0.1,M\n"
 # two features whose held-out first value standardizes to infinity
 HELD_OUT_OVERFLOW_CSV = "0.1,0.5,R\n0.2,0.25,M\n0.3,0.75,R\n1e308,0.1,M\n"
 HELD_OUT_OVERFLOW_SPLIT = "[train]\n1\n2\n3\n[test]\n4\n"
+# artifacts and a config file the CLI rejects, written into the scratch root
+REJECTED_FILES = {
+    "w-underscore.txt": "0.5\n1_0\n",
+    "duplicate.cfg": "max_epochs=5\nmax_epochs=7\n",
+    "net-plus.txt": "H=+1\n1.0\n2.0\n3.0\n",
+    "net-value.txt": "H=1\n1.0\nx\n3.0\n",
+}
 
 
 def random_split_text(raw, seed, n_mines=49, n_rocks=55):
@@ -209,6 +216,11 @@ def run_matrix():
                   "held-out-overflow.split", "--features", "2", "--any-range",
                   "--out", "train-standardize-overflow"]))
     runs.append(("report-underscore", ["report", "w-underscore.txt"]))
+    runs.append(("train-config-duplicate", ["train", *SONAR, "--config",
+                                            "duplicate.cfg", "--out",
+                                            "train-config-duplicate"]))
+    runs.append(("report-network-plus", ["report", "net-plus.txt"]))
+    runs.append(("report-network-value", ["report", "net-value.txt"]))
     return runs
 
 
@@ -223,8 +235,13 @@ def _parsed_sha256(data: bytes | str):
 
 def hashes(root: Path):
     """Run the matrix inside ``root`` and return the hash of every item."""
-    for name, src in INPUTS.items():
-        shutil.copyfile(src, root / name)
+    # imported here, so that --compare needs no checkout on PYTHONPATH
+    import monoplane
+    from monoplane import cli, data
+    assets = Path(monoplane.__file__).resolve().parent / "assets"
+    shutil.copyfile(SONAR_FILE, root / "sonar.all-data")
+    for name, source in ASSET_INPUTS.items():
+        shutil.copyfile(assets / source, root / name)
     (root / "xor.cfg").write_text(XOR_CFG)
     raw = data.load_file(root / "sonar.all-data")
     for seed in RANDOM_SPLIT_SEEDS:
@@ -239,7 +256,8 @@ def hashes(root: Path):
     (root / "overflow.csv").write_text(OVERFLOW_CSV)
     (root / "held-out-overflow.csv").write_text(HELD_OUT_OVERFLOW_CSV)
     (root / "held-out-overflow.split").write_text(HELD_OUT_OVERFLOW_SPLIT)
-    (root / "w-underscore.txt").write_text("0.5\n1_0\n")
+    for name, text in REJECTED_FILES.items():
+        (root / name).write_text(text)
     out = {}
     for name, argv in run_matrix():
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -265,10 +283,26 @@ def hashes(root: Path):
     return out
 
 
+def compare(parent_path, change_path):
+    """Print each key whose hash differs between the two files, or that only
+    one of them has; return 1 if there is any, else 0."""
+    parent, change = (json.loads(Path(p).read_text()) for p in (parent_path, change_path))
+    keys = parent.keys() | change.keys()
+    differ = sorted(k for k in keys if parent.get(k) != change.get(k))
+    for key in differ:
+        where = ("differs" if key in parent and key in change
+                 else f"only in {parent_path if key in parent else change_path}")
+        print(f"{key}: {where}")
+    print(f"{len(differ)} of {len(keys)} items differ")
+    return 1 if differ else 0
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(*argv[1:])
     if len(argv) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
     target = Path(argv[0]).resolve()
     cwd = os.getcwd()

@@ -15,8 +15,8 @@ from .data import (
     standardize,
 )
 from .evaluation import (
-    EvaluationReport, SeparabilityVerdict, cosine, evaluate, separability,
-    load_published_table, load_published_weights, verify_published,
+    SeparabilityVerdict, cosine, evaluate, load_published_table,
+    load_published_weights, separability, verify_published,
 )
 from .network import (
     GrowthStallError, GrowthTrace, NetworkModel, grow_network, hidden_states,

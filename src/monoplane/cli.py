@@ -11,6 +11,7 @@ I/O error, or a training run that diverged.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -28,8 +29,8 @@ from .network import (
     GrowthStallError, grow_network, load_network, network_output, save_network,
 )
 from .perceptron import (
-    SEPARATION_CONFIG, TrainingConfig, TrainingError, count_errors,
-    load_weights, minimerror_train, save_weights, weights_to_table_text,
+    SEPARATION_CONFIG, TrainingConfig, TrainingError, load_weights,
+    minimerror_train, save_weights, weights_to_table_text,
 )
 
 DATASET_ENV = "MONOPLANE_DATA"
@@ -166,24 +167,26 @@ def _leaves(obj, prefix=""):
 
 
 def _emit_report(report_dict, fmt, out_dir, stem):
-    if fmt == "json":
-        text = json.dumps(report_dict, sort_keys=True)
-    elif fmt == "csv":
-        text = "\n".join(
-            ["key,value"]
-            + [f"{k},{(json.dumps(v) if isinstance(v, list) else v)!r}"
-               for k, v in _leaves(report_dict)])
-    else:
-        text = "\n".join(f"{k}: {v}" for k, v in _leaves(report_dict))
+    """Write ``report_dict`` as ``<stem>.<suffix>`` and return that name.
+    The csv report is two-column CSV: one row per leaf, a list's value its
+    JSON text and any other value its ``repr``, quoted where CSV needs it."""
     name = f"{stem}.{SUFFIX[fmt]}"
-    _write(out_dir / name, text + "\n")
+    with _create(out_dir / name) as fh:
+        if fmt == "json":
+            fh.write(json.dumps(report_dict, sort_keys=True) + "\n")
+        elif fmt == "csv":
+            csv.writer(fh, lineterminator="\n").writerows(
+                [("key", "value")]
+                + [(k, json.dumps(v) if isinstance(v, list) else repr(v))
+                   for k, v in _leaves(report_dict)])
+        else:
+            fh.writelines(f"{k}: {v}\n" for k, v in _leaves(report_dict))
     return name
 
 
 def cmd_train(args):
     path, split_source, config, learn, evalp, out_dir = _prepare_run(args)
     w, trace = minimerror_train(learn, config)
-    train_errors = count_errors(w, learn)
 
     with _create(out_dir / "weights.txt") as fh:
         save_weights(w, fh)
@@ -194,22 +197,19 @@ def cmd_train(args):
     report = {
         "part": args.part,
         "learning_set_size": len(learn),
-        "training_errors": {"total": train_errors[0],
-                            "false_pos": train_errors[1],
-                            "false_neg": train_errors[2]},
+        "training_errors": evaluate(w, learn)["counts"],
         "best_epoch": trace.best_epoch,
         "epochs_run": len(trace),
         "stop": trace.stop,
         "hebbian_fallback": trace.hebbian_fallback,
     }
     if evalp:
-        gen = evaluate(w, evalp)
-        report["generalization"] = gen.to_json_dict()
+        report["generalization"] = evaluate(w, evalp)
     outputs.append(_emit_report(report, args.format, out_dir, "report"))
 
     _write(out_dir / "manifest.json",
            _manifest(args, "train", path, split_source, config, outputs))
-    print(f"train: {train_errors[0]}/{len(learn)} training errors"
+    print(f"train: {report['training_errors']['total']}/{len(learn)} training errors"
           + (f", eps_g = {report['generalization']['error_fraction']:.1f}%"
              if evalp else " (no generalization part)"))
     return 0
@@ -235,7 +235,8 @@ def cmd_grow(args):
         gtrace.to_csv(fh)
     outputs = ["network.txt", "growth.csv"]
 
-    train_errs = int(np.count_nonzero(network_output(model, learn.Xi) != learn.tau))
+    # growth returned, so its last output unit is exact on the learning part
+    train_errs = gtrace.output_attempts[-1][1]
     report = {
         "part": args.part,
         "hidden_units": len(model.hidden),

@@ -77,58 +77,32 @@ def _published():
     return table, pub_mu, ws, tuple(perturbed)
 
 
-@dataclass
-class EvaluationReport:
-    """Counts and the misclassified patterns.
-
-    ``mu``, ``field`` and ``tau`` hold one entry per misclassified pattern,
-    in pattern-number order: its number, its field under the classifier
-    and its label. ``to_json_dict`` also writes each record's
-    ``gamma_reference`` as null and ``cosines`` as an empty object, keys the
-    report schema keeps.
-    """
-
-    set_size: int
-    counts: tuple
-    mu: list
-    field: list
-    tau: list
-
-    @property
-    def error_fraction(self) -> float:
-        """Percent misclassified, as reported to one decimal."""
-        if self.set_size == 0:
-            return 0.0
-        return round(100.0 * self.counts[0] / self.set_size, 1)
-
-    def to_json_dict(self):
-        return {
-            "set_size": self.set_size,
-            "counts": {"total": self.counts[0], "false_pos": self.counts[1],
-                       "false_neg": self.counts[2]},
-            "error_fraction": self.error_fraction,
-            "records": [
-                {"i": i, "mu": mu, "field": f, "gamma_reference": None, "tau": tau}
-                for i, (mu, f, tau) in enumerate(
-                    zip(self.mu, self.field, self.tau), start=1)
-            ],
-            "cosines": {},
-        }
-
-
-def evaluate(classifier: WeightVector, patterns) -> EvaluationReport:
-    """Misclassification report of ``classifier`` over ``patterns``: every
-    misclassified pattern with its field, in pattern-number order."""
-    if not patterns:
-        return EvaluationReport(set_size=0, counts=(0, 0, 0), mu=[], field=[],
-                                tau=[])
-    ps = PatternSet.of(patterns)
-    f = field(classifier, ps.Xi)
-    wrong = np.flatnonzero(ps.tau * f <= 0.0)
-    wrong = wrong[np.argsort(ps.mu[wrong], kind="stable")]
-    return EvaluationReport(set_size=len(ps), counts=_error_counts(f, ps.tau),
-                            mu=ps.mu[wrong].tolist(), field=f[wrong].tolist(),
-                            tau=ps.tau[wrong].tolist())
+def evaluate(classifier: WeightVector, patterns):
+    """Misclassification report of ``classifier`` over ``patterns``, the dict
+    the ``train`` report prints as ``generalization``: ``set_size``,
+    ``counts`` as ``total``, ``false_pos`` and ``false_neg`` (``count_errors``'
+    triple, in that order), ``error_fraction`` (percent misclassified to one
+    decimal), one ``records`` entry per misclassified pattern in
+    pattern-number order (its ``mu``, ``field`` under the classifier and
+    ``tau``, and a null ``gamma_reference``), and empty ``cosines``."""
+    f, tau, mu = np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    if patterns:
+        ps = PatternSet.of(patterns)
+        f, tau, mu = field(classifier, ps.Xi), ps.tau, ps.mu
+    wrong = np.flatnonzero(tau * f <= 0.0)
+    wrong = wrong[np.argsort(mu[wrong], kind="stable")]
+    total, false_pos, false_neg = _error_counts(f, tau)
+    return {
+        "set_size": len(tau),
+        "counts": {"total": total, "false_pos": false_pos, "false_neg": false_neg},
+        "error_fraction": round(100.0 * total / max(len(tau), 1), 1),
+        "records": [
+            {"i": i, "mu": m, "field": fl, "gamma_reference": None, "tau": t}
+            for i, (m, fl, t) in enumerate(zip(
+                mu[wrong].tolist(), f[wrong].tolist(), tau[wrong].tolist()), start=1)
+        ],
+        "cosines": {},
+    }
 
 
 def cosine(a: WeightVector, b: WeightVector, raw_eq8=False) -> float:
@@ -284,7 +258,8 @@ def run_mode(mode_name, parts):
     table, (pub_test, pub_train), ws, _ = _published()
     sets = parts[mode_name]
     rep_test, rep_train = evaluate(ws[0], sets[0]), evaluate(ws[1], sets[1])
-    mu_test, mu_train = rep_test.mu, rep_train.mu
+    mu_test, mu_train = ([r["mu"] for r in rep["records"]]
+                         for rep in (rep_test, rep_train))
 
     # W_Sonar's error counts and the spot-check of the published stabilities
     # by layout number read one matrix field pass: the product ``evaluate``
@@ -305,8 +280,8 @@ def run_mode(mode_name, parts):
 
     return {
         "mode": mode_name,
-        "counts_test_side": rep_test.counts,
-        "counts_train_side": rep_train.counts,
+        "counts_test_side": tuple(rep_test["counts"].values()),
+        "counts_train_side": tuple(rep_train["counts"].values()),
         "counts_sonar": _error_counts(f_sonar, all_part.tau),
         "mu_test_side": mu_test,
         "mu_train_side": mu_train,

@@ -190,11 +190,22 @@ def save_network(model: NetworkModel, stream):
 
 
 def load_network(text) -> NetworkModel:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("H="):
+    """The model ``save_network`` wrote; a number outside the grammar raises
+    ValueError naming the ``H=`` header or the value's 1-based line."""
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or not lines[0][1].startswith("H="):
         raise ValueError("network file must start with an H=<n> header")
-    H = read_number(lines[0][2:], int)
-    values = [read_number(v) for v in lines[1:]]
+    try:
+        H = read_number(lines[0][1][2:], int)
+    except ValueError as exc:
+        raise ValueError(f"bad H= header: {exc}") from None
+    values = []
+    for lineno, v in lines[1:]:
+        try:
+            values.append(read_number(v))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if H < 1:
         raise ValueError("network must declare at least one hidden unit")
     body = len(values) - (H + 1)

@@ -140,7 +140,7 @@ class TrainingConfig:
 
     @classmethod
     def from_file(cls, path):
-        """Read a flat key=value file; unknown keys are an error."""
+        """Read a flat key=value file; unknown and repeated keys are an error."""
         casts = {f.name: type(f.default) for f in fields(cls)}
         kwargs = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -153,6 +153,8 @@ class TrainingConfig:
                 key, val = (s.strip() for s in line.split("=", 1))
                 if key not in casts:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in kwargs:
+                    raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
                 try:
                     kwargs[key] = read_number(val, casts[key])
                 except ValueError as exc:

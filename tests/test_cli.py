@@ -1,4 +1,5 @@
 import argparse
+import csv
 import io
 import json
 import platform
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from monoplane import (
-    TrainingConfig, cli, compute_stats, load_file, load_published_table,
-    load_split_file, minimerror_train, save_weights, split, standardize,
-    verify_published,
+    TrainingConfig, cli, compute_stats, count_errors, evaluate, load_file,
+    load_published_table, load_split_file, load_weights, minimerror_train,
+    save_weights, split, standardize, verify_published,
 )
 from monoplane.cli import (
     SUFFIX, _blas_build, _emit_report, build_parser, main,
@@ -177,14 +178,31 @@ class TestTrain:
             "underscore-int", "non-ascii-float"])
     def test_bad_config_file_exit_2(self, sonar_path, tmp_path, capsys,
                                     line, message):
+        # the line under test sets its key once: FAST_CFG's line for that
+        # key is left blank, so the line under test stays line 6
+        key = line.split("=")[0].strip()
+        base = "".join("\n" if ln.split("=")[0] == key else ln + "\n"
+                       for ln in FAST_CFG.splitlines())
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(FAST_CFG + line + "\n", encoding="utf-8")
+        cfg.write_text(base + line + "\n", encoding="utf-8")
         assert run(["train", "--dataset", str(sonar_path), "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ("train", "grow"))
+    def test_repeated_config_key_exit_2(self, sonar_path, tmp_path, capsys,
+                                        command):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("max_epochs=5\nmax_epochs=7\n")
+        out = tmp_path / "o"
+        assert run([command, "--dataset", str(sonar_path), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: bad --config: {cfg}:2: duplicate config key 'max_epochs'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ("train", "grow"))
     def test_negative_seed_exit_2(self, sonar_path, tmp_path, capsys, command):
@@ -277,6 +295,75 @@ class TestStop:
         assert (rep["stop"], rep["epochs_run"]) == ("t_min", 9206)
 
 
+def _json_leaves(obj, prefix=""):
+    """{dotted key: leaf} of a JSON report; an empty object has no leaf."""
+    out = {}
+    for k, v in obj.items():
+        if isinstance(v, dict):
+            out.update(_json_leaves(v, f"{prefix}{k}."))
+        else:
+            out[f"{prefix}{k}"] = v
+    return out
+
+
+class TestReportContents:
+    """What train and grow report is the library's own account of the run."""
+
+    @pytest.mark.parametrize("part", ("train", "test", "all"))
+    def test_train_report_is_evaluate(self, sonar_path, balanced_split_path,
+                                      tmp_path, fast_cfg_path, part):
+        out = tmp_path / "o"
+        assert run(["train", "--dataset", str(sonar_path), "--split-file",
+                    str(balanced_split_path), "--config", fast_cfg_path,
+                    "--part", part, "--out", str(out)]) == 0
+        raw = load_file(sonar_path)
+        train, test = split(raw, load_split_file(balanced_split_path))
+        learn_raw, eval_raw = {"train": (train, test), "test": (test, train),
+                               "all": (raw, None)}[part]
+        stats = compute_stats(learn_raw)
+        w = load_weights((out / "weights.txt").read_text())
+        learn = standardize(learn_raw, stats)
+        rep = json.loads((out / "report.json").read_text())
+        total, false_pos, false_neg = count_errors(w, learn)
+        assert rep["training_errors"] == {"total": total, "false_pos": false_pos,
+                                          "false_neg": false_neg}
+        if eval_raw is None:
+            assert "generalization" not in rep
+        else:
+            assert rep["generalization"] == evaluate(w, standardize(eval_raw, stats))
+
+    @pytest.mark.parametrize("command", ("train", "grow"))
+    def test_csv_report_is_two_column_csv(self, sonar_path, balanced_split_path,
+                                          tmp_path, fast_cfg_path, command):
+        """Every csv row reads back as a key and a value: a list's JSON text
+        or another value's repr, the leaves of the json report."""
+        from importlib import resources
+        argv = ["train", "--dataset", str(sonar_path), "--split-file",
+                str(balanced_split_path), "--config", fast_cfg_path]
+        if command == "grow":
+            cfg = tmp_path / "xor.cfg"
+            cfg.write_text("t_initial=1.0\nt_min=1e-4\nt_decay=0.995\n"
+                           "learning_rate=0.05\nmax_epochs=3000\nseed=1\n")
+            xor = resources.files("monoplane.assets").joinpath("xor.csv")
+            argv = ["grow", "--dataset", str(xor), "--features", "2",
+                    "--config", str(cfg)]
+        for fmt in ("json", "csv"):
+            assert run([*argv, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        leaves = _json_leaves(json.loads((tmp_path / "json" / "report.json").read_text()))
+        with open(tmp_path / "csv" / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert [k for k, _ in rows[1:]] == sorted(leaves)
+        for key, value in rows[1:]:
+            leaf = leaves[key]
+            assert (json.loads(value) if isinstance(leaf, list) else value) == (
+                leaf if isinstance(leaf, list) else repr(leaf)), key
+        # a nonempty list, whose JSON text holds commas: train's misclassified
+        # records, grow's internal error sequence
+        assert any(isinstance(v, list) and len(v) > 1 for v in leaves.values())
+
+
 @pytest.mark.parametrize("command", ("train", "grow"))
 def test_diverged_training_exit_2(sonar_path, balanced_split_path, tmp_path,
                                   capsys, command):
@@ -298,7 +385,7 @@ class TestEmitReport:
     def test_csv_bytes(self, tmp_path):
         assert _emit_report(self.REPORT, "csv", tmp_path, "r") == "r.csv"
         assert (tmp_path / "r.csv").read_bytes() == (
-            b"key,value\na.x,'s'\na.z,0.1\nb,'[1, 2.5, \"x\"]'\nc,True\n"
+            b"key,value\na.x,'s'\na.z,0.1\nb,\"[1, 2.5, \"\"x\"\"]\"\nc,True\n"
             b"d,None\ne.f.g,-1.5e-20\n")
 
     def test_text_bytes(self, tmp_path):
@@ -567,8 +654,9 @@ class TestReport:
                         "to float: '1_0'"),
         ("0.5\n\u0661\n", "unparseable weight value: could not convert string "
                           "to float: '\u0661'"),
-        ("H=+1\n1.0\n2.0\n3.0\n", "invalid literal for int() with base 10: '+1'"),
-        ("H=1\n1.0\n1_0\n3.0\n", "could not convert string to float: '1_0'"),
+        ("H=+1\n1.0\n2.0\n3.0\n", "bad H= header: invalid literal for int() "
+                                  "with base 10: '+1'"),
+        ("H=1\n1.0\n1_0\n3.0\n", "line 3: could not convert string to float: '1_0'"),
     ], ids=["weights-underscore", "weights-non-ascii", "network-plus",
             "network-underscore"])
     def test_number_outside_the_grammar_exit_2(self, tmp_path, capsys, text,

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+import json
 from importlib import resources
 
 import numpy as np
@@ -73,6 +74,11 @@ class TestPublishedAssets:
         assert sum(1 for r in t6["train_side"] if r["tau"] == +1) == 19
 
 
+def _counts(rep):
+    """The ``counts`` of an ``evaluate`` report as ``count_errors``' triple."""
+    return tuple(rep["counts"][k] for k in ("total", "false_pos", "false_neg"))
+
+
 class TestEvaluate:
     def test_separator_yields_empty_report(self, fast_config):
         rng = np.random.default_rng(40)
@@ -80,40 +86,52 @@ class TestEvaluate:
         from monoplane import minimerror_train
         w, _ = minimerror_train(pats, fast_config)
         rep = evaluate(w, pats)
-        assert rep.counts == (0, 0, 0)
-        assert rep.mu == []
-        assert rep.error_fraction == 0.0
+        assert _counts(rep) == (0, 0, 0)
+        assert rep["records"] == []
+        assert rep["error_fraction"] == 0.0
 
     def test_records_sorted_and_consistent(self):
         rng = np.random.default_rng(41)
         pats, _ = make_ls_patterns(rng, n=60, dim=6)
         w = WeightVector(rng.standard_normal(7))
         rep = evaluate(w, pats)
-        assert rep.counts[0] == len(rep.mu)
-        assert rep.counts[0] == rep.counts[1] + rep.counts[2]
-        assert rep.mu == sorted(rep.mu)
-        for mu, f, tau in zip(rep.mu, rep.field, rep.tau):
-            p = next(p for p in pats if p.mu == mu)
-            assert tau == p.tau and tau * f <= 0
-        as_json = rep.to_json_dict()
-        assert as_json["records"]
-        assert all(r["gamma_reference"] is None for r in as_json["records"])
-        assert as_json["cosines"] == {}
+        total, false_pos, false_neg = _counts(rep)
+        mus = [r["mu"] for r in rep["records"]]
+        assert total == len(mus)
+        assert total == false_pos + false_neg
+        assert mus == sorted(mus)
+        for r in rep["records"]:
+            p = next(p for p in pats if p.mu == r["mu"])
+            assert r["tau"] == p.tau and r["tau"] * r["field"] <= 0
+        assert rep["records"]
+        assert [r["i"] for r in rep["records"]] == list(range(1, total + 1))
+        assert all(r["gamma_reference"] is None for r in rep["records"])
+        assert rep["cosines"] == {}
 
     def test_error_fraction_one_decimal(self):
         rng = np.random.default_rng(42)
         pats, _ = make_ls_patterns(rng, n=104, dim=5)
         w = WeightVector(rng.standard_normal(6))
         rep = evaluate(w, pats)
-        assert rep.error_fraction == round(100.0 * rep.counts[0] / 104, 1)
+        assert rep["set_size"] == 104
+        assert rep["error_fraction"] == round(100.0 * rep["counts"]["total"] / 104, 1)
 
     def test_emitters_carry_identical_fields(self):
         rng = np.random.default_rng(43)
         pats, _ = make_ls_patterns(rng, n=20, dim=4)
         w = WeightVector(rng.standard_normal(5))
         rep = evaluate(w, pats)
-        as_json = rep.to_json_dict()
-        assert len(as_json["records"]) == len(rep.mu)
+        assert len(rep["records"]) == count_errors(w, pats)[0]
+        assert json.loads(json.dumps(rep)) == rep
+
+    @pytest.mark.parametrize("empty", ([], PatternSet(np.zeros((0, 3)),
+                                                       np.zeros(0, dtype=int),
+                                                       np.zeros(0, dtype=int))),
+                             ids=["list", "pattern-set"])
+    def test_empty_set(self, empty):
+        assert evaluate(WeightVector(np.ones(3)), empty) == {
+            "set_size": 0, "counts": {"total": 0, "false_pos": 0, "false_neg": 0},
+            "error_fraction": 0.0, "records": [], "cosines": {}}
 
 
 class TestCosine:
@@ -498,8 +516,7 @@ class TestArrayVerify:
             f = field(w_sonar, full.Xi)
             row_of = {m: k for k, m in enumerate(full.mu.tolist())}
             rep = evaluate(w_sonar, full)
-            reported = {mu: tau * fld
-                        for mu, fld, tau in zip(rep.mu, rep.field, rep.tau)}
+            reported = {r["mu"]: r["tau"] * r["field"] for r in rep["records"]}
             for row in run_mode(mode_name, sets)["gamma_check"]["rows"]:
                 k = row_of[row["mu"]]
                 assert row["computed"] == float(full.tau[k] * f[k])
@@ -523,8 +540,8 @@ class TestArrayVerify:
                 assert part.tau.tolist() == [p.tau for p in ref]
                 assert part.Xi.tobytes() == np.array([p.xi for p in ref]).tobytes()
             rep = evaluate(load_published_weights("W_Train"), got[mode_name][0])
-            assert rep.mu and all(type(mu) is int and type(tau) is int
-                                  for mu, tau in zip(rep.mu, rep.tau))
+            assert rep["records"] and all(type(r["mu"]) is int and type(r["tau"]) is int
+                                          for r in rep["records"])
 
     def test_verify_numbers_layout_once(self, balanced_parts, monkeypatch):
         calls = []

@@ -359,11 +359,17 @@ class TestNetworkSerialization:
             load_network("1.0\n2.0\n")
 
     @pytest.mark.parametrize("text, message", [
-        ("H=+1\n1.0\n2.0\n3.0\n", "invalid literal for int() with base 10: '+1'"),
-        ("H=1_0\n1.0\n2.0\n3.0\n", "invalid literal for int() with base 10: '1_0'"),
-        ("H=1\n1.0\n1_0\n3.0\n", "could not convert string to float: '1_0'"),
-        ("H=1\n1.0\n\u0662\n3.0\n", "could not convert string to float: '\u0662'"),
-    ], ids=["count-plus", "count-underscore", "value-underscore", "value-non-ascii"])
+        ("H=+1\n1.0\n2.0\n3.0\n",
+         "bad H= header: invalid literal for int() with base 10: '+1'"),
+        ("H=1_0\n1.0\n2.0\n3.0\n",
+         "bad H= header: invalid literal for int() with base 10: '1_0'"),
+        ("H=1\n1.0\n1_0\n3.0\n", "line 3: could not convert string to float: '1_0'"),
+        ("H=1\n1.0\n\u0662\n3.0\n",
+         "line 3: could not convert string to float: '\u0662'"),
+        # a value's line number counts blank lines, as an editor does
+        ("\nH=1\n1.0\n\n  \nx\n3.0\n", "line 6: could not convert string to float: 'x'"),
+    ], ids=["count-plus", "count-underscore", "value-underscore", "value-non-ascii",
+            "value-after-blank-lines"])
     def test_number_outside_the_grammar_rejected(self, text, message):
         with pytest.raises(ValueError) as info:
             load_network(text)

@@ -85,9 +85,12 @@ class TestFieldStability:
         assert_rows_match(w, ps.Xi, f)
         rep = evaluate(w, ps)
         wrong = np.flatnonzero(ps.tau * f <= 0.0)
-        assert rep.counts == count_errors(w, ps)
-        assert rep.counts[0] == len(wrong) > 0
-        assert np.array(rep.field).tobytes() == f[wrong].tobytes()
+        counts = rep["counts"]
+        assert (counts["total"], counts["false_pos"],
+                counts["false_neg"]) == count_errors(w, ps)
+        assert counts["total"] == len(wrong) > 0
+        assert (np.array([r["field"] for r in rep["records"]]).tobytes()
+                == f[wrong].tobytes())
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), P=st.integers(0, 40),
@@ -980,6 +983,13 @@ class TestConfig:
         with pytest.raises(ValueError) as exc:
             TrainingConfig.from_file(p)
         assert str(exc.value) == f"{p}:1: bad {line.split('=')[0]}: {cast_error}"
+
+    def test_from_file_repeated_key(self, tmp_path):
+        p = tmp_path / "cfg"
+        p.write_text("max_epochs=5\n# comment\nmax_epochs=7\n")
+        with pytest.raises(ValueError) as exc:
+            TrainingConfig.from_file(p)
+        assert str(exc.value) == f"{p}:3: duplicate config key 'max_epochs'"
 
     def test_from_file_negative_seed_keeps_its_message(self, tmp_path):
         p = tmp_path / "cfg"
