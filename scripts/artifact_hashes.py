@@ -19,7 +19,7 @@ the parsed object because ``NaN != NaN``. Run it once with each of two
 checkouts on ``PYTHONPATH``, then ``--compare`` the two files: it prints
 each key whose hash differs or that only one file has, and a count, and
 exits 1 if there is any, so exit 0 means equal exit codes, streams and
-artifacts. The matrix gives 515 items.
+artifacts. The matrix gives 519 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests and
@@ -28,7 +28,11 @@ lives. ``verify`` also runs on seeded random class-balanced splits written
 into that root, because only splits other than the bundled one exercise
 the mapping of rows to the paper's layout numbers. ``grow`` also runs on
 parity-3 and parity-4 files written there: parity 3 grows three hidden
-units, parity 4 stalls with several units trained. ``train`` and ``verify``
+units, parity 4 stalls with several units trained. It also runs on a
+seeded random-label file like perfbench's grow-toy sets (40 Gaussian
+points in 3 dimensions, balanced labels, ``--any-range``), whose units
+never separate their targets, so every epoch counts its errors and the
+retained epoch is chosen among non-separating ones. ``train`` and ``verify``
 also run on edited copies of the sonar file written there: one malformed
 field, label or value each, one number that only Python's ``float`` reads
 (``0.1_5``, which the parser rejects) and one leading byte that is not
@@ -80,6 +84,8 @@ XOR = ["grow", "--dataset", "xor.csv", "--features", "2", "--part", "all",
 RANDOM_SPLIT_SEEDS = (1, 2, 3, 4)
 # bit counts of the parity problems grow also runs on
 PARITY_BITS = (3, 4)
+# seed of the random-label set grow also runs on
+RANDOM_LABEL_SEED = 1
 # sonar file variants: (field, token) written into line 101, None drops the field
 VARIANT_LINE = 100
 VARIANT_EDITS = {
@@ -123,6 +129,16 @@ def parity_text(n):
     and R otherwise (``xor.csv`` is the case n = 2)."""
     return "".join(",".join(map(str, bits)) + (",M\n" if sum(bits) % 2 else ",R\n")
                    for bits in itertools.product((0, 1), repeat=n))
+
+
+def random_label_text(seed, n_patterns=40, dims=3):
+    """Gaussian points with balanced random labels, drawn like perfbench's
+    grow-toy random-label sets, one repr per value."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_patterns, dims))
+    tau = rng.permutation(np.repeat((-1, 1), n_patterns // 2))
+    return "".join(",".join(map(repr, row.tolist())) + (",M\n" if t < 0 else ",R\n")
+                   for row, t in zip(x, tau))
 
 
 def variant_texts(text):
@@ -190,6 +206,10 @@ def run_matrix():
         runs.append((f"grow-parity{n}", ["grow", "--dataset", f"parity{n}.csv",
                                          "--features", str(n), "--part", "all",
                                          "--out", f"grow-parity{n}"]))
+    runs.append(("grow-random-labels", ["grow", "--dataset", "random-labels.csv",
+                                        "--features", "3", "--part", "all",
+                                        "--any-range", "--out",
+                                        "grow-random-labels"]))
     runs.append(("report", ["report", "train-train-json/weights.txt",
                             "train-test-json/weights.txt",
                             "grow-xor-json/network.txt"]))
@@ -248,6 +268,7 @@ def hashes(root: Path):
         (root / f"random{seed}.split").write_text(random_split_text(raw, seed))
     for n in PARITY_BITS:
         (root / f"parity{n}.csv").write_text(parity_text(n))
+    (root / "random-labels.csv").write_text(random_label_text(RANDOM_LABEL_SEED))
     for variant, text in variant_texts((root / "sonar.all-data").read_text()).items():
         (root / f"sonar-{variant}.csv").write_text(text)
     (root / "sonar-not-utf8.csv").write_bytes(

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dataio
-from .evaluation import cosine, evaluate, load_published_table, verify_published
+from .evaluation import cosine, evaluate, published_counts, verify_published
 from .network import (
     GrowthStallError, grow_network, load_network, network_output, save_network,
 )
@@ -256,13 +256,12 @@ def cmd_grow(args):
 
 
 def _verify_text(report):
-    table = load_published_table()
     lines = []
     for r in report["modes"]:
         lines.append(f"mode {r['mode']}:")
         for side, label in (("test", "W_Train on Test part"),
                             ("train", "W_Test on Train part")):
-            got, pub = r[f"counts_{side}_side"], table[f"counts_{side}_side"]
+            got, pub = r[f"counts_{side}_side"], published_counts(side)
             lines.append(f"  {label}: total={got[0]} F+={got[1]} F-={got[2]} "
                          f"[published {pub[0]}, {pub[1]} F+, {pub[2]} F-]")
         lines.append(f"  W_Sonar on all: total={r['counts_sonar'][0]} [published 0]")

@@ -51,6 +51,12 @@ def load_published_table():
     return json.loads(_asset_text("table6.json"))
 
 
+def published_counts(side):
+    """The published (total, false_pos, false_neg) of ``side``, "test" or
+    "train", from the table that ``_published`` parses once per process."""
+    return tuple(_published()[0][f"counts_{side}_side"])
+
+
 @functools.cache
 def _published():
     """What verification reads, built on first use (not at import) and kept

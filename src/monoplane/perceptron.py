@@ -37,16 +37,20 @@ common 1/r_mu of a one-temperature window (the plain cost, or every
 stability nonnegative). The step is a fixed fraction of ||w|| and nothing
 else depends on the scale of w, so w is not rescaled every epoch: it is
 multiplied by an exact power of two when w . w passes 4 dim. An epoch
-counts errors only when the minimal stability is not positive, and takes
-no step when every gamma_mu / 2T_mu is past ~355.6, where sech^2 is 0.
-Such an epoch ends the anneal: w would never move again and T only falls,
-so no later epoch could change w, the minimal stability or the retained
-epoch. The trace ends with that epoch and says why the anneal stopped.
+takes no step when every gamma_mu / 2T_mu is past ~355.6, where sech^2 is
+0. Such an epoch ends the anneal: w would never move again and T only
+falls, so no later epoch could change w, the minimal stability or the
+retained epoch. The trace ends with that epoch and says why the anneal
+stopped.
 
 The trace is four columns (temperature, cost, errors, minimal stability).
-The descent never reads the cost, so an epoch writes M @ w in place in a
-row of a block buffer, and the cost column comes from one division by
-2T ||w||, one tanh and one row sum per block of _BLOCK epochs.
+The descent reads none of them, so an epoch runs only the descent step: it
+writes M @ w in place in a row of a block buffer and copies w beside it.
+Once per block of _BLOCK epochs, the block's rows give every column and
+the retained epoch: the minimal stabilities as row minima over ||w||, the
+errors only in a block with a minimal stability that is not positive, the
+temperatures as running products of t_decay, and the cost from one
+division by 2T ||w||, one tanh and one row sum.
 
 A classic fixed-increment perceptron with pocket-style retention is provided
 as a baseline for generalization comparisons.
@@ -317,30 +321,72 @@ def _error_counts(f, tau):
     return total, false_pos, false_neg
 
 
-# epochs whose cost is computed together: gamma rows are buffered per block
+# epochs whose trace columns are computed together: M @ w and w are buffered
+# per block
 _BLOCK = 256
 
 
-def _close_block(blocks, G, k, temps, errs, stabs):
-    """Append copies of the first ``k`` epochs of a block to ``blocks`` as
-    trace columns, with the cost E = 1/2 sum(1 - tanh(gamma / 2T)) of each
-    row of ``G`` at its temperature. A row is tXi @ w with w . w in its last
-    slot, so gamma / 2T is the rest of the row over 2T sqrt(last slot). The
+def _close_block(blocks, G, W, k, first, T, t_decay, best, fallback):
+    """Append the trace columns of a block's first ``k`` epochs, the first
+    of them epoch ``first`` at temperature ``T``, to ``blocks``, and return
+    ``best``, the retained (errors, min_stability, epoch, w), updated with
+    the block's best epoch: fewest errors, then the largest minimal
+    stability, then the first.
+
+    Row i of ``G`` is M @ w at the block's epoch i, tXi @ w with w . w in
+    its last slot, and row i of ``W`` is that w. Its minimal stability is
+    the row's minimum over sqrt(w . w). Errors are counted only in a block
+    with a minimal stability that is not positive. The temperatures are
+    the running products of t_decay from T, the anneal's own T *= t_decay
+    bit for bit, and the cost is E = 1/2 sum(1 - tanh(gamma / 2T)), with
+    gamma / 2T the rest of the row over 2T sqrt(w . w). A NaN stability
+    raises TrainingError at its epoch, with the rows before it. The
     buffers are then free for the next block."""
     h = G[:k, :-1]
-    s = np.sqrt(G[:k, -1])
-    s *= 2.0 * temps[:k]
-    np.divide(h, s[:, None], out=h)
+    nw = np.sqrt(G[:k, -1])
+    stabs = np.minimum.reduce(h, axis=1)
+    stabs /= nw
+    # NaN if a stability is; no stability is <= 0 above a positive minimum
+    low = float(np.minimum.reduce(stabs, initial=math.inf))
+    n = int(np.isnan(stabs).argmax()) if math.isnan(low) else k
+    h, nw, stabs = h[:n], nw[:n], stabs[:n]
+    if low > 0.0:
+        errs = np.zeros(n, np.int64)
+    else:
+        errs = np.count_nonzero(h <= 0.0, axis=1).astype(np.int64, copy=False)
+    temps = np.full(n, t_decay)
+    if n:
+        temps[0] = T
+        np.multiply.accumulate(temps, out=temps)
+        e = int(errs.min())
+        rows = np.flatnonzero(errs == e)
+        i = int(rows[stabs[rows].argmax()])
+        if best[2] < 0 or e < best[0] or (e == best[0] and stabs[i] > best[1]):
+            best = (e, float(stabs[i]), first + i, W[i].copy())
+    nw *= 2.0 * temps
+    np.divide(h, nw[:, None], out=h)
     np.tanh(h, out=h)
     np.subtract(1.0, h, out=h)
     E = h.sum(axis=1)
     E *= 0.5
-    blocks.append((temps[:k].copy(), E, errs[:k].copy(), stabs[:k].copy()))
+    blocks.append((temps, E, errs, stabs))
+    if n < k:
+        raise TrainingError(f"non-finite state at epoch {first + n}",
+                            _block_trace(blocks, best[2], fallback))
+    return best
 
 
 def _block_trace(blocks, best_epoch, fallback, stop=None):
-    return TrainingTrace(*(np.concatenate(c) for c in zip(*blocks)),
-                         best_epoch, fallback, stop)
+    """The trace of the columns in ``blocks``, which it empties: each column
+    is joined, and its blocks freed, before the next, so at most one
+    column is held twice."""
+    columns = [list(c) for c in zip(*blocks)]
+    blocks.clear()
+    joined = []
+    for c in columns:
+        joined.append(np.concatenate(c))
+        c.clear()
+    return TrainingTrace(*joined, best_epoch, fallback, stop)
 
 
 def minimerror_train(patterns, config: TrainingConfig):
@@ -359,13 +405,22 @@ def minimerror_train(patterns, config: TrainingConfig):
     multiplied by a power of two that brings it below 2 dim: an exact
     scaling, so every other bit of the anneal stays the same.
 
+    An epoch runs only the descent step. It keeps M @ w and w in a row of
+    a block buffer, and ``_close_block`` derives every trace column and the
+    retained epoch from the rows once per block of _BLOCK epochs. Only a
+    two-temperature window takes the minimal stability in the epoch, to
+    pick the window.
+
     An epoch whose every stability is at least 712 temp_ratio T saturates
-    the window: it takes no step, and neither would any later epoch, so
-    none could move w, change the minimal stability or displace the
-    retained epoch. The anneal ends there. The trace has one row per epoch
-    run, and its ``stop`` is "frozen" when the last row is such an epoch,
-    even if the schedule ends there too, else "t_min" when T fell to t_min
-    and "max_epochs" otherwise.
+    the window: every sech^2 weight is 0, so it takes no step, and neither
+    would any later epoch, so none could move w, change the minimal
+    stability or displace the retained epoch. The anneal ends there. Such
+    an epoch's direction norm is 0 (NaN with a stability of +inf), not at
+    least 1e-150, and only then does the epoch test its minimal stability
+    against 712 temp_ratio T. The trace has one row per epoch run, and its
+    ``stop`` is "frozen" when the last row is such an epoch, even if the
+    schedule ends there too, else "t_min" when T fell to t_min and
+    "max_epochs" otherwise.
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
@@ -383,87 +438,82 @@ def minimerror_train(patterns, config: TrainingConfig):
     root_dim = math.sqrt(dim)
     ww_max = 4.0 * dim
 
-    G = np.empty((_BLOCK, P + 1))   # row k: M @ w at the block's epoch k
+    # one allocation: row k holds M @ w at the block's epoch k, then that w
+    GW = np.empty((_BLOCK, P + 1 + dim))
+    G, W = GW[:, :P + 1], GW[:, P + 1:]
     g_rows = [(row, row[:P]) for row in G]
     # the pattern weights u, then -(u . tXi @ w) / (w . w), so that
     # uext @ M = u @ tXi - (u . gamma / ||w||) w
     uext = np.empty(P + 1)
     u = uext[:P]
     d = np.empty(dim)
+    m_dot, u_dot, uext_dot, d_dot = M.dot, u.dot, uext.dot, d.dot
+    divide = np.divide
     blocks = []
-    temps, errs, stabs = np.empty(_BLOCK), np.empty(_BLOCK, np.int64), np.empty(_BLOCK)
+    best = (None, None, -1, w.copy())   # (errors, min_stability, epoch, w)
 
-    best_epoch = -1     # best (errors, -min_stability), lexicographic
-    best_errors = best_stab = None
-    best_w = w.copy()
-    T = config.t_initial
-    epoch = k = 0
-    # a diverged step is caught by the test below, and a saturated window
-    # overflows cosh^2 to inf, neither by numpy warnings
+    T = T_first = config.t_initial
+    epoch = first = k = 0
+    # a diverged step is caught by the test below, a NaN stability when its
+    # block closes, and a saturated window overflows cosh^2 to inf, none by
+    # numpy warnings
     with np.errstate(all="ignore"):
         while T > t_min and epoch < max_epochs:
             if k == _BLOCK:
-                _close_block(blocks, G, k, temps, errs, stabs)
-                k = 0
+                best = _close_block(blocks, G, W, k, first, T_first, t_decay,
+                                    best, fallback)
+                first, T_first, k = epoch, T, 0
             row, raw = g_rows[k]
-            M.dot(w, out=row)
+            m_dot(w, out=row)
             ww = row.item(P)
             if ww > ww_max:
                 w *= math.ldexp(1.0, -(math.frexp(ww / dim)[1] // 2))
-                M.dot(w, out=row)
+                m_dot(w, out=row)
                 ww = row.item(P)
             nw = math.sqrt(ww)
-            # dividing by nw > 0 is monotone, so this is the minimum of the
-            # stabilities raw / nw bit for bit
-            min_stab = float(np.minimum.reduce(raw)) / nw
             # w . w is kept below 4 dim, so nw is not finite only when the
-            # last step overflowed w or w . w; the cost is NaN exactly when
-            # a stability is, and then so is their minimum
-            if not math.isfinite(nw) or math.isnan(min_stab):
-                _close_block(blocks, G, k, temps, errs, stabs)
+            # last step overflowed w or w . w. A NaN stability makes d NaN
+            # and takes no step, so its epoch repeats until the block closes.
+            if not math.isfinite(nw):
+                best = _close_block(blocks, G, W, k, first, T_first, t_decay,
+                                    best, fallback)
                 raise TrainingError(f"non-finite state at epoch {epoch}",
-                                    _block_trace(blocks, best_epoch, fallback))
-            # no stability is <= 0 above a positive minimum
-            errors = 0 if min_stab > 0.0 else int(np.count_nonzero(raw <= 0.0))
-            temps[k] = T
-            errs[k] = errors
-            stabs[k] = min_stab
+                                    _block_trace(blocks, best[2], fallback))
+            W[k] = w
             k += 1
-            if best_epoch < 0 or errors < best_errors or (
-                    errors == best_errors and min_stab > best_stab):
-                best_errors, best_stab, best_epoch = errors, min_stab, epoch
-                best_w = w.copy()
 
-            # past gamma / 2T_mu ~355.6 cosh^2 overflows and sech^2 is 0. A
-            # saturated window, every stability above 712 theta T, gives d = 0
-            # and no step, and so does every later epoch: w stays and T falls.
-            if min_stab >= 712.0 * theta * T:
-                stop = "frozen"
-                break
             # two-temperature window: theta*T on the well-classified side. It
             # is one temperature for the plain cost and, the common case late
             # in an anneal, when every pattern is on that side; its 1/theta
             # then cancels in the step normalization. gamma / 2T_mu is
             # raw / (2T ||w|| r_mu).
             s = 2.0 * T * nw
-            if theta == 1.0 or min_stab >= 0.0:
-                _sech2(np.divide(raw, theta * s, out=u), out=u)
+            if theta == 1.0 or raw.item(raw.argmin()) >= 0.0:
+                _sech2(divide(raw, theta * s, out=u), out=u)
             else:
                 r = np.where(raw >= 0.0, theta, 1.0)
-                _sech2(np.divide(raw, r * s, out=u), out=u)
+                _sech2(divide(raw, r * s, out=u), out=u)
                 u /= r
-            uext[P] = -float(u.dot(raw)) / ww
-            uext.dot(M, out=d)
-            dn = math.sqrt(d.dot(d))
-            # d . d underflows once ||d|| < ~1.5e-162, d / ||d|| does not.
-            # Scaled to a largest pattern weight of 1, the weights give the
-            # same direction with every term of it normal, whatever the scale
-            # of w.
-            if dn < 1e-150 and (u_max := float(np.maximum.reduce(u))) > 0.0:
-                u /= u_max
-                uext[P] = -float(u.dot(raw)) / ww
-                uext.dot(M, out=d)
-                dn = math.sqrt(d.dot(d))
+            uext[P] = -float(u_dot(raw)) / ww
+            uext_dot(M, out=d)
+            dn = math.sqrt(d_dot(d))
+            if not dn >= 1e-150:
+                # past gamma / 2T_mu ~355.6 cosh^2 overflows and sech^2 is 0.
+                # A saturated window, every stability at least 712 theta T,
+                # gives d = 0 (NaN with a stability of +inf) and no step, and
+                # so does every later epoch: w stays and T falls.
+                if float(np.minimum.reduce(raw)) / nw >= 712.0 * theta * T:
+                    stop = "frozen"
+                    break
+                # d . d underflows once ||d|| < ~1.5e-162, d / ||d|| does
+                # not. Scaled to a largest pattern weight of 1, the weights
+                # give the same direction with every term of it normal,
+                # whatever the scale of w.
+                if (u_max := float(np.maximum.reduce(u))) > 0.0:
+                    u /= u_max
+                    uext[P] = -float(u_dot(raw)) / ww
+                    uext_dot(M, out=d)
+                    dn = math.sqrt(d_dot(d))
             if dn > 0.0:
                 d *= lr * nw / (root_dim * dn)
                 w += d
@@ -471,10 +521,10 @@ def minimerror_train(patterns, config: TrainingConfig):
             epoch += 1
         else:
             stop = "t_min" if T <= t_min else "max_epochs"
-
-    _close_block(blocks, G, k, temps, errs, stabs)
-    return (WeightVector(best_w).rescaled(),
-            _block_trace(blocks, best_epoch, fallback, stop))
+        best = _close_block(blocks, G, W, k, first, T_first, t_decay, best,
+                            fallback)
+    return (WeightVector(best[3]).rescaled(),
+            _block_trace(blocks, best[2], fallback, stop))
 
 
 def rosenblatt_train(patterns, config: TrainingConfig):

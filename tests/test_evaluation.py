@@ -6,7 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monoplane import (
     LabeledPattern, PatternSet, RawSet, WeightVector, compute_stats, cosine,
@@ -231,8 +231,11 @@ def certificates(verdict, ps):
 
 def brute_force_separator(tXi):
     """The least-norm w with tXi w >= 1, by enumerating the active subsets
-    S: w = A_S^T (A_S A_S^T)^-1 1 for A_S = tXi[S] of full row rank. None
-    when no subset gives a feasible w."""
+    S: w = A_S^T (A_S A_S^T)^-1 1 for A_S = tXi[S] of full row rank, and
+    the condition number of that A_S. A field is feasible within 1e-9 of
+    its own size |tXi| |w|, not an absolute 1e-9: an ill-conditioned A_S
+    gives a long w whose fields round by more than that. None when no
+    subset gives a feasible w."""
     best = None
     for k in range(1, len(tXi) + 1):
         for S in itertools.combinations(range(len(tXi)), k):
@@ -240,9 +243,9 @@ def brute_force_separator(tXi):
             if np.linalg.matrix_rank(A) < k:
                 continue
             w = A.T @ np.linalg.solve(A @ A.T, np.ones(k))
-            if (tXi @ w >= 1.0 - 1e-9).all() and (
-                    best is None or w @ w < best @ best):
-                best = w
+            if (tXi @ w >= 1.0 - 1e-9 * (np.abs(tXi) @ np.abs(w))).all() and (
+                    best is None or w @ w < best[0] @ best[0]):
+                best = w, np.linalg.cond(A)
     return best
 
 
@@ -274,16 +277,23 @@ class TestSeparability:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), P=st.integers(1, 6),
            dim=st.integers(1, 4))
+    # optimal active sets of condition number ~1e4, 4e3 and 6e4
+    @example(seed=824293, P=5, dim=3)
+    @example(seed=2892824860, P=6, dim=3)
+    @example(seed=2111578931, P=6, dim=4)
     def test_matches_brute_force_on_tiny_sets(self, seed, P, dim):
         ps = random_set(seed, P, dim)
         verdict = separability(ps)
         best = brute_force_separator(ps.folded)
         assert verdict.separable == (best is not None)
         if best is not None:
-            np.testing.assert_allclose(verdict.weights.w, best,
-                                       rtol=1e-7, atol=1e-9)
-            assert verdict.kappa[1] == pytest.approx(
-                1.0 / np.linalg.norm(best), rel=1e-7)
+            w, cond = best
+            # both solves lose about cond(A_S)^2 roundings of w on the
+            # active set; 1e-7 bounds that below a condition number of ~7e3
+            rtol = max(1e-7, 8.0 * cond**2 * np.finfo(float).eps)
+            np.testing.assert_allclose(verdict.weights.w, w, rtol=rtol, atol=1e-9)
+            assert verdict.kappa[1] == pytest.approx(1.0 / np.linalg.norm(w),
+                                                     rel=rtol)
 
     def test_opposite_labels_on_one_input(self):
         pats = [LabeledPattern(mu=1, xi=np.array([1.0, 0.3]), tau=1),

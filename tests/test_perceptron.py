@@ -472,6 +472,39 @@ def assert_reference_prefix(w, trace, reference, config):
         assert trace.stop == trace_ref.stop
 
 
+def assert_blocks_match_reference_loop(ps, epochs, temp_ratio):
+    """Run ``epochs`` epochs from T = 1 down by 0.99 an epoch, assert that
+    the run and its csv equal the reference loop's, and return its trace."""
+    schedule = TrainingConfig(t_initial=1.0, t_min=1e-300, t_decay=0.99,
+                              learning_rate=0.05, max_epochs=epochs,
+                              temp_ratio=temp_ratio)
+    w, trace = minimerror_train(ps, schedule)
+    reference = reference_minimerror(ps, schedule)
+    assert_reference_prefix(w, trace, reference, schedule)
+    a, b = io.StringIO(), io.StringIO()
+    trace.to_csv(a)
+    reference[1].to_csv(b)
+    assert a.getvalue().splitlines() == b.getvalue().splitlines()[:len(trace) + 1]
+    return trace
+
+
+def overflowing_field_set(c, ratio, n=12):
+    """n separable patterns (1, t, t, s) and the pair (1, c, -c ratio, 0)
+    under both labels, which cancels in the Hebbian mean. The pair's field
+    is w0 + c w1 - c ratio w2 with w1 = w2 > 0 from the start on: hugely
+    negative for one label while both products are finite, and, once they
+    overflow together, inf - inf = NaN (BLAS adds them in separate
+    partial sums). With ratio 0, c w1 alone overflows, to +inf for one
+    label and -inf for the other."""
+    rng = np.random.default_rng(0)
+    t = rng.uniform(0.2, 1.0, n) * rng.choice([-1, 1], n)
+    Xi = np.column_stack([np.ones(n + 2), np.r_[c, c, t],
+                          np.r_[-c * ratio, -c * ratio, t],
+                          np.r_[0.0, 0.0, rng.uniform(-0.3, 0.3, n)]])
+    tau = np.r_[1, -1, np.sign(t).astype(int)]
+    return PatternSet(Xi, tau, np.arange(1, n + 3))
+
+
 @st.composite
 def anneal_problems(draw, max_features=8):
     """(PatternSet, kind): a separable set, random labels, or random labels
@@ -564,6 +597,53 @@ class TestMinimerror:
             minimerror_train(patterns, cfg)
         assert len(exc.value.trace) == 1
 
+    @pytest.mark.parametrize("temp_ratio", [1.0, 0.02])
+    def test_nan_stability_stops_at_its_epoch(self, temp_ratio):
+        """A field whose two terms overflow to inf - inf = NaN while ||w||
+        stays finite raises at the epoch of that NaN, inside the second
+        block, with the reference loop's rows before it, its retained epoch
+        and its fallback flag, and without a numpy warning."""
+        ps = overflowing_field_set(1.17e308, 1.0 + 1e-5)
+        schedule = TrainingConfig(t_initial=1.0, t_min=1e-300, t_decay=0.999,
+                                  learning_rate=0.05, max_epochs=3 * _BLOCK,
+                                  temp_ratio=temp_ratio)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as ref:
+            reference_minimerror(ps, schedule)
+        n = len(ref.value.trace)
+        assert _BLOCK < n < 2 * _BLOCK
+        assert np.isfinite(ref.value.trace.min_stability).all()
+        with warnings.catch_warnings(), \
+                pytest.raises(TrainingError,
+                              match=rf"^non-finite state at epoch {n}$") as exc:
+            warnings.simplefilter("error")
+            minimerror_train(ps, schedule)
+        trace, trace_ref = exc.value.trace, ref.value.trace
+        for name in ("temperature", "cost", "errors", "min_stability"):
+            assert getattr(trace, name).tobytes() == getattr(trace_ref, name).tobytes()
+        assert trace.best_epoch == trace_ref.best_epoch
+        assert trace.hebbian_fallback is trace_ref.hebbian_fallback is False
+
+    @pytest.mark.parametrize("temp_ratio", [1.0, 0.02])
+    def test_infinite_stability_does_not_raise(self, temp_ratio):
+        """A pair of fields that overflow to +inf and -inf from the start
+        makes the direction NaN, so no epoch takes a step, and none raises:
+        the anneal runs its schedule with the reference loop's rows, every
+        minimal stability -inf, and returns its start."""
+        ps = overflowing_field_set(1.5e308, 0.0)
+        schedule = TrainingConfig(t_initial=1.0, t_min=1e-300, t_decay=0.99,
+                                  learning_rate=0.05, max_epochs=_BLOCK + 17,
+                                  temp_ratio=temp_ratio)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, trace = minimerror_train(ps, schedule)
+        with np.errstate(all="ignore"):
+            reference = reference_minimerror(ps, schedule)
+        assert_reference_prefix(w, trace, reference, schedule)
+        assert trace.stop == "max_epochs" and len(trace) == _BLOCK + 17
+        assert np.isneginf(trace.min_stability).all()
+        assert not reference[2].any()
+        assert w.w.tobytes() == hebbian_init(ps)[0].w.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(problem=anneal_problems(), schedule=anneal_schedules())
     def test_epoch_matches_reference_loop(self, problem, schedule):
@@ -648,25 +728,34 @@ class TestMinimerror:
     @pytest.mark.parametrize("epochs", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
                                         3 * _BLOCK + 17])
     def test_block_boundaries_match_reference_loop(self, epochs, temp_ratio):
-        """Schedules that end one epoch short of a cost block, on its
-        boundary and one past it, and a longer one that freezes inside a
-        later block, equal the reference loop bit for bit."""
+        """Schedules that end one epoch short of a block, on its boundary
+        and one past it, and a longer one that freezes inside a later
+        block, equal the reference loop bit for bit."""
         rng = np.random.default_rng(epochs)
         ps = PatternSet.of(make_ls_patterns(rng, n=30, dim=5)[0])
-        schedule = TrainingConfig(t_initial=1.0, t_min=1e-300, t_decay=0.99,
-                                  learning_rate=0.05, max_epochs=epochs,
-                                  temp_ratio=temp_ratio)
-        w, trace = minimerror_train(ps, schedule)
-        reference = reference_minimerror(ps, schedule)
-        assert_reference_prefix(w, trace, reference, schedule)
+        trace = assert_blocks_match_reference_loop(ps, epochs, temp_ratio)
         if epochs > 3 * _BLOCK:
             assert trace.stop == "frozen" and _BLOCK < len(trace) < epochs
         else:
             assert trace.stop == "max_epochs" and len(trace) == epochs
-        a, b = io.StringIO(), io.StringIO()
-        trace.to_csv(a)
-        reference[1].to_csv(b)
-        assert a.getvalue().splitlines() == b.getvalue().splitlines()[:len(trace) + 1]
+
+    @pytest.mark.parametrize("temp_ratio", [1.0, 0.02])
+    @pytest.mark.parametrize("epochs", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                        3 * _BLOCK + 17])
+    def test_block_boundaries_match_reference_loop_on_random_labels(
+            self, epochs, temp_ratio):
+        """The same schedules on a random-label set, which no epoch
+        separates: every epoch's errors are counted in its block, and the
+        retained epoch is chosen across blocks (in a later one on the
+        longest run), bit for bit as the reference loop does."""
+        rng = np.random.default_rng(epochs)
+        ps = PatternSet(np.column_stack([np.ones(20), rng.standard_normal((20, 5))]),
+                        rng.choice([-1, 1], size=20), np.arange(1, 21))
+        trace = assert_blocks_match_reference_loop(ps, epochs, temp_ratio)
+        assert trace.stop == "max_epochs" and len(trace) == epochs
+        assert trace.errors.min() > 0
+        if epochs > 3 * _BLOCK:
+            assert trace.best_epoch >= _BLOCK
 
     @pytest.mark.parametrize("temp_ratio", [1.0, 0.02])
     @pytest.mark.parametrize("freeze, max_epochs, t_min_at, stop", [
