@@ -6,9 +6,10 @@ data assets and checked against the source tables by tests. The verifier
 sweeps every plausible standardization mode (statistics from the learning
 part or from the full set, standard-deviation or variance scaling) and
 reports, per mode, the misclassification sets and how they compare to the
-published tables. It never patches a mismatch: the per-pattern diff and a
-truncation-perturbation analysis are part of the report so the reader can
-judge what the published numbers are consistent with.
+published tables. It never patches a mismatch: the per-pattern diff and the
+exact range of error counts that the tables' four-decimal truncation allows
+are part of the report so the reader can judge what the published numbers
+are consistent with.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def load_published_table():
     ``test_side`` lists generalization errors of W_Train over the Test part;
     ``train_side`` lists those of W_Test over the Train part. Each record
     carries the published pattern number, field under the classifying
-    vector, stability under W_Sonar, and the class label.
+    vector, stability under W_Sonar, and the class label. ``cosines`` holds
+    the published pairwise cosines of the three vectors.
     """
     return json.loads(_asset_text("table6.json"))
 
@@ -61,26 +63,16 @@ def published_counts(side):
 def _published():
     """What verification reads, built on first use (not at import) and kept
     for the process: the published table, the sorted mu lists of its
-    ``test_side`` and ``train_side``, the three vectors in
-    ``PUBLISHED_NAMES`` order, and their truncation-perturbed matrices in
-    the same order. Perturbed matrix k is ``(w_k + jitter[:, k]).T``, one
-    column per draw, for the 100 x 3 x 61 jitter of
-    ``perturbation_analysis`` drawn once. Every array is read-only, so no
-    caller can change what later calls read."""
+    ``test_side`` and ``train_side``, and the three vectors in
+    ``PUBLISHED_NAMES`` order, whose arrays are read-only, so no caller can
+    change what later calls read."""
     table = load_published_table()
     pub_mu = tuple(sorted(r["mu"] for r in table[side])
                    for side in ("test_side", "train_side"))
     ws = tuple(map(load_published_weights, PUBLISHED_NAMES))
-    # the jitter stream in the order a loop over draws, then vectors, takes it
-    jitter = np.random.default_rng(0).uniform(
-        -5e-5, 5e-5, size=(100, len(ws), len(ws[0])))
-    perturbed = []
-    for k, w in enumerate(ws):
+    for w in ws:
         w.w.flags.writeable = False
-        draws = w.w + jitter[:, k]
-        draws.flags.writeable = False
-        perturbed.append(draws.T)
-    return table, pub_mu, ws, tuple(perturbed)
+    return table, pub_mu, ws
 
 
 def evaluate(classifier: WeightVector, patterns):
@@ -129,15 +121,37 @@ def cosine(a: WeightVector, b: WeightVector, raw_eq8=False) -> float:
 
 _STEPS_PER_PATTERN = 3    # outer NNLS steps per pattern; a longer solve raises
 _GORDAN_ROUNDOFF = 1e-10  # max ||u @ tXi|| per unit of tXi's largest row norm
+_UNIT = np.finfo(float).eps / 2  # u, the unit roundoff of float64
+
+
+def _up(x):
+    """The float after ``x``: the exact value that ``x`` rounds to nearest
+    lies below it."""
+    return np.nextafter(x, np.inf)
+
+
+def _down(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _gamma(k):
+    """An upper bound on gamma_k = k u / (1 - k u); both terms are exact."""
+    return _up(k * _UNIT / (1.0 - k * _UNIT))
+
+
+def _norm_above(x):
+    """An upper bound on the exact 2-norm of ``x``: the computed x.x is at
+    least (1 - gamma_n) ||x||^2, and 1 / (1 - gamma_n) <= 1 + gamma_2n."""
+    return _up(np.sqrt(_up(np.dot(x, x) * _up(1.0 + _gamma(2 * len(x))))))
 
 
 @dataclass(frozen=True)
 class SeparabilityVerdict:
     """``separable`` with w* in ``weights`` and ``kappa`` bracketing its
-    minimal stability (w*'s own, then ||u @ tXi||), or not, with Gordan's
-    vector in ``u``, the NNLS multipliers (sum 1; w*'s support is u > 0).
-    The two ends of ``kappa`` are kappa* computed two ways in float64, not
-    rounded outward, so the lower may exceed the upper by 1-2 ulps."""
+    minimal stability kappa* (from w*'s fields, then from ||u @ tXi||), or
+    not, with Gordan's vector in ``u``, the NNLS multipliers (sum 1; w*'s
+    support is u > 0). ``kappa`` is rounded outward, so its lower end is at
+    most its upper, bit for bit; ``separability`` gives the argument."""
 
     separable: bool
     u: np.ndarray
@@ -158,7 +172,25 @@ def separability(patterns) -> SeparabilityVerdict:
     certificate: the NNLS u = argmin_{u>=0} ||E u - f||, E = [tXi^T; 1^T],
     f = e_last (Lawson and Hanson, 1974, ch. 23) gives w* = argmin ||w|| s.t.
     tXi w >= 1 as -r[:-1]/r[-1], r = E u - f, or else a Gordan u; or raises,
-    also before the NNLS on an empty set or a NaN or infinite entry."""
+    also before the NNLS on an empty set or a NaN or infinite entry.
+
+    ``kappa`` encloses kappa* whatever order the BLAS sums in, barring
+    underflow and overflow. A computed dot product of length k, in any
+    order and with FMA, is within gamma_k |x|.|y| of x.y (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, sec. 3.1), so a computed
+    |x|.|y| is at least (1 - gamma_k) |x|.|y|, and gamma_k / (1 - gamma_k)
+    <= gamma_2k. Every other operation rounds to nearest, and one nextafter
+    step keeps its exact value on the side the bound needs. For tXi of P
+    rows of n inputs:
+    - lower: every w has min_mu tXi_mu.w / ||w|| <= kappa*. For w*, the
+      exact tXi_mu.w* is at least the computed one less gamma_2n times the
+      computed |tXi_mu|.|w*|, and the least of these over an upper bound on
+      ||w*|| bounds kappa* below when it is positive;
+    - upper: for unit w and u >= 0, min_mu tXi_mu.w <= (u tXi).w / sum(u)
+      <= ||u tXi|| / sum(u). Each exact |(u tXi)_j| is at most the computed
+      one plus gamma_2P times the computed (u |tXi|)_j, and sum(u) is at
+      least its computed value over 1 + gamma_P.
+    The verdict is ``separable`` only with a positive lower end."""
     if not patterns:
         raise ValueError("cannot decide separability of an empty pattern set")
     tXi = PatternSet.of(patterns).folded
@@ -189,7 +221,12 @@ def separability(patterns) -> SeparabilityVerdict:
     u /= u.sum()
     if r[-1] < 0.0 and r[:-1].any():
         w = WeightVector(r[:-1] / -r[-1])
-        kappa = (float(field(w, tXi).min()), float(np.linalg.norm(u @ tXi)))
+        P, n = tXi.shape
+        f_below = _down(tXi @ w.w - _up(_gamma(2 * n) * (np.abs(tXi) @ np.abs(w.w))))
+        ut_above = _up(np.abs(u @ tXi) + _up(_gamma(2 * P) * (u @ np.abs(tXi))))
+        u_sum_below = _down(u.sum() / _up(1.0 + _gamma(P)))
+        kappa = (float(_down(f_below.min() / _norm_above(w.w))),
+                 float(_up(_norm_above(ut_above) / u_sum_below)))
         if kappa[0] > 0.0:
             return SeparabilityVerdict(True, u, w, kappa)
     if (verdict := SeparabilityVerdict(False, u)).recheck(patterns):
@@ -261,7 +298,7 @@ def run_mode(mode_name, parts):
     """Evaluate the three published vectors on the ``mode_name`` entry of
     ``parts``, a ``mode_parts`` result: one dict of the verify report's
     ``modes`` list."""
-    table, (pub_test, pub_train), ws, _ = _published()
+    table, (pub_test, pub_train), ws = _published()
     sets = parts[mode_name]
     rep_test, rep_train = evaluate(ws[0], sets[0]), evaluate(ws[1], sets[1])
     mu_test, mu_train = ([r["mu"] for r in rep["records"]]
@@ -306,19 +343,27 @@ _PERTURBED = ("W_Train_on_test", "W_Test_on_train", "W_Sonar_on_all")
 
 
 def perturbation_analysis(parts):
-    """Sensitivity of the error counts to table truncation, on ``parts``,
-    one entry of ``mode_parts``.
+    """The error counts that the published vectors' truncation allows, on
+    ``parts``, one entry of ``mode_parts``, exactly.
 
-    The published weights carry four decimals, so each component is known
-    only to +-5e-5. Redraw every component uniformly within that band, 100
-    times from seed 0, and report the spread of the three error counts over
-    the draws.
+    The tables print four decimals, so each component of a published w is
+    known only to +-5e-5. For any v with |v_i - w_i| <= 5e-5, the
+    unnormalized stability tau x.v of pattern x differs from s = tau x.w by
+    at most r = 5e-5 ||x||_1, and the corner v = w -+ 5e-5 sign(tau x)
+    reaches s -+ r. So every v misclassifies the patterns with s <= -r, none
+    those with s > r, and some v each one between. Per vector, ``min``
+    counts the first kind and ``max`` both, so every v's count lies in
+    [min, max], and ``min_ratio`` is the smallest |s| / r, above 1 only if
+    min == max. With two or more patterns between, one v may reach neither
+    end, as each pattern's corner differs.
     """
     out = {}
-    for key, draws, part in zip(_PERTURBED, _published()[3], parts):
-        errors = np.sum(part.folded @ draws <= 0.0, axis=0).tolist()
-        out[key] = {"min": min(errors), "max": max(errors),
-                    "distinct": sorted(set(errors))}
+    for key, w, part in zip(_PERTURBED, _published()[2], parts):
+        s = part.folded @ w.w
+        r = 5e-5 * np.abs(part.Xi).sum(1)
+        out[key] = {"min": int(np.count_nonzero(s <= -r)),
+                    "max": int(np.count_nonzero(s <= r)),
+                    "min_ratio": float((np.abs(s) / r).min())}
     return out
 
 
@@ -330,17 +375,16 @@ def published_norms():
 
 def cosine_report():
     """Pairwise cosines of the published vectors in both modes."""
-    ws = dict(zip(PUBLISHED_NAMES, _published()[2]))
+    table, _, published_ws = _published()
+    ws = dict(zip(PUBLISHED_NAMES, published_ws))
     pairs = [("W_Sonar", "W_Train"), ("W_Sonar", "W_Test"), ("W_Train", "W_Test")]
-    published = {"(W_Sonar,W_Train)": 0.51615, "(W_Sonar,W_Test)": 0.34238,
-                 "(W_Train,W_Test)": 0.4}
     out = {}
     for a, b in pairs:
         key = f"({a},{b})"
         out[key] = {
             "true_cosine": cosine(ws[a], ws[b]),
             "raw_eq8": cosine(ws[a], ws[b], raw_eq8=True),
-            "published": published[key],
+            "published": table["cosines"][key],
         }
     return out
 

@@ -291,7 +291,12 @@ def hebbian_init(patterns, rng=None):
     if not patterns:
         raise ValueError("cannot initialize from an empty pattern set")
     w = PatternSet.of(patterns).folded.mean(axis=0)
-    if np.linalg.norm(w) < 1e-300:
+    # over 2**e, e the binary exponent of its largest entry, the mean's norm
+    # cannot overflow, and rescaling cancels the power of two; the fallback
+    # still tests the mean's own norm against 1e-300
+    e = int(np.frexp(np.abs(w).max())[1])
+    w = np.ldexp(w, -e)
+    if np.linalg.norm(w) < math.ldexp(1e-300, -e):
         rng = np.random.default_rng(0) if rng is None else rng
         return WeightVector(rng.standard_normal(len(w))).rescaled(), True
     return WeightVector(w).rescaled(), False

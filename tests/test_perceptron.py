@@ -366,6 +366,19 @@ class TestHebbian:
         w2, _ = hebbian_init([p1, p2], rng=np.random.default_rng(9))
         assert np.array_equal(w1.w, w2.w)
 
+    @pytest.mark.parametrize("tau", [1, -1])
+    def test_huge_entries_start_and_anneal(self, fast_config, tau):
+        """The folded mean of these patterns has a norm past the float64
+        range, so only a mean scaled before its norm gives a start; the
+        start and an anneal from it warn and raise nothing."""
+        ps = [pat([1.0, 1.5e200], 1, mu=1), pat([1.0, 1e200], tau, mu=2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, fallback = hebbian_init(ps)
+            minimerror_train(ps, fast_config)
+        assert not fallback
+        np.testing.assert_allclose(w.w, [0.0, np.sqrt(2.0)], atol=1e-15)
+
     def test_train_set_is_deterministic_vector(self, train_std):
         patterns, _ = train_std
         w1, f1 = hebbian_init(patterns)
