@@ -52,6 +52,13 @@ errors only in a block with a minimal stability that is not positive, the
 temperatures as running products of t_decay, and the cost from one
 division by 2T ||w||, one tanh and one row sum.
 
+At the sizes of a network's units an epoch's time is mostly numpy's
+per-call overhead, so the epoch passes every output positionally into a
+preallocated array, gives each scalar operand as a preallocated 0-d array
+(numpy converts a Python float on every call) and computes sech^2 inline
+as cosh, square and reciprocal. A field that is not finite, NaN or +-inf,
+makes the direction NaN and raises TrainingError at its epoch.
+
 A classic fixed-increment perceptron with pocket-style retention is provided
 as a baseline for generalization comparisons.
 """
@@ -331,7 +338,7 @@ def _error_counts(f, tau):
 _BLOCK = 256
 
 
-def _close_block(blocks, G, W, k, first, T, t_decay, best, fallback):
+def _close_block(blocks, G, W, k, first, T, t_decay, best):
     """Append the trace columns of a block's first ``k`` epochs, the first
     of them epoch ``first`` at temperature ``T``, to ``blocks``, and return
     ``best``, the retained (errors, min_stability, epoch, w), updated with
@@ -339,28 +346,24 @@ def _close_block(blocks, G, W, k, first, T, t_decay, best, fallback):
     stability, then the first.
 
     Row i of ``G`` is M @ w at the block's epoch i, tXi @ w with w . w in
-    its last slot, and row i of ``W`` is that w. Its minimal stability is
-    the row's minimum over sqrt(w . w). Errors are counted only in a block
-    with a minimal stability that is not positive. The temperatures are
-    the running products of t_decay from T, the anneal's own T *= t_decay
-    bit for bit, and the cost is E = 1/2 sum(1 - tanh(gamma / 2T)), with
-    gamma / 2T the rest of the row over 2T sqrt(w . w). A NaN stability
-    raises TrainingError at its epoch, with the rows before it. The
-    buffers are then free for the next block."""
+    its last slot, every value finite, and row i of ``W`` is that w. Its
+    minimal stability is the row's minimum over sqrt(w . w). Errors are
+    counted only in a block with a minimal stability that is not positive.
+    The temperatures are the running products of t_decay from T, the
+    anneal's own T *= t_decay bit for bit, and the cost is
+    E = 1/2 sum(1 - tanh(gamma / 2T)), with gamma / 2T the rest of the row
+    over 2T sqrt(w . w). The buffers are then free for the next block."""
     h = G[:k, :-1]
     nw = np.sqrt(G[:k, -1])
     stabs = np.minimum.reduce(h, axis=1)
     stabs /= nw
-    # NaN if a stability is; no stability is <= 0 above a positive minimum
-    low = float(np.minimum.reduce(stabs, initial=math.inf))
-    n = int(np.isnan(stabs).argmax()) if math.isnan(low) else k
-    h, nw, stabs = h[:n], nw[:n], stabs[:n]
-    if low > 0.0:
-        errs = np.zeros(n, np.int64)
+    # no stability is <= 0 above a positive minimum
+    if float(np.minimum.reduce(stabs, initial=math.inf)) > 0.0:
+        errs = np.zeros(k, np.int64)
     else:
         errs = np.count_nonzero(h <= 0.0, axis=1).astype(np.int64, copy=False)
-    temps = np.full(n, t_decay)
-    if n:
+    temps = np.full(k, t_decay)
+    if k:
         temps[0] = T
         np.multiply.accumulate(temps, out=temps)
         e = int(errs.min())
@@ -375,9 +378,6 @@ def _close_block(blocks, G, W, k, first, T, t_decay, best, fallback):
     E = h.sum(axis=1)
     E *= 0.5
     blocks.append((temps, E, errs, stabs))
-    if n < k:
-        raise TrainingError(f"non-finite state at epoch {first + n}",
-                            _block_trace(blocks, best[2], fallback))
     return best
 
 
@@ -420,12 +420,18 @@ def minimerror_train(patterns, config: TrainingConfig):
     the window: every sech^2 weight is 0, so it takes no step, and neither
     would any later epoch, so none could move w, change the minimal
     stability or displace the retained epoch. The anneal ends there. Such
-    an epoch's direction norm is 0 (NaN with a stability of +inf), not at
-    least 1e-150, and only then does the epoch test its minimal stability
-    against 712 temp_ratio T. The trace has one row per epoch run, and its
-    ``stop`` is "frozen" when the last row is such an epoch, even if the
-    schedule ends there too, else "t_min" when T fell to t_min and
-    "max_epochs" otherwise.
+    an epoch's direction norm is 0, not at least 1e-150, and only then does
+    the epoch test its minimal stability against 712 temp_ratio T. The
+    trace has one row per epoch run, and its ``stop`` is "frozen" when the
+    last row is such an epoch, even if the schedule ends there too, else
+    "t_min" when T fell to t_min and "max_epochs" otherwise.
+
+    A field that is not finite (NaN, or +-inf, which BLAS may give for the
+    same overflow depending on how it groups the sum) makes the direction
+    norm NaN: the epoch raises TrainingError, with the trace of the epochs
+    before it, and so does an epoch whose w . w is not finite. A NaN norm
+    fails the test for a norm of at least 1e-150, so only an epoch that
+    already fails it tests for NaN.
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
@@ -446,67 +452,84 @@ def minimerror_train(patterns, config: TrainingConfig):
     # one allocation: row k holds M @ w at the block's epoch k, then that w
     GW = np.empty((_BLOCK, P + 1 + dim))
     G, W = GW[:, :P + 1], GW[:, P + 1:]
-    g_rows = [(row, row[:P]) for row in G]
+    g_rows = [(row, row[:P], wrow) for row, wrow in zip(G, W)]
     # the pattern weights u, then -(u . tXi @ w) / (w . w), so that
     # uext @ M = u @ tXi - (u . gamma / ||w||) w
     uext = np.empty(P + 1)
     u = uext[:P]
     d = np.empty(dim)
+    # a 0-d operand: numpy converts a Python float on every call
+    c0 = np.empty(())
     m_dot, u_dot, uext_dot, d_dot = M.dot, u.dot, uext.dot, d.dot
-    divide = np.divide
+    divide, multiply, add = np.divide, np.multiply, np.add
+    cosh, square, reciprocal = np.cosh, np.square, np.reciprocal
+    sqrt, isfinite, block = math.sqrt, math.isfinite, _BLOCK
     blocks = []
     best = (None, None, -1, w.copy())   # (errors, min_stability, epoch, w)
 
     T = T_first = config.t_initial
     epoch = first = k = 0
-    # a diverged step is caught by the test below, a NaN stability when its
-    # block closes, and a saturated window overflows cosh^2 to inf, none by
-    # numpy warnings
+    # a diverged step is caught by the test below, a non-finite field by a
+    # NaN direction norm, and a saturated window overflows cosh^2 to inf,
+    # none by numpy warnings
     with np.errstate(all="ignore"):
         while T > t_min and epoch < max_epochs:
-            if k == _BLOCK:
+            if k == block:
                 best = _close_block(blocks, G, W, k, first, T_first, t_decay,
-                                    best, fallback)
+                                    best)
                 first, T_first, k = epoch, T, 0
-            row, raw = g_rows[k]
-            m_dot(w, out=row)
+            row, raw, wrow = g_rows[k]
+            m_dot(w, row)
             ww = row.item(P)
             if ww > ww_max:
                 w *= math.ldexp(1.0, -(math.frexp(ww / dim)[1] // 2))
-                m_dot(w, out=row)
+                m_dot(w, row)
                 ww = row.item(P)
-            nw = math.sqrt(ww)
+            nw = sqrt(ww)
             # w . w is kept below 4 dim, so nw is not finite only when the
-            # last step overflowed w or w . w. A NaN stability makes d NaN
-            # and takes no step, so its epoch repeats until the block closes.
-            if not math.isfinite(nw):
+            # last step overflowed w or w . w
+            if not isfinite(nw):
                 best = _close_block(blocks, G, W, k, first, T_first, t_decay,
-                                    best, fallback)
+                                    best)
                 raise TrainingError(f"non-finite state at epoch {epoch}",
                                     _block_trace(blocks, best[2], fallback))
-            W[k] = w
+            wrow[...] = w
             k += 1
 
             # two-temperature window: theta*T on the well-classified side. It
             # is one temperature for the plain cost and, the common case late
             # in an anneal, when every pattern is on that side; its 1/theta
             # then cancels in the step normalization. gamma / 2T_mu is
-            # raw / (2T ||w|| r_mu).
+            # raw / (2T ||w|| r_mu), and u = 1 / cosh^2 of it (as _sech2).
             s = 2.0 * T * nw
-            if theta == 1.0 or raw.item(raw.argmin()) >= 0.0:
-                _sech2(divide(raw, theta * s, out=u), out=u)
+            one = theta == 1.0 or raw.item(raw.argmin()) >= 0.0
+            if one:
+                c0[()] = theta * s
+                divide(raw, c0, u)
             else:
-                r = np.where(raw >= 0.0, theta, 1.0)
-                _sech2(divide(raw, r * s, out=u), out=u)
-                u /= r
+                pos = raw >= 0.0
+                divide(raw, np.where(pos, theta * s, s), u)
+            cosh(u, u)
+            square(u, u)
+            reciprocal(u, u)
+            if not one:
+                divide(u, theta, u, where=pos)
             uext[P] = -float(u_dot(raw)) / ww
-            uext_dot(M, out=d)
-            dn = math.sqrt(d_dot(d))
+            uext_dot(M, d)
+            dn = sqrt(d_dot(d))
             if not dn >= 1e-150:
+                # a NaN field makes u NaN, and a +-inf one u . raw (0 * inf),
+                # so d and its norm are NaN: the epoch raises, with the rows
+                # before it, and every row kept has finite fields
+                if dn != dn:
+                    best = _close_block(blocks, G, W, k - 1, first, T_first,
+                                        t_decay, best)
+                    raise TrainingError(f"non-finite state at epoch {epoch}",
+                                        _block_trace(blocks, best[2], fallback))
                 # past gamma / 2T_mu ~355.6 cosh^2 overflows and sech^2 is 0.
                 # A saturated window, every stability at least 712 theta T,
-                # gives d = 0 (NaN with a stability of +inf) and no step, and
-                # so does every later epoch: w stays and T falls.
+                # gives d = 0 and no step, and so does every later epoch: w
+                # stays and T falls.
                 if float(np.minimum.reduce(raw)) / nw >= 712.0 * theta * T:
                     stop = "frozen"
                     break
@@ -517,17 +540,17 @@ def minimerror_train(patterns, config: TrainingConfig):
                 if (u_max := float(np.maximum.reduce(u))) > 0.0:
                     u /= u_max
                     uext[P] = -float(u_dot(raw)) / ww
-                    uext_dot(M, out=d)
-                    dn = math.sqrt(d_dot(d))
+                    uext_dot(M, d)
+                    dn = sqrt(d_dot(d))
             if dn > 0.0:
-                d *= lr * nw / (root_dim * dn)
-                w += d
+                c0[()] = lr * nw / (root_dim * dn)
+                multiply(d, c0, d)
+                add(w, d, w)
             T *= t_decay
             epoch += 1
         else:
             stop = "t_min" if T <= t_min else "max_epochs"
-        best = _close_block(blocks, G, W, k, first, T_first, t_decay, best,
-                            fallback)
+        best = _close_block(blocks, G, W, k, first, T_first, t_decay, best)
     return (WeightVector(best[3]).rescaled(),
             _block_trace(blocks, best[2], fallback, stop))
 

@@ -1,6 +1,9 @@
 import decimal
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import monoplane
 from monoplane import (
     SEPARATION_CONFIG, LabeledPattern, PatternSet, TrainingConfig,
     TrainingError, WeightVector, cost, cost_gradient, count_errors, evaluate,
@@ -418,8 +422,9 @@ def reference_minimerror(patterns, config):
     reference for ``minimerror_train``. w is the last row of the stacked
     matrix [tXi; w] and is never renormalized, so it grows by a factor
     sqrt(1 + lr^2 / dim) an epoch until w . w overflows. Every scheduled
-    epoch runs, a saturated one too. Returns the weights, the trace, whose
-    ``stop`` is "t_min" or "max_epochs", and whether each epoch stepped."""
+    epoch runs, a saturated one too, and a field or w . w that is not finite
+    raises. Returns the weights, the trace, whose ``stop`` is "t_min" or
+    "max_epochs", and whether each epoch stepped."""
     ps = PatternSet.of(patterns)
     wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
     M = np.vstack([ps.folded, wv.w])
@@ -435,7 +440,7 @@ def reference_minimerror(patterns, config):
         errors = int(np.count_nonzero(gam <= 0.0))
         min_stab = float(gam.min())
         E = float(0.5 * np.sum(1.0 - np.tanh(raw[:-1] / (2.0 * T * nw))))
-        if not math.isfinite(nw) or not math.isfinite(E):
+        if not np.isfinite(raw).all() or not math.isfinite(E):
             raise TrainingError(f"non-finite state at epoch {epoch}",
                                 TrainingTrace.from_rows(rows, best_epoch, fallback))
         rows.append((T, E, errors, min_stab))
@@ -501,21 +506,21 @@ def assert_blocks_match_reference_loop(ps, epochs, temp_ratio):
     return trace
 
 
-def overflowing_field_set(c, ratio, n=12):
+def overflowing_field_set(c, ratio, n=12, dim=4):
     """n separable patterns (1, t, t, s) and the pair (1, c, -c ratio, 0)
     under both labels, which cancels in the Hebbian mean. The pair's field
     is w0 + c w1 - c ratio w2 with w1 = w2 > 0 from the start on: hugely
     negative for one label while both products are finite, and, once they
     overflow together, inf - inf = NaN (BLAS adds them in separate
     partial sums). With ratio 0, c w1 alone overflows, to +inf for one
-    label and -inf for the other."""
+    label and -inf for the other. With dim 3 the last column is dropped."""
     rng = np.random.default_rng(0)
     t = rng.uniform(0.2, 1.0, n) * rng.choice([-1, 1], n)
     Xi = np.column_stack([np.ones(n + 2), np.r_[c, c, t],
                           np.r_[-c * ratio, -c * ratio, t],
                           np.r_[0.0, 0.0, rng.uniform(-0.3, 0.3, n)]])
     tau = np.r_[1, -1, np.sign(t).astype(int)]
-    return PatternSet(Xi, tau, np.arange(1, n + 3))
+    return PatternSet(Xi[:, :dim], tau, np.arange(1, n + 3))
 
 
 @st.composite
@@ -637,25 +642,52 @@ class TestMinimerror:
         assert trace.hebbian_fallback is trace_ref.hebbian_fallback is False
 
     @pytest.mark.parametrize("temp_ratio", [1.0, 0.02])
-    def test_infinite_stability_does_not_raise(self, temp_ratio):
+    def test_infinite_stability_raises(self, temp_ratio):
         """A pair of fields that overflow to +inf and -inf from the start
-        makes the direction NaN, so no epoch takes a step, and none raises:
-        the anneal runs its schedule with the reference loop's rows, every
-        minimal stability -inf, and returns its start."""
+        makes the direction NaN (0 * inf in u . gamma). Like a NaN field it
+        raises at its epoch, here the first, with no rows, as the reference
+        loop does."""
         ps = overflowing_field_set(1.5e308, 0.0)
         schedule = TrainingConfig(t_initial=1.0, t_min=1e-300, t_decay=0.99,
                                   learning_rate=0.05, max_epochs=_BLOCK + 17,
                                   temp_ratio=temp_ratio)
-        with warnings.catch_warnings():
+        w0 = hebbian_init(ps)[0].w
+        with np.errstate(over="ignore"):
+            assert np.isinf(ps.folded @ w0).sum() == 2
+        message = r"^non-finite state at epoch 0$"
+        with warnings.catch_warnings(), \
+                pytest.raises(TrainingError, match=message) as exc:
             warnings.simplefilter("error")
-            w, trace = minimerror_train(ps, schedule)
+            minimerror_train(ps, schedule)
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingError, match=message) as ref:
+            reference_minimerror(ps, schedule)
+        assert len(exc.value.trace) == len(ref.value.trace) == 0
+        assert exc.value.trace.best_epoch == ref.value.trace.best_epoch == -1
+
+    @pytest.mark.parametrize("temp_ratio", [1.0, 0.02])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_overflowing_pair_raises_whatever_the_dot_product_grouping(
+            self, dim, temp_ratio):
+        """The rows (1, c, -c) and (-1, -c, c) with c w1 and c w2 both past
+        the float64 range: whether BLAS gives their fields as +-inf or as
+        inf - inf = NaN depends on how it groups the sum, and varies with
+        the dimension (OpenBLAS on x86-64 gives -inf and +inf at dim 3 and
+        NaN at dim 4). Either way the anneal raises at its first epoch with
+        no rows."""
+        ps = overflowing_field_set(1.5e308, 1.0, dim=dim)
+        schedule = TrainingConfig(t_initial=1.0, t_min=1e-300, t_decay=0.99,
+                                  learning_rate=0.05, max_epochs=_BLOCK + 17,
+                                  temp_ratio=temp_ratio)
+        w0 = hebbian_init(ps)[0].w
         with np.errstate(all="ignore"):
-            reference = reference_minimerror(ps, schedule)
-        assert_reference_prefix(w, trace, reference, schedule)
-        assert trace.stop == "max_epochs" and len(trace) == _BLOCK + 17
-        assert np.isneginf(trace.min_stability).all()
-        assert not reference[2].any()
-        assert w.w.tobytes() == hebbian_init(ps)[0].w.tobytes()
+            assert not np.isfinite(ps.folded[:2] @ w0).any()
+        with warnings.catch_warnings(), \
+                pytest.raises(TrainingError,
+                              match=r"^non-finite state at epoch 0$") as exc:
+            warnings.simplefilter("error")
+            minimerror_train(ps, schedule)
+        assert len(exc.value.trace) == 0
 
     @settings(max_examples=100, deadline=None)
     @given(problem=anneal_problems(), schedule=anneal_schedules())
@@ -832,6 +864,35 @@ class TestMinimerror:
         assert frozen[-1] and not frozen[:-1].any()
         assert trace.errors[-1] == 0
         assert trace.best_epoch < len(trace) - 1
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, sonar_path):
+        """All 208 patterns with the separation schedule cut to 2,000
+        epochs, in a fresh process with one BLAS thread and then two: at
+        P = 208 OpenBLAS splits the 209 x 61 matrix-vector products across
+        its threads, and the weights and trace.csv keep every byte."""
+        child = (
+            "import io, sys\n"
+            "from dataclasses import replace\n"
+            "from monoplane import (SEPARATION_CONFIG, compute_stats,\n"
+            "    load_file, minimerror_train, standardize)\n"
+            "raw = load_file(sys.argv[1])\n"
+            "w, trace = minimerror_train(standardize(raw, compute_stats(raw)),\n"
+            "    replace(SEPARATION_CONFIG, max_epochs=2000))\n"
+            "out = io.StringIO()\n"
+            "trace.to_csv(out)\n"
+            "print(w.w.tobytes().hex())\n"
+            "print(out.getvalue(), end='')\n"
+        )
+        src = os.path.dirname(os.path.dirname(monoplane.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", child, str(sonar_path)], env=env,
+                capture_output=True, text=True, check=True).stdout)
+        assert outputs[0].count("\n") == 2 + 2000
+        assert outputs[0] == outputs[1]
 
     def test_csv_matches_a_per_row_repr_writer(self):
         """Every row is written with one repr per value: 0.0 next to -0.0,
