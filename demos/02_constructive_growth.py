@@ -14,23 +14,21 @@ Run:  python demos/02_constructive_growth.py
 import numpy as np
 
 from monoplane import (
-    LabeledPattern, TrainingConfig, grow_network, hidden_states,
-    internal_targets, network_output,
+    PatternSet, TrainingConfig, grow_network, hidden_states, internal_targets,
+    network_output,
 )
 
 
 def xor_patterns():
     rows = [(0, 0, +1), (0, 1, -1), (1, 0, -1), (1, 1, +1)]
-    pats = []
-    for k, (a, b, t) in enumerate(rows, start=1):
-        xi = np.array([1.0, (a - 0.5) / 0.5, (b - 0.5) / 0.5])
-        pats.append(LabeledPattern(mu=k, xi=xi, tau=t))
-    return pats
+    Xi = np.array([[1.0, (a - 0.5) / 0.5, (b - 0.5) / 0.5] for a, b, _ in rows])
+    return PatternSet(Xi=Xi, tau=np.array([t for _, _, t in rows]),
+                      mu=np.arange(1, len(rows) + 1))
 
 
 def main():
     pats = xor_patterns()
-    print("XOR over {-1,+1}^2, labels:", [p.tau for p in pats])
+    print("XOR over {-1,+1}^2, labels:", pats.tau.tolist())
 
     cfg = TrainingConfig(t_initial=1.0, t_min=1e-4, t_decay=0.995,
                          learning_rate=0.05, max_epochs=3000, seed=1)
@@ -43,8 +41,8 @@ def main():
               f"{net_errs} network errors")
 
     print("\nper-pattern bookkeeping (parity identity):")
-    tau = np.array([p.tau for p in pats])
-    states = np.array([hidden_states(model, p.xi) for p in pats])
+    tau = pats.tau
+    states = hidden_states(model, pats.Xi)
     targets = tau.copy()
     prod = np.ones(len(pats), dtype=int)
     print(f"  tau    : {tau}")
@@ -55,9 +53,9 @@ def main():
         assert np.array_equal(tau, prod * targets)
     print("  identity tau = (prod sigma) * residual holds at every step")
 
-    outputs = [network_output(model, p.xi) for p in pats]
-    print(f"\nnetwork outputs: {outputs}  -> "
-          f"{sum(o != p.tau for o, p in zip(outputs, pats))} errors")
+    outputs = network_output(model, pats.Xi)
+    print(f"\nnetwork outputs: {outputs.tolist()}  -> "
+          f"{np.count_nonzero(outputs != tau)} errors")
 
 
 if __name__ == "__main__":

@@ -139,7 +139,8 @@ def main(argv=None):
           f"{'change min/med us':>18}  {'ratio':>6}  wins")
     for name, (Xi, tau, config) in todo.items():
         mu = np.arange(1, len(tau) + 1)
-        sets = {k: p.PatternSet(Xi, tau, mu) for k, p in trees.items()}
+        sets = {k: importlib.import_module(f"{p.__package__}.data").PatternSet(
+                    Xi, tau, mu) for k, p in trees.items()}
         us = {"a": [], "b": []}
         wins, epochs = 0, 0
         for r in range(args.rounds):

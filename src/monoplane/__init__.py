@@ -25,7 +25,7 @@ from .network import (
 from .perceptron import (
     SEPARATION_CONFIG, TrainingConfig, TrainingError, TrainingTrace,
     WeightVector, cost, cost_gradient, count_errors, field, hebbian_init,
-    load_weights, minimerror_train, rosenblatt_train, save_weights, stability,
+    load_weights, minimerror_train, rosenblatt_train, save_weights,
 )
 
 __version__ = "0.1.0"

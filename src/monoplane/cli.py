@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +36,8 @@ from .perceptron import (
 
 DATASET_ENV = "MONOPLANE_DATA"
 SUFFIX = {"json": "json", "csv": "csv", "text": "txt"}
+# the first line of a --format text report of train or grow
+_KEY_LINE = re.compile(r"[a-z_]+: ")
 
 
 class UsageError(Exception):
@@ -334,8 +337,10 @@ def cmd_report(args):
                 model = load_network(content)
                 texts.append(f"{p}: network with H={len(model.hidden)} hidden "
                              f"units, {len(model.hidden[0])} inputs each")
-            elif first.startswith(("epoch,", "unit,", "key,", "{")):
-                # a trace, a growth trace or a json/csv report, verbatim
+            elif (first.startswith(("epoch,", "unit,", "key,", "mode", "{"))
+                  or _KEY_LINE.match(first)):
+                # a trace, a growth trace, or a report of train, grow or
+                # verify in any format, verbatim
                 texts.append(f"{p}:\n{content.rstrip()}")
             else:
                 w = load_weights(content)

@@ -105,7 +105,8 @@ class PatternSet:
     @classmethod
     def of(cls, patterns):
         """``patterns`` itself if it is a PatternSet, else a LabeledPattern
-        sequence packed in order."""
+        sequence packed in order. Only ``network.grow_network`` calls it:
+        every other trainer and evaluator takes a PatternSet only."""
         if isinstance(patterns, cls):
             return patterns
         return cls(Xi=np.array([p.xi for p in patterns], dtype=float),

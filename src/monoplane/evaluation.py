@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .data import PatternSet, RawSet, compute_stats, standardize
+from .data import RawSet, compute_stats, standardize
 from .perceptron import WeightVector, _error_counts, field, load_weights
 
 PUBLISHED_NAMES = ("W_Train", "W_Test", "W_Sonar")
@@ -83,10 +83,7 @@ def evaluate(classifier: WeightVector, patterns):
     decimal), one ``records`` entry per misclassified pattern in
     pattern-number order (its ``mu``, ``field`` under the classifier and
     ``tau``, and a null ``gamma_reference``), and empty ``cosines``."""
-    f, tau, mu = np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    if patterns:
-        ps = PatternSet.of(patterns)
-        f, tau, mu = field(classifier, ps.Xi), ps.tau, ps.mu
+    f, tau, mu = field(classifier, patterns.Xi), patterns.tau, patterns.mu
     wrong = np.flatnonzero(tau * f <= 0.0)
     wrong = wrong[np.argsort(mu[wrong], kind="stable")]
     total, false_pos, false_neg = _error_counts(f, tau)
@@ -160,7 +157,7 @@ class SeparabilityVerdict:
 
     def recheck(self, patterns) -> bool:
         """w* separates ``patterns``, or u >= 0 passes ``_GORDAN_ROUNDOFF``."""
-        tXi = PatternSet.of(patterns).folded
+        tXi = patterns.folded
         if self.separable:
             return bool(field(self.weights, tXi).min() > 0.0)
         return bool(self.u.min() >= 0.0 and np.linalg.norm(self.u @ tXi)
@@ -193,7 +190,7 @@ def separability(patterns) -> SeparabilityVerdict:
     The verdict is ``separable`` only with a positive lower end."""
     if not patterns:
         raise ValueError("cannot decide separability of an empty pattern set")
-    tXi = PatternSet.of(patterns).folded
+    tXi = patterns.folded
     if not np.isfinite(tXi).all():
         raise ValueError("cannot decide separability of a non-finite pattern")
     E, f = np.vstack((tXi.T, np.ones(len(tXi)))), np.eye(tXi.shape[1] + 1)[-1]

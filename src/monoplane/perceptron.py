@@ -4,10 +4,10 @@ The classifier is a hyperplane through weight space: a pattern xi (with
 xi[0] = 1 carrying the bias) is classified by the sign of w . xi. Two
 quantities drive everything here:
 
-    field(w, xi)     = (w . xi) / ||w||        signed distance to the plane
-    stability(w, p)  = tau * field(w, p.xi)    positive iff well classified
+    field(w, X)  = (X @ w) / ||w||      signed distance to the plane
+    gamma        = tau * field(w, X)    positive iff well classified
 
-and field takes a (P, dim) pattern matrix as well, giving one field a row.
+one entry per row of a (P, dim) pattern matrix X with labels tau.
 
 Training minimizes the temperature-smoothed error count
 
@@ -19,11 +19,10 @@ progressively sharpens E toward the true misclassification count. The
 returned weights are those of the best epoch seen (fewest training errors,
 ties broken by the larger minimal stability).
 
-Every trainer and evaluator takes a data.PatternSet (or a LabeledPattern
-sequence, which PatternSet.of packs). The anneal works on its label-folded
-pattern matrix tXi (row mu is tau_mu * xi_mu), derived once per PatternSet,
-with w stored as the last row of the stacked matrix M = [tXi; w]. An epoch
-is then two matrix-vector products:
+Every trainer and evaluator takes a data.PatternSet. The anneal works on
+its label-folded pattern matrix tXi (row mu is tau_mu * xi_mu), derived
+once per PatternSet, with w stored as the last row of the stacked matrix
+M = [tXi; w]. An epoch is then two matrix-vector products:
 
     M @ w = [tXi @ w, w . w]               gamma = tXi @ w / ||w||
     d     = [u, -(u . tXi @ w) / (w . w)] @ M
@@ -70,7 +69,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import PatternSet, read_number
+from .data import read_number
 
 
 class TrainingError(RuntimeError):
@@ -232,19 +231,13 @@ class TrainingTrace:
 
 
 def field(w: WeightVector, X):
-    """Signed distance to the hyperplane normal to w: a float for one
-    pattern, an array of one entry per row for a (P, dim) matrix."""
+    """Signed distance of each row of the (P, dim) pattern matrix X to the
+    hyperplane normal to w: an array of one entry per row."""
     X = np.asarray(X, dtype=float)
-    if X.ndim not in (1, 2) or X.shape[-1] != len(w):
+    if X.ndim != 2 or X.shape[1] != len(w):
         raise ValueError(f"patterns of shape {X.shape} do not have the "
                          f"{len(w)} components of the weights")
-    f = (X @ w.w) / w.norm
-    return float(f) if X.ndim == 1 else f
-
-
-def stability(w: WeightVector, p) -> float:
-    """tau * field: positive iff the pattern is well classified."""
-    return p.tau * field(w, p.xi)
+    return (X @ w.w) / w.norm
 
 
 def _sech2(x, out=None):
@@ -261,7 +254,7 @@ def cost(w: WeightVector, patterns, T: float) -> float:
         raise ValueError("temperature must be positive")
     if not patterns:
         raise ValueError("cost of an empty pattern set is undefined")
-    gam = field(w, PatternSet.of(patterns).folded)
+    gam = field(w, patterns.folded)
     return float(0.5 * np.sum(1.0 - np.tanh(gam / (2.0 * T))))
 
 
@@ -279,7 +272,7 @@ def cost_gradient(w: WeightVector, patterns, T: float):
         raise ValueError("temperature must be positive")
     if not patterns:
         raise ValueError("cost of an empty pattern set is undefined")
-    tXi = PatternSet.of(patterns).folded
+    tXi = patterns.folded
     gam = field(w, tXi)
     with np.errstate(over="ignore"):
         u = _sech2(gam / (2.0 * T)) / T
@@ -297,7 +290,7 @@ def hebbian_init(patterns, rng=None):
     """
     if not patterns:
         raise ValueError("cannot initialize from an empty pattern set")
-    w = PatternSet.of(patterns).folded.mean(axis=0)
+    w = patterns.folded.mean(axis=0)
     # over 2**e, e the binary exponent of its largest entry, the mean's norm
     # cannot overflow, and rescaling cancels the power of two; the fallback
     # still tests the mean's own norm against 1e-300
@@ -319,10 +312,7 @@ def count_errors(w: WeightVector, patterns):
     differs on purpose: it maps a zero field to +1, because a network unit
     must realize a +-1 output for every pattern.
     """
-    if not patterns:
-        return 0, 0, 0
-    ps = PatternSet.of(patterns)
-    return _error_counts(field(w, ps.Xi), ps.tau)
+    return _error_counts(field(w, patterns.Xi), patterns.tau)
 
 
 def _error_counts(f, tau):
@@ -435,12 +425,11 @@ def minimerror_train(patterns, config: TrainingConfig):
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
-    ps = PatternSet.of(patterns)
-    P, dim = ps.folded.shape
-    wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
+    P, dim = patterns.folded.shape
+    wv, fallback = hebbian_init(patterns, np.random.default_rng(config.seed))
     # w is the last row of M = [tXi; w], so M @ w is tXi @ w and w . w
     M = np.empty((P + 1, dim))
-    M[:P] = ps.folded
+    M[:P] = patterns.folded
     w = M[P]
     w[:] = wv.w
     theta = config.temp_ratio
@@ -567,7 +556,7 @@ def rosenblatt_train(patterns, config: TrainingConfig):
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
-    tXi = PatternSet.of(patterns).folded
+    tXi = patterns.folded
     dim = tXi.shape[1]
     rng = np.random.default_rng(config.seed)
     w = rng.standard_normal(dim)

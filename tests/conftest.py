@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from monoplane import (
-    SEPARATION_CONFIG, TrainingConfig, compute_stats, load_file,
+    SEPARATION_CONFIG, PatternSet, TrainingConfig, compute_stats, load_file,
     load_split_file, minimerror_train, split, standardize,
 )
 
@@ -92,22 +92,34 @@ def trained_test_separator(test_std, separation_config):
     return minimerror_train(patterns, separation_config)
 
 
+def pattern_set(rows, tau, mu=None):
+    """The PatternSet of the pattern ``rows`` (bias coordinate first)
+    labelled ``tau`` and numbered ``mu``, by default 1..P."""
+    tau = np.array(tau, dtype=int)
+    mu = np.arange(1, len(tau) + 1) if mu is None else np.array(mu, dtype=int)
+    return PatternSet(np.array(rows, dtype=float), tau, mu)
+
+
+def stability(w, p):
+    """tau * w . xi / ||w|| of one pattern row, by its own dot product: the
+    per-row reference for the stabilities the library reads off a matrix."""
+    return p.tau * float(p.xi @ w.w) / w.norm
+
+
 def make_ls_patterns(rng, n=30, dim=5, margin=0.15):
-    """Random linearly separable set with a known separator."""
-    from monoplane import LabeledPattern
+    """Random linearly separable PatternSet with a known separator."""
     w = rng.standard_normal(dim + 1)
     w /= np.linalg.norm(w)
-    pats = []
-    mu = 0
-    while len(pats) < n:
+    rows, tau = [], []
+    while len(rows) < n:
         x = rng.standard_normal(dim)
         xi = np.concatenate([[1.0], x])
         f = xi @ w
         if abs(f) < margin:
             continue
-        mu += 1
-        pats.append(LabeledPattern(mu=mu, xi=xi, tau=(1 if f > 0 else -1)))
-    return pats, w
+        rows.append(xi)
+        tau.append(1 if f > 0 else -1)
+    return pattern_set(rows, tau), w
 
 
 def random_balanced_split(raw, seed, n_mines=49, n_rocks=55):
@@ -123,13 +135,9 @@ def random_balanced_split(raw, seed, n_mines=49, n_rocks=55):
 
 
 def xor_patterns():
-    from monoplane import LabeledPattern
     coords = [(0.0, 0.0, +1), (0.0, 1.0, -1), (1.0, 0.0, -1), (1.0, 1.0, +1)]
-    pats = []
-    for k, (a, b, t) in enumerate(coords, start=1):
-        xi = np.array([1.0, (a - 0.5) / 0.5, (b - 0.5) / 0.5])
-        pats.append(LabeledPattern(mu=k, xi=xi, tau=t))
-    return pats
+    return pattern_set([[1.0, (a - 0.5) / 0.5, (b - 0.5) / 0.5] for a, b, _ in coords],
+                       [t for _, _, t in coords])
 
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_(\w+)")

@@ -28,12 +28,11 @@ from monoplane import (
     cost_gradient, count_errors, grow_network, hidden_states,
     field, internal_targets, load_published_weights, load_weights,
     minimerror_train, network_output, rosenblatt_train, separability,
-    stability,
 )
 from monoplane.cli import main as cli_main
 from monoplane.evaluation import mode_parts, run_mode, verify_published
 
-from conftest import make_ls_patterns, xor_patterns
+from conftest import make_ls_patterns, pattern_set, stability, xor_patterns
 
 
 FAST_CFG_TEXT = ("t_initial=1.0\nt_min=1e-3\nt_decay=0.99\n"
@@ -180,13 +179,12 @@ def test_criterion_07_cost_limits():
     P = len(pats)
     assert abs(cost(w, pats, T=1e12) - P / 2) < 1e-9
 
-    from monoplane import LabeledPattern
     T = 0.25
-    deep_wrong = LabeledPattern(mu=1, xi=np.array([1.0, -20 * T]), tau=+1)
-    deep_right = LabeledPattern(mu=2, xi=np.array([1.0, +20 * T]), tau=+1)
+    deep_wrong = pattern_set([[1.0, -20 * T]], [+1], [1])
+    deep_right = pattern_set([[1.0, +20 * T]], [+1], [2])
     unit = WeightVector(np.array([0.0, 1.0]))
-    assert abs(cost(unit, [deep_wrong], T) - 1.0) < 1e-8
-    assert abs(cost(unit, [deep_right], T) - 0.0) < 1e-8
+    assert abs(cost(unit, deep_wrong, T) - 1.0) < 1e-8
+    assert abs(cost(unit, deep_right, T) - 0.0) < 1e-8
 
 
 def test_criterion_08_monoplane_properties():

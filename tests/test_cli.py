@@ -109,12 +109,42 @@ class TestTrain:
             b = (outs[1] / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
-    def test_flip_labels_flag(self, sonar_path, tmp_path, fast_cfg_path):
-        out = tmp_path / "o"
-        rc = run(["train", "--dataset", str(sonar_path), "--part", "all",
-                  "--flip-labels", "--config", fast_cfg_path,
-                  "--out", str(out)])
-        assert rc == 0
+    def test_flip_labels_flag(self, sonar_path, balanced_split_path, tmp_path):
+        """--flip-labels mirrors a run exactly: it negates every folded row
+        and so the Hebbian start and every step, so the weights are negated
+        bit for bit, the trace and the retained epoch and stop are equal,
+        and false positives and false negatives swap. Growth on XOR
+        trains the same units up to sign: its growth.csv is equal."""
+        from importlib import resources
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(FAST_CFG + "temp_ratio=0.02\n")
+        xor = resources.files("monoplane.assets").joinpath("xor.csv")
+        argvs = {"train": ["train", "--dataset", str(sonar_path), "--split-file",
+                           str(balanced_split_path), "--config", str(cfg)],
+                 "grow": ["grow", "--dataset", str(xor), "--features", "2",
+                          "--part", "all", "--config", str(cfg)]}
+        for command, argv in argvs.items():
+            for sub, flip in (("a", []), ("b", ["--flip-labels"])):
+                assert run([*argv, *flip, "--out", str(tmp_path / command / sub)]) == 0
+        train_a, train_b = tmp_path / "train" / "a", tmp_path / "train" / "b"
+        w_a = load_weights((train_a / "weights.txt").read_text())
+        w_b = load_weights((train_b / "weights.txt").read_text())
+        assert (-w_a.w).tobytes() == w_b.w.tobytes()
+        assert (train_a / "trace.csv").read_bytes() == (train_b / "trace.csv").read_bytes()
+        rep_a, rep_b = (json.loads((out / "report.json").read_text())
+                        for out in (train_a, train_b))
+        for key in ("best_epoch", "stop"):
+            assert rep_a[key] == rep_b[key]
+        swapped = []
+        for counts_a, counts_b in ((rep_a["training_errors"], rep_b["training_errors"]),
+                                   (rep_a["generalization"]["counts"],
+                                    rep_b["generalization"]["counts"])):
+            assert (counts_a["total"], counts_a["false_pos"], counts_a["false_neg"]) == (
+                counts_b["total"], counts_b["false_neg"], counts_b["false_pos"])
+            swapped.append(counts_a["false_pos"] != counts_a["false_neg"])
+        assert any(swapped)
+        assert ((tmp_path / "grow" / "a" / "growth.csv").read_bytes()
+                == (tmp_path / "grow" / "b" / "growth.csv").read_bytes())
 
     def test_malformed_dataset_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -641,6 +671,31 @@ class TestReport:
         assert capsys.readouterr().out == (
             f"{growth}:\n{growth.read_text().rstrip()}\n"
             f"{report}:\n{report.read_text().rstrip()}\n")
+
+    @pytest.mark.parametrize("command, fmt", [
+        ("verify", "csv"), ("verify", "text"), ("train", "text"), ("grow", "text"),
+    ], ids=["verify-csv", "verify-text", "train-text", "grow-text"])
+    def test_cli_reports_print_verbatim(self, sonar_path, balanced_split_path,
+                                        tmp_path, fast_cfg_path, capsys,
+                                        command, fmt):
+        """Every report that train, grow and verify write reads back
+        verbatim, not as a malformed weight file."""
+        from importlib import resources
+        xor = resources.files("monoplane.assets").joinpath("xor.csv")
+        argv = {"verify": ["verify", "--dataset", str(sonar_path), "--split-file",
+                           str(balanced_split_path)],
+                "train": ["train", "--dataset", str(sonar_path), "--split-file",
+                          str(balanced_split_path), "--config", fast_cfg_path],
+                "grow": ["grow", "--dataset", str(xor), "--features", "2",
+                         "--config", fast_cfg_path]}[command]
+        out = tmp_path / "o"
+        assert run([*argv, "--format", fmt, "--out", str(out)]) == (
+            1 if command == "verify" else 0)
+        report = out / f"{'verify' if command == 'verify' else 'report'}.{SUFFIX[fmt]}"
+        capsys.readouterr()
+        assert run(["report", str(report)]) == 0
+        assert capsys.readouterr() == (
+            f"{report}:\n{report.read_text().rstrip()}\n", "")
 
     def test_weights_of_different_lengths_exit_2(self, tmp_path, capsys):
         paths = []

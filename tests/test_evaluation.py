@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monoplane import (
-    LabeledPattern, PatternSet, RawSet, WeightVector, compute_stats, cosine,
-    count_errors, evaluate, field, load_published_table, load_published_weights,
-    load_weights, minimerror_train, rosenblatt_train, separability, stability,
-    standardize, verify_published,
+    PatternSet, RawSet, WeightVector, compute_stats, cosine, count_errors,
+    evaluate, field, load_published_table, load_published_weights, load_weights,
+    minimerror_train, rosenblatt_train, separability, standardize,
+    verify_published,
 )
 from monoplane import evaluation
 from monoplane.evaluation import (
@@ -21,7 +21,9 @@ from monoplane.evaluation import (
     paper_layout_numbering, perturbation_analysis, published_norms, run_mode,
 )
 
-from conftest import make_ls_patterns, random_balanced_split, xor_patterns
+from conftest import (
+    make_ls_patterns, pattern_set, random_balanced_split, stability, xor_patterns,
+)
 
 # the embedded tables are data assets; any edit must be deliberate
 ASSET_SHA256 = {
@@ -128,11 +130,9 @@ class TestEvaluate:
         assert len(rep["records"]) == count_errors(w, pats)[0]
         assert json.loads(json.dumps(rep)) == rep
 
-    @pytest.mark.parametrize("empty", ([], PatternSet(np.zeros((0, 3)),
-                                                       np.zeros(0, dtype=int),
-                                                       np.zeros(0, dtype=int))),
-                             ids=["list", "pattern-set"])
-    def test_empty_set(self, empty):
+    def test_empty_set(self):
+        empty = PatternSet(np.zeros((0, 3)), np.zeros(0, dtype=int),
+                           np.zeros(0, dtype=int))
         assert evaluate(WeightVector(np.ones(3)), empty) == {
             "set_size": 0, "counts": {"total": 0, "false_pos": 0, "false_neg": 0},
             "error_fraction": 0.0, "records": [], "cosines": {}}
@@ -197,7 +197,7 @@ class TestProbe:
 
     def test_probe_rejects_empty(self):
         with pytest.raises(ValueError):
-            separability([])
+            separability(pattern_set(np.zeros((0, 3)), []))
 
     @pytest.mark.parametrize("value", (np.nan, np.inf))
     def test_non_finite_entry_raises_before_lapack(self, capfd, value):
@@ -297,14 +297,13 @@ class TestSeparability:
                                                      rel=rtol)
 
     def test_opposite_labels_on_one_input(self):
-        pats = [LabeledPattern(mu=1, xi=np.array([1.0, 0.3]), tau=1),
-                LabeledPattern(mu=2, xi=np.array([1.0, 0.3]), tau=-1)]
+        pats = pattern_set([[1.0, 0.3], [1.0, 0.3]], [1, -1])
         verdict = separability(pats)
         assert not verdict.separable
         np.testing.assert_allclose(verdict.u, 0.5, atol=1e-15)
 
     def test_single_pattern(self):
-        pats = [LabeledPattern(mu=1, xi=np.array([1.0, 3.0, -4.0]), tau=-1)]
+        pats = pattern_set([[1.0, 3.0, -4.0]], [-1])
         verdict = separability(pats)
         assert verdict.separable and verdict.recheck(pats)
         # w* is the folded row over its squared norm; kappa* its norm
@@ -486,11 +485,9 @@ def _reference_mode_sets(train, test, stats_from, scale, flip_labels):
     sign = -1 if flip_labels else 1
 
     def std(part, stats):
-        return [LabeledPattern(
-            mu=int(mu),
-            xi=np.concatenate(([1.0], (x - stats.mean) / stats.scale)),
-            tau=sign * (1 if t == 1 else -1))
-            for x, t, mu in zip(part.X, part.tau.tolist(), part.mu)]
+        return pattern_set(
+            [np.concatenate(([1.0], (x - stats.mean) / stats.scale)) for x in part.X],
+            [sign * (1 if t == 1 else -1) for t in part.tau.tolist()], part.mu)
     return std(test, stats_tr), std(train, stats_te), std(full, stats_all)
 
 

@@ -8,18 +8,25 @@ from hypothesis import assume, given, settings, strategies as st
 
 from monoplane import network
 from monoplane import (
-    GrowthStallError, LabeledPattern, NetworkModel, TrainingConfig,
+    GrowthStallError, LabeledPattern, NetworkModel, PatternSet, TrainingConfig,
     TrainingTrace, WeightVector, count_errors, grow_network, hidden_states,
     internal_targets, load_network, minimerror_train, network_output,
     save_network,
 )
 
-from conftest import make_ls_patterns, xor_patterns
+from conftest import make_ls_patterns, pattern_set, xor_patterns
 
 
 def xor_config():
     return TrainingConfig(t_initial=1.0, t_min=1e-4, t_decay=0.995,
                           learning_rate=0.05, max_epochs=3000, seed=1)
+
+
+def parity_patterns(n):
+    """The 2^n patterns (1, bits) over {-1, +1}^n labelled by the product
+    of their bits."""
+    bits = list(itertools.product((-1.0, 1.0), repeat=n))
+    return pattern_set([[1.0, *b] for b in bits], [int(np.prod(b)) for b in bits])
 
 
 class TestForwardPass:
@@ -198,33 +205,24 @@ class TestGrowth:
     def test_units_equal_minimerror_train_on_their_targets(self, fast_config):
         """Each unit, and the output unit, carries the bits minimerror_train
         gives on the same targets (parity of 3 bits, three hidden units)."""
-        pats = [LabeledPattern(mu=k, xi=np.array([1.0, *bits]), tau=int(np.prod(bits)))
-                for k, bits in enumerate(itertools.product((-1.0, 1.0), repeat=3),
-                                         start=1)]
+        pats = parity_patterns(3)
         model, _ = grow_network(pats, fast_config)
         assert len(model.hidden) == 3
-        Xi = np.array([p.xi for p in pats])
-        tau = np.array([p.tau for p in pats])
+        Xi, tau = pats.Xi, pats.tau
         targets, states = tau, []
         for unit in model.hidden:
-            ref, _ = minimerror_train(
-                [LabeledPattern(mu=p.mu, xi=p.xi, tau=int(t))
-                 for p, t in zip(pats, targets)], fast_config)
+            ref, _ = minimerror_train(PatternSet(Xi, targets, pats.mu), fast_config)
             assert np.array_equal(unit.w, ref.w)
             states.append(np.where(Xi @ unit.w >= 0.0, 1, -1))
             targets = targets * states[-1]
         reps = np.column_stack(states)
         ref, _ = minimerror_train(
-            [LabeledPattern(mu=p.mu, xi=np.concatenate([[1.0], reps[j]]), tau=p.tau)
-             for j, p in enumerate(pats)], fast_config)
+            pattern_set([np.concatenate([[1.0], r]) for r in reps], tau), fast_config)
         assert np.array_equal(model.output.w, ref.w)
 
     def test_growth_trace_keeps_no_epoch_traces(self, fast_config):
         """A growth trace holds per-unit counts, not the units' anneals."""
-        pats = [LabeledPattern(mu=k, xi=np.array([1.0, *bits]), tau=int(np.prod(bits)))
-                for k, bits in enumerate(itertools.product((-1.0, 1.0), repeat=3),
-                                         start=1)]
-        _, trace = grow_network(pats, fast_config)
+        _, trace = grow_network(parity_patterns(3), fast_config)
         held = [v for value in vars(trace).values()
                 for v in (value if isinstance(value, list) else [value])]
         assert len(held) == len(trace.units) + len(trace.output_attempts)
@@ -246,9 +244,8 @@ class TestGrowth:
     def test_cap_below_one_rejected_before_training(self, monkeypatch,
                                                     max_hidden):
         """A separable set would grow one unit, above a cap below 1."""
-        pats = [LabeledPattern(mu=k, xi=np.array([1.0, x]), tau=tau)
-                for k, (x, tau) in enumerate(((-2.0, -1), (-1.0, -1),
-                                              (1.0, 1), (2.0, 1)), start=1)]
+        pats = pattern_set([[1.0, -2.0], [1.0, -1.0], [1.0, 1.0], [1.0, 2.0]],
+                           [-1, -1, 1, 1])
         calls = []
         monkeypatch.setattr(network, "minimerror_train",
                             lambda patterns, config: calls.append(patterns))
@@ -259,7 +256,7 @@ class TestGrowth:
 
     def test_single_pattern_grows_one_unit(self, fast_config):
         """H <= max(1, P - 1): one pattern still needs one hidden unit."""
-        pats = [LabeledPattern(mu=1, xi=np.array([1.0, 0.3]), tau=-1)]
+        pats = pattern_set([[1.0, 0.3]], [-1])
         model, trace = grow_network(pats, fast_config)
         assert len(model.hidden) == 1
         assert trace.units == [0]
@@ -269,9 +266,7 @@ class TestGrowth:
         """Units sign(x1) and sign(x2) on XOR are errorless by unit 2 and
         realize all four state pairs, so no output unit can be exact:
         growth stalls right after it, without training a further unit."""
-        pats = [LabeledPattern(mu=k, xi=np.array([1.0, a, b]), tau=int(a * b))
-                for k, (a, b) in enumerate(itertools.product((-1.0, 1.0),
-                                                             repeat=2), start=1)]
+        pats = parity_patterns(2)
         weights = [WeightVector(np.array(w)) for w in
                    ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
                     [1.0, 0.0, 0.0])]
@@ -292,9 +287,7 @@ class TestGrowth:
         """A pattern exactly on a unit's hyperplane is an error without a
         side to count_errors, a +1 output to the network, and no internal
         error to growth, which counts with the network's sign."""
-        pats = [LabeledPattern(mu=k, xi=np.array(xi), tau=tau)
-                for k, (xi, tau) in enumerate((([1, 1, 0], +1), ([1, -1, 0], -1),
-                                               ([1, 0, 1], +1)), start=1)]
+        pats = pattern_set([[1, 1, 0], [1, -1, 0], [1, 0, 1]], [+1, -1, +1])
         hidden = WeightVector(np.array([0, 1, 0]))
         output = WeightVector(np.array([0, 1]))
         assert hidden.w @ pats[2].xi == 0.0
@@ -316,9 +309,29 @@ class TestGrowth:
         model, _ = grow_network(pats, fast_config)
         assert 1 <= len(model.hidden) <= len(pats) - 1
 
+    @pytest.mark.parametrize("problem", ["xor", "parity3"])
+    def test_list_input_equals_its_pattern_set(self, fast_config, problem):
+        """A LabeledPattern list, the one input besides a PatternSet that
+        grow_network takes, grows the network and growth trace of its
+        packed PatternSet byte for byte, and the network's one-pattern
+        output equals its row of the matrix call."""
+        ps, config = ((xor_patterns(), xor_config()) if problem == "xor"
+                      else (parity_patterns(3), fast_config))
+        rows = [LabeledPattern(mu=p.mu, xi=p.xi.copy(), tau=p.tau) for p in ps]
+        grown = []
+        for patterns in (rows, PatternSet.of(rows)):
+            model, trace = grow_network(patterns, config)
+            net, csv = io.StringIO(), io.StringIO()
+            save_network(model, net)
+            trace.to_csv(csv)
+            grown.append((net.getvalue(), csv.getvalue()))
+        assert grown[0] == grown[1]
+        assert [network_output(model, p.xi) for p in rows] == \
+            network_output(model, ps.Xi).tolist() == ps.tau.tolist()
+
     def test_empty_set_rejected(self, fast_config):
         with pytest.raises(ValueError):
-            grow_network([], fast_config)
+            grow_network(pattern_set(np.zeros((0, 3)), []), fast_config)
 
 
 class TestNetworkSerialization:

@@ -14,36 +14,37 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import monoplane
 from monoplane import (
-    SEPARATION_CONFIG, LabeledPattern, PatternSet, TrainingConfig,
+    SEPARATION_CONFIG, PatternSet, TrainingConfig,
     TrainingError, WeightVector, cost, cost_gradient, count_errors, evaluate,
     field, hebbian_init, load_published_weights, load_weights,
-    minimerror_train, rosenblatt_train, save_weights, stability,
+    minimerror_train, rosenblatt_train, save_weights,
 )
 from monoplane.perceptron import (
     _BLOCK, TrainingTrace, _sech2, weights_to_table_text,
 )
 
-from conftest import make_ls_patterns, xor_patterns
+from conftest import make_ls_patterns, pattern_set, stability, xor_patterns
 
 
 def pat(xi, tau, mu=1):
-    return LabeledPattern(mu=mu, xi=np.asarray(xi, dtype=float), tau=tau)
+    """The one-pattern set of ``xi`` labelled ``tau``."""
+    return pattern_set([xi], [tau], [mu])
 
 
 def two_point_set():
-    return [pat([1.0, +1.0], +1, mu=1), pat([1.0, -1.0], -1, mu=2)]
+    return pattern_set([[1.0, +1.0], [1.0, -1.0]], [+1, -1])
 
 
 class TestFieldStability:
     def test_bias_only_projection(self):
         w = WeightVector(np.array([1.0, 0.0, 0.0]))
-        assert field(w, np.array([1.0, 5.0, -3.0])) == pytest.approx(1.0)
+        assert field(w, np.array([[1.0, 5.0, -3.0]])) == pytest.approx(1.0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             w = rng.standard_normal(61)
-            xi = np.concatenate([[1.0], rng.standard_normal(60)])
+            xi = np.concatenate([[1.0], rng.standard_normal(60)])[None]
             c = float(rng.uniform(0.1, 100.0))
             f1 = field(WeightVector(w), xi)
             f2 = field(WeightVector(c * w), xi)
@@ -51,13 +52,13 @@ class TestFieldStability:
 
     def test_on_hyperplane_zero(self):
         w = WeightVector(np.array([0.0, 1.0, 0.0]))
-        p = pat([1.0, 0.0, 2.0], +1)
+        p = pat([1.0, 0.0, 2.0], +1)[0]
         assert stability(w, p) == 0.0
 
     def test_sign_convention(self):
         w = WeightVector(np.array([1.0, 0.0]))
-        p_ok = pat([1.0, 0.0], +1)
-        p_bad = pat([1.0, 0.0], -1)
+        p_ok = pat([1.0, 0.0], +1)[0]
+        p_bad = pat([1.0, 0.0], -1)[0]
         assert stability(w, p_ok) > 0
         assert stability(w, p_bad) < 0
 
@@ -68,7 +69,7 @@ class TestFieldStability:
     def test_dimension_mismatch(self):
         w = WeightVector(np.ones(3))
         with pytest.raises(ValueError):
-            field(w, np.ones(4))
+            field(w, np.ones((1, 4)))
 
     @pytest.mark.parametrize("shape", [(4,), (2,), (5, 4), (5, 2), (0, 4),
                                        (), (2, 5, 3)],
@@ -79,9 +80,18 @@ class TestFieldStability:
         with pytest.raises(ValueError, match=r"do not have the 3 components"):
             field(w, np.ones(shape))
 
+    def test_one_pattern_row_raises(self):
+        """field takes a (P, dim) matrix only: one pattern is a one-row
+        matrix, and a row of the right width raises the shape error."""
+        w = WeightVector(np.ones(3))
+        with pytest.raises(ValueError, match=r"^patterns of shape \(3,\) do not"):
+            field(w, np.ones(3))
+        assert field(w, np.ones((1, 3))).shape == (1,)
+
     def test_matrix_on_train_part(self, train_std):
-        """One field per row: a float for a row, float64 entries for the
-        matrix, and the matrix is what count_errors and evaluate read."""
+        """One field per row, float64 entries, each a row's own dot
+        product up to round-off, and the matrix is what count_errors and
+        evaluate read."""
         ps, _ = train_std
         w = load_published_weights("W_Train")
         f = field(w, ps.Xi)
@@ -107,11 +117,12 @@ class TestFieldStability:
 
 
 def assert_rows_match(w, X, f):
-    """Row k of the matrix field ``f`` is the float ``field(w, X[k])`` up to
-    the round-off of one dot product: a matrix-vector product may sum a row
-    in another order than a single dot does, so the last bits can differ."""
+    """Row k of the matrix field ``f`` is the float ``X[k] . w / ||w||`` up
+    to the round-off of one dot product: a matrix-vector product may sum a
+    row in another order than a single dot does, so the last bits can
+    differ."""
     assert isinstance(f, np.ndarray) and f.shape == (len(X),)
-    rows = [field(w, x) for x in X]
+    rows = [float(x @ w.w) / w.norm for x in X]
     assert all(type(r) is float for r in rows)
     eps = np.finfo(float).eps
     bound = (2 * X.shape[1] + 2) * eps * (np.abs(X) @ np.abs(w.w)) / w.norm
@@ -133,7 +144,7 @@ class TestCost:
         gamma = 2 * T * math.atanh(0.5)
         p = pat([1.0, gamma], +1)
         w = WeightVector(np.array([0.0, 1.0]))
-        assert cost(w, [p], T) == pytest.approx(0.25, abs=1e-12)
+        assert cost(w, p, T) == pytest.approx(0.25, abs=1e-12)
 
     def test_saturated_contributions(self):
         T = 0.5
@@ -141,8 +152,8 @@ class TestCost:
         p_wrong = pat([1.0, -g], +1)     # gamma/2T = -10, counted as 1 error
         p_right = pat([1.0, +g], +1)     # gamma/2T = +10, vanishing share
         w = WeightVector(np.array([0.0, 1.0]))
-        assert cost(w, [p_wrong], T) == pytest.approx(1.0, abs=1e-8)
-        assert cost(w, [p_right], T) == pytest.approx(0.0, abs=1e-8)
+        assert cost(w, p_wrong, T) == pytest.approx(1.0, abs=1e-8)
+        assert cost(w, p_right, T) == pytest.approx(0.0, abs=1e-8)
 
     def test_bounds_and_monotonicity(self):
         rng = np.random.default_rng(3)
@@ -188,7 +199,7 @@ class TestGradient:
 
     def test_saturated_window_vanishes(self):
         T = 1e-4
-        pats = [pat([1.0, 50.0], +1), pat([1.0, -50.0], -1)]
+        pats = pattern_set([[1.0, 50.0], [1.0, -50.0]], [+1, -1])
         w = WeightVector(np.array([0.0, 1.0]))
         g = cost_gradient(w, pats, T)
         assert np.linalg.norm(g) < 1e-20
@@ -205,7 +216,7 @@ class TestGradient:
             for f in (cost, cost_gradient):
                 with pytest.raises(ValueError,
                                    match="^cost of an empty pattern set is undefined$"):
-                    f(w, [], 1.0)
+                    f(w, pattern_set(np.zeros((0, 2)), []), 1.0)
 
     def test_tiny_temperature_is_finite_without_warnings(self):
         rng = np.random.default_rng(8)
@@ -352,22 +363,20 @@ class TestStepDirection:
 class TestHebbian:
     def test_single_pattern_separates_itself(self):
         p = pat([1.0, 0.4, -0.2], +1)
-        w, fallback = hebbian_init([p])
+        w, fallback = hebbian_init(p)
         assert not fallback
-        assert stability(w, p) > 0
+        assert stability(w, p[0]) > 0
 
     def test_cancellation_falls_back(self):
-        p1 = pat([1.0, 0.5], +1, mu=1)
-        p2 = pat([1.0, 0.5], -1, mu=2)
-        w, fallback = hebbian_init([p1, p2], rng=np.random.default_rng(0))
+        pats = pattern_set([[1.0, 0.5], [1.0, 0.5]], [+1, -1])
+        w, fallback = hebbian_init(pats, rng=np.random.default_rng(0))
         assert fallback
         assert w.norm > 0
 
     def test_fallback_deterministic(self):
-        p1 = pat([1.0, 0.5], +1, mu=1)
-        p2 = pat([1.0, 0.5], -1, mu=2)
-        w1, _ = hebbian_init([p1, p2], rng=np.random.default_rng(9))
-        w2, _ = hebbian_init([p1, p2], rng=np.random.default_rng(9))
+        pats = pattern_set([[1.0, 0.5], [1.0, 0.5]], [+1, -1])
+        w1, _ = hebbian_init(pats, rng=np.random.default_rng(9))
+        w2, _ = hebbian_init(pats, rng=np.random.default_rng(9))
         assert np.array_equal(w1.w, w2.w)
 
     @pytest.mark.parametrize("tau", [1, -1])
@@ -375,7 +384,7 @@ class TestHebbian:
         """The folded mean of these patterns has a norm past the float64
         range, so only a mean scaled before its norm gives a start; the
         start and an anneal from it warn and raise nothing."""
-        ps = [pat([1.0, 1.5e200], 1, mu=1), pat([1.0, 1e200], tau, mu=2)]
+        ps = pattern_set([[1.0, 1.5e200], [1.0, 1e200]], [1, tau])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, fallback = hebbian_init(ps)
@@ -425,9 +434,8 @@ def reference_minimerror(patterns, config):
     epoch runs, a saturated one too, and a field or w . w that is not finite
     raises. Returns the weights, the trace, whose ``stop`` is "t_min" or
     "max_epochs", and whether each epoch stepped."""
-    ps = PatternSet.of(patterns)
-    wv, fallback = hebbian_init(ps, np.random.default_rng(config.seed))
-    M = np.vstack([ps.folded, wv.w])
+    wv, fallback = hebbian_init(patterns, np.random.default_rng(config.seed))
+    M = np.vstack([patterns.folded, wv.w])
     w = M[-1]
     root_dim = math.sqrt(len(w))
     rows, stepped = [], []
@@ -533,7 +541,7 @@ def anneal_problems(draw, max_features=8):
     dim = draw(st.integers(1, max_features))
     kind = draw(st.sampled_from(["separable", "random", "cancelling"]))
     if kind == "separable":
-        return PatternSet.of(make_ls_patterns(rng, n=P, dim=dim)[0]), kind
+        return make_ls_patterns(rng, n=P, dim=dim)[0], kind
     n = P // 2 if kind == "cancelling" else P
     Xi = np.column_stack([np.ones(n), rng.standard_normal((n, dim))])
     tau = rng.choice([-1, 1], size=n)
@@ -600,7 +608,7 @@ class TestMinimerror:
 
     def test_empty_set_rejected(self, fast_config):
         with pytest.raises(ValueError):
-            minimerror_train([], fast_config)
+            minimerror_train(pattern_set(np.zeros((0, 3)), []), fast_config)
 
     @pytest.mark.parametrize("learning_rate", [1e308, 1e200])
     def test_diverged_anneal_stops_at_epoch_1(self, all_std, learning_rate):
@@ -738,11 +746,11 @@ class TestMinimerror:
         """With every |gamma / 2T| in (186, 355), d . d underflows to 0
         though d does not; the epoch still turns w by atan(lr / sqrt(dim))
         toward the less stable pattern, whose weight sech^2 dominates."""
-        pats = [pat([1.0, 2.0], +1, mu=1), pat([1.0, 1.2], +1, mu=2)]
+        pats = pattern_set([[1.0, 2.0], [1.0, 1.2]], [+1, +1])
         cfg = TrainingConfig(t_initial=0.0036, t_min=1e-3, t_decay=0.99,
                              learning_rate=0.05, max_epochs=2)
         _, trace = minimerror_train(pats, cfg)
-        tXi = PatternSet.of(pats).folded
+        tXi = pats.folded
         w0 = hebbian_init(pats)[0].w
         w0 = w0 / np.linalg.norm(w0)
         gam = tXi @ w0
@@ -777,7 +785,7 @@ class TestMinimerror:
         and one past it, and a longer one that freezes inside a later
         block, equal the reference loop bit for bit."""
         rng = np.random.default_rng(epochs)
-        ps = PatternSet.of(make_ls_patterns(rng, n=30, dim=5)[0])
+        ps = make_ls_patterns(rng, n=30, dim=5)[0]
         trace = assert_blocks_match_reference_loop(ps, epochs, temp_ratio)
         if epochs > 3 * _BLOCK:
             assert trace.stop == "frozen" and _BLOCK < len(trace) < epochs
@@ -947,7 +955,7 @@ class TestMinimerror:
         """A default-schedule trace keeps at most 64 bytes per epoch, and
         writes its rows as Python floats and ints."""
         rng = np.random.default_rng(13)
-        ps = PatternSet.of(make_ls_patterns(rng, n=40, dim=5)[0])
+        ps = make_ls_patterns(rng, n=40, dim=5)[0]
         ps.folded                       # cached on the set, not the trace
         tracemalloc.start()
         try:
@@ -1056,22 +1064,21 @@ class TestRosenblatt:
 class TestCountErrors:
     def test_empty_set(self):
         w = WeightVector(np.ones(2))
-        assert count_errors(w, []) == (0, 0, 0)
+        assert count_errors(w, pattern_set(np.zeros((0, 2)), [])) == (0, 0, 0)
 
     def test_composition(self):
         w = WeightVector(np.array([0.0, 1.0]))
-        pats = [
-            pat([1.0, +1.0], +1, mu=1),   # correct
-            pat([1.0, -1.0], +1, mu=2),   # false negative
-            pat([1.0, +1.0], -1, mu=3),   # false positive
-            pat([1.0, -1.0], -1, mu=4),   # correct
-        ]
+        pats = pattern_set([[1.0, +1.0],     # correct
+                            [1.0, -1.0],     # false negative
+                            [1.0, +1.0],     # false positive
+                            [1.0, -1.0]],    # correct
+                           [+1, +1, -1, -1])
         assert count_errors(w, pats) == (2, 1, 1)
 
     def test_zero_field_counts_as_error(self):
         w = WeightVector(np.array([0.0, 1.0]))
         p = pat([1.0, 0.0], +1)
-        total, fp, fn = count_errors(w, [p])
+        total, fp, fn = count_errors(w, p)
         assert total == 1 and fp == 0 and fn == 0
 
 
