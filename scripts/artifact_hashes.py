@@ -6,9 +6,9 @@ Usage:
     python scripts/artifact_hashes.py --compare PARENT.json CHANGE.json
 
 Runs ``monoplane.cli.main`` in-process over a fixed matrix of ``train``
-(default and separation schedules), ``verify``, ``grow`` (XOR, and parity
-3 and 4 with the default schedule) and ``report`` (weights, a network,
-a growth trace and a csv report) invocations and writes
+(default and separation schedules), ``verify`` (text and json), ``grow``
+(XOR, and parity 3 and 4 with the default schedule) and ``report``
+(weights, a network and a growth trace) invocations and writes
 one JSON object mapping ``<run>/exit``, ``<run>/stdout``, ``<run>/stderr``
 and ``<run>/<output file>`` to the sha256 of those bytes. Every ``*.json``
 output file, and the stdout of every ``verify --format json`` run, also
@@ -19,7 +19,7 @@ the parsed object because ``NaN != NaN``. Run it once with each of two
 checkouts on ``PYTHONPATH``, then ``--compare`` the two files: it prints
 each key whose hash differs or that only one file has, and a count, and
 exits 1 if there is any, so exit 0 means equal exit codes, streams and
-artifacts. The matrix gives 519 items.
+artifacts. The matrix gives 344 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests and
@@ -76,7 +76,6 @@ ASSET_INPUTS = {"balanced.split": "splits/balanced.split", "xor.csv": "xor.csv"}
 # the schedule of tests/test_cli.py::TestGrow
 XOR_CFG = ("t_initial=1.0\nt_min=1e-4\nt_decay=0.995\n"
            "learning_rate=0.05\nmax_epochs=3000\nseed=1\n")
-FORMATS = ("json", "csv", "text")
 SONAR = ["--dataset", "sonar.all-data", "--split-file", "balanced.split"]
 XOR = ["grow", "--dataset", "xor.csv", "--features", "2", "--part", "all",
        "--config", "xor.cfg"]
@@ -171,32 +170,29 @@ def run_matrix():
     """(run name, argv) pairs in execution order; ``report`` reads artifacts
     that the earlier runs wrote."""
     runs = []
+    # "-json" in the names pairs these runs' keys with older hash files
     for part in ("train", "test", "all"):
-        for fmt in FORMATS:
-            for flip in (False, True):
-                name = f"train-{part}-{fmt}{'-flip' if flip else ''}"
-                runs.append((name, ["train", *SONAR, "--part", part,
-                                    "--format", fmt, "--out", name]
-                             + (["--flip-labels"] if flip else [])))
+        for flip in (False, True):
+            name = f"train-{part}-json{'-flip' if flip else ''}"
+            runs.append((name, ["train", *SONAR, "--part", part, "--out", name]
+                         + (["--flip-labels"] if flip else [])))
     # the certification schedule, with its two-temperature window
     for part in ("train", "test", "all"):
         name = f"train-{part}-separation-json"
         runs.append((name, ["train", *SONAR, "--part", part, "--config",
-                            "separation", "--format", "json", "--out", name]))
+                            "separation", "--out", name]))
     runs.append(("train-seed-negative", ["train", *SONAR, "--seed", "-1",
                                          "--out", "train-seed-negative"]))
     splits = {"": "balanced.split",
               **{f"random{s}-": f"random{s}.split" for s in RANDOM_SPLIT_SEEDS}}
     for prefix, split_file in splits.items():
-        for fmt in FORMATS:
+        for fmt in ("json", "text"):
             for flip in (False, True):
                 name = f"verify-{prefix}{fmt}{'-flip' if flip else ''}"
                 runs.append((name, ["verify", "--dataset", "sonar.all-data",
                                     "--split-file", split_file, "--format", fmt,
                                     "--out", name] + (["--flip-labels"] if flip else [])))
-    for fmt in FORMATS:
-        runs.append((f"grow-xor-{fmt}", [*XOR, "--format", fmt,
-                                         "--out", f"grow-xor-{fmt}"]))
+    runs.append(("grow-xor-json", [*XOR, "--out", "grow-xor-json"]))
     runs.append(("grow-xor-stall", [*XOR, "--max-hidden", "1",
                                     "--out", "grow-xor-stall"]))
     runs.append(("grow-xor-max-hidden-0", [*XOR, "--max-hidden", "0",
@@ -213,9 +209,8 @@ def run_matrix():
     runs.append(("report", ["report", "train-train-json/weights.txt",
                             "train-test-json/weights.txt",
                             "grow-xor-json/network.txt"]))
-    # the trace and report files that train and grow write, printed verbatim
+    # the growth trace that grow writes, printed verbatim
     runs.append(("report-growth", ["report", "grow-xor-json/growth.csv"]))
-    runs.append(("report-csv", ["report", "train-train-csv/report.csv"]))
     runs.append(("report-mismatch", ["report", "train-train-json/weights.txt",
                                      "w2.txt"]))
     for variant in VARIANTS:
@@ -253,11 +248,11 @@ def _parsed_sha256(data: bytes | str):
     return _sha256(json.dumps(json.loads(data), sort_keys=True).encode())
 
 
-def hashes(root: Path):
-    """Run the matrix inside ``root`` and return the hash of every item."""
+def write_inputs(root: Path):
+    """Write every input file the matrix reads into ``root``."""
     # imported here, so that --compare needs no checkout on PYTHONPATH
     import monoplane
-    from monoplane import cli, data
+    from monoplane import data
     assets = Path(monoplane.__file__).resolve().parent / "assets"
     shutil.copyfile(SONAR_FILE, root / "sonar.all-data")
     for name, source in ASSET_INPUTS.items():
@@ -279,6 +274,12 @@ def hashes(root: Path):
     (root / "held-out-overflow.split").write_text(HELD_OUT_OVERFLOW_SPLIT)
     for name, text in REJECTED_FILES.items():
         (root / name).write_text(text)
+
+
+def hashes(root: Path):
+    """Run the matrix inside ``root`` and return the hash of every item."""
+    from monoplane import cli
+    write_inputs(root)
     out = {}
     for name, argv in run_matrix():
         stdout, stderr = io.StringIO(), io.StringIO()

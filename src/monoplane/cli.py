@@ -11,14 +11,12 @@ I/O error, or a training run that diverged.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
 import json
 import os
 import platform
-import re
 import sys
 from pathlib import Path
 
@@ -35,9 +33,6 @@ from .perceptron import (
 )
 
 DATASET_ENV = "MONOPLANE_DATA"
-SUFFIX = {"json": "json", "csv": "csv", "text": "txt"}
-# the first line of a --format text report of train or grow
-_KEY_LINE = re.compile(r"[a-z_]+: ")
 
 
 class UsageError(Exception):
@@ -159,34 +154,6 @@ def _prepare_run(args):
     return path, split_source, config, learn, evalp, Path(args.out)
 
 
-def _leaves(obj, prefix=""):
-    """(dotted key, leaf) pairs of a nested dict in sorted key order; lists
-    are leaves and empty dicts yield nothing."""
-    for k, v in sorted(obj.items()):
-        if isinstance(v, dict):
-            yield from _leaves(v, f"{prefix}{k}.")
-        else:
-            yield f"{prefix}{k}", v
-
-
-def _emit_report(report_dict, fmt, out_dir, stem):
-    """Write ``report_dict`` as ``<stem>.<suffix>`` and return that name.
-    The csv report is two-column CSV: one row per leaf, a list's value its
-    JSON text and any other value its ``repr``, quoted where CSV needs it."""
-    name = f"{stem}.{SUFFIX[fmt]}"
-    with _create(out_dir / name) as fh:
-        if fmt == "json":
-            fh.write(json.dumps(report_dict, sort_keys=True) + "\n")
-        elif fmt == "csv":
-            csv.writer(fh, lineterminator="\n").writerows(
-                [("key", "value")]
-                + [(k, json.dumps(v) if isinstance(v, list) else repr(v))
-                   for k, v in _leaves(report_dict)])
-        else:
-            fh.writelines(f"{k}: {v}\n" for k, v in _leaves(report_dict))
-    return name
-
-
 def cmd_train(args):
     path, split_source, config, learn, evalp, out_dir = _prepare_run(args)
     w, trace = minimerror_train(learn, config)
@@ -195,7 +162,7 @@ def cmd_train(args):
         save_weights(w, fh)
     with _create(out_dir / "trace.csv") as fh:
         trace.to_csv(fh)
-    outputs = ["weights.txt", "trace.csv"]
+    outputs = ["weights.txt", "trace.csv", "report.json"]
 
     report = {
         "part": args.part,
@@ -208,7 +175,7 @@ def cmd_train(args):
     }
     if evalp:
         report["generalization"] = evaluate(w, evalp)
-    outputs.append(_emit_report(report, args.format, out_dir, "report"))
+    _write(out_dir / "report.json", json.dumps(report, sort_keys=True) + "\n")
 
     _write(out_dir / "manifest.json",
            _manifest(args, "train", path, split_source, config, outputs))
@@ -236,7 +203,7 @@ def cmd_grow(args):
         save_network(model, fh)
     with _create(out_dir / "growth.csv") as fh:
         gtrace.to_csv(fh)
-    outputs = ["network.txt", "growth.csv"]
+    outputs = ["network.txt", "growth.csv", "report.json"]
 
     # growth returned, so its last output unit is exact on the learning part
     train_errs = gtrace.output_attempts[-1][1]
@@ -250,7 +217,7 @@ def cmd_grow(args):
         gen_errs = int(np.count_nonzero(network_output(model, evalp.Xi) != evalp.tau))
         report["generalization_errors"] = gen_errs
         report["generalization_fraction"] = round(100.0 * gen_errs / len(evalp), 1)
-    outputs.append(_emit_report(report, args.format, out_dir, "report"))
+    _write(out_dir / "report.json", json.dumps(report, sort_keys=True) + "\n")
 
     _write(out_dir / "manifest.json",
            _manifest(args, "grow", path, split_source, config, outputs))
@@ -301,22 +268,13 @@ def cmd_verify(args):
         raise UsageError("verification needs both a train and a test part")
     report = verify_published(train, test, flip_labels=args.flip_labels)
 
-    if args.format == "csv":
-        lines = ["mode,errs_wtrain_on_test,errs_wtest_on_train,errs_wsonar_all,"
-                 "table_match_test,table_match_train"]
-        for r in report["modes"]:
-            lines.append(f"{r['mode']},{r['counts_test_side'][0]},"
-                         f"{r['counts_train_side'][0]},{r['counts_sonar'][0]},"
-                         f"{r['table_match_test']},{r['table_match_train']}")
-        text = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        text = json.dumps(report, sort_keys=True) + "\n"
+    if args.format == "json":
+        name, text = "verify.json", json.dumps(report, sort_keys=True) + "\n"
     else:
-        text = _verify_text(report)
+        name, text = "verify.txt", _verify_text(report)
 
     if args.out:
         out_dir = Path(args.out)
-        name = f"verify.{SUFFIX[args.format]}"
         _write(out_dir / name, text)
         _write(out_dir / "manifest.json",
                _manifest(args, "verify", path, split_source, None, [name]))
@@ -337,10 +295,9 @@ def cmd_report(args):
                 model = load_network(content)
                 texts.append(f"{p}: network with H={len(model.hidden)} hidden "
                              f"units, {len(model.hidden[0])} inputs each")
-            elif (first.startswith(("epoch,", "unit,", "key,", "mode", "{"))
-                  or _KEY_LINE.match(first)):
+            elif first.startswith(("epoch,", "unit,", "mode", "{")):
                 # a trace, a growth trace, or a report of train, grow or
-                # verify in any format, verbatim
+                # verify, verbatim
                 texts.append(f"{p}:\n{content.rstrip()}")
             else:
                 w = load_weights(content)
@@ -376,7 +333,6 @@ def build_parser():
         p.add_argument("--split-file", help="[train]/[test] section file of 1-based indices")
         p.add_argument("--flip-labels", action="store_true",
                        help="swap the +-1 class mapping")
-        p.add_argument("--format", choices=("text", "csv", "json"), default="json")
         if with_training:
             p.add_argument("--part", choices=("train", "test", "all"), default="train")
             p.add_argument("--scale", choices=("std", "variance"), default="std")
@@ -402,8 +358,9 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="check the published weight tables")
     common(p_verify, with_training=False)
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="optional output directory")
-    p_verify.set_defaults(fn=cmd_verify, format="text")
+    p_verify.set_defaults(fn=cmd_verify)
 
     p_report = sub.add_parser("report", help="render weight/network/trace artifacts")
     p_report.add_argument("artifacts", nargs="+")

@@ -1,5 +1,4 @@
 import argparse
-import csv
 import io
 import json
 import platform
@@ -15,9 +14,7 @@ from monoplane import (
     load_published_table, load_split_file, load_weights, minimerror_train,
     save_weights, split, standardize, verify_published,
 )
-from monoplane.cli import (
-    SUFFIX, _blas_build, _emit_report, build_parser, main,
-)
+from monoplane.cli import _blas_build, build_parser, main
 from monoplane.network import GrowthTrace
 
 from conftest import random_balanced_split
@@ -293,26 +290,20 @@ class TestTrain:
 
 
 class TestStop:
-    """The train report says why the anneal ended, in every format."""
+    """The train report says why the anneal ended."""
 
-    @pytest.mark.parametrize("part, fmt, epochs", [
-        ("train", "json", 23160), ("test", "csv", 20365), ("all", "text", 35187),
+    @pytest.mark.parametrize("part, epochs", [
+        ("train", 23160), ("test", 20365), ("all", 35187),
     ])
     def test_separation_runs_end_frozen(self, sonar_path, balanced_split_path,
-                                        tmp_path, part, fmt, epochs):
+                                        tmp_path, part, epochs):
         out = tmp_path / "o"
         assert run(["train", "--dataset", str(sonar_path),
                     "--split-file", str(balanced_split_path),
                     "--config", "separation", "--part", part,
-                    "--format", fmt, "--out", str(out)]) == 0
-        text = (out / f"report.{SUFFIX[fmt]}").read_text()
-        if fmt == "json":
-            rep = json.loads(text)
-            assert (rep["stop"], rep["epochs_run"]) == ("frozen", epochs)
-        elif fmt == "csv":
-            assert {"stop,'frozen'", f"epochs_run,{epochs}"} <= set(text.splitlines())
-        else:
-            assert {"stop: frozen", f"epochs_run: {epochs}"} <= set(text.splitlines())
+                    "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert (rep["stop"], rep["epochs_run"]) == ("frozen", epochs)
         # a header and one row per epoch run
         assert (out / "trace.csv").read_text().count("\n") == epochs + 1
 
@@ -324,17 +315,6 @@ class TestStop:
                     "--part", "train", "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert (rep["stop"], rep["epochs_run"]) == ("t_min", 9206)
-
-
-def _json_leaves(obj, prefix=""):
-    """{dotted key: leaf} of a JSON report; an empty object has no leaf."""
-    out = {}
-    for k, v in obj.items():
-        if isinstance(v, dict):
-            out.update(_json_leaves(v, f"{prefix}{k}."))
-        else:
-            out[f"{prefix}{k}"] = v
-    return out
 
 
 class TestReportContents:
@@ -363,37 +343,6 @@ class TestReportContents:
         else:
             assert rep["generalization"] == evaluate(w, standardize(eval_raw, stats))
 
-    @pytest.mark.parametrize("command", ("train", "grow"))
-    def test_csv_report_is_two_column_csv(self, sonar_path, balanced_split_path,
-                                          tmp_path, fast_cfg_path, command):
-        """Every csv row reads back as a key and a value: a list's JSON text
-        or another value's repr, the leaves of the json report."""
-        from importlib import resources
-        argv = ["train", "--dataset", str(sonar_path), "--split-file",
-                str(balanced_split_path), "--config", fast_cfg_path]
-        if command == "grow":
-            cfg = tmp_path / "xor.cfg"
-            cfg.write_text("t_initial=1.0\nt_min=1e-4\nt_decay=0.995\n"
-                           "learning_rate=0.05\nmax_epochs=3000\nseed=1\n")
-            xor = resources.files("monoplane.assets").joinpath("xor.csv")
-            argv = ["grow", "--dataset", str(xor), "--features", "2",
-                    "--config", str(cfg)]
-        for fmt in ("json", "csv"):
-            assert run([*argv, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
-        leaves = _json_leaves(json.loads((tmp_path / "json" / "report.json").read_text()))
-        with open(tmp_path / "csv" / "report.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["key", "value"]
-        assert all(len(row) == 2 for row in rows)
-        assert [k for k, _ in rows[1:]] == sorted(leaves)
-        for key, value in rows[1:]:
-            leaf = leaves[key]
-            assert (json.loads(value) if isinstance(leaf, list) else value) == (
-                leaf if isinstance(leaf, list) else repr(leaf)), key
-        # a nonempty list, whose JSON text holds commas: train's misclassified
-        # records, grow's internal error sequence
-        assert any(isinstance(v, list) and len(v) > 1 for v in leaves.values())
-
 
 @pytest.mark.parametrize("command", ("train", "grow"))
 def test_diverged_training_exit_2(sonar_path, balanced_split_path, tmp_path,
@@ -407,23 +356,6 @@ def test_diverged_training_exit_2(sonar_path, balanced_split_path, tmp_path,
     assert rc == 2
     assert capsys.readouterr().err == "error: non-finite state at epoch 1\n"
     assert not (tmp_path / "o").exists()
-
-
-class TestEmitReport:
-    REPORT = {"b": [1, 2.5, "x"], "a": {"z": 0.1, "y": {}, "x": "s"},
-              "c": True, "d": None, "e": {"f": {"g": -1.5e-20}}}
-
-    def test_csv_bytes(self, tmp_path):
-        assert _emit_report(self.REPORT, "csv", tmp_path, "r") == "r.csv"
-        assert (tmp_path / "r.csv").read_bytes() == (
-            b"key,value\na.x,'s'\na.z,0.1\nb,\"[1, 2.5, \"\"x\"\"]\"\nc,True\n"
-            b"d,None\ne.f.g,-1.5e-20\n")
-
-    def test_text_bytes(self, tmp_path):
-        assert _emit_report(self.REPORT, "text", tmp_path, "r") == "r.txt"
-        assert (tmp_path / "r.txt").read_bytes() == (
-            b"a.x: s\na.z: 0.1\nb: [1, 2.5, 'x']\nc: True\nd: None\n"
-            b"e.f.g: -1.5e-20\n")
 
 
 class TestJsonArtifacts:
@@ -536,6 +468,22 @@ class TestParser:
         assert run(["verify", "--dataset", str(sonar_path), "--split-file",
                     str(balanced_split_path)]) == 1
         assert "closest mode: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("train", "json"), ("grow", "text"), ("verify", "csv"),
+])
+def test_removed_formats_are_usage_errors(sonar_path, tmp_path, capsys,
+                                          command, fmt):
+    """train and grow take no --format, and verify's has no csv: each is
+    an argparse usage error that writes nothing."""
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        run([command, "--dataset", str(sonar_path), "--format", fmt,
+             "--out", str(out)])
+    assert info.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestVerify:
@@ -658,26 +606,25 @@ class TestReport:
         assert run(["report", str(p)]) == 0
         assert "temperature" in capsys.readouterr().out
 
-    def test_growth_and_csv_report_passthrough(self, tmp_path, capsys):
-        """grow's growth.csv and a --format csv report print verbatim."""
+    def test_growth_passthrough(self, tmp_path, capsys):
+        """grow's growth.csv prints verbatim."""
         buf = io.StringIO()
         GrowthTrace(units=[1, 0], output_attempts=[(1, 1), (2, 0)]).to_csv(buf)
         growth = tmp_path / "growth.csv"
         growth.write_text(buf.getvalue())
-        _emit_report({"part": "train", "training_errors": {"total": 0}},
-                     "csv", tmp_path, "report")
-        report = tmp_path / "report.csv"
-        assert run(["report", str(growth), str(report)]) == 0
+        assert run(["report", str(growth)]) == 0
         assert capsys.readouterr().out == (
-            f"{growth}:\n{growth.read_text().rstrip()}\n"
-            f"{report}:\n{report.read_text().rstrip()}\n")
+            f"{growth}:\n{growth.read_text().rstrip()}\n")
 
-    @pytest.mark.parametrize("command, fmt", [
-        ("verify", "csv"), ("verify", "text"), ("train", "text"), ("grow", "text"),
-    ], ids=["verify-csv", "verify-text", "train-text", "grow-text"])
+    @pytest.mark.parametrize("command, options, report", [
+        ("verify", ["--format", "json"], "verify.json"),
+        ("verify", [], "verify.txt"),
+        ("train", [], "report.json"),
+        ("grow", [], "report.json"),
+    ], ids=["verify-json", "verify-text", "train-json", "grow-json"])
     def test_cli_reports_print_verbatim(self, sonar_path, balanced_split_path,
                                         tmp_path, fast_cfg_path, capsys,
-                                        command, fmt):
+                                        command, options, report):
         """Every report that train, grow and verify write reads back
         verbatim, not as a malformed weight file."""
         from importlib import resources
@@ -689,9 +636,9 @@ class TestReport:
                 "grow": ["grow", "--dataset", str(xor), "--features", "2",
                          "--config", fast_cfg_path]}[command]
         out = tmp_path / "o"
-        assert run([*argv, "--format", fmt, "--out", str(out)]) == (
+        assert run([*argv, *options, "--out", str(out)]) == (
             1 if command == "verify" else 0)
-        report = out / f"{'verify' if command == 'verify' else 'report'}.{SUFFIX[fmt]}"
+        report = out / report
         capsys.readouterr()
         assert run(["report", str(report)]) == 0
         assert capsys.readouterr() == (

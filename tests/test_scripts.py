@@ -1,12 +1,28 @@
+import importlib.util
+import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import monoplane
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = Path(monoplane.__file__).resolve().parent.parent
+# the files each command writes into its --out directory on success
+OUTPUTS = {"train": {"weights.txt", "trace.csv", "report.json", "manifest.json"},
+           "grow": {"network.txt", "growth.csv", "report.json", "manifest.json"}}
+
+
+@pytest.fixture(scope="module")
+def artifact_hashes():
+    spec = importlib.util.spec_from_file_location(
+        "artifact_hashes", REPO / "scripts" / "artifact_hashes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def epoch_ab(parent_src, change_src):
@@ -37,3 +53,42 @@ def test_epoch_ab_exits_1_when_the_weights_differ(tmp_path):
     run = epoch_ab(SRC, tmp_path)
     assert run.returncode == 1
     assert "parity2: round 0: the trees differ in w" in run.stdout
+
+
+def test_artifact_hashes_compare_names_every_difference(artifact_hashes,
+                                                        tmp_path, capsys):
+    """compare exits 0 on equal files; a differing key, and a key in one
+    file only, are each named, and it exits 1."""
+    parent, change = tmp_path / "parent.json", tmp_path / "change.json"
+    parent.write_text(json.dumps({"a/exit": "0", "b/stdout": "1", "c/exit": "2"}))
+    change.write_text(json.dumps({"a/exit": "0", "b/stdout": "1", "c/exit": "2"}))
+    assert artifact_hashes.compare(parent, change) == 0
+    assert capsys.readouterr().out == "0 of 3 items differ\n"
+    change.write_text(json.dumps({"a/exit": "0", "b/stdout": "9", "d/exit": "3"}))
+    assert artifact_hashes.compare(parent, change) == 1
+    assert capsys.readouterr().out == (
+        "b/stdout: differs\n"
+        f"c/exit: only in {parent}\n"
+        f"d/exit: only in {change}\n"
+        "3 of 4 items differ\n")
+
+
+def test_artifact_hashes_report_runs_read_what_exists(artifact_hashes, tmp_path):
+    """Run names are unique, and every file a report run reads is an input
+    written into the scratch root or a file an earlier train or grow run
+    writes into its --out directory."""
+    runs = artifact_hashes.run_matrix()
+    names = [name for name, _ in runs]
+    assert len(set(names)) == len(names)
+    artifact_hashes.write_inputs(tmp_path)
+    written = {}
+    for name, argv in runs:
+        if argv[0] == "report":
+            paths = [a for a in argv[1:] if not a.startswith("--")]
+            assert paths, name
+            for path in paths:
+                run_dir, _, file = path.rpartition("/")
+                assert ((tmp_path / path).is_file()
+                        or file in written.get(run_dir, ())), (name, path)
+        elif argv[0] in OUTPUTS:
+            written[argv[argv.index("--out") + 1]] = OUTPUTS[argv[0]]
