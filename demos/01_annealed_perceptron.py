@@ -13,7 +13,6 @@ records.
 Run:  python demos/01_annealed_perceptron.py  [path/to/sonar.all-data]
 """
 
-import os
 import sys
 from pathlib import Path
 
@@ -28,9 +27,6 @@ HERE = Path(__file__).parent
 def dataset_path():
     if len(sys.argv) > 1:
         return sys.argv[1]
-    env = os.environ.get("MONOPLANE_DATA")
-    if env:
-        return env
     return HERE.parent / "tests" / "data" / "sonar.all-data"
 
 

@@ -12,7 +12,6 @@ rule are then trained on the learning part to compare generalization.
 Run:  python demos/03_sonar_separability.py  [path/to/sonar.all-data]
 """
 
-import os
 import sys
 from pathlib import Path
 
@@ -30,9 +29,6 @@ HERE = Path(__file__).parent
 def dataset_path():
     if len(sys.argv) > 1:
         return sys.argv[1]
-    env = os.environ.get("MONOPLANE_DATA")
-    if env:
-        return env
     return HERE.parent / "tests" / "data" / "sonar.all-data"
 
 

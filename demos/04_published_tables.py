@@ -16,7 +16,6 @@ The verification report makes the mismatch precise instead of hiding it.
 Run:  python demos/04_published_tables.py  [path/to/sonar.all-data]
 """
 
-import os
 import sys
 from pathlib import Path
 
@@ -31,9 +30,6 @@ HERE = Path(__file__).parent
 def dataset_path():
     if len(sys.argv) > 1:
         return sys.argv[1]
-    env = os.environ.get("MONOPLANE_DATA")
-    if env:
-        return env
     return HERE.parent / "tests" / "data" / "sonar.all-data"
 
 

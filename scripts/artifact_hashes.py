@@ -37,8 +37,9 @@ also run on edited copies of the sonar file written there: one malformed
 field, label or value each, one number that only Python's ``float`` reads
 (``0.1_5``, which the parser rejects) and one leading byte that is not
 UTF-8, so that every parser diagnostic is hashed, and one well-formed file
-in a loose layout. ``train --seed -1`` and ``grow --max-hidden 0`` hash
-the usage errors of a bad option value, ``train --any-range`` on a file of
+in a loose layout. ``train --seed -1`` hashes argparse's usage error for
+an option that train does not take, ``grow --max-hidden 0`` the usage
+error of a bad option value, ``train --any-range`` on a file of
 finite values whose mean overflows the error of non-finite statistics,
 ``train --any-range`` on a held-out value that standardizes to infinity
 the error naming that pattern, ``report`` on two weight files of different
@@ -77,8 +78,7 @@ ASSET_INPUTS = {"balanced.split": "splits/balanced.split", "xor.csv": "xor.csv"}
 XOR_CFG = ("t_initial=1.0\nt_min=1e-4\nt_decay=0.995\n"
            "learning_rate=0.05\nmax_epochs=3000\nseed=1\n")
 SONAR = ["--dataset", "sonar.all-data", "--split-file", "balanced.split"]
-XOR = ["grow", "--dataset", "xor.csv", "--features", "2", "--part", "all",
-       "--config", "xor.cfg"]
+XOR = ["grow", "--dataset", "xor.csv", "--part", "all", "--config", "xor.cfg"]
 # seeds of the random splits verify also runs on
 RANDOM_SPLIT_SEEDS = (1, 2, 3, 4)
 # bit counts of the parity problems grow also runs on
@@ -200,11 +200,9 @@ def run_matrix():
     # the default schedule, as perfbench's grow-toy workload runs it
     for n in PARITY_BITS:
         runs.append((f"grow-parity{n}", ["grow", "--dataset", f"parity{n}.csv",
-                                         "--features", str(n), "--part", "all",
-                                         "--out", f"grow-parity{n}"]))
+                                         "--part", "all", "--out", f"grow-parity{n}"]))
     runs.append(("grow-random-labels", ["grow", "--dataset", "random-labels.csv",
-                                        "--features", "3", "--part", "all",
-                                        "--any-range", "--out",
+                                        "--part", "all", "--any-range", "--out",
                                         "grow-random-labels"]))
     runs.append(("report", ["report", "train-train-json/weights.txt",
                             "train-test-json/weights.txt",
@@ -223,12 +221,11 @@ def run_matrix():
                                          "--split-file", "balanced.split",
                                          "--any-range", "--out", "train-nan-any-range"]))
     runs.append(("train-overflow-any-range",
-                 ["train", "--dataset", "overflow.csv", "--features", "2",
-                  "--any-range", "--part", "all",
-                  "--out", "train-overflow-any-range"]))
+                 ["train", "--dataset", "overflow.csv", "--any-range",
+                  "--part", "all", "--out", "train-overflow-any-range"]))
     runs.append(("train-standardize-overflow",
                  ["train", "--dataset", "held-out-overflow.csv", "--split-file",
-                  "held-out-overflow.split", "--features", "2", "--any-range",
+                  "held-out-overflow.split", "--any-range",
                   "--out", "train-standardize-overflow"]))
     runs.append(("report-underscore", ["report", "w-underscore.txt"]))
     runs.append(("train-config-duplicate", ["train", *SONAR, "--config",

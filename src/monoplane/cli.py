@@ -2,16 +2,17 @@
 
 A finished train or grow run, and verify with --out, writes a manifest
 that, together with the dataset bytes, fully determines every output byte:
-configuration snapshot, seed, dataset digest, split source, and the python
-and numpy versions it ran on. No timestamps, no machine identifiers. Exit
-codes are a stable contract: 0 success, 1 verification mismatch, 2 usage or
-I/O error, or a training run that diverged.
+configuration snapshot (the seed among it), dataset digest, split source,
+and the python and numpy versions it ran on. Every input has one source:
+--dataset, --split-file, --config and the options the manifest records. No
+timestamps, no machine identifiers. Exit codes are a stable contract: 0
+success, 1 verification mismatch, 2 usage or I/O error, or a training run
+that diverged.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -32,23 +33,12 @@ from .perceptron import (
     minimerror_train, save_weights, weights_to_table_text,
 )
 
-DATASET_ENV = "MONOPLANE_DATA"
-
 
 class UsageError(Exception):
     pass
 
 
-def _resolve_dataset(path_arg):
-    path = path_arg or os.environ.get(DATASET_ENV)
-    if not path:
-        raise UsageError(
-            f"no dataset: pass --dataset or set {DATASET_ENV}")
-    if not os.path.exists(path):
-        raise UsageError(f"dataset not found: {path}")
-    return path
-
-def _load_config(arg, seed):
+def _load_config(arg):
     if arg is None:
         cfg = TrainingConfig()
     elif arg == "separation":
@@ -60,11 +50,6 @@ def _load_config(arg, seed):
             cfg = TrainingConfig.from_file(arg)
         except ValueError as exc:
             raise UsageError(f"bad --config: {exc}") from None
-    if seed is not None:
-        try:
-            cfg = dataclasses.replace(cfg, seed=seed)
-        except ValueError as exc:
-            raise UsageError(f"bad --seed: {exc}") from None
     return cfg
 
 
@@ -76,13 +61,12 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _load_parts(args, n_features):
-    if n_features < 1:
-        raise UsageError(f"bad --features: need at least 1, got {n_features}")
-    path = _resolve_dataset(args.dataset)
+def _load_parts(args):
+    path = args.dataset
+    if not os.path.exists(path):
+        raise UsageError(f"dataset not found: {path}")
     patterns = dataio.load_file(
-        path, n_features=n_features,
-        require_unit_range=not getattr(args, "any_range", False))
+        path, require_unit_range=not getattr(args, "any_range", False))
     if args.split_file:
         if not os.path.exists(args.split_file):
             raise UsageError(f"split file not found: {args.split_file}")
@@ -118,7 +102,6 @@ def _manifest(args, command, dataset_path, split_source, config, outputs):
         "stats_from": getattr(args, "stats_from", None),
         "flip_labels": bool(getattr(args, "flip_labels", False)),
         "config": config.to_dict() if config is not None else None,
-        "seed": config.seed if config is not None else None,
         "format": getattr(args, "format", None),
         "outputs": sorted(outputs),
         "python": platform.python_version(),
@@ -141,8 +124,8 @@ def _prepare_run(args):
     """Shared prologue of train and grow: load and split the dataset, read
     the config, and standardize the selected part and its held-out
     counterpart. The output directory is created with the first artifact."""
-    path, patterns, train, test, split_source = _load_parts(args, args.features)
-    config = _load_config(args.config, args.seed)
+    path, patterns, train, test, split_source = _load_parts(args)
+    config = _load_config(args.config)
     learn_raw, eval_raw = {"train": (train, test), "test": (test, train),
                            "all": (patterns, patterns.take([]))}[args.part]
     if not learn_raw:
@@ -263,9 +246,12 @@ def _verify_text(report):
 
 
 def cmd_verify(args):
-    path, patterns, train, test, split_source = _load_parts(args, 60)
+    path, patterns, train, test, split_source = _load_parts(args)
     if not train or not test:
         raise UsageError("verification needs both a train and a test part")
+    if patterns.X.shape[1] != 60:
+        raise UsageError(f"verification needs 60 features per pattern, "
+                         f"{path} has {patterns.X.shape[1]}")
     report = verify_published(train, test, flip_labels=args.flip_labels)
 
     if args.format == "json":
@@ -329,7 +315,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p, with_training=True):
-        p.add_argument("--dataset", help=f"benchmark CSV (default ${DATASET_ENV})")
+        p.add_argument("--dataset", required=True, help="benchmark CSV")
         p.add_argument("--split-file", help="[train]/[test] section file of 1-based indices")
         p.add_argument("--flip-labels", action="store_true",
                        help="swap the +-1 class mapping")
@@ -340,9 +326,6 @@ def build_parser():
             p.add_argument("--config",
                            help="key=value config file, or 'separation' for the "
                                 "full-separation schedule")
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--features", type=int, default=60,
-                           help="feature count per line (60 for the benchmark)")
             p.add_argument("--any-range", action="store_true",
                            help="accept feature values outside [0,1]")
             p.add_argument("--out", default="out", help="output directory")

@@ -137,11 +137,13 @@ class SplitSpec:
     test_indices: frozenset
 
 
-def parse_sonar_file(lines, n_features=60, require_unit_range=True):
+def parse_sonar_file(lines, require_unit_range=True):
     """Parse a benchmark text stream into a RawSet numbered in file order.
 
     ``lines`` is a string or any iterable of text lines (an open file works).
-    Blank lines are skipped. Three passes each raise ParseError at the first
+    Blank lines are skipped. The comma count of the first line is the
+    feature count that every line must have; a first line with no value
+    before its label raises. Three passes each raise ParseError at the first
     line that fails them, by 1-based number: the field count and the class
     label of every line, then the numbers, then the values. A value outside
     [0, 1] raises unless ``require_unit_range`` is False, which permits
@@ -153,10 +155,14 @@ def parse_sonar_file(lines, n_features=60, require_unit_range=True):
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
-    linenos, body, taus = [], [], []
+    n_features, linenos, body, taus = None, [], [], []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        if n_features is None:
+            n_features = line.count(",")
+            if not n_features:
+                raise ParseError(f"line {lineno}: no value before the label")
         # usecols ignores extra fields, so the comma count is the field check
         if line.count(",") != n_features:
             raise ParseError(
@@ -171,7 +177,7 @@ def parse_sonar_file(lines, n_features=60, require_unit_range=True):
         body.append(line)
         taus.append(tau)
     try:  # loadtxt warns on no data
-        X = _read_values(body, n_features) if body else np.empty((0, n_features))
+        X = _read_values(body, n_features) if body else np.empty((0, 0))
     except ValueError:
         raise _rejection(linenos, body, n_features) from None
     # NaN fails both comparisons; argmin finds the first failure in row order
@@ -222,9 +228,8 @@ def read_number(token, cast=float):
                      else f"could not convert string to float: {token!r}")
 
 
-def load_file(path, n_features=60, require_unit_range=True):
-    return _load(parse_sonar_file, path, n_features=n_features,
-                 require_unit_range=require_unit_range)
+def load_file(path, require_unit_range=True):
+    return _load(parse_sonar_file, path, require_unit_range=require_unit_range)
 
 
 def _load(parse, path, **kwargs):

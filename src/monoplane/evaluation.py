@@ -80,9 +80,9 @@ def evaluate(classifier: WeightVector, patterns):
     the ``train`` report prints as ``generalization``: ``set_size``,
     ``counts`` as ``total``, ``false_pos`` and ``false_neg`` (``count_errors``'
     triple, in that order), ``error_fraction`` (percent misclassified to one
-    decimal), one ``records`` entry per misclassified pattern in
-    pattern-number order (its ``mu``, ``field`` under the classifier and
-    ``tau``, and a null ``gamma_reference``), and empty ``cosines``."""
+    decimal), and one ``records`` entry per misclassified pattern in
+    pattern-number order: its ``mu``, ``field`` under the classifier and
+    ``tau``."""
     f, tau, mu = field(classifier, patterns.Xi), patterns.tau, patterns.mu
     wrong = np.flatnonzero(tau * f <= 0.0)
     wrong = wrong[np.argsort(mu[wrong], kind="stable")]
@@ -91,12 +91,8 @@ def evaluate(classifier: WeightVector, patterns):
         "set_size": len(tau),
         "counts": {"total": total, "false_pos": false_pos, "false_neg": false_neg},
         "error_fraction": round(100.0 * total / max(len(tau), 1), 1),
-        "records": [
-            {"i": i, "mu": m, "field": fl, "gamma_reference": None, "tau": t}
-            for i, (m, fl, t) in enumerate(zip(
-                mu[wrong].tolist(), f[wrong].tolist(), tau[wrong].tolist()), start=1)
-        ],
-        "cosines": {},
+        "records": [{"mu": m, "field": fl, "tau": t} for m, fl, t in zip(
+            mu[wrong].tolist(), f[wrong].tolist(), tau[wrong].tolist())],
     }
 
 

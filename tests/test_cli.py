@@ -34,37 +34,40 @@ def run(args):
 
 
 class TestTrain:
-    def test_missing_dataset_exit_2(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("MONOPLANE_DATA", raising=False)
-        assert run(["train", "--dataset", str(tmp_path / "nope.csv"),
+    def test_missing_dataset_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nope.csv"
+        assert run(["train", "--dataset", str(path),
                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: dataset not found: {path}\n"
 
-    def test_no_dataset_anywhere_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("MONOPLANE_DATA", raising=False)
-        assert run(["train", "--out", str(tmp_path / "o")]) == 2
-        assert "MONOPLANE_DATA" in capsys.readouterr().err
-
-    def test_env_var_fallback(self, sonar_path, balanced_split_path, tmp_path,
-                              monkeypatch, fast_cfg_path):
+    def test_no_dataset_anywhere_exit_2(self, sonar_path, tmp_path, capsys,
+                                        monkeypatch):
+        """--dataset is the one source of the dataset: without it, a command
+        is an argparse usage error that writes nothing, whatever
+        ``$MONOPLANE_DATA`` holds."""
         monkeypatch.setenv("MONOPLANE_DATA", str(sonar_path))
         out = tmp_path / "o"
-        assert run(["train", "--split-file", str(balanced_split_path),
-                    "--config", fast_cfg_path, "--out", str(out)]) == 0
-        assert (out / "weights.txt").exists()
+        for command in ("train", "verify"):
+            with pytest.raises(SystemExit) as info:
+                run([command, "--out", str(out)])
+            assert info.value.code == 2
+            assert "--dataset" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_artifacts_and_manifest(self, sonar_path, balanced_split_path,
-                                    tmp_path, fast_cfg_path):
+                                    tmp_path):
+        cfg = tmp_path / "seed3.cfg"
+        cfg.write_text(FAST_CFG + "seed=3\n")
         out = tmp_path / "o"
         rc = run(["train", "--dataset", str(sonar_path),
                   "--split-file", str(balanced_split_path),
-                  "--config", fast_cfg_path, "--seed", "3",
-                  "--out", str(out)])
+                  "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         for name in ("weights.txt", "trace.csv", "report.json", "manifest.json"):
             assert (out / name).exists(), name
         m = json.loads((out / "manifest.json").read_text())
         assert m["command"] == "train"
-        assert m["seed"] == 3
+        assert m["config"]["seed"] == 3 and "seed" not in m
         assert m["config"]["max_epochs"] == 2000
         assert len(m["dataset_sha256"]) == 64
         assert m["python"] == platform.python_version()
@@ -118,8 +121,8 @@ class TestTrain:
         xor = resources.files("monoplane.assets").joinpath("xor.csv")
         argvs = {"train": ["train", "--dataset", str(sonar_path), "--split-file",
                            str(balanced_split_path), "--config", str(cfg)],
-                 "grow": ["grow", "--dataset", str(xor), "--features", "2",
-                          "--part", "all", "--config", str(cfg)]}
+                 "grow": ["grow", "--dataset", str(xor), "--part", "all",
+                          "--config", str(cfg)]}
         for command, argv in argvs.items():
             for sub, flip in (("a", []), ("b", ["--flip-labels"])):
                 assert run([*argv, *flip, "--out", str(tmp_path / command / sub)]) == 0
@@ -145,10 +148,11 @@ class TestTrain:
 
     def test_malformed_dataset_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("0.1,0.2,R\n")
+        bad.write_text("0.1,0.2,R\n0.3,M\n")
         assert run(["train", "--dataset", str(bad),
                     "--out", str(tmp_path / "o")]) == 2
-        assert "expected 60 values" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: line 2: expected 2 values plus a label, got 2 fields\n")
 
     @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
     def test_non_finite_feature_exit_2(self, tmp_path, capsys, value):
@@ -156,8 +160,8 @@ class TestTrain:
         data = tmp_path / "bad.csv"
         data.write_text(f"0.1,{value},R\n0.3,0.4,M\n")
         out = tmp_path / "o"
-        assert run(["train", "--dataset", str(data), "--features", "2",
-                    "--any-range", "--part", "all", "--out", str(out)]) == 2
+        assert run(["train", "--dataset", str(data), "--any-range",
+                    "--part", "all", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 1: feature 2 ") and "not finite" in err
         assert not out.exists()
@@ -169,8 +173,8 @@ class TestTrain:
         data = tmp_path / "big.csv"
         data.write_text("1e308,0.5,R\n1e308,0.25,M\n-1e308,0.75,R\n1e308,0.1,M\n")
         out = tmp_path / "o"
-        assert run([command, "--dataset", str(data), "--features", "2",
-                    "--any-range", "--part", "all", "--out", str(out)]) == 2
+        assert run([command, "--dataset", str(data), "--any-range",
+                    "--part", "all", "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", "error: feature(s) 1: mean or scale is not finite\n")
         assert not out.exists()
@@ -185,7 +189,7 @@ class TestTrain:
         split_file.write_text("[train]\n1\n2\n3\n[test]\n4\n")
         out = tmp_path / "o"
         assert run([command, "--dataset", str(data), "--split-file", str(split_file),
-                    "--features", "2", "--any-range", "--out", str(out)]) == 2
+                    "--any-range", "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", "error: pattern mu=4: feature 1 value "
                                        "1e+308 does not standardize to a finite number\n")
         assert not out.exists()
@@ -198,12 +202,13 @@ class TestTrain:
                              "int() with base 10: '1e5'"),
         ("seed = true", "bad.cfg:6: bad seed: invalid literal for int() "
                         "with base 10: 'true'"),
+        ("seed = -1", "bad --config: need seed >= 0"),
         ("max_epochs = 1_000", "bad.cfg:6: bad max_epochs: invalid literal for "
                                "int() with base 10: '1_000'"),
         ("t_initial = \u0663", "bad.cfg:6: bad t_initial: could not convert "
                                "string to float: '\u0663'"),
     ], ids=["unknown-key", "bad-value", "non-finite", "bad-int", "bad-seed",
-            "underscore-int", "non-ascii-float"])
+            "negative-seed", "underscore-int", "non-ascii-float"])
     def test_bad_config_file_exit_2(self, sonar_path, tmp_path, capsys,
                                     line, message):
         # the line under test sets its key once: FAST_CFG's line for that
@@ -231,15 +236,6 @@ class TestTrain:
         assert capsys.readouterr() == (
             "", f"error: bad --config: {cfg}:2: duplicate config key 'max_epochs'\n")
         assert not out.exists()
-
-    @pytest.mark.parametrize("command", ("train", "grow"))
-    def test_negative_seed_exit_2(self, sonar_path, tmp_path, capsys, command):
-        out = tmp_path / "o"
-        assert run([command, "--dataset", str(sonar_path), "--seed", "-1",
-                    "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: bad --seed: need seed >= 0\n"
-        assert not out.exists()
-
 
     @pytest.mark.parametrize("scale", ("std", "variance"))
     @pytest.mark.parametrize("stats_from", ("part", "all"))
@@ -275,17 +271,6 @@ class TestTrain:
                     "--split-file", str(paths["split"]), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: {paths[bad]}: not a UTF-8 text file\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ("train", "grow"))
-    @pytest.mark.parametrize("features", ("0", "-1"))
-    def test_features_below_one_exit_2(self, sonar_path, tmp_path, capsys,
-                                       command, features):
-        out = tmp_path / "o"
-        assert run([command, "--dataset", str(sonar_path), "--features",
-                    features, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: bad --features: need at least 1, got {features}\n")
         assert not out.exists()
 
 
@@ -370,8 +355,8 @@ class TestJsonArtifacts:
             (["train", "--dataset", str(sonar_path), "--split-file",
               str(balanced_split_path), "--config", fast_cfg_path],
              0, "report.json"),
-            (["grow", "--dataset", str(xor), "--features", "2", "--part",
-              "all", "--config", fast_cfg_path], 0, "report.json"),
+            (["grow", "--dataset", str(xor), "--part", "all",
+              "--config", fast_cfg_path], 0, "report.json"),
             (["verify", "--dataset", str(sonar_path), "--split-file",
               str(balanced_split_path), "--format", "json"], 1, "verify.json"),
         ]
@@ -395,8 +380,8 @@ class TestGrow:
         cfg.write_text("t_initial=1.0\nt_min=1e-4\nt_decay=0.995\n"
                        "learning_rate=0.05\nmax_epochs=3000\nseed=1\n")
         out = tmp_path / "o"
-        rc = run(["grow", "--dataset", str(xor), "--features", "2",
-                  "--part", "all", "--config", str(cfg), "--out", str(out)])
+        rc = run(["grow", "--dataset", str(xor), "--part", "all",
+                  "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["hidden_units"] == 2
@@ -410,8 +395,8 @@ class TestGrow:
         cfg = tmp_path / "xor.cfg"
         cfg.write_text("t_initial=1.0\nt_min=1e-4\nt_decay=0.995\n"
                        "learning_rate=0.05\nmax_epochs=3000\nseed=1\n")
-        rc = run(["grow", "--dataset", str(xor), "--features", "2",
-                  "--part", "all", "--config", str(cfg), "--max-hidden", "1",
+        rc = run(["grow", "--dataset", str(xor), "--part", "all",
+                  "--config", str(cfg), "--max-hidden", "1",
                   "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "stall" in capsys.readouterr().err.lower()
@@ -421,8 +406,8 @@ class TestGrow:
         from importlib import resources
         xor = resources.files("monoplane.assets").joinpath("xor.csv")
         out = tmp_path / "o"
-        rc = run(["grow", "--dataset", str(xor), "--features", "2",
-                  "--part", "all", "--max-hidden", cap, "--out", str(out)])
+        rc = run(["grow", "--dataset", str(xor), "--part", "all",
+                  "--max-hidden", cap, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: bad --max-hidden: need max_hidden >= 1, got {cap}\n")
@@ -452,17 +437,17 @@ class TestParser:
         common = ["train", "--dataset", str(sonar_path),
                   "--split-file", str(balanced_split_path),
                   "--config", fast_cfg_path]
-        assert run([*common, "--seed", "3", "--out", str(tmp_path / "a")]) == 0
+        assert run([*common, "--part", "test", "--out", str(tmp_path / "a")]) == 0
         assert run([*common, "--out", str(tmp_path / "b")]) == 0
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-        # no --seed: the config's own seed, not the previous call's
-        assert manifest["seed"] == manifest["config"]["seed"] == 0
-        assert build_parser().parse_args(["train"]).seed is None
+        # no --part: the default part, not the previous call's
+        assert manifest["part"] == "train"
+        assert build_parser().parse_args(["train", "--dataset", "x"]).part == "train"
 
     def test_usage_error_then_valid_call(self, sonar_path, balanced_split_path,
                                          capsys):
         with pytest.raises(SystemExit) as info:
-            run(["verify", "--bogus"])
+            run(["verify", "--dataset", str(sonar_path), "--bogus"])
         assert info.value.code == 2
         assert "--bogus" in capsys.readouterr().err
         assert run(["verify", "--dataset", str(sonar_path), "--split-file",
@@ -484,6 +469,44 @@ def test_removed_formats_are_usage_errors(sonar_path, tmp_path, capsys,
     assert info.value.code == 2
     assert "--format" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("grow", "--features", "2"), ("train", "--seed", "1"),
+])
+def test_removed_inputs_are_usage_errors(sonar_path, tmp_path, capsys,
+                                         command, option, value):
+    """train and grow take no --features (the first line sets the width)
+    and no --seed (the config file sets it): each is an argparse usage
+    error that writes nothing."""
+    from importlib import resources
+    xor = resources.files("monoplane.assets").joinpath("xor.csv")
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        run([command, "--dataset", str(xor if command == "grow" else sonar_path),
+             option, value, "--part", "all", "--out", str(out)])
+    assert info.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+
+def test_width_comes_from_the_file(sonar_path, tmp_path, capsys, fast_cfg_path):
+    """On the sonar file less its first feature, train learns at width 59,
+    and verify, which reads the benchmark's 60 features, names the width
+    rather than a line."""
+    data = tmp_path / "sonar59.csv"
+    data.write_text("".join(line.split(",", 1)[1] + "\n"
+                            for line in sonar_path.read_text().splitlines()))
+    train_out, verify_out = tmp_path / "train", tmp_path / "verify"
+    assert run(["train", "--dataset", str(data), "--part", "all",
+                "--config", fast_cfg_path, "--out", str(train_out)]) == 0
+    assert len(load_weights((train_out / "weights.txt").read_text())) == 60
+    capsys.readouterr()
+    assert run(["verify", "--dataset", str(data), "--out", str(verify_out)]) == 2
+    assert capsys.readouterr() == ("", "error: verification needs 60 features "
+                                   f"per pattern, {data} has 59\n")
+    assert not verify_out.exists()
 
 
 class TestVerify:
@@ -633,8 +656,8 @@ class TestReport:
                            str(balanced_split_path)],
                 "train": ["train", "--dataset", str(sonar_path), "--split-file",
                           str(balanced_split_path), "--config", fast_cfg_path],
-                "grow": ["grow", "--dataset", str(xor), "--features", "2",
-                         "--config", fast_cfg_path]}[command]
+                "grow": ["grow", "--dataset", str(xor), "--config",
+                         fast_cfg_path]}[command]
         out = tmp_path / "o"
         assert run([*argv, *options, "--out", str(out)]) == (
             1 if command == "verify" else 0)

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,10 +44,11 @@ def _reference_float(p):
 
 
 def _reference_parse(lines, n_features=60, require_unit_range=True):
-    """The line-at-a-time parser that ``parse_sonar_file`` must agree with:
-    the same RawSet bits, or a ParseError with the same text. Each pass
-    names the first line that fails it: the field count and the label, then
-    the numbers, then the values."""
+    """The line-at-a-time parser that ``parse_sonar_file`` must agree with
+    on a file whose first line has ``n_features`` values: the same RawSet
+    bits, or a ParseError with the same text. Each pass names the first line
+    that fails it: the field count and the label, then the numbers, then the
+    values."""
     if isinstance(lines, str):
         lines = lines.splitlines()
     body = []
@@ -54,6 +56,8 @@ def _reference_parse(lines, n_features=60, require_unit_range=True):
         line = line.strip()
         if not line:
             continue
+        if not n_features:
+            raise ParseError(f"line {lineno}: no value before the label")
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != n_features + 1:
             raise ParseError(
@@ -105,7 +109,8 @@ _BAD_VALUE = st.one_of(
 @st.composite
 def _sonar_file(draw):
     """(lines, n_features): a well-formed benchmark file with blank
-    lines mixed in, then at most one defect in one of its pattern lines."""
+    lines mixed in, then at most one defect in one of its pattern lines;
+    ``n_features`` is the value count of its first pattern line."""
     n = draw(st.one_of(st.integers(1, 6), st.just(60)))
     # a row repeats up to 6 drawn cells, which keeps 60-feature files cheap
     cells = st.lists(st.tuples(_PAD, _VALUE, _PAD).map("".join),
@@ -132,17 +137,17 @@ def _sonar_file(draw):
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["", " ", "\t", "  \t "])))
-    return lines, n
+    return lines, len(rows[0][0]) if rows else 0
 
 
-def _outcome(parse, lines, kind, n, require_unit_range):
+def _outcome(parse, lines, kind, require_unit_range):
     """A parse of ``lines`` passed as a str, a list or an open file, as
     comparable values: the RawSet's bits or the ParseError's text."""
     source = {"str": lambda: "\n".join(lines),
               "list": lambda: list(lines),
               "file": lambda: io.StringIO("".join(f"{line}\n" for line in lines))}[kind]()
     try:
-        raw = parse(source, n_features=n, require_unit_range=require_unit_range)
+        raw = parse(source, require_unit_range=require_unit_range)
     except ParseError as exc:
         return "ParseError", str(exc)
     return (raw.X.shape, raw.X.dtype, raw.X.view(np.int64).tolist(),
@@ -161,9 +166,15 @@ class TestParse:
 
     @pytest.mark.filterwarnings("error")
     def test_empty_file(self):
+        """A file with no pattern line has width 0."""
         for text in ("", "\n\n"):
             raw = parse_sonar_file(text)
-            assert len(raw) == 0 and raw.X.shape == (0, 60)
+            assert len(raw) == 0 and raw.X.shape == (0, 0)
+
+    def test_bare_labels_name_line_1(self):
+        with pytest.raises(ParseError) as info:
+            parse_sonar_file("R\nM\n")
+        assert str(info.value) == "line 1: no value before the label"
 
     def test_wrong_arity_names_line(self):
         good = ",".join(["0.1"] * 60) + ",R"
@@ -217,9 +228,9 @@ class TestParse:
             lines = good[:2] + [",".join(values)] + good[:1]
             for require_unit_range in (True, False):
                 for kind in ("str", "list", "file"):
-                    assert (_outcome(parse_sonar_file, lines, kind, 3, require_unit_range)
-                            == _outcome(_reference_parse, lines, kind, 3,
-                                        require_unit_range))
+                    assert (_outcome(parse_sonar_file, lines, kind, require_unit_range)
+                            == _outcome(partial(_reference_parse, n_features=3),
+                                        lines, kind, require_unit_range))
 
     @pytest.mark.parametrize("lines, message", [
         (["abc,0.5,R", "0.5,0.5,Q"], "line 2: unknown class label 'Q'"),
@@ -232,9 +243,9 @@ class TestParse:
     def test_each_pass_names_its_first_line(self, lines, message):
         """A later line's defect is named first when an earlier pass checks
         it: fields and labels, then numbers, then values."""
-        for parse in (parse_sonar_file, _reference_parse):
+        for parse in (parse_sonar_file, partial(_reference_parse, n_features=2)):
             with pytest.raises(ParseError) as info:
-                parse(lines, n_features=2)
+                parse(lines)
             assert str(info.value) == message
 
     @pytest.mark.parametrize("token", ["0.1_5", "\u0660.5", "1\u0663"])
@@ -243,7 +254,7 @@ class TestParse:
         Python's float reads them."""
         float(token)
         with pytest.raises(ParseError) as info:
-            parse_sonar_file(["0.25,0.5,R", f"0.5,{token},M"], n_features=2)
+            parse_sonar_file(["0.25,0.5,R", f"0.5,{token},M"])
         assert str(info.value) == (f"line 2: unparseable number (could not "
                                    f"convert string to float: {token!r})")
 
@@ -251,7 +262,7 @@ class TestParse:
         """A list item that holds a line break inside its label field passes
         the label check, and the reader's rejection still names it."""
         with pytest.raises(ParseError, match=r"^line 2: .*embedded newline"):
-            parse_sonar_file(["0.25,0.5,R", "0.5,0.5,\nM"], n_features=2)
+            parse_sonar_file(["0.25,0.5,R", "0.5,0.5,\nM"])
 
     @settings(max_examples=200, deadline=None)
     @given(case=_sonar_file(), kind=st.sampled_from(["str", "list", "file"]),
@@ -260,11 +271,12 @@ class TestParse:
         """Every file gives the reference loop's RawSet bits or ParseError
         text."""
         lines, n = case
-        assert (_outcome(parse_sonar_file, lines, kind, n, require_unit_range)
-                == _outcome(_reference_parse, lines, kind, n, require_unit_range))
+        assert (_outcome(parse_sonar_file, lines, kind, require_unit_range)
+                == _outcome(partial(_reference_parse, n_features=n), lines, kind,
+                            require_unit_range))
 
     @pytest.mark.parametrize("load", [
-        lambda path: load_file(path, n_features=2), load_split_file])
+        lambda path: load_file(path), load_split_file])
     def test_non_utf8_file_named(self, tmp_path, load):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"\xff[train]\n1\n0.5,0.5,R\n")
@@ -370,8 +382,7 @@ class TestSplitFile:
         rows = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
                                   min_size=P, max_size=P))
         labels = data.draw(st.lists(st.sampled_from("RM"), min_size=P, max_size=P))
-        raw = parse_sonar_file(_toy_lines([[*r, lab] for r, lab in zip(rows, labels)]),
-                               n_features=n)
+        raw = parse_sonar_file(_toy_lines([[*r, lab] for r, lab in zip(rows, labels)]))
         source = np.array(rows, dtype=float)
         for part, name in zip(split(raw, spec), ("train", "test")):
             assert part.mu.tolist() == want[name]
@@ -445,7 +456,7 @@ class TestStats:
         """A sum past the float64 range is an error, not an inf scale."""
         pats = parse_sonar_file("1e308,0.5,R\n1e308,0.25,M\n"
                                 "-1e308,0.75,R\n1e308,0.1,M\n",
-                                n_features=2, require_unit_range=False)
+                                require_unit_range=False)
         with pytest.raises(StatsError, match=r"^feature\(s\) 1: mean or "
                                              r"scale is not finite$"):
             compute_stats(pats, mode=mode)

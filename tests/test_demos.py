@@ -19,7 +19,6 @@ def run_demo(name, monkeypatch, capsys):
     if name in _STDOUT:
         return _STDOUT[name]
     monkeypatch.setattr(sys, "argv", [name])
-    monkeypatch.delenv("MONOPLANE_DATA", raising=False)
     try:
         runpy.run_path(str(DEMOS / name), run_name="__main__")
     except SystemExit as exc:
