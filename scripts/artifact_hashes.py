@@ -19,7 +19,7 @@ the parsed object because ``NaN != NaN``. Run it once with each of two
 checkouts on ``PYTHONPATH``, then ``--compare`` the two files: it prints
 each key whose hash differs or that only one file has, and a count, and
 exits 1 if there is any, so exit 0 means equal exit codes, streams and
-artifacts. The matrix gives 344 items.
+artifacts. The matrix gives 347 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests and
@@ -38,7 +38,8 @@ field, label or value each, one number that only Python's ``float`` reads
 (``0.1_5``, which the parser rejects) and one leading byte that is not
 UTF-8, so that every parser diagnostic is hashed, and one well-formed file
 in a loose layout. ``train --seed -1`` hashes argparse's usage error for
-an option that train does not take, ``grow --max-hidden 0`` the usage
+an option that train does not take, ``train`` without a split file the
+error of a part that needs one, ``grow --max-hidden 0`` the usage
 error of a bad option value, ``train --any-range`` on a file of
 finite values whose mean overflows the error of non-finite statistics,
 ``train --any-range`` on a held-out value that standardizes to infinity
@@ -183,6 +184,8 @@ def run_matrix():
                             "separation", "--out", name]))
     runs.append(("train-seed-negative", ["train", *SONAR, "--seed", "-1",
                                          "--out", "train-seed-negative"]))
+    runs.append(("train-no-split", ["train", "--dataset", "sonar.all-data",
+                                    "--out", "train-no-split"]))
     splits = {"": "balanced.split",
               **{f"random{s}-": f"random{s}.split" for s in RANDOM_SPLIT_SEEDS}}
     for prefix, split_file in splits.items():

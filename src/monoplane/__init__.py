@@ -10,9 +10,8 @@ into the ``monoplane`` command.
 
 from .data import (
     LabeledPattern, ParseError, PatternSet, RawPattern, RawSet, SplitError,
-    SplitSpec, StandardizationStats, StatsError, compute_stats, default_split,
-    load_file, load_split_file, parse_sonar_file, parse_split_file, split,
-    standardize,
+    SplitSpec, StandardizationStats, StatsError, compute_stats, load_file,
+    load_split_file, parse_sonar_file, parse_split_file, split, standardize,
 )
 from .evaluation import (
     SeparabilityVerdict, cosine, evaluate, load_published_table,

@@ -62,21 +62,23 @@ def _sha256(path):
 
 
 def _load_parts(args):
-    path = args.dataset
-    if not os.path.exists(path):
-        raise UsageError(f"dataset not found: {path}")
+    """The dataset, and its train and test parts as the split file divides
+    it. Only a run that learns ``--part all`` needs no split file; its
+    parts are then None."""
+    if not os.path.exists(args.dataset):
+        raise UsageError(f"dataset not found: {args.dataset}")
     patterns = dataio.load_file(
-        path, require_unit_range=not getattr(args, "any_range", False))
-    if args.split_file:
-        if not os.path.exists(args.split_file):
-            raise UsageError(f"split file not found: {args.split_file}")
-        spec = dataio.load_split_file(args.split_file)
-        split_source = args.split_file
-    else:
-        spec = dataio.default_split(patterns)
-        split_source = "default(mu<=104)"
-    train, test = dataio.split(patterns, spec)
-    return path, patterns, train, test, split_source
+        args.dataset, require_unit_range=not getattr(args, "any_range", False))
+    part = getattr(args, "part", None)
+    if not args.split_file:
+        if part == "all":
+            return patterns, None, None
+        raise UsageError((f"--part {part}" if part else "verify")
+                         + " needs a --split-file")
+    if not os.path.exists(args.split_file):
+        raise UsageError(f"split file not found: {args.split_file}")
+    spec = dataio.load_split_file(args.split_file)
+    return (patterns, *dataio.split(patterns, spec))
 
 
 def _create(path: Path):
@@ -91,15 +93,13 @@ def _write(path: Path, text: str):
         fh.write(text)
 
 
-def _manifest(args, command, dataset_path, split_source, config, outputs):
+def _manifest(args, command, config, outputs):
     m = {
         "command": command,
-        "dataset": str(dataset_path),
-        "dataset_sha256": _sha256(dataset_path),
-        "split_source": split_source,
+        "dataset": args.dataset,
+        "dataset_sha256": _sha256(args.dataset),
+        "split_source": args.split_file,
         "part": getattr(args, "part", None),
-        "scale": getattr(args, "scale", None),
-        "stats_from": getattr(args, "stats_from", None),
         "flip_labels": bool(getattr(args, "flip_labels", False)),
         "config": config.to_dict() if config is not None else None,
         "format": getattr(args, "format", None),
@@ -123,22 +123,22 @@ def _blas_build():
 def _prepare_run(args):
     """Shared prologue of train and grow: load and split the dataset, read
     the config, and standardize the selected part and its held-out
-    counterpart. The output directory is created with the first artifact."""
-    path, patterns, train, test, split_source = _load_parts(args)
+    counterpart, both in the coordinates of the selected part. The output
+    directory is created with the first artifact."""
+    patterns, train, test = _load_parts(args)
     config = _load_config(args.config)
     learn_raw, eval_raw = {"train": (train, test), "test": (test, train),
                            "all": (patterns, patterns.take([]))}[args.part]
     if not learn_raw:
         raise UsageError(f"part {args.part!r} selects no patterns")
-    stats = dataio.compute_stats(
-        patterns if args.stats_from == "all" else learn_raw, mode=args.scale)
+    stats = dataio.compute_stats(learn_raw)
     learn, evalp = (dataio.standardize(part, stats, flip_labels=args.flip_labels)
                     for part in (learn_raw, eval_raw))
-    return path, split_source, config, learn, evalp, Path(args.out)
+    return config, learn, evalp, Path(args.out)
 
 
 def cmd_train(args):
-    path, split_source, config, learn, evalp, out_dir = _prepare_run(args)
+    config, learn, evalp, out_dir = _prepare_run(args)
     w, trace = minimerror_train(learn, config)
 
     with _create(out_dir / "weights.txt") as fh:
@@ -161,7 +161,7 @@ def cmd_train(args):
     _write(out_dir / "report.json", json.dumps(report, sort_keys=True) + "\n")
 
     _write(out_dir / "manifest.json",
-           _manifest(args, "train", path, split_source, config, outputs))
+           _manifest(args, "train", config, outputs))
     print(f"train: {report['training_errors']['total']}/{len(learn)} training errors"
           + (f", eps_g = {report['generalization']['error_fraction']:.1f}%"
              if evalp else " (no generalization part)"))
@@ -169,7 +169,7 @@ def cmd_train(args):
 
 
 def cmd_grow(args):
-    path, split_source, config, learn, evalp, out_dir = _prepare_run(args)
+    config, learn, evalp, out_dir = _prepare_run(args)
     if args.max_hidden is not None and args.max_hidden < 1:
         raise UsageError(
             f"bad --max-hidden: need max_hidden >= 1, got {args.max_hidden}")
@@ -203,7 +203,7 @@ def cmd_grow(args):
     _write(out_dir / "report.json", json.dumps(report, sort_keys=True) + "\n")
 
     _write(out_dir / "manifest.json",
-           _manifest(args, "grow", path, split_source, config, outputs))
+           _manifest(args, "grow", config, outputs))
     print(f"grow: H={len(model.hidden)}, {train_errs}/{len(learn)} training errors")
     return 0
 
@@ -246,12 +246,12 @@ def _verify_text(report):
 
 
 def cmd_verify(args):
-    path, patterns, train, test, split_source = _load_parts(args)
+    patterns, train, test = _load_parts(args)
     if not train or not test:
         raise UsageError("verification needs both a train and a test part")
     if patterns.X.shape[1] != 60:
         raise UsageError(f"verification needs 60 features per pattern, "
-                         f"{path} has {patterns.X.shape[1]}")
+                         f"{args.dataset} has {patterns.X.shape[1]}")
     report = verify_published(train, test, flip_labels=args.flip_labels)
 
     if args.format == "json":
@@ -263,7 +263,7 @@ def cmd_verify(args):
         out_dir = Path(args.out)
         _write(out_dir / name, text)
         _write(out_dir / "manifest.json",
-               _manifest(args, "verify", path, split_source, None, [name]))
+               _manifest(args, "verify", None, [name]))
     sys.stdout.write(text)
     return 0 if report["reproduced"] else 1
 
@@ -321,8 +321,6 @@ def build_parser():
                        help="swap the +-1 class mapping")
         if with_training:
             p.add_argument("--part", choices=("train", "test", "all"), default="train")
-            p.add_argument("--scale", choices=("std", "variance"), default="std")
-            p.add_argument("--stats-from", choices=("part", "all"), default="part")
             p.add_argument("--config",
                            help="key=value config file, or 'separation' for the "
                                 "full-separation schedule")

@@ -2,19 +2,19 @@
 
 The benchmark file is plain CSV: 60 reals in [0, 1] followed by a class token
 (R for rock, M for mine), one pattern per line. A file is read into one
-``RawSet``, its patterns numbered mu = 1..n in file order. The default division
-sends mu 1..104 to the learning part and mu 105..208 to the generalization part;
-a split file with ``[train]`` / ``[test]`` sections overrides that when the
-distribution order differs.
+``RawSet``, its patterns numbered mu = 1..n in file order. A division into a
+learning and a generalization part comes only from a split file, whose
+``[train]`` / ``[test]`` sections list the mu of each part.
 
 Standardization is the per-feature z-score
 
     xi_i <- (xi_i - mean_i) / scale_i
 
 with mean and scale computed over a chosen learning set only. ``scale`` is
-the population standard deviation by default; ``variance`` mode divides by
-the mean squared deviation instead and is kept selectable because the two
-conventions are easy to confuse and produce very different geometry.
+the population standard deviation by default, the coordinates ``train``
+and ``grow`` learn in; ``variance`` mode divides by the mean squared
+deviation instead and is kept for ``verify``, which sweeps both, because
+the two conventions are easy to confuse and produce very different geometry.
 ``compute_stats`` and ``standardize`` are the one path from a ``RawSet`` to
 the ``PatternSet`` that trainers and evaluators read.
 """
@@ -240,15 +240,6 @@ def _load(parse, path, **kwargs):
             return parse(fh, **kwargs)
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not a UTF-8 text file") from None
-
-
-def default_split(raw):
-    """The benchmark division by absolute index: mu 1..104 vs mu 105..208."""
-    mus = raw.mu.tolist()
-    return SplitSpec(
-        train_indices=frozenset(m for m in mus if m <= 104),
-        test_indices=frozenset(m for m in mus if m > 104),
-    )
 
 
 def split(raw, spec):

@@ -3,7 +3,6 @@ import io
 import json
 import platform
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +66,7 @@ class TestTrain:
             assert (out / name).exists(), name
         m = json.loads((out / "manifest.json").read_text())
         assert m["command"] == "train"
+        assert m["split_source"] == str(balanced_split_path)
         assert m["config"]["seed"] == 3 and "seed" not in m
         assert m["config"]["max_epochs"] == 2000
         assert len(m["dataset_sha256"]) == 64
@@ -209,8 +209,8 @@ class TestTrain:
                                "string to float: '\u0663'"),
     ], ids=["unknown-key", "bad-value", "non-finite", "bad-int", "bad-seed",
             "negative-seed", "underscore-int", "non-ascii-float"])
-    def test_bad_config_file_exit_2(self, sonar_path, tmp_path, capsys,
-                                    line, message):
+    def test_bad_config_file_exit_2(self, sonar_path, balanced_split_path,
+                                    tmp_path, capsys, line, message):
         # the line under test sets its key once: FAST_CFG's line for that
         # key is left blank, so the line under test stays line 6
         key = line.split("=")[0].strip()
@@ -218,7 +218,8 @@ class TestTrain:
                        for ln in FAST_CFG.splitlines())
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(base + line + "\n", encoding="utf-8")
-        assert run(["train", "--dataset", str(sonar_path), "--config", str(cfg),
+        assert run(["train", "--dataset", str(sonar_path), "--split-file",
+                    str(balanced_split_path), "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -226,38 +227,17 @@ class TestTrain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ("train", "grow"))
-    def test_repeated_config_key_exit_2(self, sonar_path, tmp_path, capsys,
-                                        command):
+    def test_repeated_config_key_exit_2(self, sonar_path, balanced_split_path,
+                                        tmp_path, capsys, command):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("max_epochs=5\nmax_epochs=7\n")
         out = tmp_path / "o"
-        assert run([command, "--dataset", str(sonar_path), "--config", str(cfg),
+        assert run([command, "--dataset", str(sonar_path), "--split-file",
+                    str(balanced_split_path), "--config", str(cfg),
                     "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", f"error: bad --config: {cfg}:2: duplicate config key 'max_epochs'\n")
         assert not out.exists()
-
-    @pytest.mark.parametrize("scale", ("std", "variance"))
-    @pytest.mark.parametrize("stats_from", ("part", "all"))
-    def test_scale_and_stats_from(self, sonar_path, balanced_split_path,
-                                  tmp_path, fast_cfg_path, scale, stats_from):
-        """The weights are the library's anneal on the learning part in the
-        coordinates of ``compute_stats(<part or all>, scale)``."""
-        out = tmp_path / "o"
-        assert run(["train", "--dataset", str(sonar_path),
-                    "--split-file", str(balanced_split_path),
-                    "--config", fast_cfg_path, "--scale", scale,
-                    "--stats-from", stats_from, "--out", str(out)]) == 0
-        raw = load_file(sonar_path)
-        learn_raw, _ = split(raw, load_split_file(balanced_split_path))
-        stats = compute_stats(raw if stats_from == "all" else learn_raw, mode=scale)
-        w, _ = minimerror_train(standardize(learn_raw, stats),
-                                TrainingConfig.from_file(fast_cfg_path))
-        buf = io.StringIO()
-        save_weights(w, buf)
-        assert (out / "weights.txt").read_text() == buf.getvalue()
-        m = json.loads((out / "manifest.json").read_text())
-        assert (m["scale"], m["stats_from"]) == (scale, stats_from)
 
     @pytest.mark.parametrize("command", ("train", "verify"))
     @pytest.mark.parametrize("bad", ("dataset", "split"))
@@ -303,7 +283,9 @@ class TestStop:
 
 
 class TestReportContents:
-    """What train and grow report is the library's own account of the run."""
+    """What train and grow report is the library's own account of the run:
+    the weights are the library's anneal on the learning part in the
+    coordinates of ``compute_stats(<learning part>)``."""
 
     @pytest.mark.parametrize("part", ("train", "test", "all"))
     def test_train_report_is_evaluate(self, sonar_path, balanced_split_path,
@@ -317,8 +299,11 @@ class TestReportContents:
         learn_raw, eval_raw = {"train": (train, test), "test": (test, train),
                                "all": (raw, None)}[part]
         stats = compute_stats(learn_raw)
-        w = load_weights((out / "weights.txt").read_text())
         learn = standardize(learn_raw, stats)
+        w, _ = minimerror_train(learn, TrainingConfig.from_file(fast_cfg_path))
+        buf = io.StringIO()
+        save_weights(w, buf)
+        assert (out / "weights.txt").read_text() == buf.getvalue()
         rep = json.loads((out / "report.json").read_text())
         total, false_pos, false_neg = count_errors(w, learn)
         assert rep["training_errors"] == {"total": total, "false_pos": false_pos,
@@ -388,6 +373,11 @@ class TestGrow:
         assert rep["training_errors"] == 0
         net = (out / "network.txt").read_text()
         assert net.startswith("H=2\n")
+        # --part all needs no split file, and the learning part sets the
+        # coordinates: the manifest names neither a split nor a scale
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["split_source"] is None
+        assert "scale" not in m and "stats_from" not in m
 
     def test_max_hidden_stall_diagnostics(self, tmp_path, capsys):
         from importlib import resources
@@ -473,12 +463,14 @@ def test_removed_formats_are_usage_errors(sonar_path, tmp_path, capsys,
 
 @pytest.mark.parametrize("command, option, value", [
     ("grow", "--features", "2"), ("train", "--seed", "1"),
+    ("train", "--scale", "variance"), ("grow", "--stats-from", "all"),
 ])
 def test_removed_inputs_are_usage_errors(sonar_path, tmp_path, capsys,
                                          command, option, value):
-    """train and grow take no --features (the first line sets the width)
-    and no --seed (the config file sets it): each is an argparse usage
-    error that writes nothing."""
+    """train and grow take no --features (the first line sets the width),
+    no --seed (the config file sets it), and no --scale or --stats-from
+    (the learning part's population std sets the coordinates): each is an
+    argparse usage error that writes nothing."""
     from importlib import resources
     xor = resources.files("monoplane.assets").joinpath("xor.csv")
     out = tmp_path / "o"
@@ -490,8 +482,23 @@ def test_removed_inputs_are_usage_errors(sonar_path, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["train"], "--part train"),
+    (["grow", "--part", "test"], "--part test"),
+    (["verify"], "verify"),
+], ids=["train", "grow-test", "verify"])
+def test_division_needs_a_split_file(sonar_path, tmp_path, capsys, argv, what):
+    """A division comes only from a split file: a run that learns a part,
+    or verify, is a one-line usage error without one that writes
+    nothing."""
+    out = tmp_path / "o"
+    assert run([*argv, "--dataset", str(sonar_path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {what} needs a --split-file\n")
+    assert not out.exists()
 
-def test_width_comes_from_the_file(sonar_path, tmp_path, capsys, fast_cfg_path):
+
+def test_width_comes_from_the_file(sonar_path, balanced_split_path, tmp_path,
+                                   capsys, fast_cfg_path):
     """On the sonar file less its first feature, train learns at width 59,
     and verify, which reads the benchmark's 60 features, names the width
     rather than a line."""
@@ -503,7 +510,8 @@ def test_width_comes_from_the_file(sonar_path, tmp_path, capsys, fast_cfg_path):
                 "--config", fast_cfg_path, "--out", str(train_out)]) == 0
     assert len(load_weights((train_out / "weights.txt").read_text())) == 60
     capsys.readouterr()
-    assert run(["verify", "--dataset", str(data), "--out", str(verify_out)]) == 2
+    assert run(["verify", "--dataset", str(data), "--split-file",
+                str(balanced_split_path), "--out", str(verify_out)]) == 2
     assert capsys.readouterr() == ("", "error: verification needs 60 features "
                                    f"per pattern, {data} has 59\n")
     assert not verify_out.exists()
@@ -587,14 +595,6 @@ class TestVerify:
                             lambda: (doctored, *published[1:]))
         assert_figures_of(doctored)
 
-    def test_shuffled_rows_break_mu_numbering(self, raw_patterns, tmp_path,
-                                              capsys):
-        """Without a split file the default division has no mine in the test
-        part of the published tables' layout, so nothing can match."""
-        rc = run(["verify", "--dataset",
-                  str(Path(__file__).parent / "data" / "sonar.all-data")])
-        assert rc == 1
-
 
 class TestReport:
     def test_weight_table_rendering(self, tmp_path, capsys):
@@ -656,8 +656,8 @@ class TestReport:
                            str(balanced_split_path)],
                 "train": ["train", "--dataset", str(sonar_path), "--split-file",
                           str(balanced_split_path), "--config", fast_cfg_path],
-                "grow": ["grow", "--dataset", str(xor), "--config",
-                         fast_cfg_path]}[command]
+                "grow": ["grow", "--dataset", str(xor), "--part", "all",
+                         "--config", fast_cfg_path]}[command]
         out = tmp_path / "o"
         assert run([*argv, *options, "--out", str(out)]) == (
             1 if command == "verify" else 0)

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from monoplane import (
     ParseError, PatternSet, RawSet, SplitError, SplitSpec, StandardizationStats,
-    StatsError, compute_stats, default_split, load_file, load_split_file,
-    parse_sonar_file, parse_split_file, split, standardize,
+    StatsError, compute_stats, load_file, load_split_file, parse_sonar_file,
+    parse_split_file, split, standardize,
 )
 from monoplane.data import read_number
 
@@ -299,12 +299,6 @@ class TestParse:
 
 
 class TestSplit:
-    def test_default_split_indices(self, raw_patterns):
-        spec = default_split(raw_patterns)
-        train, test = split(raw_patterns, spec)
-        assert train.mu.tolist() == list(range(1, 105))
-        assert test.mu.tolist() == list(range(105, 209))
-
     def test_balanced_split_reproduces_published_class_table(self, balanced_parts):
         train, test = balanced_parts
         assert _class_counts(train) == (55, 49)
