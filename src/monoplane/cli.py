@@ -93,16 +93,20 @@ def _write(path: Path, text: str):
         fh.write(text)
 
 
-def _manifest(args, command, config, outputs):
+def _manifest(args, outputs, config=None):
+    """The manifest of a run: its inputs, the options its command reads
+    (train and grow: part, any_range and config; verify: flip_labels and
+    format), its outputs and the versions it ran on."""
+    options = ({"flip_labels": args.flip_labels, "format": args.format}
+               if args.cmd == "verify" else
+               {"part": args.part, "any_range": args.any_range,
+                "config": config.to_dict()})
     m = {
-        "command": command,
+        "command": args.cmd,
         "dataset": args.dataset,
         "dataset_sha256": _sha256(args.dataset),
         "split_source": args.split_file,
-        "part": getattr(args, "part", None),
-        "flip_labels": bool(getattr(args, "flip_labels", False)),
-        "config": config.to_dict() if config is not None else None,
-        "format": getattr(args, "format", None),
+        **options,
         "outputs": sorted(outputs),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -132,7 +136,7 @@ def _prepare_run(args):
     if not learn_raw:
         raise UsageError(f"part {args.part!r} selects no patterns")
     stats = dataio.compute_stats(learn_raw)
-    learn, evalp = (dataio.standardize(part, stats, flip_labels=args.flip_labels)
+    learn, evalp = (dataio.standardize(part, stats)
                     for part in (learn_raw, eval_raw))
     return config, learn, evalp, Path(args.out)
 
@@ -160,8 +164,7 @@ def cmd_train(args):
         report["generalization"] = evaluate(w, evalp)
     _write(out_dir / "report.json", json.dumps(report, sort_keys=True) + "\n")
 
-    _write(out_dir / "manifest.json",
-           _manifest(args, "train", config, outputs))
+    _write(out_dir / "manifest.json", _manifest(args, outputs, config))
     print(f"train: {report['training_errors']['total']}/{len(learn)} training errors"
           + (f", eps_g = {report['generalization']['error_fraction']:.1f}%"
              if evalp else " (no generalization part)"))
@@ -170,11 +173,8 @@ def cmd_train(args):
 
 def cmd_grow(args):
     config, learn, evalp, out_dir = _prepare_run(args)
-    if args.max_hidden is not None and args.max_hidden < 1:
-        raise UsageError(
-            f"bad --max-hidden: need max_hidden >= 1, got {args.max_hidden}")
     try:
-        model, gtrace = grow_network(learn, config, max_hidden=args.max_hidden)
+        model, gtrace = grow_network(learn, config)
     except GrowthStallError as exc:
         if exc.trace is not None:
             with _create(out_dir / "growth.csv") as fh:
@@ -202,8 +202,7 @@ def cmd_grow(args):
         report["generalization_fraction"] = round(100.0 * gen_errs / len(evalp), 1)
     _write(out_dir / "report.json", json.dumps(report, sort_keys=True) + "\n")
 
-    _write(out_dir / "manifest.json",
-           _manifest(args, "grow", config, outputs))
+    _write(out_dir / "manifest.json", _manifest(args, outputs, config))
     print(f"grow: H={len(model.hidden)}, {train_errs}/{len(learn)} training errors")
     return 0
 
@@ -262,8 +261,7 @@ def cmd_verify(args):
     if args.out:
         out_dir = Path(args.out)
         _write(out_dir / name, text)
-        _write(out_dir / "manifest.json",
-               _manifest(args, "verify", None, [name]))
+        _write(out_dir / "manifest.json", _manifest(args, [name]))
     sys.stdout.write(text)
     return 0 if report["reproduced"] else 1
 
@@ -295,11 +293,10 @@ def cmd_report(args):
             raise UsageError(f"cannot read {p}: {exc}") from None
     if len(loaded) == 2:
         try:
-            c = cosine(loaded[0], loaded[1], raw_eq8=args.raw_eq8)
+            c = cosine(loaded[0], loaded[1])
         except ValueError as exc:
             raise UsageError(f"cannot compare the two weight vectors: {exc}") from None
-        mode = "raw-eq8" if args.raw_eq8 else "true"
-        texts.append(f"pairwise cosine ({mode}): {c!r}")
+        texts.append(f"pairwise cosine (true): {c!r}")
     print("\n".join(texts))
     return 0
 
@@ -317,8 +314,6 @@ def build_parser():
     def common(p, with_training=True):
         p.add_argument("--dataset", required=True, help="benchmark CSV")
         p.add_argument("--split-file", help="[train]/[test] section file of 1-based indices")
-        p.add_argument("--flip-labels", action="store_true",
-                       help="swap the +-1 class mapping")
         if with_training:
             p.add_argument("--part", choices=("train", "test", "all"), default="train")
             p.add_argument("--config",
@@ -334,19 +329,18 @@ def build_parser():
 
     p_grow = sub.add_parser("grow", help="grow a network until zero training errors")
     common(p_grow)
-    p_grow.add_argument("--max-hidden", type=int, default=None)
     p_grow.set_defaults(fn=cmd_grow)
 
     p_verify = sub.add_parser("verify", help="check the published weight tables")
     common(p_verify, with_training=False)
+    p_verify.add_argument("--flip-labels", action="store_true",
+                          help="swap the +-1 class mapping")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="optional output directory")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_report = sub.add_parser("report", help="render weight/network/trace artifacts")
     p_report.add_argument("artifacts", nargs="+")
-    p_report.add_argument("--raw-eq8", action="store_true",
-                          help="divide pairwise dot products by (N+1)^2")
     p_report.set_defaults(fn=cmd_report)
     return ap
 

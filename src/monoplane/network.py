@@ -121,24 +121,20 @@ def internal_targets(prev_targets, prev_states):
     return t * s
 
 
-def grow_network(patterns, config: TrainingConfig, max_hidden=None):
+def grow_network(patterns, config: TrainingConfig):
     """Append annealed-trained hidden units until the output unit is exact.
 
     Postcondition on success: zero network errors on ``patterns`` and
-    H <= max(1, P - 1), and H <= ``max_hidden`` when given, which must be
-    at least 1. Raises GrowthStallError when a new unit cannot strictly
-    reduce its predecessor's internal error count, when the output unit
-    over an errorless unit's states errs, or when the cap is hit first.
+    H <= max(1, P - 1). Raises GrowthStallError when a new unit cannot
+    strictly reduce its predecessor's internal error count, when the output
+    unit over an errorless unit's states errs, or when that cap is hit
+    first.
     """
     if not patterns:
         raise ValueError("cannot grow a network on an empty pattern set")
-    if max_hidden is not None and max_hidden < 1:
-        raise ValueError(f"need max_hidden >= 1, got {max_hidden}")
     ps = PatternSet.of(patterns)
     Xi, tau, P = ps.Xi, ps.tau, len(ps)
     cap = max(1, P - 1)
-    if max_hidden is not None:
-        cap = min(cap, max_hidden)
 
     trace = GrowthTrace()
     units = []

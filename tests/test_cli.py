@@ -109,43 +109,6 @@ class TestTrain:
             b = (outs[1] / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
-    def test_flip_labels_flag(self, sonar_path, balanced_split_path, tmp_path):
-        """--flip-labels mirrors a run exactly: it negates every folded row
-        and so the Hebbian start and every step, so the weights are negated
-        bit for bit, the trace and the retained epoch and stop are equal,
-        and false positives and false negatives swap. Growth on XOR
-        trains the same units up to sign: its growth.csv is equal."""
-        from importlib import resources
-        cfg = tmp_path / "window.cfg"
-        cfg.write_text(FAST_CFG + "temp_ratio=0.02\n")
-        xor = resources.files("monoplane.assets").joinpath("xor.csv")
-        argvs = {"train": ["train", "--dataset", str(sonar_path), "--split-file",
-                           str(balanced_split_path), "--config", str(cfg)],
-                 "grow": ["grow", "--dataset", str(xor), "--part", "all",
-                          "--config", str(cfg)]}
-        for command, argv in argvs.items():
-            for sub, flip in (("a", []), ("b", ["--flip-labels"])):
-                assert run([*argv, *flip, "--out", str(tmp_path / command / sub)]) == 0
-        train_a, train_b = tmp_path / "train" / "a", tmp_path / "train" / "b"
-        w_a = load_weights((train_a / "weights.txt").read_text())
-        w_b = load_weights((train_b / "weights.txt").read_text())
-        assert (-w_a.w).tobytes() == w_b.w.tobytes()
-        assert (train_a / "trace.csv").read_bytes() == (train_b / "trace.csv").read_bytes()
-        rep_a, rep_b = (json.loads((out / "report.json").read_text())
-                        for out in (train_a, train_b))
-        for key in ("best_epoch", "stop"):
-            assert rep_a[key] == rep_b[key]
-        swapped = []
-        for counts_a, counts_b in ((rep_a["training_errors"], rep_b["training_errors"]),
-                                   (rep_a["generalization"]["counts"],
-                                    rep_b["generalization"]["counts"])):
-            assert (counts_a["total"], counts_a["false_pos"], counts_a["false_neg"]) == (
-                counts_b["total"], counts_b["false_neg"], counts_b["false_pos"])
-            swapped.append(counts_a["false_pos"] != counts_a["false_neg"])
-        assert any(swapped)
-        assert ((tmp_path / "grow" / "a" / "growth.csv").read_bytes()
-                == (tmp_path / "grow" / "b" / "growth.csv").read_bytes())
-
     def test_malformed_dataset_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("0.1,0.2,R\n0.3,M\n")
@@ -328,6 +291,44 @@ def test_diverged_training_exit_2(sonar_path, balanced_split_path, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+RUN_KEYS = {"command", "dataset", "dataset_sha256", "split_source", "outputs",
+            "python", "numpy", "blas"}
+
+
+def test_manifest_records_the_options_its_command_reads(
+        sonar_path, balanced_split_path, tmp_path, fast_cfg_path, capsys):
+    """A manifest records each option its command reads, --out aside, and
+    no other: train and grow their part, --any-range and config, verify
+    its --flip-labels and --format, so a --any-range run's manifest says
+    so."""
+    from importlib import resources
+    xor = resources.files("monoplane.assets").joinpath("xor.csv")
+    split_args = ["--dataset", str(sonar_path), "--split-file",
+                  str(balanced_split_path)]
+    config = TrainingConfig.from_file(fast_cfg_path).to_dict()
+    runs = [
+        (["train", *split_args, "--config", fast_cfg_path], 0,
+         {"part": "train", "any_range": False, "config": config}),
+        (["train", *split_args, "--config", fast_cfg_path, "--part", "test",
+          "--any-range"], 0,
+         {"part": "test", "any_range": True, "config": config}),
+        (["grow", "--dataset", str(xor), "--part", "all", "--any-range",
+          "--config", fast_cfg_path], 0,
+         {"part": "all", "any_range": True, "config": config}),
+        (["verify", *split_args, "--format", "json", "--flip-labels"], 1,
+         {"flip_labels": True, "format": "json"}),
+        (["verify", *split_args], 1, {"flip_labels": False, "format": "text"}),
+    ]
+    for k, (argv, code, options) in enumerate(runs):
+        out = tmp_path / str(k)
+        assert run([*argv, "--out", str(out)]) == code
+        m = json.loads((out / "manifest.json").read_text())
+        assert m.keys() == RUN_KEYS | options.keys(), argv
+        assert {key: m[key] for key in options} == options, argv
+        assert m["command"] == argv[0]
+    capsys.readouterr()
+
+
 class TestJsonArtifacts:
     """Every JSON artifact is the stdlib's one-line, sorted-key text."""
 
@@ -379,29 +380,22 @@ class TestGrow:
         assert m["split_source"] is None
         assert "scale" not in m and "stats_from" not in m
 
-    def test_max_hidden_stall_diagnostics(self, tmp_path, capsys):
-        from importlib import resources
-        xor = resources.files("monoplane.assets").joinpath("xor.csv")
-        cfg = tmp_path / "xor.cfg"
-        cfg.write_text("t_initial=1.0\nt_min=1e-4\nt_decay=0.995\n"
-                       "learning_rate=0.05\nmax_epochs=3000\nseed=1\n")
-        rc = run(["grow", "--dataset", str(xor), "--part", "all",
-                  "--config", str(cfg), "--max-hidden", "1",
-                  "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "stall" in capsys.readouterr().err.lower()
-
-    @pytest.mark.parametrize("cap", ("0", "-3"))
-    def test_max_hidden_below_one_exit_2(self, tmp_path, capsys, cap):
-        from importlib import resources
-        xor = resources.files("monoplane.assets").joinpath("xor.csv")
+    def test_stall_diagnostics(self, tmp_path, capsys):
+        """Patterns 1 and 2 are equal with opposite labels, so unit 2 errs
+        on one of them as unit 1 did: growth stalls, exits 2 and writes
+        only growth.csv."""
+        data = tmp_path / "stall.csv"
+        data.write_text("0.0,0.2,R\n0.0,0.2,M\n1.0,0.7,R\n0.5,0.9,M\n")
+        cfg = tmp_path / "stall.cfg"
+        cfg.write_text("t_initial=1\nt_min=1e-3\nt_decay=0.99\n")
         out = tmp_path / "o"
-        rc = run(["grow", "--dataset", str(xor), "--part", "all",
-                  "--max-hidden", cap, "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: bad --max-hidden: need max_hidden >= 1, got {cap}\n")
-        assert not out.exists()
+        assert run(["grow", "--dataset", str(data), "--part", "all",
+                    "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "growth stalled: unit 2 has 1 internal "
+                                       "errors, not fewer than its predecessor's 1\n")
+        assert [p.name for p in out.iterdir()] == ["growth.csv"]
+        assert (out / "growth.csv").read_text() == (
+            "unit,internal_errors\n1,1\n2,1\noutput_attempt_after_units,network_errors\n")
 
 
 class TestParser:
@@ -464,19 +458,31 @@ def test_removed_formats_are_usage_errors(sonar_path, tmp_path, capsys,
 @pytest.mark.parametrize("command, option, value", [
     ("grow", "--features", "2"), ("train", "--seed", "1"),
     ("train", "--scale", "variance"), ("grow", "--stats-from", "all"),
+    ("train", "--flip-labels", None), ("grow", "--flip-labels", None),
+    ("grow", "--max-hidden", "2"), ("report", "--raw-eq8", None),
 ])
 def test_removed_inputs_are_usage_errors(sonar_path, tmp_path, capsys,
                                          command, option, value):
     """train and grow take no --features (the first line sets the width),
-    no --seed (the config file sets it), and no --scale or --stats-from
-    (the learning part's population std sets the coordinates): each is an
-    argparse usage error that writes nothing."""
+    no --seed (the config file sets it), no --scale or --stats-from (the
+    learning part's population std sets the coordinates) and no
+    --flip-labels (its run is the exact mirror of the run without it);
+    grow takes no --max-hidden (growth caps at max(1, P - 1)), and report
+    no --raw-eq8 (verify prints both cosines of the published vectors):
+    each is an argparse usage error that writes nothing."""
     from importlib import resources
-    xor = resources.files("monoplane.assets").joinpath("xor.csv")
+    assets = resources.files("monoplane.assets")
     out = tmp_path / "o"
+    removed = [option] + ([value] if value else [])
+    if command == "report":
+        argv = [command, *removed, str(assets / "w_train.txt"),
+                str(assets / "w_test.txt")]
+    else:
+        data = assets / "xor.csv" if command == "grow" else sonar_path
+        argv = [command, "--dataset", str(data), *removed, "--part", "all",
+                "--out", str(out)]
     with pytest.raises(SystemExit) as info:
-        run([command, "--dataset", str(xor if command == "grow" else sonar_path),
-             option, value, "--part", "all", "--out", str(out)])
+        run(argv)
     assert info.value.code == 2
     assert option in capsys.readouterr().err
     assert not out.exists()
@@ -620,8 +626,6 @@ class TestReport:
             paths.append(str(p))
         assert run(["report"] + paths) == 0
         assert "pairwise cosine (true)" in capsys.readouterr().out
-        assert run(["report", "--raw-eq8"] + paths) == 0
-        assert "raw-eq8" in capsys.readouterr().out
 
     def test_trace_passthrough(self, tmp_path, capsys):
         p = tmp_path / "trace.csv"

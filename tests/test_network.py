@@ -229,30 +229,29 @@ class TestGrowth:
         assert not any(isinstance(v, TrainingTrace) for v in held)
 
     def test_max_hidden_stall(self):
-        """The stall carries the growth trace; its traceback, which keeps
-        grow_network's frame alive, holds no unit's anneal trace."""
-        pats = xor_patterns()
-        with pytest.raises(GrowthStallError) as exc:
-            grow_network(pats, xor_config(), max_hidden=1)
-        assert exc.value.trace is not None
-        assert len(exc.value.trace.units) >= 1
+        """Two equal patterns with opposite labels: unit 1 errs on one of
+        them, and P - 1 = 1 is the most hidden units growth may train, so
+        it stalls at that cap. The stall carries the growth trace; its
+        traceback, which keeps grow_network's frame alive, holds no unit's
+        anneal trace."""
+        pats = pattern_set([[1.0, 0.5], [1.0, 0.5]], [+1, -1])
+        with pytest.raises(GrowthStallError,
+                           match="^hidden-unit cap 1 reached with nonzero errors$") as exc:
+            grow_network(pats, xor_config())
+        assert exc.value.trace.units == [1]
+        assert exc.value.trace.output_attempts == []
         held = [v for frame, _ in traceback.walk_tb(exc.value.__traceback__)
                 for v in frame.f_locals.values()]
         assert not any(isinstance(v, TrainingTrace) for v in held)
 
-    @pytest.mark.parametrize("max_hidden", [0, -3])
-    def test_cap_below_one_rejected_before_training(self, monkeypatch,
-                                                    max_hidden):
-        """A separable set would grow one unit, above a cap below 1."""
-        pats = pattern_set([[1.0, -2.0], [1.0, -1.0], [1.0, 1.0], [1.0, 2.0]],
-                           [-1, -1, 1, 1])
-        calls = []
-        monkeypatch.setattr(network, "minimerror_train",
-                            lambda patterns, config: calls.append(patterns))
-        with pytest.raises(ValueError,
-                           match=rf"^need max_hidden >= 1, got {max_hidden}$"):
-            grow_network(pats, xor_config(), max_hidden=max_hidden)
-        assert calls == []
+    def test_flipped_labels_give_an_equal_trace(self):
+        """Negated XOR labels negate unit 1's targets and states, so every
+        later unit's targets, and each count growth records, are equal."""
+        pats = xor_patterns()
+        flipped = PatternSet(pats.Xi, -pats.tau, pats.mu)
+        _, trace = grow_network(pats, xor_config())
+        _, trace_flipped = grow_network(flipped, xor_config())
+        assert trace_flipped == trace
 
     def test_single_pattern_grows_one_unit(self, fast_config):
         """H <= max(1, P - 1): one pattern still needs one hidden unit."""

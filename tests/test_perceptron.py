@@ -242,13 +242,18 @@ class TestGradient:
             assert abs(w.w @ g) < 1e-10 * gn * w.norm
 
 
+def reference_sech2(x):
+    """1 / cosh(x)^2, exactly 0 once cosh(x)^2 overflows, as ``_sech2``."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(x) ** 2
+
+
 def outer_gradient(w, Xi, tau, T):
     """The per-pattern outer-product form of the gradient, kept as the
     reference for the matrix-vector kernel. ``T`` is scalar or per pattern."""
     nw = np.linalg.norm(w)
     proj = (Xi @ w) / nw
-    x = np.minimum(np.abs(tau * proj / (2.0 * T)), 350.0)
-    coef = -np.cosh(x) ** -2.0 / (4.0 * T)
+    coef = -reference_sech2(tau * proj / (2.0 * T)) / (4.0 * T)
     return ((coef * tau)[:, None] * (Xi / nw - np.outer(proj, w) / nw**2)).sum(axis=0)
 
 
@@ -342,6 +347,9 @@ class TestStepDirection:
            theta=st.one_of(st.just(1.0), st.floats(0.01, 2.0)))
     # g's components are ~1e-158, so g . g is subnormal
     @example(seed=425, P=1, dim=7, T=0.05, theta=0.01)
+    # g's components are ~1e-297, so g . g underflows to 0; a reference
+    # sech^2 clamped below its overflow put the direction off by ~3.5e-5
+    @example(seed=4037453285, P=2, dim=6, T=0.05, theta=0.01)
     def test_is_the_normalized_negative_gradient(self, seed, P, dim, T, theta):
         """The epoch's step d/||d|| is -g/||g|| for the gradient g of the
         outer form at the window temperatures: every factor the epoch
@@ -357,9 +365,7 @@ class TestStepDirection:
 
         d = reference_direction(np.vstack([tXi, w]), T, theta)
         g = outer_gradient(w, Xi, tau, Teff)
-        # outer_gradient clamps its sech^2 argument at 350, an error of
-        # ~1e-301 that passes 1e-12 of g only where g . g underflows to 0
-        assume(np.linalg.norm(d) > 0.0 and np.linalg.norm(g) > 0.0)
+        assume(np.max(np.abs(d)) > 0.0 and np.max(np.abs(g)) > 0.0)
         # each norm is taken of its vector scaled to a largest magnitude
         # of 1: squares of tiny components round in the subnormal range
         dmax, gmax = np.max(np.abs(d)), np.max(np.abs(g))
@@ -367,7 +373,7 @@ class TestStepDirection:
         dn, gn = np.linalg.norm(d), np.linalg.norm(g)
         # as in TestGradientKernel, round-off is relative to the summed
         # magnitudes of the gradient's terms, here scaled by 1/||g||
-        c = np.cosh(np.minimum(np.abs(gam / (2.0 * Teff)), 350.0)) ** -2.0 / (4.0 * Teff)
+        c = reference_sech2(gam / (2.0 * Teff)) / (4.0 * Teff)
         scale = (c @ np.abs(tXi)) / nw + (c @ np.abs(gam)) / nw**2 * np.abs(w)
         smax = np.max(scale)
         assert np.linalg.norm(d / dn + g / gn) <= (
@@ -597,6 +603,33 @@ class TestMinimerror:
         min_stab = min(stability(w, p) for p in pats)
         assert min_stab == pytest.approx(trace.min_stability[trace.best_epoch],
                                          rel=1e-12, abs=1e-12)
+
+    def test_flipped_labels_mirror_the_run(self, train_std,
+                                           test_std_train_stats, fast_config):
+        """Negated labels negate every folded row, so the Hebbian start
+        and every step: on the Train part (55 rocks, 49 mines) the anneal
+        returns -w bit for bit with equal trace columns, retained epoch
+        and stop, and evaluate swaps false positives and false negatives."""
+        patterns, _ = train_std
+        config = replace(fast_config, temp_ratio=0.02)
+        w, trace = minimerror_train(patterns, config)
+        flip = [PatternSet(ps.Xi, -ps.tau, ps.mu)
+                for ps in (patterns, test_std_train_stats)]
+        w_flip, trace_flip = minimerror_train(flip[0], config)
+        assert (-w.w).tobytes() == w_flip.w.tobytes()
+        for column in ("temperature", "cost", "errors", "min_stability"):
+            assert (getattr(trace, column).tobytes()
+                    == getattr(trace_flip, column).tobytes()), column
+        assert ((trace.best_epoch, trace.stop)
+                == (trace_flip.best_epoch, trace_flip.stop))
+        swapped = []
+        for ps, ps_flip in zip((patterns, test_std_train_stats), flip):
+            counts = evaluate(w, ps)["counts"]
+            counts_flip = evaluate(w_flip, ps_flip)["counts"]
+            assert (counts["total"], counts["false_pos"], counts["false_neg"]) == (
+                counts_flip["total"], counts_flip["false_neg"], counts_flip["false_pos"])
+            swapped.append(counts["false_pos"] != counts["false_neg"])
+        assert any(swapped)
 
     def test_bit_reproducible(self, fast_config):
         rng = np.random.default_rng(4)

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import shutil
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import monoplane
+from monoplane.cli import build_parser
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = Path(monoplane.__file__).resolve().parent.parent
@@ -92,3 +94,19 @@ def test_artifact_hashes_report_runs_read_what_exists(artifact_hashes, tmp_path)
                         or file in written.get(run_dir, ())), (name, path)
         elif argv[0] in OUTPUTS:
             written[argv[argv.index("--out") + 1]] = OUTPUTS[argv[0]]
+
+
+def test_artifact_hashes_pass_every_cli_option(artifact_hashes):
+    """Every option of every subcommand appears in at least one run of the
+    matrix, so the hashes pin each option's behaviour."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    runs = artifact_hashes.run_matrix()
+    missing = [(command, option)
+               for command, parser in subparsers.choices.items()
+               for action in parser._actions if action.option_strings
+               and not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings
+               if not any(argv[0] == command and option in argv
+                          for _, argv in runs)]
+    assert missing == []
