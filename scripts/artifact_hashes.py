@@ -11,16 +11,12 @@ Runs ``monoplane.cli.main`` in-process over a fixed matrix of ``train``
 default schedule) and ``report`` (weights, a network and a growth trace)
 invocations, which pass every option of every command, and writes one
 JSON object mapping ``<run>/exit``, ``<run>/stdout``, ``<run>/stderr``
-and ``<run>/<output file>`` to the sha256 of those bytes. Every ``*.json``
-output file, and the stdout of every ``verify --format json`` run, also
-gets a ``<key>#parsed`` item: the sha256 of
-``json.dumps(json.loads(bytes), sort_keys=True)``, which a change of
-whitespace alone leaves equal. The re-dumped text is compared rather than
-the parsed object because ``NaN != NaN``. Run it once with each of two
-checkouts on ``PYTHONPATH``, then ``--compare`` the two files: it prints
-each key whose hash differs or that only one file has, and a count, and
-exits 1 if there is any, so exit 0 means equal exit codes, streams and
-artifacts. The matrix gives 317 items.
+and ``<run>/<output file>`` to the sha256 of those bytes. Each JSON output
+is ``json.dumps(obj, sort_keys=True)`` and a newline, so it is hashed once,
+as bytes. Run it once with each of two checkouts on ``PYTHONPATH``, then
+``--compare`` the two files: it prints each key whose hash differs or that
+only one file has, and a count, and exits 1 if there is any, so exit 0
+means equal exit codes, streams and artifacts. The matrix gives 265 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests and
@@ -33,8 +29,10 @@ units, parity 4 stalls with several units trained. It also runs on a
 seeded random-label file like perfbench's grow-toy sets (40 Gaussian
 points in 3 dimensions, balanced labels, ``--any-range``), whose units
 never separate their targets, so every epoch counts its errors and the
-retained epoch is chosen among non-separating ones. ``train`` and ``verify``
-also run on edited copies of the sonar file written there: one malformed
+retained epoch is chosen among non-separating ones; ``train --any-range``
+on that file succeeds, and its manifest records ``"any_range": true``.
+``train`` and ``verify`` also run on edited copies of the sonar file
+written there: one malformed
 field, label or value each, one number that only Python's ``float`` reads
 (``0.1_5``, which the parser rejects) and one leading byte that is not
 UTF-8, so that every parser diagnostic is hashed, and one well-formed file
@@ -205,6 +203,9 @@ def run_matrix():
     runs.append(("grow-random-labels", ["grow", "--dataset", "random-labels.csv",
                                         "--part", "all", "--any-range", "--out",
                                         "grow-random-labels"]))
+    runs.append(("train-random-labels-any-range",
+                 ["train", "--dataset", "random-labels.csv", "--part", "all",
+                  "--any-range", "--out", "train-random-labels-any-range"]))
     runs.append(("report", ["report", "train-train-json/weights.txt",
                             "train-test-json/weights.txt",
                             "grow-xor-json/network.txt"]))
@@ -239,11 +240,6 @@ def run_matrix():
 
 def _sha256(data: bytes):
     return hashlib.sha256(data).hexdigest()
-
-
-def _parsed_sha256(data: bytes | str):
-    """sha256 of JSON bytes re-dumped with no whitespace and sorted keys."""
-    return _sha256(json.dumps(json.loads(data), sort_keys=True).encode())
 
 
 def write_inputs(root: Path):
@@ -291,15 +287,11 @@ def hashes(root: Path):
         out[f"{name}/exit"] = _sha256(str(rc).encode())
         out[f"{name}/stdout"] = _sha256(stdout.getvalue().encode())
         out[f"{name}/stderr"] = _sha256(stderr.getvalue().encode())
-        if argv[0] == "verify" and "json" in argv and stdout.getvalue():
-            out[f"{name}/stdout#parsed"] = _parsed_sha256(stdout.getvalue())
         run_dir = root / name
         if run_dir.is_dir():
             for f in sorted(p for p in run_dir.rglob("*") if p.is_file()):
                 key = f"{name}/{f.relative_to(run_dir).as_posix()}"
                 out[key] = _sha256(f.read_bytes())
-                if f.suffix == ".json":
-                    out[f"{key}#parsed"] = _parsed_sha256(f.read_bytes())
     return out
 
 

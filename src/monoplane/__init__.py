@@ -15,7 +15,7 @@ from .data import (
 )
 from .evaluation import (
     SeparabilityVerdict, cosine, evaluate, load_published_table,
-    load_published_weights, separability, verify_published,
+    load_published_weights, separability, verify_published, verify_text,
 )
 from .network import (
     GrowthStallError, GrowthTrace, NetworkModel, grow_network, hidden_states,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dataio
-from .evaluation import cosine, evaluate, published_counts, verify_published
+from .evaluation import cosine, evaluate, verify_published, verify_text
 from .network import (
     GrowthStallError, grow_network, load_network, network_output, save_network,
 )
@@ -176,9 +176,8 @@ def cmd_grow(args):
     try:
         model, gtrace = grow_network(learn, config)
     except GrowthStallError as exc:
-        if exc.trace is not None:
-            with _create(out_dir / "growth.csv") as fh:
-                exc.trace.to_csv(fh)
+        with _create(out_dir / "growth.csv") as fh:
+            exc.trace.to_csv(fh)
         print(f"growth stalled: {exc}", file=sys.stderr)
         return 2
 
@@ -207,43 +206,6 @@ def cmd_grow(args):
     return 0
 
 
-def _verify_text(report):
-    lines = []
-    for r in report["modes"]:
-        lines.append(f"mode {r['mode']}:")
-        for side, label in (("test", "W_Train on Test part"),
-                            ("train", "W_Test on Train part")):
-            got, pub = r[f"counts_{side}_side"], published_counts(side)
-            lines.append(f"  {label}: total={got[0]} F+={got[1]} F-={got[2]} "
-                         f"[published {pub[0]}, {pub[1]} F+, {pub[2]} F-]")
-        lines.append(f"  W_Sonar on all: total={r['counts_sonar'][0]} [published 0]")
-        lines.append(f"  table match: test-side={r['table_match_test']} "
-                     f"train-side={r['table_match_train']}")
-        for side in ("test", "train"):
-            if not r[f"table_match_{side}"]:
-                lines.append(f"    {side}-side missing mu: {r[f'missing_{side}']}")
-                lines.append(f"    {side}-side extra mu:   {r[f'extra_{side}']}")
-        gc = r["gamma_check"]
-        lines.append(f"  gamma(W_Sonar) spot-check: {gc['n_within_1e-3']}/"
-                     f"{len(gc['rows'])} within 1e-3 (max abs err "
-                     f"{gc['max_abs_err'] if gc['max_abs_err'] is None else round(gc['max_abs_err'], 6)})")
-    lines.append(f"closest mode: {report['closest_mode']}")
-    lines.append("published vector norms (sqrt(61) = 7.81025):")
-    for k, v in report["norms"].items():
-        lines.append(f"  {k}: {v:.5f}")
-    lines.append("cosines (true / raw-eq8 / published):")
-    for k, v in report["cosines"].items():
-        lines.append(f"  {k}: {v['true_cosine']:.5f} / {v['raw_eq8']:.5f} "
-                     f"/ {v['published']}")
-    pert = report["perturbation"]
-    lines.append(f"truncation perturbation in {pert['mode']} (+-5e-5 per component), "
-                 f"error-count spread:")
-    for k, v in pert["spreads"].items():
-        lines.append(f"  {k}: min={v['min']} max={v['max']}")
-    lines.append(f"verdict: {'REPRODUCED' if report['reproduced'] else 'NOT REPRODUCED'}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_verify(args):
     patterns, train, test = _load_parts(args)
     if not train or not test:
@@ -256,7 +218,7 @@ def cmd_verify(args):
     if args.format == "json":
         name, text = "verify.json", json.dumps(report, sort_keys=True) + "\n"
     else:
-        name, text = "verify.txt", _verify_text(report)
+        name, text = "verify.txt", verify_text(report)
 
     if args.out:
         out_dir = Path(args.out)

@@ -53,12 +53,6 @@ def load_published_table():
     return json.loads(_asset_text("table6.json"))
 
 
-def published_counts(side):
-    """The published (total, false_pos, false_neg) of ``side``, "test" or
-    "train", from the table that ``_published`` parses once per process."""
-    return tuple(_published()[0][f"counts_{side}_side"])
-
-
 @functools.cache
 def _published():
     """What verification reads, built on first use (not at import) and kept
@@ -406,3 +400,44 @@ def verify_published(train_raw, test_raw, flip_labels=False):
         "reproduced": any(r["table_match_test"] and r["table_match_train"]
                           for r in modes),
     }
+
+
+def verify_text(report):
+    """The narrative ``verify`` prints of a ``verify_published`` report; the
+    published counts beside each mode's are read from the table per call."""
+    table = _published()[0]
+    lines = []
+    for r in report["modes"]:
+        lines.append(f"mode {r['mode']}:")
+        for side, label in (("test", "W_Train on Test part"),
+                            ("train", "W_Test on Train part")):
+            got, pub = r[f"counts_{side}_side"], table[f"counts_{side}_side"]
+            lines.append(f"  {label}: total={got[0]} F+={got[1]} F-={got[2]} "
+                         f"[published {pub[0]}, {pub[1]} F+, {pub[2]} F-]")
+        lines.append(f"  W_Sonar on all: total={r['counts_sonar'][0]} [published 0]")
+        lines.append(f"  table match: test-side={r['table_match_test']} "
+                     f"train-side={r['table_match_train']}")
+        for side in ("test", "train"):
+            if not r[f"table_match_{side}"]:
+                lines.append(f"    {side}-side missing mu: {r[f'missing_{side}']}")
+                lines.append(f"    {side}-side extra mu:   {r[f'extra_{side}']}")
+        gc = r["gamma_check"]
+        lines.append(f"  gamma(W_Sonar) spot-check: {gc['n_within_1e-3']}/"
+                     f"{len(gc['rows'])} within 1e-3 (max abs err "
+                     f"{gc['max_abs_err'] if gc['max_abs_err'] is None else round(gc['max_abs_err'], 6)})")
+    lines.append(f"closest mode: {report['closest_mode']}")
+    lines.append("published vector norms (sqrt(61) = 7.81025):")
+    for k, v in report["norms"].items():
+        lines.append(f"  {k}: {v:.5f}")
+    lines.append("cosines (true / raw-eq8 / published):")
+    for k, v in report["cosines"].items():
+        lines.append(f"  {k}: {v['true_cosine']:.5f} / {v['raw_eq8']:.5f} "
+                     f"/ {v['published']}")
+    pert = report["perturbation"]
+    lines.append(f"truncation perturbation in {pert['mode']} (+-5e-5 per component), "
+                 f"error-count spread:")
+    for k, v in pert["spreads"].items():
+        lines.append(f"  {k}: min={v['min']} max={v['max']} "
+                     f"min_ratio={v['min_ratio']:.2f}")
+    lines.append(f"verdict: {'REPRODUCED' if report['reproduced'] else 'NOT REPRODUCED'}")
+    return "\n".join(lines) + "\n"

@@ -34,9 +34,9 @@ from .perceptron import (
 
 
 class GrowthStallError(RuntimeError):
-    """A new hidden unit failed to strictly reduce the internal error count."""
+    """Growth stalled (see ``grow_network``); ``trace`` is the growth so far."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace
 

@@ -78,7 +78,7 @@ class TrainingError(RuntimeError):
     Carries the trace accumulated up to the failure in ``trace``.
     """
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace
 

@@ -11,7 +11,7 @@ from monoplane import (
     TrainingConfig, cli, compute_stats, count_errors, evaluate, evaluation,
     load_file,
     load_published_table, load_split_file, load_weights, minimerror_train,
-    save_weights, split, standardize, verify_published,
+    save_weights, split, standardize, verify_published, verify_text,
 )
 from monoplane.cli import _blas_build, build_parser, main
 from monoplane.network import GrowthTrace
@@ -322,7 +322,9 @@ def test_manifest_records_the_options_its_command_reads(
     for k, (argv, code, options) in enumerate(runs):
         out = tmp_path / str(k)
         assert run([*argv, "--out", str(out)]) == code
-        m = json.loads((out / "manifest.json").read_text())
+        text = (out / "manifest.json").read_text(encoding="utf-8")
+        m = json.loads(text)
+        assert text == json.dumps(m, sort_keys=True) + "\n", argv
         assert m.keys() == RUN_KEYS | options.keys(), argv
         assert {key: m[key] for key in options} == options, argv
         assert m["command"] == argv[0]
@@ -337,23 +339,35 @@ class TestJsonArtifacts:
                                                 fast_cfg_path, capsys):
         from importlib import resources
         xor = resources.files("monoplane.assets").joinpath("xor.csv")
+        # XOR twice: grow learns the first copy and is scored on the second
+        xor2, xor2_split = tmp_path / "xor2.csv", tmp_path / "xor2.split"
+        xor2.write_text(xor.read_text() * 2)
+        xor2_split.write_text("[train]\n1\n2\n3\n4\n[test]\n5\n6\n7\n8\n")
+        split_args = ["--dataset", str(sonar_path), "--split-file",
+                      str(balanced_split_path)]
         runs = [
-            (["train", "--dataset", str(sonar_path), "--split-file",
-              str(balanced_split_path), "--config", fast_cfg_path],
+            ("train", ["train", *split_args, "--config", fast_cfg_path],
              0, "report.json"),
-            (["grow", "--dataset", str(xor), "--part", "all",
-              "--config", fast_cfg_path], 0, "report.json"),
-            (["verify", "--dataset", str(sonar_path), "--split-file",
-              str(balanced_split_path), "--format", "json"], 1, "verify.json"),
+            ("train-all", ["train", "--dataset", str(sonar_path), "--part",
+                           "all", "--any-range", "--config", fast_cfg_path],
+             0, "report.json"),
+            ("grow", ["grow", "--dataset", str(xor), "--part", "all",
+                      "--config", fast_cfg_path], 0, "report.json"),
+            ("grow-split", ["grow", "--dataset", str(xor2), "--split-file",
+                            str(xor2_split), "--config", fast_cfg_path],
+             0, "report.json"),
+            ("verify-text", ["verify", *split_args], 1, None),
+            ("verify", ["verify", *split_args, "--format", "json"], 1,
+             "verify.json"),
         ]
-        for argv, code, report in runs:
-            out = tmp_path / argv[0]
-            assert run([*argv, "--out", str(out)]) == code
-            for name in (report, "manifest.json"):
+        for key, argv, code, report in runs:
+            out = tmp_path / key
+            assert run([*argv, "--out", str(out)]) == code, key
+            for name in filter(None, (report, "manifest.json")):
                 text = (out / name).read_text(encoding="utf-8")
                 assert text == json.dumps(json.loads(text),
-                                          sort_keys=True) + "\n", (argv[0], name)
-                assert text.count("\n") == 1, (argv[0], name)
+                                          sort_keys=True) + "\n", (key, name)
+                assert text.count("\n") == 1, (key, name)
         assert capsys.readouterr().out.endswith(
             (tmp_path / "verify" / "verify.json").read_text(encoding="utf-8"))
 
@@ -554,6 +568,19 @@ class TestVerify:
         for k, v in payload["norms"].items():
             assert v == pytest.approx(np.sqrt(61), abs=2e-4)
 
+    @staticmethod
+    def split_file(split_name, balanced_split_path, raw_patterns, tmp_path):
+        """The bundled split file, or one holding ``random_balanced_split``
+        with seed 1."""
+        if split_name == "bundled":
+            return balanced_split_path
+        train, test = random_balanced_split(raw_patterns, 1)
+        split_path = tmp_path / "random1.split"
+        split_path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{m}\n" for m in part.mu.tolist())
+            for name, part in (("train", train), ("test", test))))
+        return split_path
+
     @pytest.mark.parametrize("flip", (False, True), ids=["rock+1", "flip"])
     @pytest.mark.parametrize("split_name", ("bundled", "random1"))
     def test_json_is_the_library_report(self, sonar_path, balanced_split_path,
@@ -561,13 +588,8 @@ class TestVerify:
                                         split_name, flip):
         """``verify --format json`` prints exactly the object that
         ``verify_published`` returns."""
-        split_path = balanced_split_path
-        if split_name == "random1":
-            train, test = random_balanced_split(raw_patterns, 1)
-            split_path = tmp_path / "random1.split"
-            split_path.write_text("".join(
-                f"[{name}]\n" + "".join(f"{m}\n" for m in part.mu.tolist())
-                for name, part in (("train", train), ("test", test))))
+        split_path = self.split_file(split_name, balanced_split_path,
+                                     raw_patterns, tmp_path)
         report = verify_published(*split(raw_patterns, load_split_file(split_path)),
                                   flip_labels=flip)
         rc = run(["verify", "--dataset", str(sonar_path), "--split-file",
@@ -575,6 +597,29 @@ class TestVerify:
                  + (["--flip-labels"] if flip else []))
         assert rc == 1
         assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("flip", (False, True), ids=["rock+1", "flip"])
+    @pytest.mark.parametrize("split_name", ("bundled", "random1"))
+    def test_text_is_the_library_narrative(self, sonar_path, balanced_split_path,
+                                           raw_patterns, tmp_path, capsys,
+                                           split_name, flip):
+        """``verify --format text`` prints exactly ``verify_text`` of the
+        report, and each spread's ``min_ratio`` is the report's (which
+        ``--format json`` prints) to two decimals."""
+        split_path = self.split_file(split_name, balanced_split_path,
+                                     raw_patterns, tmp_path)
+        report = verify_published(*split(raw_patterns, load_split_file(split_path)),
+                                  flip_labels=flip)
+        rc = run(["verify", "--dataset", str(sonar_path), "--split-file",
+                  str(split_path), "--format", "text"]
+                 + (["--flip-labels"] if flip else []))
+        assert rc == 1
+        text = capsys.readouterr().out
+        assert text == verify_text(report)
+        spreads = report["perturbation"]["spreads"]
+        printed = dict(re.findall(r"^  (\w+): min=\d+ max=\d+ min_ratio=(\S+)$",
+                                  text, re.MULTILINE))
+        assert printed == {k: f"{v['min_ratio']:.2f}" for k, v in spreads.items()}
 
     def test_text_published_figures_come_from_the_table(
             self, sonar_path, balanced_split_path, capsys, monkeypatch):

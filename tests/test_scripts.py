@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import monoplane
-from monoplane.cli import build_parser
+from monoplane.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = Path(monoplane.__file__).resolve().parent.parent
@@ -110,3 +110,15 @@ def test_artifact_hashes_pass_every_cli_option(artifact_hashes):
                if not any(argv[0] == command and option in argv
                           for _, argv in runs)]
     assert missing == []
+
+
+def test_artifact_hashes_any_range_run_succeeds(artifact_hashes, tmp_path,
+                                                monkeypatch):
+    """The matrix's successful --any-range run exits 0 and its manifest
+    records ``"any_range": true``, so the option's success path is hashed."""
+    name = "train-random-labels-any-range"
+    argv = dict(artifact_hashes.run_matrix())[name]
+    artifact_hashes.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert json.loads((tmp_path / name / "manifest.json").read_text())["any_range"] is True
