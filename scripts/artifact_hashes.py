@@ -6,23 +6,22 @@ Usage:
     python scripts/artifact_hashes.py --compare PARENT.json CHANGE.json
 
 Runs ``monoplane.cli.main`` in-process over a fixed matrix of ``train``
-(default and separation schedules), ``verify`` (text and json), ``grow``
-(XOR, the Train part of the bundled split, and parity 3 and 4 with the
-default schedule) and ``report`` (weights, a network and a growth trace)
-invocations, which pass every option of every command, and writes one
-JSON object mapping ``<run>/exit``, ``<run>/stdout``, ``<run>/stderr``
-and ``<run>/<output file>`` to the sha256 of those bytes. Each JSON output
+(default and separation schedules), ``verify`` (text and json) and
+``grow`` (XOR, the Train part of the bundled split, and parity 3 and 4
+with the default schedule) invocations, which pass every option of every
+command, and writes one JSON object mapping ``<run>/exit``,
+``<run>/stdout``, ``<run>/stderr`` and ``<run>/<output file>`` to the
+sha256 of those bytes. Each JSON output
 is ``json.dumps(obj, sort_keys=True)`` and a newline, so it is hashed once,
 as bytes. Run it once with each of two checkouts on ``PYTHONPATH``, then
 ``--compare`` the two files: it prints each key whose hash differs or that
 only one file has, and a count, and exits 1 if there is any, so exit 0
-means equal exit codes, streams and artifacts. The matrix gives 265 items.
+means equal exit codes, streams and artifacts. The matrix gives 247 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
-and its ``--out`` directory, relative to that root, so manifests and
-``report`` output do not depend on where the checkout or the scratch root
-lives. ``verify`` also runs on seeded random class-balanced splits written
-into that root, because only splits other than the bundled one exercise
+and its ``--out`` directory, relative to that root, so manifests do not
+depend on where the checkout or the scratch root lives. ``verify`` also
+runs on seeded random class-balanced splits written into that root, because only splits other than the bundled one exercise
 the mapping of rows to the paper's layout numbers. ``grow`` also runs on
 parity-3 and parity-4 files written there: parity 3 grows three hidden
 units, parity 4 stalls with several units trained. It also runs on a
@@ -41,13 +40,8 @@ an option that train does not take, ``train`` without a split file the
 error of a part that needs one, ``train --any-range`` on a file of
 finite values whose mean overflows the error of non-finite statistics,
 ``train --any-range`` on a held-out value that standardizes to infinity
-the error naming that pattern, ``report`` on two weight files of different
-lengths the error of a pair it cannot compare, and ``report`` on a weight
-file holding ``1_0`` the error of a number outside the one grammar of the
-files the CLI reads, ``train`` on a config file that sets ``max_epochs``
-twice the error of a repeated key, and ``report`` on a network file whose
-header is ``H=+1``, and on one with a value ``x``, the errors naming the
-header and the value's line.
+the error naming that pattern, and ``train`` on a config file that sets
+``max_epochs`` twice the error of a repeated key.
 
 A run that raises instead of returning an exit code does not end the
 matrix: its ``exit`` item hashes the ``SystemExit`` code, or the name of
@@ -100,13 +94,8 @@ OVERFLOW_CSV = "1e308,0.5,R\n1e308,0.25,M\n-1e308,0.75,R\n1e308,0.1,M\n"
 # two features whose held-out first value standardizes to infinity
 HELD_OUT_OVERFLOW_CSV = "0.1,0.5,R\n0.2,0.25,M\n0.3,0.75,R\n1e308,0.1,M\n"
 HELD_OUT_OVERFLOW_SPLIT = "[train]\n1\n2\n3\n[test]\n4\n"
-# artifacts and a config file the CLI rejects, written into the scratch root
-REJECTED_FILES = {
-    "w-underscore.txt": "0.5\n1_0\n",
-    "duplicate.cfg": "max_epochs=5\nmax_epochs=7\n",
-    "net-plus.txt": "H=+1\n1.0\n2.0\n3.0\n",
-    "net-value.txt": "H=1\n1.0\nx\n3.0\n",
-}
+# a config file the CLI rejects, written into the scratch root
+DUPLICATE_CFG = "max_epochs=5\nmax_epochs=7\n"
 
 
 def random_split_text(raw, seed, n_mines=49, n_rocks=55):
@@ -166,8 +155,7 @@ def variant_texts(text):
 
 
 def run_matrix():
-    """(run name, argv) pairs in execution order; ``report`` reads artifacts
-    that the earlier runs wrote."""
+    """(run name, argv) pairs in execution order."""
     runs = []
     # "-json" in the names pairs these runs' keys with older hash files
     for part in ("train", "test", "all"):
@@ -206,13 +194,6 @@ def run_matrix():
     runs.append(("train-random-labels-any-range",
                  ["train", "--dataset", "random-labels.csv", "--part", "all",
                   "--any-range", "--out", "train-random-labels-any-range"]))
-    runs.append(("report", ["report", "train-train-json/weights.txt",
-                            "train-test-json/weights.txt",
-                            "grow-xor-json/network.txt"]))
-    # the growth trace that grow writes, printed verbatim
-    runs.append(("report-growth", ["report", "grow-xor-json/growth.csv"]))
-    runs.append(("report-mismatch", ["report", "train-train-json/weights.txt",
-                                     "w2.txt"]))
     for variant in VARIANTS:
         for command in ("train", "verify"):
             name = f"{command}-{variant}"
@@ -229,12 +210,9 @@ def run_matrix():
                  ["train", "--dataset", "held-out-overflow.csv", "--split-file",
                   "held-out-overflow.split", "--any-range",
                   "--out", "train-standardize-overflow"]))
-    runs.append(("report-underscore", ["report", "w-underscore.txt"]))
     runs.append(("train-config-duplicate", ["train", *SONAR, "--config",
                                             "duplicate.cfg", "--out",
                                             "train-config-duplicate"]))
-    runs.append(("report-network-plus", ["report", "net-plus.txt"]))
-    runs.append(("report-network-value", ["report", "net-value.txt"]))
     return runs
 
 
@@ -262,12 +240,10 @@ def write_inputs(root: Path):
         (root / f"sonar-{variant}.csv").write_text(text)
     (root / "sonar-not-utf8.csv").write_bytes(
         b"\xff" + (root / "sonar.all-data").read_bytes())
-    (root / "w2.txt").write_text("1.0\n2.0\n")
     (root / "overflow.csv").write_text(OVERFLOW_CSV)
     (root / "held-out-overflow.csv").write_text(HELD_OUT_OVERFLOW_CSV)
     (root / "held-out-overflow.split").write_text(HELD_OUT_OVERFLOW_SPLIT)
-    for name, text in REJECTED_FILES.items():
-        (root / name).write_text(text)
+    (root / "duplicate.cfg").write_text(DUPLICATE_CFG)
 
 
 def hashes(root: Path):

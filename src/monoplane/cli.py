@@ -1,4 +1,4 @@
-"""Command-line surface: train, grow, verify, report.
+"""Command-line surface: train, grow, verify.
 
 A finished train or grow run, and verify with --out, writes a manifest
 that, together with the dataset bytes, fully determines every output byte:
@@ -6,8 +6,8 @@ configuration snapshot (the seed among it), dataset digest, split source,
 and the python and numpy versions it ran on. Every input has one source:
 --dataset, --split-file, --config and the options the manifest records. No
 timestamps, no machine identifiers. Exit codes are a stable contract: 0
-success, 1 verification mismatch, 2 usage or I/O error, or a training run
-that diverged.
+success, 1 verification mismatch, 2 usage or I/O error, a training run
+that diverged, or a growth that stalled.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dataio
-from .evaluation import cosine, evaluate, verify_published, verify_text
-from .network import (
-    GrowthStallError, grow_network, load_network, network_output, save_network,
-)
+from .evaluation import evaluate, verify_published, verify_text
+from .network import GrowthStallError, grow_network, network_output, save_network
 from .perceptron import (
-    SEPARATION_CONFIG, TrainingConfig, TrainingError, load_weights,
-    minimerror_train, save_weights, weights_to_table_text,
+    SEPARATION_CONFIG, TrainingConfig, TrainingError, minimerror_train,
+    save_weights,
 )
 
 
@@ -228,41 +226,6 @@ def cmd_verify(args):
     return 0 if report["reproduced"] else 1
 
 
-def cmd_report(args):
-    texts = []
-    loaded = []
-    for p in args.artifacts:
-        if not os.path.exists(p):
-            raise UsageError(f"artifact not found: {p}")
-        try:
-            content = Path(p).read_text(encoding="utf-8")
-            first = content.lstrip().split("\n", 1)[0]
-            if first.startswith("H="):
-                model = load_network(content)
-                texts.append(f"{p}: network with H={len(model.hidden)} hidden "
-                             f"units, {len(model.hidden[0])} inputs each")
-            elif first.startswith(("epoch,", "unit,", "mode", "{")):
-                # a trace, a growth trace, or a report of train, grow or
-                # verify, verbatim
-                texts.append(f"{p}:\n{content.rstrip()}")
-            else:
-                w = load_weights(content)
-                loaded.append(w)
-                texts.append(f"{p}: {len(w)} weights, norm {w.norm!r}\n"
-                             + weights_to_table_text(w).rstrip())
-        except ValueError as exc:
-            # a malformed artifact (or non-UTF-8 bytes) is a usage error
-            raise UsageError(f"cannot read {p}: {exc}") from None
-    if len(loaded) == 2:
-        try:
-            c = cosine(loaded[0], loaded[1])
-        except ValueError as exc:
-            raise UsageError(f"cannot compare the two weight vectors: {exc}") from None
-        texts.append(f"pairwise cosine (true): {c!r}")
-    print("\n".join(texts))
-    return 0
-
-
 @functools.cache
 def build_parser():
     """The parser ``main`` uses, built on first use (not at import) and
@@ -300,10 +263,6 @@ def build_parser():
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="optional output directory")
     p_verify.set_defaults(fn=cmd_verify)
-
-    p_report = sub.add_parser("report", help="render weight/network/trace artifacts")
-    p_report.add_argument("artifacts", nargs="+")
-    p_report.set_defaults(fn=cmd_report)
     return ap
 
 

@@ -612,9 +612,3 @@ def load_weights(text) -> WeightVector:
     except ValueError as exc:
         raise ValueError(f"unparseable weight value: {exc}") from None
     return WeightVector(np.array(values))
-
-
-def weights_to_table_text(w: WeightVector):
-    """Render in the published-table layout: 8 comma-separated values a row."""
-    vals = [f"{v:.4f}" for v in w.w]
-    return "".join(", ".join(vals[i:i + 8]) + "\n" for i in range(0, len(vals), 8))

@@ -3,6 +3,8 @@ import io
 import json
 import platform
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from monoplane import (
     save_weights, split, standardize, verify_published, verify_text,
 )
 from monoplane.cli import _blas_build, build_parser, main
-from monoplane.network import GrowthTrace
 
 from conftest import random_balanced_split
 
@@ -218,7 +219,11 @@ class TestTrain:
 
 
 class TestStop:
-    """The train report says why the anneal ended."""
+    """The train report says why the anneal ended, with the figures README
+    states for the bundled split."""
+
+    # README's trace sizes in MB, to 0.1 MB
+    TRACE_MB = {"train": 1.5, "test": 1.3, "all": 2.4}
 
     @pytest.mark.parametrize("part, epochs", [
         ("train", 23160), ("test", 20365), ("all", 35187),
@@ -233,16 +238,23 @@ class TestStop:
         rep = json.loads((out / "report.json").read_text())
         assert (rep["stop"], rep["epochs_run"]) == ("frozen", epochs)
         # a header and one row per epoch run
-        assert (out / "trace.csv").read_text().count("\n") == epochs + 1
+        trace = (out / "trace.csv").read_bytes()
+        assert trace.count(b"\n") == epochs + 1
+        assert round(len(trace) / 1e6, 1) == self.TRACE_MB[part]
 
     def test_default_schedule_ends_at_t_min(self, sonar_path,
                                             balanced_split_path, tmp_path):
-        out = tmp_path / "o"
-        assert run(["train", "--dataset", str(sonar_path),
-                    "--split-file", str(balanced_split_path),
-                    "--part", "train", "--out", str(out)]) == 0
-        rep = json.loads((out / "report.json").read_text())
-        assert (rep["stop"], rep["epochs_run"]) == ("t_min", 9206)
+        """The stock defaults separate none of the three sets."""
+        for part, errors, size in (("train", 9, 104), ("test", 3, 104),
+                                   ("all", 13, 208)):
+            out = tmp_path / part
+            assert run(["train", "--dataset", str(sonar_path),
+                        "--split-file", str(balanced_split_path),
+                        "--part", part, "--out", str(out)]) == 0
+            rep = json.loads((out / "report.json").read_text())
+            assert (rep["stop"], rep["epochs_run"]) == ("t_min", 9206), part
+            assert (rep["training_errors"]["total"],
+                    rep["learning_set_size"]) == (errors, size), part
 
 
 class TestReportContents:
@@ -422,12 +434,11 @@ class TestParser:
             init(self, *args, **kwargs)
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         build_parser.cache_clear()
-        p = tmp_path / "trace.csv"
-        p.write_text("epoch,temperature,cost,errors,min_stability\n")
-        assert run(["report", str(p)]) == 0
-        assert run(["report", str(p)]) == 0
+        missing = ["train", "--dataset", str(tmp_path / "nope.csv")]
+        assert run(missing) == 2
+        assert run(missing) == 2
         one_build = ["monoplane"] + [f"monoplane {cmd}" for cmd in
-                                     ("train", "grow", "verify", "report")]
+                                     ("train", "grow", "verify")]
         assert built == one_build
 
     def test_no_state_leaks_between_calls(self, sonar_path, balanced_split_path,
@@ -441,6 +452,21 @@ class TestParser:
         # no --part: the default part, not the previous call's
         assert manifest["part"] == "train"
         assert build_parser().parse_args(["train", "--dataset", "x"]).part == "train"
+
+    def test_readme_cli_examples_parse(self):
+        """Every ``monoplane`` line of README's CLI block, its continuations
+        joined and its comment dropped, is a command line the parser takes."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+        lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+        examples = [shlex.split(line.split("#", 1)[0])[1:] for line in lines
+                    if line.startswith("monoplane ")]
+        assert examples
+        for argv in examples:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: monoplane {shlex.join(argv)}")
 
     def test_usage_error_then_valid_call(self, sonar_path, balanced_split_path,
                                          capsys):
@@ -473,7 +499,7 @@ def test_removed_formats_are_usage_errors(sonar_path, tmp_path, capsys,
     ("grow", "--features", "2"), ("train", "--seed", "1"),
     ("train", "--scale", "variance"), ("grow", "--stats-from", "all"),
     ("train", "--flip-labels", None), ("grow", "--flip-labels", None),
-    ("grow", "--max-hidden", "2"), ("report", "--raw-eq8", None),
+    ("grow", "--max-hidden", "2"), ("report", None, None),
 ])
 def test_removed_inputs_are_usage_errors(sonar_path, tmp_path, capsys,
                                          command, option, value):
@@ -481,24 +507,19 @@ def test_removed_inputs_are_usage_errors(sonar_path, tmp_path, capsys,
     no --seed (the config file sets it), no --scale or --stats-from (the
     learning part's population std sets the coordinates) and no
     --flip-labels (its run is the exact mirror of the run without it);
-    grow takes no --max-hidden (growth caps at max(1, P - 1)), and report
-    no --raw-eq8 (verify prints both cosines of the published vectors):
-    each is an argparse usage error that writes nothing."""
+    grow takes no --max-hidden (growth caps at max(1, P - 1)); and there
+    is no report command (``cat`` prints the files it printed): each is an
+    argparse usage error that writes nothing."""
     from importlib import resources
-    assets = resources.files("monoplane.assets")
     out = tmp_path / "o"
-    removed = [option] + ([value] if value else [])
-    if command == "report":
-        argv = [command, *removed, str(assets / "w_train.txt"),
-                str(assets / "w_test.txt")]
-    else:
-        data = assets / "xor.csv" if command == "grow" else sonar_path
-        argv = [command, "--dataset", str(data), *removed, "--part", "all",
-                "--out", str(out)]
+    removed = [arg for arg in (option, value) if arg]
+    data = (resources.files("monoplane.assets") / "xor.csv"
+            if command == "grow" else sonar_path)
     with pytest.raises(SystemExit) as info:
-        run(argv)
+        run([command, "--dataset", str(data), *removed, "--part", "all",
+             "--out", str(out)])
     assert info.value.code == 2
-    assert option in capsys.readouterr().err
+    assert (option or f"invalid choice: '{command}'") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -645,112 +666,3 @@ class TestVerify:
         monkeypatch.setattr(evaluation, "_published",
                             lambda: (doctored, *published[1:]))
         assert_figures_of(doctored)
-
-
-class TestReport:
-    def test_weight_table_rendering(self, tmp_path, capsys):
-        from monoplane import WeightVector, save_weights
-        import io
-        w = WeightVector(np.arange(1.0, 62.0))
-        buf = io.StringIO()
-        save_weights(w, buf)
-        p = tmp_path / "w.txt"
-        p.write_text(buf.getvalue())
-        assert run(["report", str(p)]) == 0
-        out = capsys.readouterr().out
-        assert "61 weights" in out
-        assert out.count("\n") >= 8
-
-    def test_pairwise_cosine(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        paths = []
-        for i in range(2):
-            v = rng.standard_normal(61)
-            p = tmp_path / f"w{i}.txt"
-            p.write_text("\n".join(repr(float(x)) for x in v) + "\n")
-            paths.append(str(p))
-        assert run(["report"] + paths) == 0
-        assert "pairwise cosine (true)" in capsys.readouterr().out
-
-    def test_trace_passthrough(self, tmp_path, capsys):
-        p = tmp_path / "trace.csv"
-        p.write_text("epoch,temperature,cost,errors,min_stability\n0,1.0,5.0,3,-0.2\n")
-        assert run(["report", str(p)]) == 0
-        assert "temperature" in capsys.readouterr().out
-
-    def test_growth_passthrough(self, tmp_path, capsys):
-        """grow's growth.csv prints verbatim."""
-        buf = io.StringIO()
-        GrowthTrace(units=[1, 0], output_attempts=[(1, 1), (2, 0)]).to_csv(buf)
-        growth = tmp_path / "growth.csv"
-        growth.write_text(buf.getvalue())
-        assert run(["report", str(growth)]) == 0
-        assert capsys.readouterr().out == (
-            f"{growth}:\n{growth.read_text().rstrip()}\n")
-
-    @pytest.mark.parametrize("command, options, report", [
-        ("verify", ["--format", "json"], "verify.json"),
-        ("verify", [], "verify.txt"),
-        ("train", [], "report.json"),
-        ("grow", [], "report.json"),
-    ], ids=["verify-json", "verify-text", "train-json", "grow-json"])
-    def test_cli_reports_print_verbatim(self, sonar_path, balanced_split_path,
-                                        tmp_path, fast_cfg_path, capsys,
-                                        command, options, report):
-        """Every report that train, grow and verify write reads back
-        verbatim, not as a malformed weight file."""
-        from importlib import resources
-        xor = resources.files("monoplane.assets").joinpath("xor.csv")
-        argv = {"verify": ["verify", "--dataset", str(sonar_path), "--split-file",
-                           str(balanced_split_path)],
-                "train": ["train", "--dataset", str(sonar_path), "--split-file",
-                          str(balanced_split_path), "--config", fast_cfg_path],
-                "grow": ["grow", "--dataset", str(xor), "--part", "all",
-                         "--config", fast_cfg_path]}[command]
-        out = tmp_path / "o"
-        assert run([*argv, *options, "--out", str(out)]) == (
-            1 if command == "verify" else 0)
-        report = out / report
-        capsys.readouterr()
-        assert run(["report", str(report)]) == 0
-        assert capsys.readouterr() == (
-            f"{report}:\n{report.read_text().rstrip()}\n", "")
-
-    def test_weights_of_different_lengths_exit_2(self, tmp_path, capsys):
-        paths = []
-        for n in (3, 2):
-            p = tmp_path / f"w{n}.txt"
-            p.write_text("".join(f"{k + 1.0!r}\n" for k in range(n)))
-            paths.append(str(p))
-        assert run(["report", *paths]) == 2
-        assert capsys.readouterr().err == (
-            "error: cannot compare the two weight vectors: dimension mismatch: 3 vs 2\n")
-
-    @pytest.mark.parametrize("text, message", [
-        ("0.5\n1_0\n", "unparseable weight value: could not convert string "
-                        "to float: '1_0'"),
-        ("0.5\n\u0661\n", "unparseable weight value: could not convert string "
-                          "to float: '\u0661'"),
-        ("H=+1\n1.0\n2.0\n3.0\n", "bad H= header: invalid literal for int() "
-                                  "with base 10: '+1'"),
-        ("H=1\n1.0\n1_0\n3.0\n", "line 3: could not convert string to float: '1_0'"),
-    ], ids=["weights-underscore", "weights-non-ascii", "network-plus",
-            "network-underscore"])
-    def test_number_outside_the_grammar_exit_2(self, tmp_path, capsys, text,
-                                               message):
-        p = tmp_path / "artifact.txt"
-        p.write_text(text, encoding="utf-8")
-        assert run(["report", str(p)]) == 2
-        assert capsys.readouterr() == ("", f"error: cannot read {p}: {message}\n")
-
-    def test_missing_artifact_exit_2(self, tmp_path):
-        assert run(["report", str(tmp_path / "nope")]) == 2
-
-    @pytest.mark.parametrize("text", ["0.5\nnot-a-number\n", "H=2\n1.0\n2.0\n3.0\n"],
-                             ids=["weights", "network"])
-    def test_unparseable_artifact_exit_2(self, tmp_path, capsys, text):
-        p = tmp_path / "artifact.txt"
-        p.write_text(text)
-        assert run(["report", str(p)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read {p}: ")

@@ -19,9 +19,7 @@ from monoplane import (
     field, hebbian_init, load_published_weights, load_weights,
     minimerror_train, rosenblatt_train, save_weights,
 )
-from monoplane.perceptron import (
-    _BLOCK, TrainingTrace, _sech2, weights_to_table_text,
-)
+from monoplane.perceptron import _BLOCK, TrainingTrace, _sech2
 
 from conftest import make_ls_patterns, pattern_set, stability, xor_patterns
 
@@ -1238,14 +1236,6 @@ class TestSerialization:
         text = "0.5, -0.25, 1.0\n2.0 3.0\n"
         w = load_weights(text)
         assert np.array_equal(w.w, [0.5, -0.25, 1.0, 2.0, 3.0])
-
-    def test_table_text_is_8_per_row(self):
-        w = WeightVector(np.arange(1.0, 62.0))
-        text = weights_to_table_text(w)
-        rows = text.strip().split("\n")
-        assert len(rows) == 8
-        assert len(rows[0].split(",")) == 8
-        assert len(rows[-1].split(",")) == 5
 
     @pytest.mark.parametrize("token", ["1_0", "\u0661", "0.\u0665"])
     def test_number_outside_the_grammar_rejected(self, token):

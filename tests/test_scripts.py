@@ -13,9 +13,6 @@ from monoplane.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = Path(monoplane.__file__).resolve().parent.parent
-# the files each command writes into its --out directory on success
-OUTPUTS = {"train": {"weights.txt", "trace.csv", "report.json", "manifest.json"},
-           "grow": {"network.txt", "growth.csv", "report.json", "manifest.json"}}
 
 
 @pytest.fixture(scope="module")
@@ -75,25 +72,10 @@ def test_artifact_hashes_compare_names_every_difference(artifact_hashes,
         "3 of 4 items differ\n")
 
 
-def test_artifact_hashes_report_runs_read_what_exists(artifact_hashes, tmp_path):
-    """Run names are unique, and every file a report run reads is an input
-    written into the scratch root or a file an earlier train or grow run
-    writes into its --out directory."""
-    runs = artifact_hashes.run_matrix()
-    names = [name for name, _ in runs]
+def test_artifact_hashes_run_names_are_unique(artifact_hashes):
+    """Each run's items are keyed by its name, so no two runs share one."""
+    names = [name for name, _ in artifact_hashes.run_matrix()]
     assert len(set(names)) == len(names)
-    artifact_hashes.write_inputs(tmp_path)
-    written = {}
-    for name, argv in runs:
-        if argv[0] == "report":
-            paths = [a for a in argv[1:] if not a.startswith("--")]
-            assert paths, name
-            for path in paths:
-                run_dir, _, file = path.rpartition("/")
-                assert ((tmp_path / path).is_file()
-                        or file in written.get(run_dir, ())), (name, path)
-        elif argv[0] in OUTPUTS:
-            written[argv[argv.index("--out") + 1]] = OUTPUTS[argv[0]]
 
 
 def test_artifact_hashes_pass_every_cli_option(artifact_hashes):
