@@ -93,10 +93,9 @@ def _write(path: Path, text: str):
 
 def _manifest(args, outputs, config=None):
     """The manifest of a run: its inputs, the options its command reads
-    (train and grow: part, any_range and config; verify: flip_labels and
-    format), its outputs and the versions it ran on."""
-    options = ({"flip_labels": args.flip_labels, "format": args.format}
-               if args.cmd == "verify" else
+    (train and grow: part, any_range and config; verify: format), its
+    outputs and the versions it ran on."""
+    options = ({"format": args.format} if args.cmd == "verify" else
                {"part": args.part, "any_range": args.any_range,
                 "config": config.to_dict()})
     m = {
@@ -211,7 +210,7 @@ def cmd_verify(args):
     if patterns.X.shape[1] != 60:
         raise UsageError(f"verification needs 60 features per pattern, "
                          f"{args.dataset} has {patterns.X.shape[1]}")
-    report = verify_published(train, test, flip_labels=args.flip_labels)
+    report = verify_published(train, test)
 
     if args.format == "json":
         name, text = "verify.json", json.dumps(report, sort_keys=True) + "\n"
@@ -258,8 +257,6 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="check the published weight tables")
     common(p_verify, with_training=False)
-    p_verify.add_argument("--flip-labels", action="store_true",
-                          help="swap the +-1 class mapping")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="optional output directory")
     p_verify.set_defaults(fn=cmd_verify)

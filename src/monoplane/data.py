@@ -321,12 +321,12 @@ def compute_stats(raw, mode="std"):
     return StandardizationStats(mean=mean, scale=scale)
 
 
-def standardize(raw, stats, flip_labels=False):
+def standardize(raw, stats):
     """Map a RawSet to a PatternSet in the coordinates of ``stats``.
 
     xi[0] = 1 (bias coordinate), xi[i] = (features[i-1] - mean) / scale.
-    Labels map rock -> +1 and mine -> -1 unless ``flip_labels``. The first
-    value that maps to a non-finite coordinate raises StatsError.
+    Labels pass through unchanged (rock +1, mine -1). The first value that
+    maps to a non-finite coordinate raises StatsError.
     """
     n = len(stats.mean)
     if raw.X.shape[1] != n:
@@ -340,4 +340,4 @@ def standardize(raw, stats, flip_labels=False):
         k, i = divmod(int(ok.argmin()), n + 1)
         raise StatsError(f"pattern mu={raw.mu[k]}: feature {i} value "
                          f"{float(raw.X[k, i - 1])} does not standardize to a finite number")
-    return PatternSet(Xi=Xi, tau=-raw.tau if flip_labels else raw.tau, mu=raw.mu)
+    return PatternSet(Xi=Xi, tau=raw.tau, mu=raw.mu)

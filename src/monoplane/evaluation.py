@@ -246,7 +246,7 @@ STANDARDIZATION_MODES = (
 )
 
 
-def mode_parts(train_raw, test_raw, flip_labels=False):
+def mode_parts(train_raw, test_raw):
     """The PatternSets the three published vectors classify, keyed by mode
     name in ``STANDARDIZATION_MODES`` order. Each value holds, in
     ``PUBLISHED_NAMES`` order, the Test part in Train-stats coordinates,
@@ -254,7 +254,8 @@ def mode_parts(train_raw, test_raw, flip_labels=False):
     coordinates; the ``all`` modes use the full-set statistics throughout.
     Each part keeps its row order, the full set is in file mu order, and
     ``mu`` holds each pattern's number in the paper's layout. The full set
-    is standardized once per scale, and both modes of that scale share it."""
+    is standardized once per scale, and both modes of that scale share it.
+    An empty part raises StatsError."""
     layout = paper_layout_numbering(train_raw, test_raw)
     mu = np.concatenate((train_raw.mu, test_raw.mu))
     numbered = RawSet(np.concatenate((train_raw.X, test_raw.X)),
@@ -268,16 +269,15 @@ def mode_parts(train_raw, test_raw, flip_labels=False):
     for mode_name, stats_from, scale in STANDARDIZATION_MODES:
         if scale not in full_sets:
             stats = compute_stats(full, scale)
-            full_sets[scale] = stats, standardize(full, stats, flip_labels)
+            full_sets[scale] = stats, standardize(full, stats)
         stats_all, full_set = full_sets[scale]
         if stats_from == "part":
             stats_train = compute_stats(train, scale)
-            stats_test = compute_stats(test, scale) if len(test) else stats_train
+            stats_test = compute_stats(test, scale)
         else:
             stats_train = stats_test = stats_all
-        parts[mode_name] = (standardize(test, stats_train, flip_labels),
-                            standardize(train, stats_test, flip_labels),
-                            full_set)
+        parts[mode_name] = (standardize(test, stats_train),
+                            standardize(train, stats_test), full_set)
     return parts
 
 
@@ -376,7 +376,7 @@ def cosine_report():
     return out
 
 
-def verify_published(train_raw, test_raw, flip_labels=False):
+def verify_published(train_raw, test_raw):
     """Sweep all standardization modes and diff against the published tables.
 
     Returns the report that ``verify --format json`` prints: ``modes``, one
@@ -386,7 +386,7 @@ def verify_published(train_raw, test_raw, flip_labels=False):
     ``reproduced``, True iff some mode reproduces both published
     misclassification sets exactly.
     """
-    parts = mode_parts(train_raw, test_raw, flip_labels)
+    parts = mode_parts(train_raw, test_raw)
     modes = [run_mode(mode_name, parts) for mode_name in parts]
     closest = min(modes, key=lambda r: sum(len(r[k]) for k in (
         "missing_test", "extra_test", "missing_train", "extra_train")))["mode"]

@@ -69,7 +69,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import read_number
+from .data import _load, read_number
 
 
 class TrainingError(RuntimeError):
@@ -150,25 +150,25 @@ class TrainingConfig:
 
     @classmethod
     def from_file(cls, path):
-        """Read a flat key=value file; unknown and repeated keys are an error."""
+        """Read a flat key=value file; unknown and repeated keys, and bytes
+        that are not UTF-8, are an error."""
         casts = {f.name: type(f.default) for f in fields(cls)}
         kwargs = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, val = (s.strip() for s in line.split("=", 1))
-                if key not in casts:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                if key in kwargs:
-                    raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-                try:
-                    kwargs[key] = read_number(val, casts[key])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad {key}: {exc}") from None
+        for lineno, line in enumerate(_load(list, path), start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, val = (s.strip() for s in line.split("=", 1))
+            if key not in casts:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in kwargs:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
+            try:
+                kwargs[key] = read_number(val, casts[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {key}: {exc}") from None
         return cls(**kwargs)
 
     def to_dict(self):

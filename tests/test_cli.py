@@ -203,18 +203,25 @@ class TestTrain:
             "", f"error: bad --config: {cfg}:2: duplicate config key 'max_epochs'\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ("train", "verify"))
-    @pytest.mark.parametrize("bad", ("dataset", "split"))
+    @pytest.mark.parametrize("bad, command", [
+        ("dataset", "train"), ("dataset", "verify"), ("split", "train"),
+        ("split", "verify"), ("config", "train"),
+    ])
     def test_non_utf8_input_exit_2(self, sonar_path, balanced_split_path,
-                                   tmp_path, capsys, command, bad):
-        paths = {"dataset": sonar_path, "split": balanced_split_path}
+                                   fast_cfg_path, tmp_path, capsys, command, bad):
+        paths = {"dataset": sonar_path, "split": balanced_split_path,
+                 "config": Path(fast_cfg_path)}
         source, paths[bad] = paths[bad], tmp_path / f"{bad}.bin"
         paths[bad].write_bytes(b"\xff" + source.read_bytes())
         out = tmp_path / "o"
-        assert run([command, "--dataset", str(paths["dataset"]),
-                    "--split-file", str(paths["split"]), "--out", str(out)]) == 2
+        argv = [command, "--dataset", str(paths["dataset"]),
+                "--split-file", str(paths["split"]), "--out", str(out)]
+        if bad == "config":
+            argv += ["--config", str(paths["config"])]
+        assert run(argv) == 2
+        prefix = "bad --config: " if bad == "config" else ""
         assert capsys.readouterr().err == (
-            f"error: {paths[bad]}: not a UTF-8 text file\n")
+            f"error: {prefix}{paths[bad]}: not a UTF-8 text file\n")
         assert not out.exists()
 
 
@@ -311,8 +318,7 @@ def test_manifest_records_the_options_its_command_reads(
         sonar_path, balanced_split_path, tmp_path, fast_cfg_path, capsys):
     """A manifest records each option its command reads, --out aside, and
     no other: train and grow their part, --any-range and config, verify
-    its --flip-labels and --format, so a --any-range run's manifest says
-    so."""
+    its --format, so a --any-range run's manifest says so."""
     from importlib import resources
     xor = resources.files("monoplane.assets").joinpath("xor.csv")
     split_args = ["--dataset", str(sonar_path), "--split-file",
@@ -327,9 +333,8 @@ def test_manifest_records_the_options_its_command_reads(
         (["grow", "--dataset", str(xor), "--part", "all", "--any-range",
           "--config", fast_cfg_path], 0,
          {"part": "all", "any_range": True, "config": config}),
-        (["verify", *split_args, "--format", "json", "--flip-labels"], 1,
-         {"flip_labels": True, "format": "json"}),
-        (["verify", *split_args], 1, {"flip_labels": False, "format": "text"}),
+        (["verify", *split_args, "--format", "json"], 1, {"format": "json"}),
+        (["verify", *split_args], 1, {"format": "text"}),
     ]
     for k, (argv, code, options) in enumerate(runs):
         out = tmp_path / str(k)
@@ -499,13 +504,14 @@ def test_removed_formats_are_usage_errors(sonar_path, tmp_path, capsys,
     ("grow", "--features", "2"), ("train", "--seed", "1"),
     ("train", "--scale", "variance"), ("grow", "--stats-from", "all"),
     ("train", "--flip-labels", None), ("grow", "--flip-labels", None),
-    ("grow", "--max-hidden", "2"), ("report", None, None),
+    ("verify", "--flip-labels", None), ("grow", "--max-hidden", "2"),
+    ("report", None, None),
 ])
 def test_removed_inputs_are_usage_errors(sonar_path, tmp_path, capsys,
                                          command, option, value):
     """train and grow take no --features (the first line sets the width),
-    no --seed (the config file sets it), no --scale or --stats-from (the
-    learning part's population std sets the coordinates) and no
+    no --seed (the config file sets it) and no --scale or --stats-from (the
+    learning part's population std sets the coordinates); no command takes
     --flip-labels (its run is the exact mirror of the run without it);
     grow takes no --max-hidden (growth caps at max(1, P - 1)); and there
     is no report command (``cat`` prints the files it printed): each is an
@@ -590,51 +596,50 @@ class TestVerify:
             assert v == pytest.approx(np.sqrt(61), abs=2e-4)
 
     @staticmethod
-    def split_file(split_name, balanced_split_path, raw_patterns, tmp_path):
-        """The bundled split file, or one holding ``random_balanced_split``
-        with seed 1."""
-        if split_name == "bundled":
-            return balanced_split_path
-        train, test = random_balanced_split(raw_patterns, 1)
-        split_path = tmp_path / "random1.split"
-        split_path.write_text("".join(
-            f"[{name}]\n" + "".join(f"{m}\n" for m in part.mu.tolist())
-            for name, part in (("train", train), ("test", test))))
-        return split_path
+    def inputs(split_name, labels, sonar_path, balanced_split_path,
+               raw_patterns, tmp_path):
+        """The ``--dataset`` and ``--split-file`` arguments of a verify, and
+        the ``verify_published`` report of the split they give. The dataset
+        is the sonar file, or for ``flip`` a copy with R and M swapped; the
+        split file is the bundled one, or one holding
+        ``random_balanced_split`` with seed 1."""
+        dataset, split_path = sonar_path, balanced_split_path
+        if labels == "flip":
+            dataset = tmp_path / "flipped.csv"
+            dataset.write_text(sonar_path.read_text().translate(str.maketrans("RM", "MR")))
+        if split_name == "random1":
+            train, test = random_balanced_split(raw_patterns, 1)
+            split_path = tmp_path / "random1.split"
+            split_path.write_text("".join(
+                f"[{name}]\n" + "".join(f"{m}\n" for m in part.mu.tolist())
+                for name, part in (("train", train), ("test", test))))
+        report = verify_published(*split(load_file(dataset), load_split_file(split_path)))
+        return ["--dataset", str(dataset), "--split-file", str(split_path)], report
 
-    @pytest.mark.parametrize("flip", (False, True), ids=["rock+1", "flip"])
+    @pytest.mark.parametrize("labels", ("rock+1", "flip"))
     @pytest.mark.parametrize("split_name", ("bundled", "random1"))
     def test_json_is_the_library_report(self, sonar_path, balanced_split_path,
                                         raw_patterns, tmp_path, capsys,
-                                        split_name, flip):
+                                        split_name, labels):
         """``verify --format json`` prints exactly the object that
-        ``verify_published`` returns."""
-        split_path = self.split_file(split_name, balanced_split_path,
-                                     raw_patterns, tmp_path)
-        report = verify_published(*split(raw_patterns, load_split_file(split_path)),
-                                  flip_labels=flip)
-        rc = run(["verify", "--dataset", str(sonar_path), "--split-file",
-                  str(split_path), "--format", "json"]
-                 + (["--flip-labels"] if flip else []))
-        assert rc == 1
+        ``verify_published`` returns, on either labelling of the file."""
+        args, report = self.inputs(split_name, labels, sonar_path,
+                                   balanced_split_path, raw_patterns, tmp_path)
+        assert run(["verify", *args, "--format", "json"]) == 1
         assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("flip", (False, True), ids=["rock+1", "flip"])
+    @pytest.mark.parametrize("labels", ("rock+1", "flip"))
     @pytest.mark.parametrize("split_name", ("bundled", "random1"))
     def test_text_is_the_library_narrative(self, sonar_path, balanced_split_path,
                                            raw_patterns, tmp_path, capsys,
-                                           split_name, flip):
+                                           split_name, labels):
         """``verify --format text`` prints exactly ``verify_text`` of the
-        report, and each spread's ``min_ratio`` is the report's (which
-        ``--format json`` prints) to two decimals."""
-        split_path = self.split_file(split_name, balanced_split_path,
-                                     raw_patterns, tmp_path)
-        report = verify_published(*split(raw_patterns, load_split_file(split_path)),
-                                  flip_labels=flip)
-        rc = run(["verify", "--dataset", str(sonar_path), "--split-file",
-                  str(split_path), "--format", "text"]
-                 + (["--flip-labels"] if flip else []))
-        assert rc == 1
+        report, on either labelling of the file, and each spread's
+        ``min_ratio`` is the report's (which ``--format json`` prints) to
+        two decimals."""
+        args, report = self.inputs(split_name, labels, sonar_path,
+                                   balanced_split_path, raw_patterns, tmp_path)
+        assert run(["verify", *args, "--format", "text"]) == 1
         text = capsys.readouterr().out
         assert text == verify_text(report)
         spreads = report["perturbation"]["spreads"]

@@ -479,8 +479,8 @@ class TestStandardize:
         first = raw_patterns.take(slice(1))
         std = standardize(first, stats)
         assert std[0].tau == +1           # first benchmark pattern is a rock
-        flipped = standardize(first, stats, flip_labels=True)
-        assert flipped[0].tau == -1
+        flipped = standardize(RawSet(first.X, -first.tau, first.mu), stats)
+        assert flipped[0].tau == -1       # labels pass through as they are
 
     def test_feature_at_mean_maps_to_zero(self):
         rows = [[0.2] * 60 + ["R"], [0.8] * 60 + ["M"], [0.5] * 60 + ["R"]]
@@ -531,8 +531,8 @@ class TestArrayStandardization:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), P=st.integers(2, 30), n=st.integers(1, 8),
-           mode=st.sampled_from(("std", "variance")), flip=st.booleans())
-    def test_matches_per_pattern_formula(self, data, P, n, mode, flip):
+           mode=st.sampled_from(("std", "variance")))
+    def test_matches_per_pattern_formula(self, data, P, n, mode):
         rows = data.draw(st.lists(
             st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
             min_size=P, max_size=P))
@@ -550,7 +550,7 @@ class TestArrayStandardization:
         stats = compute_stats(pats, mode=mode)
         assert stats.mean.tobytes() == mean.tobytes()
         assert stats.scale.tobytes() == scale.tobytes()
-        std = standardize(pats, stats, flip_labels=flip)
+        std = standardize(pats, stats)
         assert len(std) == P
         for k, (r, lab, q) in enumerate(zip(rows, labels, std)):
             xi = np.empty(n + 1)
@@ -558,7 +558,7 @@ class TestArrayStandardization:
             xi[1:] = (np.asarray(r, dtype=float) - stats.mean) / stats.scale
             assert q.xi.tobytes() == xi.tobytes()
             tau = +1 if lab == "R" else -1
-            assert (q.mu, q.tau) == (k + 1, -tau if flip else tau)
+            assert (q.mu, q.tau) == (k + 1, tau)
 
     @pytest.mark.parametrize("mode", ("std", "variance"))
     def test_constant_feature_message(self, mode):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monoplane import (
-    PatternSet, RawSet, WeightVector, compute_stats, cosine, count_errors,
-    evaluate, field, load_published_table, load_published_weights, load_weights,
-    minimerror_train, rosenblatt_train, separability, standardize,
+    PatternSet, RawSet, StatsError, WeightVector, compute_stats, cosine,
+    count_errors, evaluate, field, load_published_table, load_published_weights,
+    load_weights, minimerror_train, rosenblatt_train, separability, standardize,
     verify_published,
 )
 from monoplane import evaluation
@@ -382,7 +382,7 @@ class TestModeSweep:
         worst corner does, one pattern and one vector at a time."""
         train, test = balanced_parts
         mode_name, stats_from, scale = mode
-        sets = _reference_mode_sets(train, test, stats_from, scale, False)
+        sets = _reference_mode_sets(train, test, stats_from, scale)
         got = perturbation_analysis(mode_parts(train, test)[mode_name])
         for key, name, pats in zip(got, PUBLISHED_NAMES, sets):
             w = load_published_weights(name).w
@@ -396,16 +396,16 @@ class TestModeSweep:
             assert (got[key]["min"], got[key]["max"]) == (low, high)
             assert got[key]["min_ratio"] == pytest.approx(ratio, rel=1e-12)
 
-    @pytest.mark.parametrize("flip_labels, counts", [(False, (17, 18)),
-                                                     (True, (86, 87))])
+    @pytest.mark.parametrize("flipped, counts", [(False, (17, 18)),
+                                                 (True, (86, 87))])
     def test_perturbation_reaches_counts_the_draws_miss(self, raw_patterns,
-                                                        flip_labels, counts):
+                                                        flipped, counts):
         """On this split one Test pattern lies within the truncation box of
         W_Train's hyperplane (|s| / r = 0.43), so some vector in the box
-        classifies it either way; no seed-0 draw reached the lower count."""
-        parts = mode_parts(*random_balanced_split(raw_patterns, 193),
-                           flip_labels=flip_labels)
-        got = perturbation_analysis(parts["part-std"])["W_Train_on_test"]
+        classifies it either way, under either labelling; no seed-0 draw
+        reached the lower count."""
+        sets = mode_parts(*random_balanced_split(raw_patterns, 193))["part-std"]
+        got = perturbation_analysis(_flipped(sets) if flipped else sets)["W_Train_on_test"]
         assert (got["min"], got["max"]) == counts
         assert got["min_ratio"] == pytest.approx(0.42914, abs=1e-5)
 
@@ -470,7 +470,12 @@ def _full_set(train, test):
     return RawSet(X, tau, mu).take(np.argsort(mu))
 
 
-def _reference_mode_sets(train, test, stats_from, scale, flip_labels):
+def _flipped(sets):
+    """The PatternSets ``sets`` with every label negated (rock -1, mine +1)."""
+    return tuple(PatternSet(s.Xi, -s.tau, s.mu) for s in sets)
+
+
+def _reference_mode_sets(train, test, stats_from, scale):
     """The three sets of a mode standardized one pattern at a time."""
     full = _full_set(train, test)
     stats_all = compute_stats(full, mode=scale)
@@ -479,12 +484,11 @@ def _reference_mode_sets(train, test, stats_from, scale, flip_labels):
         stats_te = compute_stats(test, mode=scale)
     else:
         stats_tr = stats_te = stats_all
-    sign = -1 if flip_labels else 1
 
     def std(part, stats):
         return pattern_set(
             [np.concatenate(([1.0], (x - stats.mean) / stats.scale)) for x in part.X],
-            [sign * (1 if t == 1 else -1) for t in part.tau.tolist()], part.mu)
+            [1 if t == 1 else -1 for t in part.tau.tolist()], part.mu)
     return std(test, stats_tr), std(train, stats_te), std(full, stats_all)
 
 
@@ -547,14 +551,18 @@ class TestArrayVerify:
             return balanced_parts
         return random_balanced_split(raw_patterns, request.param)
 
-    @pytest.mark.parametrize("flip_labels", (False, True))
+    @pytest.mark.parametrize("flipped", (False, True))
     @pytest.mark.parametrize("mode", STANDARDIZATION_MODES, ids=lambda m: m[0])
-    def test_mode_matches_reference(self, parts, mode, flip_labels):
+    def test_mode_matches_reference(self, parts, mode, flipped):
+        """``run_mode`` and ``perturbation_analysis`` equal their per-pattern
+        definitions, also on sets whose labels are negated."""
         train, test = parts
         mode_name, stats_from, scale = mode
-        sets = _reference_mode_sets(train, test, stats_from, scale, flip_labels)
+        sets = _reference_mode_sets(train, test, stats_from, scale)
+        parts = mode_parts(train, test)
+        if flipped:
+            sets, parts = _flipped(sets), {m: _flipped(s) for m, s in parts.items()}
         want = _reference_run_mode(mode_name, sets, paper_layout_numbering(train, test))
-        parts = mode_parts(train, test, flip_labels=flip_labels)
         got = run_mode(mode_name, parts)
         assert got == want
         assert all(type(r["computed"]) is float for r in got["gamma_check"]["rows"])
@@ -562,13 +570,15 @@ class TestArrayVerify:
         for key, counts in _seeded_draw_counts(sets).items():
             assert box[key]["min"] <= min(counts) <= max(counts) <= box[key]["max"]
 
-    @pytest.mark.parametrize("flip_labels", (False, True))
-    def test_spot_check_reads_the_report_field(self, parts, flip_labels):
+    @pytest.mark.parametrize("flipped", (False, True))
+    def test_spot_check_reads_the_report_field(self, parts, flipped):
         """Each spot-checked stability is, bit for bit, tau times the matrix
-        field of its pattern, so a pattern W_Sonar misclassifies carries
-        the field that ``evaluate`` reports for it."""
+        field of its pattern, under either labelling, so a pattern W_Sonar
+        misclassifies carries the field that ``evaluate`` reports for it."""
         w_sonar = load_published_weights("W_Sonar")
-        sets = mode_parts(*parts, flip_labels=flip_labels)
+        sets = mode_parts(*parts)
+        if flipped:
+            sets = {m: _flipped(s) for m, s in sets.items()}
         n_misclassified = 0
         for mode_name in sets:
             full = sets[mode_name][2]
@@ -584,16 +594,19 @@ class TestArrayVerify:
                     n_misclassified += 1
         assert n_misclassified > 0
 
-    @pytest.mark.parametrize("flip_labels", (False, True))
-    def test_mode_parts_rows(self, parts, flip_labels):
+    @pytest.mark.parametrize("flipped", (False, True))
+    def test_mode_parts_rows(self, parts, flipped):
         """Every part holds the reference rows bitwise, in the reference
-        order, numbered in the paper's layout."""
+        order, numbered in the paper's layout, and the labels of the raw
+        sets as they are, also when those are negated."""
         train, test = parts
+        if flipped:
+            train, test = (RawSet(r.X, -r.tau, r.mu) for r in parts)
         layout = paper_layout_numbering(train, test)
-        got = mode_parts(train, test, flip_labels=flip_labels)
+        got = mode_parts(train, test)
         assert list(got) == [m[0] for m in STANDARDIZATION_MODES]
         for mode_name, stats_from, scale in STANDARDIZATION_MODES:
-            want = _reference_mode_sets(train, test, stats_from, scale, flip_labels)
+            want = _reference_mode_sets(train, test, stats_from, scale)
             for part, ref in zip(got[mode_name], want):
                 assert part.mu.tolist() == [layout[p.mu] for p in ref]
                 assert part.tau.tolist() == [p.tau for p in ref]
@@ -601,6 +614,37 @@ class TestArrayVerify:
             rep = evaluate(load_published_weights("W_Train"), got[mode_name][0])
             assert rep["records"] and all(type(r["mu"]) is int and type(r["tau"]) is int
                                           for r in rep["records"])
+
+    def test_flipped_labels_mirror_the_report(self, parts):
+        """Negating every label mirrors each mode: no field is exactly 0, so
+        each misclassified set becomes its part's complement, W_Sonar errs
+        on P - total patterns, each spot-check stability is negated, and
+        each spread's min and max become P - max and P - min."""
+        sets = mode_parts(*parts)
+        flipped = {m: _flipped(s) for m, s in sets.items()}
+        for mode_name, mode_sets in sets.items():
+            got, mirror = run_mode(mode_name, sets), run_mode(mode_name, flipped)
+            for side, part in zip(("test", "train"), mode_sets):
+                key = f"mu_{side}_side"
+                assert mirror[key] == sorted(set(part.mu.tolist()) - set(got[key]))
+            n_all = len(mode_sets[2])
+            assert mirror["counts_sonar"][0] == n_all - got["counts_sonar"][0]
+            assert ([r["computed"] for r in mirror["gamma_check"]["rows"]]
+                    == [-r["computed"] for r in got["gamma_check"]["rows"]])
+            box = perturbation_analysis(mode_sets)
+            box_mirror = perturbation_analysis(flipped[mode_name])
+            for key, ps in zip(box, mode_sets):
+                assert (box_mirror[key]["min"], box_mirror[key]["max"]) == (
+                    len(ps) - box[key]["max"], len(ps) - box[key]["min"])
+                assert box_mirror[key]["min_ratio"] == box[key]["min_ratio"]
+
+    @pytest.mark.parametrize("empty", (0, 1), ids=("train", "test"))
+    def test_empty_part_is_a_stats_error(self, balanced_parts, empty):
+        """A verify with either part empty raises the StatsError of
+        statistics over no patterns."""
+        parts = [p.take([]) if k == empty else p for k, p in enumerate(balanced_parts)]
+        with pytest.raises(StatsError, match="^cannot compute statistics of an empty"):
+            verify_published(*parts)
 
     def test_verify_numbers_layout_once(self, balanced_parts, monkeypatch):
         calls = []
