@@ -16,7 +16,7 @@ is ``json.dumps(obj, sort_keys=True)`` and a newline, so it is hashed once,
 as bytes. Run it once with each of two checkouts on ``PYTHONPATH``, then
 ``--compare`` the two files: it prints each key whose hash differs or that
 only one file has, and a count, and exits 1 if there is any, so exit 0
-means equal exit codes, streams and artifacts. The matrix gives 200 items.
+means equal exit codes, streams and artifacts. The matrix gives 206 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests do not
@@ -41,7 +41,10 @@ of a part that needs one, ``train --any-range`` on a file of finite values
 whose mean overflows the error of non-finite statistics,
 ``train --any-range`` on a held-out value that standardizes to infinity
 the error naming that pattern, and ``train`` on a config file that sets
-``max_epochs`` twice the error of a repeated key.
+``max_epochs`` twice the error of a repeated key. ``train`` on a config
+file that sets ``learning_rate=1e308`` hashes the error of an anneal whose
+first step overflows w, and ``train`` with a directory as ``--config``
+the error of a config file that is not found.
 
 A run that raises instead of returning an exit code does not end the
 matrix: its ``exit`` item hashes the ``SystemExit`` code, or the name of
@@ -96,6 +99,8 @@ HELD_OUT_OVERFLOW_CSV = "0.1,0.5,R\n0.2,0.25,M\n0.3,0.75,R\n1e308,0.1,M\n"
 HELD_OUT_OVERFLOW_SPLIT = "[train]\n1\n2\n3\n[test]\n4\n"
 # a config file the CLI rejects, written into the scratch root
 DUPLICATE_CFG = "max_epochs=5\nmax_epochs=7\n"
+# a config whose anneal diverges: its first step overflows w
+DIVERGED_CFG = "learning_rate=1e308\n"
 
 
 def random_split_text(raw, seed, n_mines=49, n_rocks=55):
@@ -208,7 +213,7 @@ def run_matrix():
                  ["train", "--dataset", "held-out-overflow.csv", "--split-file",
                   "held-out-overflow.split", "--any-range",
                   "--out", "train-standardize-overflow"]))
-    for cfg in ("duplicate", "not-utf8"):
+    for cfg in ("duplicate", "not-utf8", "diverged", "dir"):
         name = f"train-config-{cfg}"
         runs.append((name, ["train", *SONAR, "--config", f"{cfg}.cfg", "--out", name]))
     return runs
@@ -240,6 +245,8 @@ def write_inputs(root: Path):
     (root / "held-out-overflow.csv").write_text(HELD_OUT_OVERFLOW_CSV)
     (root / "held-out-overflow.split").write_text(HELD_OUT_OVERFLOW_SPLIT)
     (root / "duplicate.cfg").write_text(DUPLICATE_CFG)
+    (root / "diverged.cfg").write_text(DIVERGED_CFG)
+    (root / "dir.cfg").mkdir()
     for name, source in (("sonar-not-utf8.csv", "sonar.all-data"),
                          ("not-utf8.cfg", "xor.cfg")):
         (root / name).write_bytes(b"\xff" + (root / source).read_bytes())

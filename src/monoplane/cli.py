@@ -42,7 +42,7 @@ def _load_config(arg):
     elif arg == "separation":
         cfg = SEPARATION_CONFIG
     else:
-        if not os.path.exists(arg):
+        if not os.path.isfile(arg):
             raise UsageError(f"config file not found: {arg}")
         try:
             cfg = TrainingConfig.from_file(arg)
@@ -63,7 +63,7 @@ def _load_parts(args):
     """The dataset, and its train and test parts as the split file divides
     it. Only a run that learns ``--part all`` needs no split file; its
     parts are then None."""
-    if not os.path.exists(args.dataset):
+    if not os.path.isfile(args.dataset):
         raise UsageError(f"dataset not found: {args.dataset}")
     patterns = dataio.load_file(
         args.dataset, require_unit_range=not getattr(args, "any_range", False))
@@ -73,7 +73,7 @@ def _load_parts(args):
             return patterns, None, None
         raise UsageError((f"--part {part}" if part else "verify")
                          + " needs a --split-file")
-    if not os.path.exists(args.split_file):
+    if not os.path.isfile(args.split_file):
         raise UsageError(f"split file not found: {args.split_file}")
     spec = dataio.load_split_file(args.split_file)
     return (patterns, *dataio.split(patterns, spec))

@@ -241,10 +241,10 @@ def field(w: WeightVector, X):
     return (X @ w.w) / w.norm
 
 
-def _sech2(x, out=None):
+def _sech2(x):
     # 1/cosh^2; past |x| ~355 cosh^2 overflows to inf and sech^2 is 0, so
     # callers run this under np.errstate(over="ignore")
-    c = np.cosh(x, out=out)
+    c = np.cosh(x)
     c *= c
     return np.divide(1.0, c, out=c)
 
@@ -372,19 +372,6 @@ def _close_block(blocks, G, W, k, first, T, t_decay, best):
     return best
 
 
-def _block_trace(blocks, best_epoch, fallback, stop=None):
-    """The trace of the columns in ``blocks``, which it empties: each column
-    is joined, and its blocks freed, before the next, so at most one
-    column is held twice."""
-    columns = [list(c) for c in zip(*blocks)]
-    blocks.clear()
-    joined = []
-    for c in columns:
-        joined.append(np.concatenate(c))
-        c.clear()
-    return TrainingTrace(*joined, best_epoch, fallback, stop)
-
-
 def minimerror_train(patterns, config: TrainingConfig):
     """Annealed minimization of the smoothed error count.
 
@@ -412,17 +399,22 @@ def minimerror_train(patterns, config: TrainingConfig):
     would any later epoch, so none could move w, change the minimal
     stability or displace the retained epoch. The anneal ends there. Such
     an epoch's direction norm is 0, not at least 1e-150, and only then does
-    the epoch test its minimal stability against 712 temp_ratio T. The
-    trace has one row per epoch run, and its ``stop`` is "frozen" when the
-    last row is such an epoch, even if the schedule ends there too, else
-    "t_min" when T fell to t_min and "max_epochs" otherwise.
+    the epoch test its minimal stability against 712 temp_ratio T. Its
+    ``stop`` is "frozen" when the last row is such an epoch, even if the
+    schedule ends there too, else "t_min" when T fell to t_min and
+    "max_epochs" otherwise.
 
     A field that is not finite (NaN, or +-inf, which BLAS may give for the
     same overflow depending on how it groups the sum) makes the direction
-    norm NaN: the epoch raises TrainingError, with the trace of the epochs
-    before it, and so does an epoch whose w . w is not finite. A NaN norm
-    fails the test for a norm of at least 1e-150, so only an epoch that
-    already fails it tests for NaN.
+    norm NaN, and a step that overflows w or w . w makes the next epoch's
+    w . w not finite. Either epoch fails: it leaves the loop with no
+    ``stop`` and keeps no row. A NaN norm fails the test for a norm of at
+    least 1e-150, so only an epoch that already fails it tests for NaN.
+
+    Every exit of the loop ends in one place: the last block is closed,
+    keeping the row of every epoch run but a failing one, and the trace is
+    built once. An anneal with no ``stop`` then raises TrainingError at its
+    failing epoch, with that trace.
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
@@ -459,6 +451,7 @@ def minimerror_train(patterns, config: TrainingConfig):
 
     T = T_first = config.t_initial
     epoch = first = k = 0
+    stop = None
     # a diverged step is caught by the test below, a non-finite field by a
     # NaN direction norm, and a saturated window overflows cosh^2 to inf,
     # none by numpy warnings
@@ -479,12 +472,8 @@ def minimerror_train(patterns, config: TrainingConfig):
             # w . w is kept below 4 dim, so nw is not finite only when the
             # last step overflowed w or w . w
             if not isfinite(nw):
-                best = _close_block(blocks, G, W, k, first, T_first, t_decay,
-                                    best)
-                raise TrainingError(f"non-finite state at epoch {epoch}",
-                                    _block_trace(blocks, best[2], fallback))
+                break
             wrow[...] = w
-            k += 1
 
             # two-temperature window: theta*T on the well-classified side. It
             # is one temperature for the plain cost and, the common case late
@@ -509,19 +498,17 @@ def minimerror_train(patterns, config: TrainingConfig):
             dn = sqrt(d_dot(d))
             if not dn >= 1e-150:
                 # a NaN field makes u NaN, and a +-inf one u . raw (0 * inf),
-                # so d and its norm are NaN: the epoch raises, with the rows
-                # before it, and every row kept has finite fields
+                # so d and its norm are NaN: the epoch fails and keeps no
+                # row, so every row kept has finite fields
                 if dn != dn:
-                    best = _close_block(blocks, G, W, k - 1, first, T_first,
-                                        t_decay, best)
-                    raise TrainingError(f"non-finite state at epoch {epoch}",
-                                        _block_trace(blocks, best[2], fallback))
+                    break
                 # past gamma / 2T_mu ~355.6 cosh^2 overflows and sech^2 is 0.
                 # A saturated window, every stability at least 712 theta T,
                 # gives d = 0 and no step, and so does every later epoch: w
-                # stays and T falls.
+                # stays and T falls. The epoch keeps its row.
                 if float(np.minimum.reduce(raw)) / nw >= 712.0 * theta * T:
                     stop = "frozen"
+                    k += 1
                     break
                 # d . d underflows once ||d|| < ~1.5e-162, d / ||d|| does
                 # not. Scaled to a largest pattern weight of 1, the weights
@@ -538,11 +525,16 @@ def minimerror_train(patterns, config: TrainingConfig):
                 add(w, d, w)
             T *= t_decay
             epoch += 1
+            k += 1
         else:
             stop = "t_min" if T <= t_min else "max_epochs"
         best = _close_block(blocks, G, W, k, first, T_first, t_decay, best)
-    return (WeightVector(best[3]).rescaled(),
-            _block_trace(blocks, best[2], fallback, stop))
+    trace = TrainingTrace(*map(np.concatenate, zip(*blocks)), best[2],
+                          fallback, stop)
+    # only a non-finite norm or direction leaves the loop without a stop
+    if stop is None:
+        raise TrainingError(f"non-finite state at epoch {epoch}", trace)
+    return WeightVector(best[3]).rescaled(), trace
 
 
 def rosenblatt_train(patterns, config: TrainingConfig):
@@ -558,10 +550,8 @@ def rosenblatt_train(patterns, config: TrainingConfig):
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
     tXi = patterns.folded
-    dim = tXi.shape[1]
     rng = np.random.default_rng(config.seed)
-    w = rng.standard_normal(dim)
-    w *= np.sqrt(dim) / np.linalg.norm(w)
+    w = WeightVector(rng.standard_normal(tXi.shape[1])).rescaled().w
     trows = list(tXi)
     rows = []
 
@@ -575,12 +565,8 @@ def rosenblatt_train(patterns, config: TrainingConfig):
                 if trow.dot(w) <= 0.0:
                     w = w + config.learning_rate * trow
             nw = np.linalg.norm(w)
-            if nw == 0.0:
-                raise TrainingError(f"weights collapsed to zero at epoch {epoch}",
-                                    TrainingTrace.from_rows(rows, best_epoch))
-            if not math.isfinite(nw):
-                raise TrainingError(f"non-finite state at epoch {epoch}",
-                                    TrainingTrace.from_rows(rows, best_epoch))
+            if not 0.0 < nw < math.inf:
+                break
             gam = (tXi @ w) / nw
             errors = int(np.count_nonzero(gam <= 0.0))
             min_stab = float(gam.min())
@@ -593,7 +579,12 @@ def rosenblatt_train(patterns, config: TrainingConfig):
             if errors == 0:
                 break
 
-    return WeightVector(best_w).rescaled(), TrainingTrace.from_rows(rows, best_epoch)
+    trace = TrainingTrace.from_rows(rows, best_epoch)
+    # a zero or non-finite norm leaves the sweeps: its epoch keeps no row
+    if not 0.0 < nw < math.inf:
+        fault = "weights collapsed to zero" if nw == 0.0 else "non-finite state"
+        raise TrainingError(f"{fault} at epoch {epoch}", trace)
+    return WeightVector(best_w).rescaled(), trace
 
 
 def save_weights(w: WeightVector, stream):

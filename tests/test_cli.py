@@ -544,6 +544,46 @@ def test_division_needs_a_split_file(sonar_path, tmp_path, capsys, argv, what):
     assert not out.exists()
 
 
+ALL_INDICES = "".join(f"{mu}\n" for mu in range(1, 209))
+
+
+@pytest.mark.parametrize("command, bad, text, message", [
+    ("train", "config", None, "config file not found: {path}"),
+    ("train", "split", None, "split file not found: {path}"),
+    ("train", "split", "[train]\n[test]\n" + ALL_INDICES,
+     "part 'train' selects no patterns"),
+    ("verify", "split", "[train]\n[test]\n" + ALL_INDICES,
+     "verification needs both a train and a test part"),
+    ("train", "split", "[train]\n" + ALL_INDICES + "[test]\n1\n",
+     "split assigns indices to both parts: [1]"),
+    ("train", "split", "[valid]\n1\n", "line 1: unknown split section 'valid'"),
+    ("train", "config", "dir", "config file not found: {path}"),
+    ("train", "dataset", "dir", "dataset not found: {path}"),
+    ("train", "split", "dir", "split file not found: {path}"),
+], ids=["missing-config", "missing-split", "empty-train", "verify-empty-train",
+        "both-parts", "unknown-section", "config-dir", "dataset-dir", "split-dir"])
+def test_rejected_input_exit_2(sonar_path, balanced_split_path, fast_cfg_path,
+                               tmp_path, capsys, command, bad, text, message):
+    """An input that is missing, is a directory, or divides the patterns
+    into no usable parts is a one-line usage error that names it and
+    writes nothing."""
+    paths = {"dataset": sonar_path, "split": balanced_split_path,
+             "config": Path(fast_cfg_path)}
+    paths[bad] = path = tmp_path / f"{bad}.in"
+    if text == "dir":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    out = tmp_path / "o"
+    argv = [command, "--dataset", str(paths["dataset"]),
+            "--split-file", str(paths["split"]), "--out", str(out)]
+    if command == "train":
+        argv += ["--config", str(paths["config"])]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+    assert not out.exists()
+
+
 def test_width_comes_from_the_file(sonar_path, balanced_split_path, tmp_path,
                                    capsys, fast_cfg_path):
     """On the sonar file less its first feature, train learns at width 59,

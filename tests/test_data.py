@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monoplane import (
-    ParseError, PatternSet, RawSet, SplitError, SplitSpec, StandardizationStats,
-    StatsError, compute_stats, load_file, load_split_file, parse_sonar_file,
-    parse_split_file, split, standardize,
+    LabeledPattern, ParseError, PatternSet, RawSet, SplitError, SplitSpec,
+    StandardizationStats, StatsError, compute_stats, load_file, load_split_file,
+    parse_sonar_file, parse_split_file, split, standardize,
 )
 from monoplane.data import read_number
 
@@ -428,6 +428,8 @@ class TestStats:
         pats = parse_sonar_file(_toy_lines(rows))
         stats = compute_stats(pats, mode="variance")
         assert np.allclose(stats.scale, 0.25)
+        with pytest.raises(StatsError, match="^unknown scale mode 'range'$"):
+            compute_stats(pats, mode="range")
 
     def test_single_pattern_is_constant_feature_error(self):
         rows = [[0.3] * 60 + ["R"]]
@@ -606,3 +608,13 @@ class TestPatternSet:
             assert type(row.mu) is int and type(row.tau) is int
             assert (row.mu, row.tau) == (mu[k], tau[k])
             assert ps.folded[k].tobytes() == (row.tau * row.xi).tobytes()
+
+    @pytest.mark.parametrize("xi0, tau, message", [
+        (0.5, 1, "xi[0] must be exactly 1"),
+        (1.0, 0, "tau must be -1 or +1"),
+    ], ids=["bias", "label"])
+    def test_row_checks(self, xi0, tau, message):
+        """A row has the bias coordinate 1 and a label of -1 or +1."""
+        with pytest.raises(ValueError) as exc:
+            LabeledPattern(mu=7, xi=np.array([xi0, 0.25]), tau=tau)
+        assert str(exc.value) == f"pattern mu=7: {message}"

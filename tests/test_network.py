@@ -127,9 +127,13 @@ class TestForwardPass:
                             else -1)
 
     def test_output_weight_count_enforced(self):
+        """The output unit has one weight per hidden unit and the bias, and
+        a network has at least one hidden unit."""
         w = WeightVector(np.ones(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^output unit has 3 weights, expected 2$"):
             NetworkModel(hidden=(w,), output=WeightVector(np.ones(3)))
+        with pytest.raises(ValueError, match="^a network needs at least one hidden unit$"):
+            NetworkModel(hidden=(), output=WeightVector(np.ones(1)))
 
 
 class TestInternalTargets:

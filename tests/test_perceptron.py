@@ -1099,6 +1099,18 @@ class TestRosenblatt:
             rosenblatt_train(pats, cfg)
         assert len(exc.value.trace) == 0
 
+    def test_collapsed_weights_raise(self):
+        """A first sweep whose one step cancels the start leaves no
+        direction: the run stops at that epoch with no rows."""
+        pats = pattern_set([[1.0]], [-1])
+        cfg = TrainingConfig(learning_rate=1.0, max_epochs=5)
+        with warnings.catch_warnings(), \
+                pytest.raises(TrainingError,
+                              match=r"^weights collapsed to zero at epoch 0$") as exc:
+            warnings.simplefilter("error")
+            rosenblatt_train(pats, cfg)
+        assert len(exc.value.trace) == 0 and exc.value.trace.best_epoch == -1
+
     def test_seed_changes_start(self):
         pats = two_point_set()
         w1, _ = rosenblatt_train(pats, TrainingConfig(max_epochs=5, seed=1))
@@ -1148,9 +1160,10 @@ class TestConfig:
     @pytest.mark.parametrize("name, value", [
         ("max_epochs", math.nan), ("max_epochs", 2.5), ("max_epochs", True),
         ("max_epochs", np.int64(5)), ("seed", 1.5), ("seed", False),
-        ("seed", -1),
+        ("seed", -1), ("max_epochs", 0),
     ], ids=["max_epochs-nan", "max_epochs-float", "max_epochs-bool",
-            "max_epochs-numpy", "seed-float", "seed-bool", "seed-negative"])
+            "max_epochs-numpy", "seed-float", "seed-bool", "seed-negative",
+            "max_epochs-zero"])
     def test_integer_knob_rejected(self, name, value):
         """The integer knobs take a Python int, not a float, a bool or a
         numpy integer, which the manifest's JSON could not hold; a seed is
@@ -1166,10 +1179,14 @@ class TestConfig:
         assert cfg.t_decay == 0.999     # untouched default
 
     def test_from_file_unknown_key(self, tmp_path):
+        """A line that names no known key, or has no "=", is named."""
         p = tmp_path / "cfg"
-        p.write_text("bogus=1\n")
-        with pytest.raises(ValueError, match="bogus"):
-            TrainingConfig.from_file(p)
+        for line, message in (("bogus=1", "unknown config key 'bogus'"),
+                              ("bogus", "expected key=value")):
+            p.write_text(f"seed=1\n{line}\n")
+            with pytest.raises(ValueError) as exc:
+                TrainingConfig.from_file(p)
+            assert str(exc.value) == f"{p}:2: {message}"
 
     @pytest.mark.parametrize("line, cast_error", [
         ("max_epochs = 1e5", "invalid literal for int() with base 10: '1e5'"),

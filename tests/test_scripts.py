@@ -104,3 +104,19 @@ def test_artifact_hashes_any_range_run_succeeds(artifact_hashes, tmp_path,
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert json.loads((tmp_path / name / "manifest.json").read_text())["any_range"] is True
+
+
+@pytest.mark.parametrize("name, message", [
+    ("train-config-diverged", "non-finite state at epoch 1"),
+    ("train-config-dir", "config file not found: dir.cfg"),
+], ids=["diverged", "config-dir"])
+def test_artifact_hashes_failing_train_runs(artifact_hashes, tmp_path,
+                                            monkeypatch, capsys, name, message):
+    """The matrix hashes a diverged anneal and a directory given as
+    --config: each exits 2 with its one-line error and writes nothing."""
+    argv = dict(artifact_hashes.run_matrix())[name]
+    artifact_hashes.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / name).exists()
