@@ -1167,7 +1167,8 @@ class TestConfig:
     def test_integer_knob_rejected(self, name, value):
         """The integer knobs take a Python int, not a float, a bool or a
         numpy integer, which the manifest's JSON could not hold; a seed is
-        nonnegative, as numpy's generators need."""
+        nonnegative, as numpy's generators need, and an anneal runs at least
+        one epoch."""
         with pytest.raises(ValueError, match=f"^need (an integer )?{name}\\b"):
             TrainingConfig(**{name: value})
 
