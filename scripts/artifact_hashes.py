@@ -16,7 +16,7 @@ is ``json.dumps(obj, sort_keys=True)`` and a newline, so it is hashed once,
 as bytes. Run it once with each of two checkouts on ``PYTHONPATH``, then
 ``--compare`` the two files: it prints each key whose hash differs or that
 only one file has, and a count, and exits 1 if there is any, so exit 0
-means equal exit codes, streams and artifacts. The matrix gives 206 items.
+means equal exit codes, streams and artifacts. The matrix gives 225 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests do not
@@ -44,7 +44,11 @@ the error naming that pattern, and ``train`` on a config file that sets
 ``max_epochs`` twice the error of a repeated key. ``train`` on a config
 file that sets ``learning_rate=1e308`` hashes the error of an anneal whose
 first step overflows w, and ``train`` with a directory as ``--config``
-the error of a config file that is not found.
+the error of a config path that names no file. A missing ``--dataset``
+(``train``) and ``--split-file`` (``verify``), a split file with an unknown
+section and one that lists an index outside the dataset (``train``) hash
+the error naming each option, and ``grow`` on XOR written twice, learning
+the first copy, hashes a grown network's report on a held-out part.
 
 A run that raises instead of returning an exit code does not end the
 matrix: its ``exit`` item hashes the ``SystemExit`` code, or the name of
@@ -101,6 +105,11 @@ HELD_OUT_OVERFLOW_SPLIT = "[train]\n1\n2\n3\n[test]\n4\n"
 DUPLICATE_CFG = "max_epochs=5\nmax_epochs=7\n"
 # a config whose anneal diverges: its first step overflows w
 DIVERGED_CFG = "learning_rate=1e308\n"
+# split files the CLI rejects: an unknown section, an index past the 208th
+SECTION_SPLIT = "[valid]\n1\n"
+OUTSIDE_SPLIT = "[train]\n1\n[test]\n209\n"
+# XOR written twice: learn the first copy, hold out the second
+XOR_TWICE_SPLIT = "[train]\n1\n2\n3\n4\n[test]\n5\n6\n7\n8\n"
 
 
 def random_split_text(raw, seed, n_mines=49, n_rocks=55):
@@ -216,6 +225,19 @@ def run_matrix():
     for cfg in ("duplicate", "not-utf8", "diverged", "dir"):
         name = f"train-config-{cfg}"
         runs.append((name, ["train", *SONAR, "--config", f"{cfg}.cfg", "--out", name]))
+    runs.append(("train-dataset-missing", ["train", "--dataset", "missing.csv",
+                                           "--split-file", "balanced.split",
+                                           "--out", "train-dataset-missing"]))
+    runs.append(("verify-split-missing", ["verify", "--dataset", "sonar.all-data",
+                                          "--split-file", "missing.split",
+                                          "--out", "verify-split-missing"]))
+    for split_name in ("section", "outside"):
+        name = f"train-split-{split_name}"
+        runs.append((name, ["train", "--dataset", "sonar.all-data", "--split-file",
+                            f"{split_name}.split", "--out", name]))
+    runs.append(("grow-xor-held-out", ["grow", "--dataset", "xor-twice.csv",
+                                       "--split-file", "xor-twice.split", "--config",
+                                       "xor.cfg", "--out", "grow-xor-held-out"]))
     return runs
 
 
@@ -247,6 +269,10 @@ def write_inputs(root: Path):
     (root / "duplicate.cfg").write_text(DUPLICATE_CFG)
     (root / "diverged.cfg").write_text(DIVERGED_CFG)
     (root / "dir.cfg").mkdir()
+    (root / "section.split").write_text(SECTION_SPLIT)
+    (root / "outside.split").write_text(OUTSIDE_SPLIT)
+    (root / "xor-twice.csv").write_text((root / "xor.csv").read_text() * 2)
+    (root / "xor-twice.split").write_text(XOR_TWICE_SPLIT)
     for name, source in (("sonar-not-utf8.csv", "sonar.all-data"),
                          ("not-utf8.cfg", "xor.cfg")):
         (root / name).write_bytes(b"\xff" + (root / source).read_bytes())

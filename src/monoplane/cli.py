@@ -6,8 +6,9 @@ configuration snapshot (the seed among it), dataset digest, split source,
 and the python and numpy versions it ran on. Every input has one source:
 --dataset, --split-file, --config and the options the manifest records. No
 timestamps, no machine identifiers. Exit codes are a stable contract: 0
-success, 1 verification mismatch, 2 usage or I/O error, a training run
-that diverged, or a growth that stalled.
+success, 1 verification mismatch, 2 usage or I/O error (``error: bad
+OPTION: ...`` for a file an option names), a training run that diverged,
+or a growth that stalled.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import platform
 import sys
 from pathlib import Path
@@ -36,19 +36,23 @@ class UsageError(Exception):
     pass
 
 
+def _named(option, path, read):
+    """``read(path)`` of an input that ``option`` names: an OSError becomes
+    ``bad OPTION: PATH: <strerror>``, a ValueError ``bad OPTION: <message>``."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise UsageError(f"bad {option}: {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise UsageError(f"bad {option}: {exc}") from None
+
+
 def _load_config(arg):
     if arg is None:
-        cfg = TrainingConfig()
-    elif arg == "separation":
-        cfg = SEPARATION_CONFIG
-    else:
-        if not os.path.isfile(arg):
-            raise UsageError(f"config file not found: {arg}")
-        try:
-            cfg = TrainingConfig.from_file(arg)
-        except ValueError as exc:
-            raise UsageError(f"bad --config: {exc}") from None
-    return cfg
+        return TrainingConfig()
+    if arg == "separation":
+        return SEPARATION_CONFIG
+    return _named("--config", arg, TrainingConfig.from_file)
 
 
 def _sha256(path):
@@ -63,26 +67,24 @@ def _load_parts(args):
     """The dataset, and its train and test parts as the split file divides
     it. Only a run that learns ``--part all`` needs no split file; its
     parts are then None."""
-    if not os.path.isfile(args.dataset):
-        raise UsageError(f"dataset not found: {args.dataset}")
-    patterns = dataio.load_file(
-        args.dataset, require_unit_range=not getattr(args, "any_range", False))
+    patterns = _named("--dataset", args.dataset, functools.partial(
+        dataio.load_file, require_unit_range=not getattr(args, "any_range", False)))
     part = getattr(args, "part", None)
     if not args.split_file:
         if part == "all":
             return patterns, None, None
         raise UsageError((f"--part {part}" if part else "verify")
                          + " needs a --split-file")
-    if not os.path.isfile(args.split_file):
-        raise UsageError(f"split file not found: {args.split_file}")
-    spec = dataio.load_split_file(args.split_file)
-    return (patterns, *dataio.split(patterns, spec))
+    parts = _named("--split-file", args.split_file,
+                   lambda path: dataio.split(patterns, dataio.load_split_file(path)))
+    return (patterns, *parts)
 
 
 def _create(path: Path):
-    """Open ``path`` for writing, creating its directory first, so that a
-    run that fails before its first artifact leaves nothing behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Open ``path`` for writing, creating its directory, the --out
+    directory, first, so that a run that fails before its first artifact
+    leaves nothing behind."""
+    _named("--out", path.parent, lambda out: out.mkdir(parents=True, exist_ok=True))
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
@@ -267,8 +269,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, dataio.ParseError, dataio.SplitError,
-            dataio.StatsError, TrainingError, OSError) as exc:
+    except (UsageError, dataio.StatsError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ _LABEL_TAU = {"R": +1, "ROCK": +1, "M": -1, "MINE": -1}
 
 
 class ParseError(ValueError):
-    """A dataset or split file line could not be interpreted."""
+    """A dataset, split or config file could not be read or interpreted."""
 
 
 class SplitError(ValueError):
@@ -233,13 +233,16 @@ def load_file(path, require_unit_range=True):
 
 
 def _load(parse, path, **kwargs):
-    """``parse`` of the text file at ``path``; bytes that are not UTF-8
-    raise ParseError naming the file."""
+    """``parse`` of the text file at ``path``, the one place that names an
+    input file: bytes that are not UTF-8, and any ValueError ``parse``
+    raises, raise ParseError ``"{path}: {reason}"``; ``open`` raises OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse(fh, **kwargs)
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not a UTF-8 text file") from None
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def split(raw, spec):

@@ -150,26 +150,28 @@ class TrainingConfig:
 
     @classmethod
     def from_file(cls, path):
-        """Read a flat key=value file; unknown and repeated keys, and bytes
-        that are not UTF-8, are an error."""
+        """Read a flat key=value file; any fault of it (bytes that are not
+        UTF-8, a line, a bad config) is a ParseError naming the file."""
         casts = {f.name: type(f.default) for f in fields(cls)}
-        kwargs = {}
-        for lineno, line in enumerate(_load(list, path), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in casts:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in kwargs:
-                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-            try:
-                kwargs[key] = read_number(val, casts[key])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad {key}: {exc}") from None
-        return cls(**kwargs)
+        def parse(lines):
+            kwargs = {}
+            for lineno, line in enumerate(lines, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"line {lineno}: expected key=value")
+                key, val = (s.strip() for s in line.split("=", 1))
+                if key not in casts:
+                    raise ValueError(f"line {lineno}: unknown config key {key!r}")
+                if key in kwargs:
+                    raise ValueError(f"line {lineno}: duplicate config key {key!r}")
+                try:
+                    kwargs[key] = read_number(val, casts[key])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: bad {key}: {exc}") from None
+            return cls(**kwargs)
+        return _load(parse, path)
 
     def to_dict(self):
         return asdict(self)

@@ -38,7 +38,8 @@ class TestTrain:
         path = tmp_path / "nope.csv"
         assert run(["train", "--dataset", str(path),
                     "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: dataset not found: {path}\n"
+        assert capsys.readouterr().err == (
+            f"error: bad --dataset: {path}: No such file or directory\n")
 
     def test_no_dataset_anywhere_exit_2(self, sonar_path, tmp_path, capsys,
                                         monkeypatch):
@@ -116,7 +117,8 @@ class TestTrain:
         assert run(["train", "--dataset", str(bad),
                     "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "error: line 2: expected 2 values plus a label, got 2 fields\n")
+            f"error: bad --dataset: {bad}: line 2: expected 2 values plus a "
+            "label, got 2 fields\n")
 
     @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
     def test_non_finite_feature_exit_2(self, tmp_path, capsys, value):
@@ -127,7 +129,8 @@ class TestTrain:
         assert run(["train", "--dataset", str(data), "--any-range",
                     "--part", "all", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: line 1: feature 2 ") and "not finite" in err
+        assert err.startswith(f"error: bad --dataset: {data}: line 1: feature 2 ")
+        assert "not finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ("train", "grow"))
@@ -159,17 +162,17 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
-        ("bogus=1", "unknown config key 'bogus'"),
+        ("bogus=1", "line 6: unknown config key 'bogus'"),
         ("t_decay=2", "need 0 < t_decay < 1"),
-        ("learning_rate = nan", "bad --config: need a finite learning_rate, got nan"),
-        ("max_epochs = 1e5", "bad.cfg:6: bad max_epochs: invalid literal for "
+        ("learning_rate = nan", "need a finite learning_rate, got nan"),
+        ("max_epochs = 1e5", "line 6: bad max_epochs: invalid literal for "
                              "int() with base 10: '1e5'"),
-        ("seed = true", "bad.cfg:6: bad seed: invalid literal for int() "
+        ("seed = true", "line 6: bad seed: invalid literal for int() "
                         "with base 10: 'true'"),
-        ("seed = -1", "bad --config: need seed >= 0"),
-        ("max_epochs = 1_000", "bad.cfg:6: bad max_epochs: invalid literal for "
+        ("seed = -1", "need seed >= 0"),
+        ("max_epochs = 1_000", "line 6: bad max_epochs: invalid literal for "
                                "int() with base 10: '1_000'"),
-        ("t_initial = \u0663", "bad.cfg:6: bad t_initial: could not convert "
+        ("t_initial = \u0663", "line 6: bad t_initial: could not convert "
                                "string to float: '\u0663'"),
     ], ids=["unknown-key", "bad-value", "non-finite", "bad-int", "bad-seed",
             "negative-seed", "underscore-int", "non-ascii-float"])
@@ -185,9 +188,7 @@ class TestTrain:
         assert run(["train", "--dataset", str(sonar_path), "--split-file",
                     str(balanced_split_path), "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: bad --config: {cfg}: {message}\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ("train", "grow"))
@@ -199,8 +200,8 @@ class TestTrain:
         assert run([command, "--dataset", str(sonar_path), "--split-file",
                     str(balanced_split_path), "--config", str(cfg),
                     "--out", str(out)]) == 2
-        assert capsys.readouterr() == (
-            "", f"error: bad --config: {cfg}:2: duplicate config key 'max_epochs'\n")
+        assert capsys.readouterr() == ("", f"error: bad --config: {cfg}: line 2: "
+                                       "duplicate config key 'max_epochs'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("bad, command", [
@@ -219,9 +220,10 @@ class TestTrain:
         if bad == "config":
             argv += ["--config", str(paths["config"])]
         assert run(argv) == 2
-        prefix = "bad --config: " if bad == "config" else ""
+        option = {"dataset": "--dataset", "split": "--split-file",
+                  "config": "--config"}[bad]
         assert capsys.readouterr().err == (
-            f"error: {prefix}{paths[bad]}: not a UTF-8 text file\n")
+            f"error: bad {option}: {paths[bad]}: not a UTF-8 text file\n")
         assert not out.exists()
 
 
@@ -545,43 +547,62 @@ def test_division_needs_a_split_file(sonar_path, tmp_path, capsys, argv, what):
 
 
 ALL_INDICES = "".join(f"{mu}\n" for mu in range(1, 209))
+NOT_UTF8 = b"\xff[train]\n1\n"
 
 
 @pytest.mark.parametrize("command, bad, text, message", [
-    ("train", "config", None, "config file not found: {path}"),
-    ("train", "split", None, "split file not found: {path}"),
+    ("train", "config", None, "bad --config: {path}: No such file or directory"),
+    ("train", "split", None, "bad --split-file: {path}: No such file or directory"),
     ("train", "split", "[train]\n[test]\n" + ALL_INDICES,
      "part 'train' selects no patterns"),
     ("verify", "split", "[train]\n[test]\n" + ALL_INDICES,
      "verification needs both a train and a test part"),
     ("train", "split", "[train]\n" + ALL_INDICES + "[test]\n1\n",
-     "split assigns indices to both parts: [1]"),
-    ("train", "split", "[valid]\n1\n", "line 1: unknown split section 'valid'"),
-    ("train", "config", "dir", "config file not found: {path}"),
-    ("train", "dataset", "dir", "dataset not found: {path}"),
-    ("train", "split", "dir", "split file not found: {path}"),
+     "bad --split-file: split assigns indices to both parts: [1]"),
+    ("train", "split", "[valid]\n1\n",
+     "bad --split-file: {path}: line 1: unknown split section 'valid'"),
+    ("train", "config", "dir", "bad --config: {path}: Is a directory"),
+    ("train", "dataset", "dir", "bad --dataset: {path}: Is a directory"),
+    ("train", "split", "dir", "bad --split-file: {path}: Is a directory"),
+    ("verify", "dataset", None, "bad --dataset: {path}: No such file or directory"),
+    ("train", "dataset", "0.1,0.2,R\n0.3,M\n", "bad --dataset: {path}: line 2: "
+     "expected 2 values plus a label, got 2 fields"),
+    ("train", "config", "seed=1\nbogus\n",
+     "bad --config: {path}: line 2: expected key=value"),
+    ("grow", "dataset", NOT_UTF8, "bad --dataset: {path}: not a UTF-8 text file"),
+    ("grow", "split", NOT_UTF8, "bad --split-file: {path}: not a UTF-8 text file"),
+    ("grow", "config", NOT_UTF8, "bad --config: {path}: not a UTF-8 text file"),
+    ("train", "out", "", "bad --out: {path}: File exists"),
 ], ids=["missing-config", "missing-split", "empty-train", "verify-empty-train",
-        "both-parts", "unknown-section", "config-dir", "dataset-dir", "split-dir"])
+        "both-parts", "unknown-section", "config-dir", "dataset-dir", "split-dir",
+        "missing-dataset", "dataset-line", "config-line", "dataset-not-utf8",
+        "split-not-utf8", "config-not-utf8", "out-file"])
 def test_rejected_input_exit_2(sonar_path, balanced_split_path, fast_cfg_path,
                                tmp_path, capsys, command, bad, text, message):
-    """An input that is missing, is a directory, or divides the patterns
-    into no usable parts is a one-line usage error that names it and
-    writes nothing."""
+    """An input that is missing, is a directory, is not UTF-8, has a
+    malformed line or divides the patterns into no usable parts, and an
+    --out that is a file, is a one-line usage error that writes nothing; a
+    fault of a file, or of the split it gives, names the option."""
     paths = {"dataset": sonar_path, "split": balanced_split_path,
-             "config": Path(fast_cfg_path)}
+             "config": Path(fast_cfg_path), "out": tmp_path / "o"}
     paths[bad] = path = tmp_path / f"{bad}.in"
     if text == "dir":
         path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
     elif text is not None:
         path.write_text(text)
-    out = tmp_path / "o"
+    out = paths["out"]
     argv = [command, "--dataset", str(paths["dataset"]),
             "--split-file", str(paths["split"]), "--out", str(out)]
-    if command == "train":
+    if command != "verify":
         argv += ["--config", str(paths["config"])]
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
-    assert not out.exists()
+    if bad == "out":
+        assert out.read_text() == text
+    else:
+        assert not out.exists()
 
 
 def test_width_comes_from_the_file(sonar_path, balanced_split_path, tmp_path,

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from monoplane import (
     LabeledPattern, ParseError, PatternSet, RawSet, SplitError, SplitSpec,
-    StandardizationStats, StatsError, compute_stats, load_file, load_split_file,
-    parse_sonar_file, parse_split_file, split, standardize,
+    StandardizationStats, StatsError, TrainingConfig, compute_stats, load_file,
+    load_split_file, parse_sonar_file, parse_split_file, split, standardize,
 )
 from monoplane.data import read_number
 
@@ -277,13 +277,20 @@ class TestParse:
                 == _outcome(_reference_parse, lines, kind, require_unit_range))
 
     @pytest.mark.parametrize("load", [
-        lambda path: load_file(path), load_split_file])
+        lambda path: load_file(path), load_split_file, TrainingConfig.from_file])
     def test_non_utf8_file_named(self, tmp_path, load):
+        """Each loader names the file of a fault: bytes that are not UTF-8,
+        and a line that its parser rejects (line 2, "%", rejects in all
+        three)."""
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"\xff[train]\n1\n0.5,0.5,R\n")
         with pytest.raises(ParseError) as info:
             load(path)
         assert str(info.value) == f"{path}: not a UTF-8 text file"
+        path.write_text("\n%\n")
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: line 2: ")
 
     def test_canonical_file_takes_c_reader(self, sonar_path):
         """Read in one numpy call, the canonical file's parse peaks well

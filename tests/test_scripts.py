@@ -108,7 +108,7 @@ def test_artifact_hashes_any_range_run_succeeds(artifact_hashes, tmp_path,
 
 @pytest.mark.parametrize("name, message", [
     ("train-config-diverged", "non-finite state at epoch 1"),
-    ("train-config-dir", "config file not found: dir.cfg"),
+    ("train-config-dir", "bad --config: dir.cfg: Is a directory"),
 ], ids=["diverged", "config-dir"])
 def test_artifact_hashes_failing_train_runs(artifact_hashes, tmp_path,
                                             monkeypatch, capsys, name, message):
