@@ -38,13 +38,18 @@ class UsageError(Exception):
 
 def _named(option, path, read):
     """``read(path)`` of an input that ``option`` names: an OSError becomes
-    ``bad OPTION: PATH: <strerror>``, a ValueError ``bad OPTION: <message>``."""
+    ``bad OPTION: PATH: <strerror>``, a StatsError from the values read
+    ``bad OPTION: PATH: <message>``, any other ValueError ``bad OPTION:
+    <message>`` (a ParseError's message begins with PATH)."""
     try:
         return read(path)
     except OSError as exc:
-        raise UsageError(f"bad {option}: {path}: {exc.strerror}") from None
+        reason = exc.strerror
+    except dataio.StatsError as exc:
+        reason = exc
     except ValueError as exc:
         raise UsageError(f"bad {option}: {exc}") from None
+    raise UsageError(f"bad {option}: {path}: {reason}")
 
 
 def _load_config(arg):
@@ -66,18 +71,23 @@ def _sha256(path):
 def _load_parts(args):
     """The dataset, and its train and test parts as the split file divides
     it. Only a run that learns ``--part all`` needs no split file; its
-    parts are then None."""
+    parts are then None. A part that a run learns must hold a pattern."""
+    part = getattr(args, "part", None)
+
+    def read_split(path):
+        parts = dataio.split(patterns, dataio.load_split_file(path))
+        if part in ("train", "test") and not parts[part == "test"]:
+            raise dataio.SplitError(f"{path}: part {part!r} selects no patterns")
+        return parts
+
     patterns = _named("--dataset", args.dataset, functools.partial(
         dataio.load_file, require_unit_range=not getattr(args, "any_range", False)))
-    part = getattr(args, "part", None)
     if not args.split_file:
         if part == "all":
             return patterns, None, None
         raise UsageError((f"--part {part}" if part else "verify")
                          + " needs a --split-file")
-    parts = _named("--split-file", args.split_file,
-                   lambda path: dataio.split(patterns, dataio.load_split_file(path)))
-    return (patterns, *parts)
+    return (patterns, *_named("--split-file", args.split_file, read_split))
 
 
 def _create(path: Path):
@@ -132,11 +142,12 @@ def _prepare_run(args):
     config = _load_config(args.config)
     learn_raw, eval_raw = {"train": (train, test), "test": (test, train),
                            "all": (patterns, patterns.take([]))}[args.part]
-    if not learn_raw:
-        raise UsageError(f"part {args.part!r} selects no patterns")
-    stats = dataio.compute_stats(learn_raw)
-    learn, evalp = (dataio.standardize(part, stats)
-                    for part in (learn_raw, eval_raw))
+
+    def standardized(_):
+        stats = dataio.compute_stats(learn_raw)
+        return [dataio.standardize(part, stats) for part in (learn_raw, eval_raw)]
+
+    learn, evalp = _named("--dataset", args.dataset, standardized)
     return config, learn, evalp, Path(args.out)
 
 
@@ -209,10 +220,14 @@ def cmd_verify(args):
     patterns, train, test = _load_parts(args)
     if not train or not test:
         raise UsageError("verification needs both a train and a test part")
-    if patterns.X.shape[1] != 60:
-        raise UsageError(f"verification needs 60 features per pattern, "
-                         f"{args.dataset} has {patterns.X.shape[1]}")
-    report = verify_published(train, test)
+
+    def verified(path):
+        if patterns.X.shape[1] != 60:
+            raise dataio.ParseError(f"{path}: verification needs 60 features "
+                                    f"per pattern, not {patterns.X.shape[1]}")
+        return verify_published(train, test)
+
+    report = _named("--dataset", args.dataset, verified)
 
     if args.format == "json":
         name, text = "verify.json", json.dumps(report, sort_keys=True) + "\n"
@@ -269,7 +284,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, dataio.StatsError, TrainingError, OSError) as exc:
+    except (UsageError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -159,17 +159,18 @@ def parse_sonar_file(lines, require_unit_range=True):
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        commas = line.count(",")
         if n_features is None:
-            n_features = line.count(",")
+            n_features = commas
             if not n_features:
                 raise ParseError(f"line {lineno}: no value before the label")
         # usecols ignores extra fields, so the comma count is the field check
-        if line.count(",") != n_features:
+        if commas != n_features:
             raise ParseError(
                 f"line {lineno}: expected {n_features} values plus a label, "
-                f"got {line.count(',') + 1} fields"
+                f"got {commas + 1} fields"
             )
-        label = line.rsplit(",", 1)[-1].strip()
+        label = line.rpartition(",")[2].strip()
         tau = _LABEL_TAU.get(label.upper())
         if tau is None:
             raise ParseError(f"line {lineno}: unknown class label {label!r}")
@@ -246,8 +247,11 @@ def _load(parse, path, **kwargs):
 
 
 def split(raw, spec):
-    """Divide a RawSet per ``spec`` into two, preserving file order within
-    each part."""
+    """Divide a RawSet per ``spec`` into its Train and Test parts, each in
+    the row order of ``raw``. ``spec`` must cover every mu of ``raw`` once
+    and name no other; SplitError names the indices that break this. The
+    Train rows are then those that a boolean table indexed by mu selects,
+    and the Test rows the rest."""
     mus = set(raw.mu.tolist())
     missing = sorted((spec.train_indices | spec.test_indices) - mus)
     if missing:
@@ -258,17 +262,29 @@ def split(raw, spec):
     uncovered = sorted(mus - (spec.train_indices | spec.test_indices))
     if uncovered:
         raise SplitError(f"split does not cover indices: {uncovered}")
-    return tuple(raw.take(np.isin(raw.mu, list(part)))
-                 for part in (spec.train_indices, spec.test_indices))
+    in_train = np.zeros(raw.mu.max(initial=0) + 1, dtype=bool)
+    in_train[list(spec.train_indices)] = True
+    train = in_train[raw.mu]
+    return raw.take(train), raw.take(~train)
 
 
 def parse_split_file(lines):
-    """Read a two-section split file: ``[train]`` / ``[test]``, one mu per line."""
+    """Read a two-section split file: ``[train]`` / ``[test]``, one mu per
+    line, and ``#`` comments. An index is ASCII decimal digits: int() also
+    reads signs, underscores and non-ASCII digits. A line that is just an
+    index inside a section, the common line, is read before any other
+    check. Every other line is stripped of its comment and read as a
+    header or an index; ParseError names by number the first that is
+    neither, or an index before any header."""
     if isinstance(lines, str):
         lines = lines.splitlines()
     sections = {"train": set(), "test": set()}
     current = None
     for lineno, line in enumerate(lines, start=1):
+        index = line.strip()
+        if current is not None and index.isdigit() and index.isascii():
+            current.add(int(index))
+            continue
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -276,15 +292,13 @@ def parse_split_file(lines):
             name = line[1:-1].strip().lower()
             if name not in sections:
                 raise ParseError(f"line {lineno}: unknown split section {name!r}")
-            current = name
+            current = sections[name]
             continue
         if current is None:
             raise ParseError(f"line {lineno}: index before any [train]/[test] header")
-        # ASCII decimal digits only: int() also reads signs, underscores
-        # and non-ASCII digits
         if not (line.isascii() and line.isdigit()):
             raise ParseError(f"line {lineno}: expected an integer index, got {line!r}")
-        sections[current].add(int(line))
+        current.add(int(line))
     return SplitSpec(train_indices=frozenset(sections["train"]),
                      test_indices=frozenset(sections["test"]))
 

@@ -258,9 +258,10 @@ def mode_parts(train_raw, test_raw):
     An empty part raises StatsError."""
     layout = paper_layout_numbering(train_raw, test_raw)
     mu = np.concatenate((train_raw.mu, test_raw.mu))
+    layout_of = np.zeros(mu.max(initial=0) + 1, dtype=int)  # indexed by file mu
+    layout_of[list(layout)] = list(layout.values())
     numbered = RawSet(np.concatenate((train_raw.X, test_raw.X)),
-                      np.concatenate((train_raw.tau, test_raw.tau)),
-                      np.array([layout[m] for m in mu.tolist()], dtype=int))
+                      np.concatenate((train_raw.tau, test_raw.tau)), layout_of[mu])
     n_train = len(train_raw)
     train, test = numbered.take(slice(n_train)), numbered.take(slice(n_train, None))
     full = numbered.take(np.argsort(mu, kind="stable"))
@@ -284,18 +285,18 @@ def mode_parts(train_raw, test_raw):
 def run_mode(mode_name, parts):
     """Evaluate the three published vectors on the ``mode_name`` entry of
     ``parts``, a ``mode_parts`` result: one dict of the verify report's
-    ``modes`` list."""
-    table, (pub_test, pub_train), ws = _published()
+    ``modes`` list, with W_Sonar's check of that entry's full set."""
     sets = parts[mode_name]
-    rep_test, rep_train = evaluate(ws[0], sets[0]), evaluate(ws[1], sets[1])
-    mu_test, mu_train = ([r["mu"] for r in rep["records"]]
-                         for rep in (rep_test, rep_train))
+    return _mode_report(mode_name, sets, _sonar_check(sets[2]))
 
-    # W_Sonar's error counts and the spot-check of the published stabilities
-    # by layout number read one matrix field pass: the product ``evaluate``
-    # takes, so a row's stability is bit for bit its field times tau (a
-    # one-row dot may round the last bit differently)
-    all_part = sets[2]
+
+def _sonar_check(all_part):
+    """W_Sonar's ``counts_sonar`` on ``all_part``, a full set, and its
+    ``gamma_check``: the published stabilities beside the computed ones,
+    by layout number. Both read one matrix field pass, the product
+    ``evaluate`` takes, so a row's stability is bit for bit its field
+    times tau (a one-row dot may round the last bit differently)."""
+    table, _, ws = _published()
     f_sonar = field(ws[2], all_part.Xi)
     stability_of = dict(zip(all_part.mu.tolist(), (all_part.tau * f_sonar).tolist()))
     gamma_rows = []
@@ -307,12 +308,24 @@ def run_mode(mode_name, parts):
                 "abs_err": None if got is None else abs(got - rec["gamma_sonar"]),
             })
     errs = [r["abs_err"] for r in gamma_rows if r["abs_err"] is not None]
+    return (_error_counts(f_sonar, all_part.tau),
+            {"rows": gamma_rows, "max_abs_err": max(errs, default=None),
+             "n_within_1e-3": sum(e <= 1e-3 for e in errs)})
 
+
+def _mode_report(mode_name, sets, sonar_check):
+    """``run_mode``'s dict of ``sets``, one ``mode_parts`` entry, with
+    ``sonar_check``, the ``_sonar_check`` of its full set."""
+    _, (pub_test, pub_train), ws = _published()
+    rep_test, rep_train = evaluate(ws[0], sets[0]), evaluate(ws[1], sets[1])
+    mu_test, mu_train = ([r["mu"] for r in rep["records"]]
+                         for rep in (rep_test, rep_train))
+    counts_sonar, gamma_check = sonar_check
     return {
         "mode": mode_name,
         "counts_test_side": tuple(rep_test["counts"].values()),
         "counts_train_side": tuple(rep_train["counts"].values()),
-        "counts_sonar": _error_counts(f_sonar, all_part.tau),
+        "counts_sonar": counts_sonar,
         "mu_test_side": mu_test,
         "mu_train_side": mu_train,
         "table_match_test": mu_test == pub_test,
@@ -321,8 +334,7 @@ def run_mode(mode_name, parts):
         "extra_test": sorted(set(mu_test) - set(pub_test)),
         "missing_train": sorted(set(pub_train) - set(mu_train)),
         "extra_train": sorted(set(mu_train) - set(pub_train)),
-        "gamma_check": {"rows": gamma_rows, "max_abs_err": max(errs, default=None),
-                        "n_within_1e-3": sum(e <= 1e-3 for e in errs)},
+        "gamma_check": gamma_check,
     }
 
 
@@ -385,9 +397,16 @@ def verify_published(train_raw, test_raw):
     the ``perturbation`` analysis in the closest mode, which it names; and
     ``reproduced``, True iff some mode reproduces both published
     misclassification sets exactly.
+
+    Each mode's dict is ``run_mode``'s, but W_Sonar is checked once per
+    distinct full set, once per scale, and the two modes of a scale share
+    that check's ``counts_sonar`` and ``gamma_check`` objects: the report
+    is built afresh per call and only read.
     """
     parts = mode_parts(train_raw, test_raw)
-    modes = [run_mode(mode_name, parts) for mode_name in parts]
+    sonar = {full: _sonar_check(full) for full in {sets[2] for sets in parts.values()}}
+    modes = [_mode_report(mode_name, sets, sonar[sets[2]])
+             for mode_name, sets in parts.items()]
     closest = min(modes, key=lambda r: sum(len(r[k]) for k in (
         "missing_test", "extra_test", "missing_train", "extra_train")))["mode"]
     return {

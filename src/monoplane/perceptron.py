@@ -320,9 +320,9 @@ def count_errors(w: WeightVector, patterns):
 
 def _error_counts(f, tau):
     """``count_errors`` from the fields ``f`` of the patterns labelled ``tau``."""
-    total = int(np.sum(tau * f <= 0.0))
-    false_pos = int(np.sum((tau == -1) & (f > 0.0)))
-    false_neg = int(np.sum((tau == +1) & (f < 0.0)))
+    total = int(np.count_nonzero(tau * f <= 0.0))
+    false_pos = int(np.count_nonzero((tau == -1) & (f > 0.0)))
+    false_neg = int(np.count_nonzero((tau == +1) & (f < 0.0)))
     return total, false_pos, false_neg
 
 

@@ -135,21 +135,21 @@ class TestTrain:
 
     @pytest.mark.parametrize("command", ("train", "grow"))
     def test_overflowing_statistics_exit_2(self, tmp_path, capsys, command):
-        """Finite values whose mean overflows are a usage error, named by
-        feature, not a traceback or a bad --max-hidden."""
+        """Finite values whose mean overflows are a usage error of
+        --dataset, named by feature, not a traceback."""
         data = tmp_path / "big.csv"
         data.write_text("1e308,0.5,R\n1e308,0.25,M\n-1e308,0.75,R\n1e308,0.1,M\n")
         out = tmp_path / "o"
         assert run([command, "--dataset", str(data), "--any-range",
                     "--part", "all", "--out", str(out)]) == 2
-        assert capsys.readouterr() == (
-            "", "error: feature(s) 1: mean or scale is not finite\n")
+        assert capsys.readouterr() == ("", f"error: bad --dataset: {data}: "
+                                       "feature(s) 1: mean or scale is not finite\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ("train", "grow"))
     def test_held_out_value_overflowing_exit_2(self, tmp_path, capsys, command):
         """A held-out value that standardizes to infinity is a usage error
-        named by pattern and feature, and nothing is written."""
+        of --dataset named by pattern and feature, and nothing is written."""
         data = tmp_path / "ov.csv"
         data.write_text("0.1,0.5,R\n0.2,0.25,M\n0.3,0.75,R\n1e308,0.1,M\n")
         split_file = tmp_path / "ov.split"
@@ -157,8 +157,9 @@ class TestTrain:
         out = tmp_path / "o"
         assert run([command, "--dataset", str(data), "--split-file", str(split_file),
                     "--any-range", "--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", "error: pattern mu=4: feature 1 value "
-                                       "1e+308 does not standardize to a finite number\n")
+        assert capsys.readouterr() == ("", f"error: bad --dataset: {data}: pattern "
+                                       "mu=4: feature 1 value 1e+308 does not "
+                                       "standardize to a finite number\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
@@ -554,7 +555,7 @@ NOT_UTF8 = b"\xff[train]\n1\n"
     ("train", "config", None, "bad --config: {path}: No such file or directory"),
     ("train", "split", None, "bad --split-file: {path}: No such file or directory"),
     ("train", "split", "[train]\n[test]\n" + ALL_INDICES,
-     "part 'train' selects no patterns"),
+     "bad --split-file: {path}: part 'train' selects no patterns"),
     ("verify", "split", "[train]\n[test]\n" + ALL_INDICES,
      "verification needs both a train and a test part"),
     ("train", "split", "[train]\n" + ALL_INDICES + "[test]\n1\n",
@@ -609,7 +610,7 @@ def test_width_comes_from_the_file(sonar_path, balanced_split_path, tmp_path,
                                    capsys, fast_cfg_path):
     """On the sonar file less its first feature, train learns at width 59,
     and verify, which reads the benchmark's 60 features, names the width
-    rather than a line."""
+    rather than a line, as a fault of --dataset."""
     data = tmp_path / "sonar59.csv"
     data.write_text("".join(line.split(",", 1)[1] + "\n"
                             for line in sonar_path.read_text().splitlines()))
@@ -620,8 +621,8 @@ def test_width_comes_from_the_file(sonar_path, balanced_split_path, tmp_path,
     capsys.readouterr()
     assert run(["verify", "--dataset", str(data), "--split-file",
                 str(balanced_split_path), "--out", str(verify_out)]) == 2
-    assert capsys.readouterr() == ("", "error: verification needs 60 features "
-                                   f"per pattern, {data} has 59\n")
+    assert capsys.readouterr() == ("", f"error: bad --dataset: {data}: verification "
+                                   "needs 60 features per pattern, not 59\n")
     assert not verify_out.exists()
 
 

@@ -336,6 +336,24 @@ class TestSplit:
         with pytest.raises(SplitError, match="does not cover"):
             split(raw_patterns, spec)
 
+    def test_subset_with_gaps_in_mu(self, raw_patterns):
+        """On a ``take``n subset, whose mu skips numbers and is not sorted,
+        each part holds its rows in the subset's row order, and an index
+        the subset lacks is named although the full file has it."""
+        subset = raw_patterns.take([199, 4, 0, 57, 206])   # mu 200, 5, 1, 58, 207
+        train, test = split(subset, SplitSpec(train_indices=frozenset([1, 200, 207]),
+                                              test_indices=frozenset([5, 58])))
+        assert train.mu.tolist() == [200, 1, 207]
+        assert test.mu.tolist() == [5, 58]
+        for part in (train, test):
+            k = part.mu - 1
+            assert part.X.tobytes() == raw_patterns.X[k].tobytes()
+            assert part.tau.tobytes() == raw_patterns.tau[k].tobytes()
+        with pytest.raises(SplitError) as info:
+            split(subset, SplitSpec(train_indices=frozenset([1, 2, 200]),
+                                    test_indices=frozenset([5, 58, 207])))
+        assert str(info.value) == "split references indices outside the dataset: [2]"
+
 
 class TestSplitFile:
     def test_roundtrip(self):
@@ -352,13 +370,32 @@ class TestSplitFile:
         with pytest.raises(ParseError, match="integer"):
             parse_split_file("[train]\nx7\n")
 
-    @pytest.mark.parametrize("token", ["1_0", "+2", "٣", "-3"])
+    @pytest.mark.parametrize("token", ["1_0", "+2", "٣", "-3", "１２"])
     def test_only_ascii_decimal_indices(self, token):
         """An index is ASCII digits only, although Python's int reads
-        underscores, signs and other scripts' digits."""
+        underscores, signs and other scripts' digits (fullwidth "１２" passes
+        ``isdigit`` but not ``isascii``)."""
         with pytest.raises(ParseError) as info:
             parse_split_file(f"[train]\n1\n{token}\n")
         assert str(info.value) == f"line 3: expected an integer index, got {token!r}"
+
+    @pytest.mark.parametrize("line, index", [
+        ("12", 12), ("  12\t", 12), (" 12  # twelve", 12), ("12#", 12), ("007", 7),
+        (" １２ # fullwidth", None), ("+2 # signed", None),
+    ])
+    def test_index_line_in_a_section(self, line, index):
+        """An index line inside a section reads the same with or without
+        spaces around it and a trailing comment; a rejected one is named
+        without its comment."""
+        text = f"[test]\n3\n[train]\n{line}\n"
+        if index is None:
+            with pytest.raises(ParseError) as info:
+                parse_split_file(text)
+            token = line.split("#")[0].strip()
+            assert str(info.value) == f"line 4: expected an integer index, got {token!r}"
+        else:
+            assert parse_split_file(text) == SplitSpec(train_indices=frozenset([index]),
+                                                       test_indices=frozenset([3]))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), P=st.integers(1, 40), n=st.integers(1, 4))

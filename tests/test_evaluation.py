@@ -656,6 +656,28 @@ class TestArrayVerify:
         verify_published(*balanced_parts)
         assert len(calls) == 1
 
+    def test_verify_checks_w_sonar_once_per_scale(self, balanced_parts, monkeypatch):
+        """W_Sonar's field pass over the full set runs once per scale, the
+        two modes of a scale report the same check, and each mode's dict is
+        ``run_mode``'s."""
+        w_sonar = evaluation._published()[2][2]
+        calls = []
+
+        def counted(w, X):
+            calls.append(w is w_sonar)
+            return field(w, X)
+        monkeypatch.setattr(evaluation, "field", counted)
+        modes = verify_published(*balanced_parts)["modes"]
+        assert sum(calls) == 2
+        by_scale = {}
+        for m in modes:
+            by_scale.setdefault(m["mode"].split("-")[1], []).append(
+                (m["counts_sonar"], m["gamma_check"]))
+        for a, b in by_scale.values():
+            assert a == b
+        parts = mode_parts(*balanced_parts)
+        assert modes == [run_mode(name, parts) for name in parts]
+
     def test_verify_parses_published_assets_once(self, balanced_parts, monkeypatch):
         calls = []
 
