@@ -38,18 +38,13 @@ class UsageError(Exception):
 
 def _named(option, path, read):
     """``read(path)`` of an input that ``option`` names: an OSError becomes
-    ``bad OPTION: PATH: <strerror>``, a StatsError from the values read
-    ``bad OPTION: PATH: <message>``, any other ValueError ``bad OPTION:
-    <message>`` (a ParseError's message begins with PATH)."""
+    ``bad OPTION: PATH: <strerror>``, a ValueError ``bad OPTION: <message>``."""
     try:
         return read(path)
     except OSError as exc:
-        reason = exc.strerror
-    except dataio.StatsError as exc:
-        reason = exc
+        raise UsageError(f"bad {option}: {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise UsageError(f"bad {option}: {exc}") from None
-    raise UsageError(f"bad {option}: {path}: {reason}")
 
 
 def _load_config(arg):
@@ -71,23 +66,18 @@ def _sha256(path):
 def _load_parts(args):
     """The dataset, and its train and test parts as the split file divides
     it. Only a run that learns ``--part all`` needs no split file; its
-    parts are then None. A part that a run learns must hold a pattern."""
-    part = getattr(args, "part", None)
-
-    def read_split(path):
-        parts = dataio.split(patterns, dataio.load_split_file(path))
-        if part in ("train", "test") and not parts[part == "test"]:
-            raise dataio.SplitError(f"{path}: part {part!r} selects no patterns")
-        return parts
-
+    parts are then None."""
     patterns = _named("--dataset", args.dataset, functools.partial(
         dataio.load_file, require_unit_range=not getattr(args, "any_range", False)))
+    part = getattr(args, "part", None)
     if not args.split_file:
         if part == "all":
             return patterns, None, None
         raise UsageError((f"--part {part}" if part else "verify")
                          + " needs a --split-file")
-    return (patterns, *_named("--split-file", args.split_file, read_split))
+    parts = _named("--split-file", args.split_file,
+                   lambda path: dataio.split(patterns, dataio.load_split_file(path)))
+    return (patterns, *parts)
 
 
 def _create(path: Path):
@@ -142,12 +132,15 @@ def _prepare_run(args):
     config = _load_config(args.config)
     learn_raw, eval_raw = {"train": (train, test), "test": (test, train),
                            "all": (patterns, patterns.take([]))}[args.part]
-
-    def standardized(_):
+    if args.part != "all" and not learn_raw:
+        raise UsageError(f"bad --split-file: {args.split_file}: "
+                         f"part {args.part!r} selects no patterns")
+    try:
         stats = dataio.compute_stats(learn_raw)
-        return [dataio.standardize(part, stats) for part in (learn_raw, eval_raw)]
-
-    learn, evalp = _named("--dataset", args.dataset, standardized)
+        learn, evalp = (dataio.standardize(part, stats)
+                        for part in (learn_raw, eval_raw))
+    except dataio.StatsError as exc:
+        raise UsageError(f"bad --dataset: {args.dataset}: {exc}") from None
     return config, learn, evalp, Path(args.out)
 
 
@@ -220,14 +213,13 @@ def cmd_verify(args):
     patterns, train, test = _load_parts(args)
     if not train or not test:
         raise UsageError("verification needs both a train and a test part")
-
-    def verified(path):
-        if patterns.X.shape[1] != 60:
-            raise dataio.ParseError(f"{path}: verification needs 60 features "
-                                    f"per pattern, not {patterns.X.shape[1]}")
-        return verify_published(train, test)
-
-    report = _named("--dataset", args.dataset, verified)
+    if patterns.X.shape[1] != 60:
+        raise UsageError(f"bad --dataset: {args.dataset}: verification needs "
+                         f"60 features per pattern, not {patterns.X.shape[1]}")
+    try:
+        report = verify_published(train, test)
+    except dataio.StatsError as exc:
+        raise UsageError(f"bad --dataset: {args.dataset}: {exc}") from None
 
     if args.format == "json":
         name, text = "verify.json", json.dumps(report, sort_keys=True) + "\n"

@@ -270,21 +270,14 @@ def split(raw, spec):
 
 def parse_split_file(lines):
     """Read a two-section split file: ``[train]`` / ``[test]``, one mu per
-    line, and ``#`` comments. An index is ASCII decimal digits: int() also
-    reads signs, underscores and non-ASCII digits. A line that is just an
-    index inside a section, the common line, is read before any other
-    check. Every other line is stripped of its comment and read as a
-    header or an index; ParseError names by number the first that is
+    line, and ``#`` comments. Each line is stripped of its comment and read
+    as a header or an index; ParseError names by number the first that is
     neither, or an index before any header."""
     if isinstance(lines, str):
         lines = lines.splitlines()
     sections = {"train": set(), "test": set()}
     current = None
     for lineno, line in enumerate(lines, start=1):
-        index = line.strip()
-        if current is not None and index.isdigit() and index.isascii():
-            current.add(int(index))
-            continue
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -292,13 +285,15 @@ def parse_split_file(lines):
             name = line[1:-1].strip().lower()
             if name not in sections:
                 raise ParseError(f"line {lineno}: unknown split section {name!r}")
-            current = sections[name]
+            current = name
             continue
         if current is None:
             raise ParseError(f"line {lineno}: index before any [train]/[test] header")
+        # ASCII decimal digits only: int() also reads signs, underscores
+        # and non-ASCII digits
         if not (line.isascii() and line.isdigit()):
             raise ParseError(f"line {lineno}: expected an integer index, got {line!r}")
-        current.add(int(line))
+        sections[current].add(int(line))
     return SplitSpec(train_indices=frozenset(sections["train"]),
                      test_indices=frozenset(sections["test"]))
 

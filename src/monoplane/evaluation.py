@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import weakref
 from dataclasses import dataclass
 from importlib import resources
 
@@ -282,12 +283,42 @@ def mode_parts(train_raw, test_raw):
     return parts
 
 
+# W_Sonar's check of each full set while that set lives, so that the two
+# modes of a scale, which share their full set, compute it once
+_SONAR_CHECKS = weakref.WeakKeyDictionary()
+
+
 def run_mode(mode_name, parts):
     """Evaluate the three published vectors on the ``mode_name`` entry of
     ``parts``, a ``mode_parts`` result: one dict of the verify report's
-    ``modes`` list, with W_Sonar's check of that entry's full set."""
+    ``modes`` list. Its ``counts_sonar`` and ``gamma_check``, W_Sonar's
+    check, depend on the entry's full set alone: they are computed once per
+    full set and shared by every dict built on that set (both modes of a
+    scale), so a caller reads them and does not change them."""
+    _, (pub_test, pub_train), ws = _published()
     sets = parts[mode_name]
-    return _mode_report(mode_name, sets, _sonar_check(sets[2]))
+    sonar = _SONAR_CHECKS.get(sets[2])
+    if sonar is None:
+        sonar = _SONAR_CHECKS[sets[2]] = _sonar_check(sets[2])
+    counts_sonar, gamma_check = sonar
+    rep_test, rep_train = evaluate(ws[0], sets[0]), evaluate(ws[1], sets[1])
+    mu_test, mu_train = ([r["mu"] for r in rep["records"]]
+                         for rep in (rep_test, rep_train))
+    return {
+        "mode": mode_name,
+        "counts_test_side": tuple(rep_test["counts"].values()),
+        "counts_train_side": tuple(rep_train["counts"].values()),
+        "counts_sonar": counts_sonar,
+        "mu_test_side": mu_test,
+        "mu_train_side": mu_train,
+        "table_match_test": mu_test == pub_test,
+        "table_match_train": mu_train == pub_train,
+        "missing_test": sorted(set(pub_test) - set(mu_test)),
+        "extra_test": sorted(set(mu_test) - set(pub_test)),
+        "missing_train": sorted(set(pub_train) - set(mu_train)),
+        "extra_train": sorted(set(mu_train) - set(pub_train)),
+        "gamma_check": gamma_check,
+    }
 
 
 def _sonar_check(all_part):
@@ -311,31 +342,6 @@ def _sonar_check(all_part):
     return (_error_counts(f_sonar, all_part.tau),
             {"rows": gamma_rows, "max_abs_err": max(errs, default=None),
              "n_within_1e-3": sum(e <= 1e-3 for e in errs)})
-
-
-def _mode_report(mode_name, sets, sonar_check):
-    """``run_mode``'s dict of ``sets``, one ``mode_parts`` entry, with
-    ``sonar_check``, the ``_sonar_check`` of its full set."""
-    _, (pub_test, pub_train), ws = _published()
-    rep_test, rep_train = evaluate(ws[0], sets[0]), evaluate(ws[1], sets[1])
-    mu_test, mu_train = ([r["mu"] for r in rep["records"]]
-                         for rep in (rep_test, rep_train))
-    counts_sonar, gamma_check = sonar_check
-    return {
-        "mode": mode_name,
-        "counts_test_side": tuple(rep_test["counts"].values()),
-        "counts_train_side": tuple(rep_train["counts"].values()),
-        "counts_sonar": counts_sonar,
-        "mu_test_side": mu_test,
-        "mu_train_side": mu_train,
-        "table_match_test": mu_test == pub_test,
-        "table_match_train": mu_train == pub_train,
-        "missing_test": sorted(set(pub_test) - set(mu_test)),
-        "extra_test": sorted(set(mu_test) - set(pub_test)),
-        "missing_train": sorted(set(pub_train) - set(mu_train)),
-        "extra_train": sorted(set(mu_train) - set(pub_train)),
-        "gamma_check": gamma_check,
-    }
 
 
 _PERTURBED = ("W_Train_on_test", "W_Test_on_train", "W_Sonar_on_all")
@@ -398,15 +404,12 @@ def verify_published(train_raw, test_raw):
     ``reproduced``, True iff some mode reproduces both published
     misclassification sets exactly.
 
-    Each mode's dict is ``run_mode``'s, but W_Sonar is checked once per
-    distinct full set, once per scale, and the two modes of a scale share
-    that check's ``counts_sonar`` and ``gamma_check`` objects: the report
-    is built afresh per call and only read.
+    W_Sonar is checked once per scale, as the two modes of a scale share
+    their full set and so their ``counts_sonar`` and ``gamma_check``
+    objects; the report is built afresh per call and only read.
     """
     parts = mode_parts(train_raw, test_raw)
-    sonar = {full: _sonar_check(full) for full in {sets[2] for sets in parts.values()}}
-    modes = [_mode_report(mode_name, sets, sonar[sets[2]])
-             for mode_name, sets in parts.items()]
+    modes = [run_mode(mode_name, parts) for mode_name in parts]
     closest = min(modes, key=lambda r: sum(len(r[k]) for k in (
         "missing_test", "extra_test", "missing_train", "extra_train")))["mode"]
     return {

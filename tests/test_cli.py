@@ -627,6 +627,41 @@ def test_width_comes_from_the_file(sonar_path, balanced_split_path, tmp_path,
 
 
 class TestVerify:
+    def test_constant_feature_is_a_dataset_fault(self, sonar_path,
+                                                 balanced_split_path, tmp_path,
+                                                 capsys):
+        """A feature that standardization cannot scale is named as a fault
+        of --dataset, and nothing is written."""
+        data = tmp_path / "flat.csv"
+        data.write_text("".join("0.5," + line.split(",", 1)[1] + "\n"
+                                for line in sonar_path.read_text().splitlines()))
+        out = tmp_path / "v"
+        assert run(["verify", "--dataset", str(data), "--split-file",
+                    str(balanced_split_path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: bad --dataset: {data}: "
+                                       "constant feature(s) 1: scale would be zero\n")
+        assert not out.exists()
+
+    def test_asset_fault_is_not_a_dataset_fault(self, sonar_path,
+                                                balanced_split_path, capsys,
+                                                monkeypatch):
+        """A published asset that cannot be read is reported as itself, not
+        as a fault of the --dataset that verify was given."""
+        def missing():
+            raise FileNotFoundError(2, "No such file or directory", "table6.json")
+        monkeypatch.setattr(evaluation, "_published", missing)
+        argv = ["verify", "--dataset", str(sonar_path),
+                "--split-file", str(balanced_split_path)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: [Errno 2] No such file or directory: 'table6.json'\n")
+
+        def corrupt():
+            raise json.JSONDecodeError("Expecting value", "", 0)
+        monkeypatch.setattr(evaluation, "_published", corrupt)
+        with pytest.raises(json.JSONDecodeError):
+            run(argv)
+
     def test_exit_1_and_diff_on_canonical_data(self, sonar_path,
                                                balanced_split_path, tmp_path,
                                                capsys):

@@ -658,8 +658,8 @@ class TestArrayVerify:
 
     def test_verify_checks_w_sonar_once_per_scale(self, balanced_parts, monkeypatch):
         """W_Sonar's field pass over the full set runs once per scale, the
-        two modes of a scale report the same check, and each mode's dict is
-        ``run_mode``'s."""
+        two modes of a scale report the same check, each mode's dict is
+        ``run_mode``'s, and no check outlives the verify that made it."""
         w_sonar = evaluation._published()[2][2]
         calls = []
 
@@ -675,8 +675,12 @@ class TestArrayVerify:
                 (m["counts_sonar"], m["gamma_check"]))
         for a, b in by_scale.values():
             assert a == b
+        assert not evaluation._SONAR_CHECKS
         parts = mode_parts(*balanced_parts)
         assert modes == [run_mode(name, parts) for name in parts]
+        assert sum(calls) == 4
+        del parts
+        assert not evaluation._SONAR_CHECKS
 
     def test_verify_parses_published_assets_once(self, balanced_parts, monkeypatch):
         calls = []
