@@ -6,17 +6,17 @@ data assets and checked against the source tables by tests. The verifier
 sweeps every plausible standardization mode (statistics from the learning
 part or from the full set, standard-deviation or variance scaling) and
 reports, per mode, the misclassification sets and how they compare to the
-published tables. It never patches a mismatch: the per-pattern diff and the
-exact range of error counts that the tables' four-decimal truncation allows
-are part of the report so the reader can judge what the published numbers
-are consistent with.
+published tables, and per scale, W_Sonar's stability spot-check on the full
+set that the two modes of that scale share. It never patches a mismatch: the
+per-pattern diff and the exact range of error counts that the tables'
+four-decimal truncation allows are part of the report so the reader can
+judge what the published numbers are consistent with.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import weakref
 from dataclasses import dataclass
 from importlib import resources
 
@@ -283,24 +283,12 @@ def mode_parts(train_raw, test_raw):
     return parts
 
 
-# W_Sonar's check of each full set while that set lives, so that the two
-# modes of a scale, which share their full set, compute it once
-_SONAR_CHECKS = weakref.WeakKeyDictionary()
-
-
 def run_mode(mode_name, parts):
     """Evaluate the three published vectors on the ``mode_name`` entry of
     ``parts``, a ``mode_parts`` result: one dict of the verify report's
-    ``modes`` list. Its ``counts_sonar`` and ``gamma_check``, W_Sonar's
-    check, depend on the entry's full set alone: they are computed once per
-    full set and shared by every dict built on that set (both modes of a
-    scale), so a caller reads them and does not change them."""
+    ``modes`` list."""
     _, (pub_test, pub_train), ws = _published()
     sets = parts[mode_name]
-    sonar = _SONAR_CHECKS.get(sets[2])
-    if sonar is None:
-        sonar = _SONAR_CHECKS[sets[2]] = _sonar_check(sets[2])
-    counts_sonar, gamma_check = sonar
     rep_test, rep_train = evaluate(ws[0], sets[0]), evaluate(ws[1], sets[1])
     mu_test, mu_train = ([r["mu"] for r in rep["records"]]
                          for rep in (rep_test, rep_train))
@@ -308,7 +296,7 @@ def run_mode(mode_name, parts):
         "mode": mode_name,
         "counts_test_side": tuple(rep_test["counts"].values()),
         "counts_train_side": tuple(rep_train["counts"].values()),
-        "counts_sonar": counts_sonar,
+        "counts_sonar": _error_counts(field(ws[2], sets[2].Xi), sets[2].tau),
         "mu_test_side": mu_test,
         "mu_train_side": mu_train,
         "table_match_test": mu_test == pub_test,
@@ -317,31 +305,29 @@ def run_mode(mode_name, parts):
         "extra_test": sorted(set(mu_test) - set(pub_test)),
         "missing_train": sorted(set(pub_train) - set(mu_train)),
         "extra_train": sorted(set(mu_train) - set(pub_train)),
-        "gamma_check": gamma_check,
     }
 
 
-def _sonar_check(all_part):
-    """W_Sonar's ``counts_sonar`` on ``all_part``, a full set, and its
-    ``gamma_check``: the published stabilities beside the computed ones,
-    by layout number. Both read one matrix field pass, the product
-    ``evaluate`` takes, so a row's stability is bit for bit its field
-    times tau (a one-row dot may round the last bit differently)."""
+def _gamma_check(full):
+    """W_Sonar's stability spot-check on ``full``, a full set: the published
+    stabilities beside the computed ones, by layout number. They read one
+    matrix field pass, the product ``evaluate`` takes, so a row's stability
+    is bit for bit its field times tau (a one-row dot may round the last
+    bit differently)."""
     table, _, ws = _published()
-    f_sonar = field(ws[2], all_part.Xi)
-    stability_of = dict(zip(all_part.mu.tolist(), (all_part.tau * f_sonar).tolist()))
-    gamma_rows = []
+    stability_of = dict(zip(full.mu.tolist(),
+                            (full.tau * field(ws[2], full.Xi)).tolist()))
+    rows = []
     for side in ("test_side", "train_side"):
         for rec in table[side]:
             got = stability_of.get(rec["mu"])
-            gamma_rows.append({
+            rows.append({
                 "mu": rec["mu"], "published": rec["gamma_sonar"], "computed": got,
                 "abs_err": None if got is None else abs(got - rec["gamma_sonar"]),
             })
-    errs = [r["abs_err"] for r in gamma_rows if r["abs_err"] is not None]
-    return (_error_counts(f_sonar, all_part.tau),
-            {"rows": gamma_rows, "max_abs_err": max(errs, default=None),
-             "n_within_1e-3": sum(e <= 1e-3 for e in errs)})
+    errs = [r["abs_err"] for r in rows if r["abs_err"] is not None]
+    return {"rows": rows, "max_abs_err": max(errs, default=None),
+            "n_within_1e-3": sum(e <= 1e-3 for e in errs)}
 
 
 _PERTURBED = ("W_Train_on_test", "W_Test_on_train", "W_Sonar_on_all")
@@ -378,13 +364,15 @@ def published_norms():
     return {name: w.norm for name, w in zip(PUBLISHED_NAMES, _published()[2])}
 
 
+_COSINE_PAIRS = (("W_Sonar", "W_Train"), ("W_Sonar", "W_Test"), ("W_Train", "W_Test"))
+
+
 def cosine_report():
     """Pairwise cosines of the published vectors in both modes."""
     table, _, published_ws = _published()
     ws = dict(zip(PUBLISHED_NAMES, published_ws))
-    pairs = [("W_Sonar", "W_Train"), ("W_Sonar", "W_Test"), ("W_Train", "W_Test")]
     out = {}
-    for a, b in pairs:
+    for a, b in _COSINE_PAIRS:
         key = f"({a},{b})"
         out[key] = {
             "true_cosine": cosine(ws[a], ws[b]),
@@ -398,22 +386,21 @@ def verify_published(train_raw, test_raw):
     """Sweep all standardization modes and diff against the published tables.
 
     Returns the report that ``verify --format json`` prints: ``modes``, one
-    ``run_mode`` dict per mode; ``closest_mode``, the mode with the fewest
-    missing and extra patterns; the published ``norms`` and ``cosines``;
-    the ``perturbation`` analysis in the closest mode, which it names; and
-    ``reproduced``, True iff some mode reproduces both published
-    misclassification sets exactly.
-
-    W_Sonar is checked once per scale, as the two modes of a scale share
-    their full set and so their ``counts_sonar`` and ``gamma_check``
-    objects; the report is built afresh per call and only read.
+    ``run_mode`` dict per mode; ``gamma_check``, W_Sonar's spot-check of
+    the full set keyed by scale, as both modes of a scale share that set;
+    ``closest_mode``, the mode with the fewest missing and extra patterns;
+    the published ``norms`` and ``cosines``; the ``perturbation`` analysis
+    in the closest mode, which it names; and ``reproduced``, True iff some
+    mode reproduces both published misclassification sets exactly.
     """
     parts = mode_parts(train_raw, test_raw)
     modes = [run_mode(mode_name, parts) for mode_name in parts]
+    full_sets = {scale: parts[name][2] for name, _, scale in STANDARDIZATION_MODES}
     closest = min(modes, key=lambda r: sum(len(r[k]) for k in (
         "missing_test", "extra_test", "missing_train", "extra_train")))["mode"]
     return {
         "modes": modes,
+        "gamma_check": {scale: _gamma_check(full) for scale, full in full_sets.items()},
         "closest_mode": closest,
         "norms": published_norms(),
         "cosines": cosine_report(),
@@ -428,6 +415,7 @@ def verify_text(report):
     """The narrative ``verify`` prints of a ``verify_published`` report; the
     published counts beside each mode's are read from the table per call."""
     table = _published()[0]
+    scale_of = {name: scale for name, _, scale in STANDARDIZATION_MODES}
     lines = []
     for r in report["modes"]:
         lines.append(f"mode {r['mode']}:")
@@ -443,22 +431,24 @@ def verify_text(report):
             if not r[f"table_match_{side}"]:
                 lines.append(f"    {side}-side missing mu: {r[f'missing_{side}']}")
                 lines.append(f"    {side}-side extra mu:   {r[f'extra_{side}']}")
-        gc = r["gamma_check"]
+        gc = report["gamma_check"][scale_of[r["mode"]]]
         lines.append(f"  gamma(W_Sonar) spot-check: {gc['n_within_1e-3']}/"
                      f"{len(gc['rows'])} within 1e-3 (max abs err "
                      f"{gc['max_abs_err'] if gc['max_abs_err'] is None else round(gc['max_abs_err'], 6)})")
     lines.append(f"closest mode: {report['closest_mode']}")
     lines.append("published vector norms (sqrt(61) = 7.81025):")
-    for k, v in report["norms"].items():
-        lines.append(f"  {k}: {v:.5f}")
+    for k in PUBLISHED_NAMES:
+        lines.append(f"  {k}: {report['norms'][k]:.5f}")
     lines.append("cosines (true / raw-eq8 / published):")
-    for k, v in report["cosines"].items():
+    for k in (f"({a},{b})" for a, b in _COSINE_PAIRS):
+        v = report["cosines"][k]
         lines.append(f"  {k}: {v['true_cosine']:.5f} / {v['raw_eq8']:.5f} "
                      f"/ {v['published']}")
     pert = report["perturbation"]
     lines.append(f"truncation perturbation in {pert['mode']} (+-5e-5 per component), "
                  f"error-count spread:")
-    for k, v in pert["spreads"].items():
+    for k in _PERTURBED:
+        v = pert["spreads"][k]
         lines.append(f"  {k}: min={v['min']} max={v['max']} "
                      f"min_ratio={v['min_ratio']:.2f}")
     lines.append(f"verdict: {'REPRODUCED' if report['reproduced'] else 'NOT REPRODUCED'}")

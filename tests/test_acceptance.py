@@ -123,7 +123,8 @@ def test_criterion_04_published_sonar_separator(balanced_parts):
     train_raw, test_raw = balanced_parts
     r = run_mode("part-std", mode_parts(train_raw, test_raw))
     assert r["counts_sonar"][0] == 0
-    assert r["gamma_check"]["n_within_1e-3"] == 44
+    gamma_check = verify_published(train_raw, test_raw)["gamma_check"]["std"]
+    assert gamma_check["n_within_1e-3"] == 44
 
 
 @pytest.mark.xfail(

@@ -685,8 +685,11 @@ class TestVerify:
         assert rc == 1
         assert len(payload["modes"]) == 4
         for m in payload["modes"]:
-            assert len(m["gamma_check"]["rows"]) == 44
+            assert len(m["counts_sonar"]) == 3
             assert len(m["mu_test_side"]) == m["counts_test_side"][0]
+        assert set(payload["gamma_check"]) == {"std", "variance"}
+        for check in payload["gamma_check"].values():
+            assert len(check["rows"]) == 44
         assert payload["perturbation"]["mode"] == payload["closest_mode"]
         assert payload["reproduced"] is False
         for k, v in payload["norms"].items():

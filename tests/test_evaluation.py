@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import math
+from collections.abc import Sized
 from importlib import resources
 
 import numpy as np
@@ -19,6 +20,7 @@ from monoplane import evaluation
 from monoplane.evaluation import (
     PUBLISHED_NAMES, STANDARDIZATION_MODES, mode_parts,
     paper_layout_numbering, perturbation_analysis, published_norms, run_mode,
+    verify_text,
 )
 
 from conftest import (
@@ -367,7 +369,8 @@ class TestModeSweep:
         assert r["counts_train_side"][0] == len(r["mu_train_side"])
         total, false_pos, false_neg = r["counts_test_side"]
         assert false_pos + false_neg == total
-        assert len(r["gamma_check"]["rows"]) == 44
+        assert len(r["counts_sonar"]) == 3 and "gamma_check" not in r
+        assert len(verify_published(train, test)["gamma_check"]["std"]["rows"]) == 44
 
     def test_perturbation_analysis_spread(self, balanced_parts):
         train, test = balanced_parts
@@ -462,6 +465,17 @@ class TestModeSweep:
         assert pert["spreads"] == perturbation_analysis(
             mode_parts(train, test)[report["closest_mode"]])
 
+    @pytest.mark.parametrize("split", ("bundled", 1))
+    def test_narrative_reads_the_json_report(self, raw_patterns, balanced_parts, split):
+        """The narrative of the report read back from the JSON that ``verify
+        --format json`` prints, whose keys are sorted, is the narrative of
+        the report itself."""
+        parts = (balanced_parts if split == "bundled"
+                 else random_balanced_split(raw_patterns, split))
+        report = verify_published(*parts)
+        read_back = json.loads(json.dumps(report, sort_keys=True))
+        assert verify_text(read_back) == verify_text(report)
+
 
 def _full_set(train, test):
     """The rows of two RawSets as one RawSet in mu order."""
@@ -500,18 +514,6 @@ def _reference_run_mode(mode_name, sets, layout):
     mu_train = sorted(layout[p.mu] for p in train_std if stability(w_test, p) <= 0)
     pub_test = sorted(r["mu"] for r in table["test_side"])
     pub_train = sorted(r["mu"] for r in table["train_side"])
-    # W_Sonar stabilities from one matrix field of the full set, the product
-    # the misclassification report reads
-    f_sonar = field(w_sonar, np.array([p.xi for p in all_std])).tolist()
-    by_layout = {layout[p.mu]: p.tau * f for p, f in zip(all_std, f_sonar)}
-    rows = []
-    for side in ("test_side", "train_side"):
-        for rec in table[side]:
-            got = by_layout.get(rec["mu"])
-            rows.append({"mu": rec["mu"], "published": rec["gamma_sonar"],
-                         "computed": got,
-                         "abs_err": None if got is None else abs(got - rec["gamma_sonar"])})
-    errs = [r["abs_err"] for r in rows if r["abs_err"] is not None]
     return dict(
         mode=mode_name,
         counts_test_side=count_errors(w_train, test_std),
@@ -522,9 +524,33 @@ def _reference_run_mode(mode_name, sets, layout):
         missing_test=sorted(set(pub_test) - set(mu_test)),
         extra_test=sorted(set(mu_test) - set(pub_test)),
         missing_train=sorted(set(pub_train) - set(mu_train)),
-        extra_train=sorted(set(mu_train) - set(pub_train)),
-        gamma_check={"rows": rows, "max_abs_err": max(errs, default=None),
-                     "n_within_1e-3": sum(1 for e in errs if e <= 1e-3)})
+        extra_train=sorted(set(mu_train) - set(pub_train)))
+
+
+def _reference_gamma_check(all_std, layout):
+    table = load_published_table()
+    # W_Sonar stabilities from one matrix field of the full set, the product
+    # the misclassification report reads
+    f_sonar = field(load_published_weights("W_Sonar"),
+                    np.array([p.xi for p in all_std])).tolist()
+    by_layout = {layout[p.mu]: p.tau * f for p, f in zip(all_std, f_sonar)}
+    rows = []
+    for side in ("test_side", "train_side"):
+        for rec in table[side]:
+            got = by_layout.get(rec["mu"])
+            rows.append({"mu": rec["mu"], "published": rec["gamma_sonar"],
+                         "computed": got,
+                         "abs_err": None if got is None else abs(got - rec["gamma_sonar"])})
+    errs = [r["abs_err"] for r in rows if r["abs_err"] is not None]
+    return {"rows": rows, "max_abs_err": max(errs, default=None),
+            "n_within_1e-3": sum(1 for e in errs if e <= 1e-3)}
+
+
+def _gamma_checks(monkeypatch, train, test, parts):
+    """The ``gamma_check`` of the verify report of ``train`` and ``test``
+    when their ``mode_parts`` are ``parts``, whose labels may be negated."""
+    monkeypatch.setattr(evaluation, "mode_parts", lambda *raw: parts)
+    return verify_published(train, test)["gamma_check"]
 
 
 def _seeded_draw_counts(sets, n_draws=100):
@@ -553,25 +579,27 @@ class TestArrayVerify:
 
     @pytest.mark.parametrize("flipped", (False, True))
     @pytest.mark.parametrize("mode", STANDARDIZATION_MODES, ids=lambda m: m[0])
-    def test_mode_matches_reference(self, parts, mode, flipped):
-        """``run_mode`` and ``perturbation_analysis`` equal their per-pattern
-        definitions, also on sets whose labels are negated."""
+    def test_mode_matches_reference(self, parts, mode, flipped, monkeypatch):
+        """``run_mode``, the report's ``gamma_check`` of the mode's scale and
+        ``perturbation_analysis`` equal their per-pattern definitions, also
+        on sets whose labels are negated."""
         train, test = parts
         mode_name, stats_from, scale = mode
         sets = _reference_mode_sets(train, test, stats_from, scale)
         parts = mode_parts(train, test)
         if flipped:
             sets, parts = _flipped(sets), {m: _flipped(s) for m, s in parts.items()}
-        want = _reference_run_mode(mode_name, sets, paper_layout_numbering(train, test))
-        got = run_mode(mode_name, parts)
-        assert got == want
-        assert all(type(r["computed"]) is float for r in got["gamma_check"]["rows"])
+        layout = paper_layout_numbering(train, test)
+        assert run_mode(mode_name, parts) == _reference_run_mode(mode_name, sets, layout)
+        got = _gamma_checks(monkeypatch, train, test, parts)[scale]
+        assert got == _reference_gamma_check(sets[2], layout)
+        assert all(type(r["computed"]) is float for r in got["rows"])
         box = perturbation_analysis(parts[mode_name])
         for key, counts in _seeded_draw_counts(sets).items():
             assert box[key]["min"] <= min(counts) <= max(counts) <= box[key]["max"]
 
     @pytest.mark.parametrize("flipped", (False, True))
-    def test_spot_check_reads_the_report_field(self, parts, flipped):
+    def test_spot_check_reads_the_report_field(self, parts, flipped, monkeypatch):
         """Each spot-checked stability is, bit for bit, tau times the matrix
         field of its pattern, under either labelling, so a pattern W_Sonar
         misclassifies carries the field that ``evaluate`` reports for it."""
@@ -579,14 +607,15 @@ class TestArrayVerify:
         sets = mode_parts(*parts)
         if flipped:
             sets = {m: _flipped(s) for m, s in sets.items()}
+        gamma_checks = _gamma_checks(monkeypatch, *parts, sets)
         n_misclassified = 0
-        for mode_name in sets:
+        for mode_name, _, scale in STANDARDIZATION_MODES:
             full = sets[mode_name][2]
             f = field(w_sonar, full.Xi)
             row_of = {m: k for k, m in enumerate(full.mu.tolist())}
             rep = evaluate(w_sonar, full)
             reported = {r["mu"]: r["tau"] * r["field"] for r in rep["records"]}
-            for row in run_mode(mode_name, sets)["gamma_check"]["rows"]:
+            for row in gamma_checks[scale]["rows"]:
                 k = row_of[row["mu"]]
                 assert row["computed"] == float(full.tau[k] * f[k])
                 if row["mu"] in reported:
@@ -615,13 +644,18 @@ class TestArrayVerify:
             assert rep["records"] and all(type(r["mu"]) is int and type(r["tau"]) is int
                                           for r in rep["records"])
 
-    def test_flipped_labels_mirror_the_report(self, parts):
+    def test_flipped_labels_mirror_the_report(self, parts, monkeypatch):
         """Negating every label mirrors each mode: no field is exactly 0, so
         each misclassified set becomes its part's complement, W_Sonar errs
         on P - total patterns, each spot-check stability is negated, and
         each spread's min and max become P - max and P - min."""
         sets = mode_parts(*parts)
         flipped = {m: _flipped(s) for m, s in sets.items()}
+        checks, mirror_checks = (_gamma_checks(monkeypatch, *parts, p)
+                                 for p in (sets, flipped))
+        for scale, check in checks.items():
+            assert ([r["computed"] for r in mirror_checks[scale]["rows"]]
+                    == [-r["computed"] for r in check["rows"]])
         for mode_name, mode_sets in sets.items():
             got, mirror = run_mode(mode_name, sets), run_mode(mode_name, flipped)
             for side, part in zip(("test", "train"), mode_sets):
@@ -629,8 +663,6 @@ class TestArrayVerify:
                 assert mirror[key] == sorted(set(part.mu.tolist()) - set(got[key]))
             n_all = len(mode_sets[2])
             assert mirror["counts_sonar"][0] == n_all - got["counts_sonar"][0]
-            assert ([r["computed"] for r in mirror["gamma_check"]["rows"]]
-                    == [-r["computed"] for r in got["gamma_check"]["rows"]])
             box = perturbation_analysis(mode_sets)
             box_mirror = perturbation_analysis(flipped[mode_name])
             for key, ps in zip(box, mode_sets):
@@ -657,9 +689,11 @@ class TestArrayVerify:
         assert len(calls) == 1
 
     def test_verify_checks_w_sonar_once_per_scale(self, balanced_parts, monkeypatch):
-        """W_Sonar's field pass over the full set runs once per scale, the
-        two modes of a scale report the same check, each mode's dict is
-        ``run_mode``'s, and no check outlives the verify that made it."""
+        """W_Sonar's field over the full set is taken once per mode, for its
+        count, and once per scale, for the spot-check; the two modes of a
+        scale count the same W_Sonar errors, each mode's dict is
+        ``run_mode``'s, and a verify leaves no module-level state behind: the
+        next one computes its checks afresh."""
         w_sonar = evaluation._published()[2][2]
         calls = []
 
@@ -667,20 +701,24 @@ class TestArrayVerify:
             calls.append(w is w_sonar)
             return field(w, X)
         monkeypatch.setattr(evaluation, "field", counted)
-        modes = verify_published(*balanced_parts)["modes"]
-        assert sum(calls) == 2
+
+        def state():
+            return {name: (id(value), len(value) if isinstance(value, Sized) else None)
+                    for name, value in vars(evaluation).items()}
+        before = state()
+        report = verify_published(*balanced_parts)
+        assert sum(calls) == 4 + 2 and state() == before
+        assert set(report["gamma_check"]) == {"std", "variance"}
         by_scale = {}
-        for m in modes:
-            by_scale.setdefault(m["mode"].split("-")[1], []).append(
-                (m["counts_sonar"], m["gamma_check"]))
+        for m in report["modes"]:
+            by_scale.setdefault(m["mode"].split("-")[1], []).append(m["counts_sonar"])
         for a, b in by_scale.values():
             assert a == b
-        assert not evaluation._SONAR_CHECKS
         parts = mode_parts(*balanced_parts)
-        assert modes == [run_mode(name, parts) for name in parts]
-        assert sum(calls) == 4
-        del parts
-        assert not evaluation._SONAR_CHECKS
+        assert report["modes"] == [run_mode(name, parts) for name in parts]
+        assert sum(calls) == 6 + 4
+        assert verify_published(*balanced_parts) == report
+        assert sum(calls) == 10 + 6 and state() == before
 
     def test_verify_parses_published_assets_once(self, balanced_parts, monkeypatch):
         calls = []

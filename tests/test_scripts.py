@@ -120,3 +120,26 @@ def test_artifact_hashes_failing_train_runs(artifact_hashes, tmp_path,
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / name).exists()
+
+
+def test_perfbench_verify_sweep_reads_the_report(tmp_path, monkeypatch):
+    """The benchmark's verify-sweep check passes on this tree: its first
+    operation matches the bundled split's reference report and the next two
+    random splits' W_Sonar counts, so a change to the report's shape that
+    the benchmark reads fails here and not only in a benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+
+    class Clock:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.seconds = 0.0
+    sweep = workloads.VerifySweep(REPO, 1, tmp_path)
+    for index in range(3):
+        res = sweep.op("verify", index, Clock())
+        assert (res.reached, res.failure) == (True, None)
