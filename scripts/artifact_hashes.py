@@ -16,7 +16,7 @@ is ``json.dumps(obj, sort_keys=True)`` and a newline, so it is hashed once,
 as bytes. Run it once with each of two checkouts on ``PYTHONPATH``, then
 ``--compare`` the two files: it prints each key whose hash differs or that
 only one file has, and a count, and exits 1 if there is any, so exit 0
-means equal exit codes, streams and artifacts. The matrix gives 225 items.
+means equal exit codes, streams and artifacts. The matrix gives 228 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests do not
@@ -46,8 +46,9 @@ file that sets ``learning_rate=1e308`` hashes the error of an anneal whose
 first step overflows w, and ``train`` with a directory as ``--config``
 the error of a config path that names no file. A missing ``--dataset``
 (``train``) and ``--split-file`` (``verify``), a split file with an unknown
-section and one that lists an index outside the dataset (``train``) hash
-the error naming each option, and ``grow`` on XOR written twice, learning
+section and one that lists an index outside the dataset (``train``), and
+one whose ``[test]`` section is empty (``verify``) hash the error naming
+each option and file, and ``grow`` on XOR written twice, learning
 the first copy, hashes a grown network's report on a held-out part.
 
 A run that raises instead of returning an exit code does not end the
@@ -108,6 +109,8 @@ DIVERGED_CFG = "learning_rate=1e308\n"
 # split files the CLI rejects: an unknown section, an index past the 208th
 SECTION_SPLIT = "[valid]\n1\n"
 OUTSIDE_SPLIT = "[train]\n1\n[test]\n209\n"
+# a split file whose Test part, which verify needs, selects no patterns
+EMPTY_TEST_SPLIT = "[train]\n" + "".join(f"{mu}\n" for mu in range(1, 209)) + "[test]\n"
 # XOR written twice: learn the first copy, hold out the second
 XOR_TWICE_SPLIT = "[train]\n1\n2\n3\n4\n[test]\n5\n6\n7\n8\n"
 
@@ -231,6 +234,9 @@ def run_matrix():
     runs.append(("verify-split-missing", ["verify", "--dataset", "sonar.all-data",
                                           "--split-file", "missing.split",
                                           "--out", "verify-split-missing"]))
+    runs.append(("verify-split-empty", ["verify", "--dataset", "sonar.all-data",
+                                        "--split-file", "empty.split",
+                                        "--out", "verify-split-empty"]))
     for split_name in ("section", "outside"):
         name = f"train-split-{split_name}"
         runs.append((name, ["train", "--dataset", "sonar.all-data", "--split-file",
@@ -271,6 +277,7 @@ def write_inputs(root: Path):
     (root / "dir.cfg").mkdir()
     (root / "section.split").write_text(SECTION_SPLIT)
     (root / "outside.split").write_text(OUTSIDE_SPLIT)
+    (root / "empty.split").write_text(EMPTY_TEST_SPLIT)
     (root / "xor-twice.csv").write_text((root / "xor.csv").read_text() * 2)
     (root / "xor-twice.split").write_text(XOR_TWICE_SPLIT)
     for name, source in (("sonar-not-utf8.csv", "sonar.all-data"),

@@ -66,7 +66,8 @@ def _sha256(path):
 def _load_parts(args):
     """The dataset, and its train and test parts as the split file divides
     it. Only a run that learns ``--part all`` needs no split file; its
-    parts are then None."""
+    parts are then None. The part a run learns, or both parts for verify,
+    which has no --part, must select a pattern."""
     patterns = _named("--dataset", args.dataset, functools.partial(
         dataio.load_file, require_unit_range=not getattr(args, "any_range", False)))
     part = getattr(args, "part", None)
@@ -75,8 +76,15 @@ def _load_parts(args):
             return patterns, None, None
         raise UsageError((f"--part {part}" if part else "verify")
                          + " needs a --split-file")
-    parts = _named("--split-file", args.split_file,
-                   lambda path: dataio.split(patterns, dataio.load_split_file(path)))
+    spec = _named("--split-file", args.split_file, dataio.load_split_file)
+    try:
+        parts = dataio.split(patterns, spec)
+    except dataio.SplitError as exc:
+        raise UsageError(f"bad --split-file: {args.split_file}: {exc}") from None
+    for name, held in zip(("train", "test"), parts):
+        if not held and part in (name, None):
+            raise UsageError(f"bad --split-file: {args.split_file}: "
+                             f"part {name!r} selects no patterns")
     return (patterns, *parts)
 
 
@@ -132,9 +140,6 @@ def _prepare_run(args):
     config = _load_config(args.config)
     learn_raw, eval_raw = {"train": (train, test), "test": (test, train),
                            "all": (patterns, patterns.take([]))}[args.part]
-    if args.part != "all" and not learn_raw:
-        raise UsageError(f"bad --split-file: {args.split_file}: "
-                         f"part {args.part!r} selects no patterns")
     try:
         stats = dataio.compute_stats(learn_raw)
         learn, evalp = (dataio.standardize(part, stats)
@@ -210,12 +215,7 @@ def cmd_grow(args):
 
 
 def cmd_verify(args):
-    patterns, train, test = _load_parts(args)
-    if not train or not test:
-        raise UsageError("verification needs both a train and a test part")
-    if patterns.X.shape[1] != 60:
-        raise UsageError(f"bad --dataset: {args.dataset}: verification needs "
-                         f"60 features per pattern, not {patterns.X.shape[1]}")
+    _, train, test = _load_parts(args)
     try:
         report = verify_published(train, test)
     except dataio.StatsError as exc:

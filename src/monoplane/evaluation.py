@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .data import RawSet, compute_stats, standardize
+from .data import RawSet, StatsError, compute_stats, standardize
 from .perceptron import WeightVector, _error_counts, field, load_weights
 
 PUBLISHED_NAMES = ("W_Train", "W_Test", "W_Sonar")
@@ -231,12 +231,13 @@ def paper_layout_numbering(train, test):
 
     The published tables number the learning part 1..104 and the
     generalization part 105..208, mines before rocks within each part
-    (class blocks in file order). Returns {file mu: layout mu}.
+    (class blocks in file order). Returns an array of layout mu indexed by
+    file mu, 0 where no pattern has that mu.
     """
-    order = []
-    for part in (train, test):
-        order.extend(part.mu[np.lexsort((part.mu, part.tau))].tolist())
-    return {m: k + 1 for k, m in enumerate(order)}
+    order = np.concatenate([p.mu[np.lexsort((p.mu, p.tau))] for p in (train, test)])
+    layout = np.zeros(order.max(initial=0) + 1, dtype=int)
+    layout[order] = np.arange(1, len(order) + 1)
+    return layout
 
 
 STANDARDIZATION_MODES = (
@@ -259,10 +260,8 @@ def mode_parts(train_raw, test_raw):
     An empty part raises StatsError."""
     layout = paper_layout_numbering(train_raw, test_raw)
     mu = np.concatenate((train_raw.mu, test_raw.mu))
-    layout_of = np.zeros(mu.max(initial=0) + 1, dtype=int)  # indexed by file mu
-    layout_of[list(layout)] = list(layout.values())
     numbered = RawSet(np.concatenate((train_raw.X, test_raw.X)),
-                      np.concatenate((train_raw.tau, test_raw.tau)), layout_of[mu])
+                      np.concatenate((train_raw.tau, test_raw.tau)), layout[mu])
     n_train = len(train_raw)
     train, test = numbered.take(slice(n_train)), numbered.take(slice(n_train, None))
     full = numbered.take(np.argsort(mu, kind="stable"))
@@ -287,25 +286,18 @@ def run_mode(mode_name, parts):
     """Evaluate the three published vectors on the ``mode_name`` entry of
     ``parts``, a ``mode_parts`` result: one dict of the verify report's
     ``modes`` list."""
-    _, (pub_test, pub_train), ws = _published()
+    _, pub_mu, ws = _published()
     sets = parts[mode_name]
-    rep_test, rep_train = evaluate(ws[0], sets[0]), evaluate(ws[1], sets[1])
-    mu_test, mu_train = ([r["mu"] for r in rep["records"]]
-                         for rep in (rep_test, rep_train))
-    return {
-        "mode": mode_name,
-        "counts_test_side": tuple(rep_test["counts"].values()),
-        "counts_train_side": tuple(rep_train["counts"].values()),
-        "counts_sonar": _error_counts(field(ws[2], sets[2].Xi), sets[2].tau),
-        "mu_test_side": mu_test,
-        "mu_train_side": mu_train,
-        "table_match_test": mu_test == pub_test,
-        "table_match_train": mu_train == pub_train,
-        "missing_test": sorted(set(pub_test) - set(mu_test)),
-        "extra_test": sorted(set(mu_test) - set(pub_test)),
-        "missing_train": sorted(set(pub_train) - set(mu_train)),
-        "extra_train": sorted(set(mu_train) - set(pub_train)),
-    }
+    out = {"mode": mode_name,
+           "counts_sonar": _error_counts(field(ws[2], sets[2].Xi), sets[2].tau)}
+    for side, w, part, pub in zip(("test", "train"), ws, sets, pub_mu):
+        rep = evaluate(w, part)
+        mu = [r["mu"] for r in rep["records"]]
+        out[f"counts_{side}_side"] = tuple(rep["counts"].values())
+        out[f"mu_{side}_side"] = mu
+        out[f"missing_{side}"] = sorted(set(pub) - set(mu))
+        out[f"extra_{side}"] = sorted(set(mu) - set(pub))
+    return out
 
 
 def _gamma_check(full):
@@ -382,6 +374,9 @@ def cosine_report():
     return out
 
 
+_DIFFS = ("missing_test", "extra_test", "missing_train", "extra_train")
+
+
 def verify_published(train_raw, test_raw):
     """Sweep all standardization modes and diff against the published tables.
 
@@ -390,24 +385,27 @@ def verify_published(train_raw, test_raw):
     the full set keyed by scale, as both modes of a scale share that set;
     ``closest_mode``, the mode with the fewest missing and extra patterns;
     the published ``norms`` and ``cosines``; the ``perturbation`` analysis
-    in the closest mode, which it names; and ``reproduced``, True iff some
-    mode reproduces both published misclassification sets exactly.
+    in the closest mode, which it names; and ``reproduced``, True iff the
+    closest mode's four diff lists are empty. A pattern width other than the
+    published vectors' raises StatsError.
     """
+    n_features = len(_published()[2][2]) - 1
+    if train_raw.X.shape[1] != n_features:
+        raise StatsError(f"verification needs {n_features} features per pattern, "
+                         f"not {train_raw.X.shape[1]}")
     parts = mode_parts(train_raw, test_raw)
     modes = [run_mode(mode_name, parts) for mode_name in parts]
     full_sets = {scale: parts[name][2] for name, _, scale in STANDARDIZATION_MODES}
-    closest = min(modes, key=lambda r: sum(len(r[k]) for k in (
-        "missing_test", "extra_test", "missing_train", "extra_train")))["mode"]
+    closest = min(modes, key=lambda r: sum(len(r[k]) for k in _DIFFS))
+    mode = closest["mode"]
     return {
         "modes": modes,
         "gamma_check": {scale: _gamma_check(full) for scale, full in full_sets.items()},
-        "closest_mode": closest,
+        "closest_mode": mode,
         "norms": published_norms(),
         "cosines": cosine_report(),
-        "perturbation": {"mode": closest,
-                         "spreads": perturbation_analysis(parts[closest])},
-        "reproduced": any(r["table_match_test"] and r["table_match_train"]
-                          for r in modes),
+        "perturbation": {"mode": mode, "spreads": perturbation_analysis(parts[mode])},
+        "reproduced": not any(closest[k] for k in _DIFFS),
     }
 
 
@@ -425,10 +423,10 @@ def verify_text(report):
             lines.append(f"  {label}: total={got[0]} F+={got[1]} F-={got[2]} "
                          f"[published {pub[0]}, {pub[1]} F+, {pub[2]} F-]")
         lines.append(f"  W_Sonar on all: total={r['counts_sonar'][0]} [published 0]")
-        lines.append(f"  table match: test-side={r['table_match_test']} "
-                     f"train-side={r['table_match_train']}")
-        for side in ("test", "train"):
-            if not r[f"table_match_{side}"]:
+        match = [not (r[f"missing_{s}"] or r[f"extra_{s}"]) for s in ("test", "train")]
+        lines.append(f"  table match: test-side={match[0]} train-side={match[1]}")
+        for side, matched in zip(("test", "train"), match):
+            if not matched:
                 lines.append(f"    {side}-side missing mu: {r[f'missing_{side}']}")
                 lines.append(f"    {side}-side extra mu:   {r[f'extra_{side}']}")
         gc = report["gamma_check"][scale_of[r["mode"]]]

@@ -557,9 +557,13 @@ NOT_UTF8 = b"\xff[train]\n1\n"
     ("train", "split", "[train]\n[test]\n" + ALL_INDICES,
      "bad --split-file: {path}: part 'train' selects no patterns"),
     ("verify", "split", "[train]\n[test]\n" + ALL_INDICES,
-     "verification needs both a train and a test part"),
+     "bad --split-file: {path}: part 'train' selects no patterns"),
+    ("verify", "split", "[train]\n" + ALL_INDICES + "[test]\n",
+     "bad --split-file: {path}: part 'test' selects no patterns"),
     ("train", "split", "[train]\n" + ALL_INDICES + "[test]\n1\n",
-     "bad --split-file: split assigns indices to both parts: [1]"),
+     "bad --split-file: {path}: split assigns indices to both parts: [1]"),
+    ("train", "split", "[train]\n1\n[test]\n209\n",
+     "bad --split-file: {path}: split references indices outside the dataset: [209]"),
     ("train", "split", "[valid]\n1\n",
      "bad --split-file: {path}: line 1: unknown split section 'valid'"),
     ("train", "config", "dir", "bad --config: {path}: Is a directory"),
@@ -575,15 +579,16 @@ NOT_UTF8 = b"\xff[train]\n1\n"
     ("grow", "config", NOT_UTF8, "bad --config: {path}: not a UTF-8 text file"),
     ("train", "out", "", "bad --out: {path}: File exists"),
 ], ids=["missing-config", "missing-split", "empty-train", "verify-empty-train",
-        "both-parts", "unknown-section", "config-dir", "dataset-dir", "split-dir",
-        "missing-dataset", "dataset-line", "config-line", "dataset-not-utf8",
+        "verify-empty-test", "both-parts", "split-outside", "unknown-section",
+        "config-dir", "dataset-dir", "split-dir", "missing-dataset", "dataset-line", "config-line", "dataset-not-utf8",
         "split-not-utf8", "config-not-utf8", "out-file"])
 def test_rejected_input_exit_2(sonar_path, balanced_split_path, fast_cfg_path,
                                tmp_path, capsys, command, bad, text, message):
     """An input that is missing, is a directory, is not UTF-8, has a
     malformed line or divides the patterns into no usable parts, and an
     --out that is a file, is a one-line usage error that writes nothing; a
-    fault of a file, or of the split it gives, names the option."""
+    fault of a file, or of the split it gives, names the option and the
+    file."""
     paths = {"dataset": sonar_path, "split": balanced_split_path,
              "config": Path(fast_cfg_path), "out": tmp_path / "o"}
     paths[bad] = path = tmp_path / f"{bad}.in"
@@ -694,6 +699,38 @@ class TestVerify:
         assert payload["reproduced"] is False
         for k, v in payload["norms"].items():
             assert v == pytest.approx(np.sqrt(61), abs=2e-4)
+
+    @pytest.mark.parametrize("matched", (("test", "train"), ("test",)),
+                             ids=("both-sides", "test-side"))
+    def test_reproduced_verdict(self, sonar_path, balanced_split_path,
+                                balanced_parts, capsys, monkeypatch, matched):
+        """With the published mu lists of the ``matched`` sides replaced by
+        the part-std mode's misclassified sets on the bundled split, part-std
+        matches those sides and lists no missing or extra mu for them; only
+        a match of both sides makes it the closest mode, the report
+        ``reproduced`` and the exit code 0."""
+        table, pub_mu, ws = evaluation._published()
+        part_std = evaluation.run_mode("part-std", evaluation.mode_parts(*balanced_parts))
+        patched = tuple(part_std[f"mu_{side}_side"] if side in matched else pub
+                        for side, pub in zip(("test", "train"), pub_mu))
+        monkeypatch.setattr(evaluation, "_published", lambda: (table, patched, ws))
+        argv = ["verify", "--dataset", str(sonar_path),
+                "--split-file", str(balanced_split_path)]
+        reproduced = len(matched) == 2
+        assert run(argv) == (0 if reproduced else 1)
+        text = capsys.readouterr().out
+        block = text.split("mode part-std:\n")[1].split("mode part-variance:\n")[0]
+        assert (f"  table match: test-side=True train-side={reproduced}\n"
+                in block)
+        for side in ("test", "train"):
+            for diff in ("missing", "extra"):
+                assert (f"{side}-side {diff} mu" in block) == (side not in matched)
+        assert text.endswith(f"verdict: {'' if reproduced else 'NOT '}REPRODUCED\n")
+        assert run([*argv, "--format", "json"]) == (0 if reproduced else 1)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reproduced"] is reproduced
+        if reproduced:
+            assert payload["closest_mode"] == "part-std"
 
     @staticmethod
     def inputs(split_name, labels, sonar_path, balanced_split_path,

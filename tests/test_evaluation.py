@@ -349,7 +349,7 @@ class TestLayoutNumbering:
     def test_blocks_and_quotas(self, balanced_parts):
         train, test = balanced_parts
         layout = paper_layout_numbering(train, test)
-        assert sorted(layout.values()) == list(range(1, 209))
+        assert sorted(layout.tolist()) == list(range(209))  # 0 at mu 0, no pattern
         # mines of the learning part take 1..49, its rocks 50..104
         train_mines = sorted(train.mu[train.tau == -1].tolist())
         assert [layout[m] for m in train_mines] == list(range(1, 50))
@@ -520,7 +520,6 @@ def _reference_run_mode(mode_name, sets, layout):
         counts_train_side=count_errors(w_test, train_std),
         counts_sonar=count_errors(w_sonar, all_std),
         mu_test_side=mu_test, mu_train_side=mu_train,
-        table_match_test=mu_test == pub_test, table_match_train=mu_train == pub_train,
         missing_test=sorted(set(pub_test) - set(mu_test)),
         extra_test=sorted(set(mu_test) - set(pub_test)),
         missing_train=sorted(set(pub_train) - set(mu_train)),
