@@ -16,7 +16,7 @@ is ``json.dumps(obj, sort_keys=True)`` and a newline, so it is hashed once,
 as bytes. Run it once with each of two checkouts on ``PYTHONPATH``, then
 ``--compare`` the two files: it prints each key whose hash differs or that
 only one file has, and a count, and exits 1 if there is any, so exit 0
-means equal exit codes, streams and artifacts. The matrix gives 228 items.
+means equal exit codes, streams and artifacts. The matrix gives 235 items.
 
 Every run takes its inputs from copies in a scratch root and names them,
 and its ``--out`` directory, relative to that root, so manifests do not
@@ -43,8 +43,10 @@ whose mean overflows the error of non-finite statistics,
 the error naming that pattern, and ``train`` on a config file that sets
 ``max_epochs`` twice the error of a repeated key. ``train`` on a config
 file that sets ``learning_rate=1e308`` hashes the error of an anneal whose
-first step overflows w, and ``train`` with a directory as ``--config``
-the error of a config path that names no file. A missing ``--dataset``
+first step overflows w, ``train`` with a directory as ``--config`` the
+error of a config path that names no file, and ``train`` on a config
+file with ``t_initial`` equal to ``t_min`` an anneal of no epoch, whose
+``trace.csv`` is its header alone. A missing ``--dataset``
 (``train``) and ``--split-file`` (``verify``), a split file with an unknown
 section and one that lists an index outside the dataset (``train``), and
 one whose ``[test]`` section is empty (``verify``) hash the error naming
@@ -106,6 +108,8 @@ HELD_OUT_OVERFLOW_SPLIT = "[train]\n1\n2\n3\n[test]\n4\n"
 DUPLICATE_CFG = "max_epochs=5\nmax_epochs=7\n"
 # a config whose anneal diverges: its first step overflows w
 DIVERGED_CFG = "learning_rate=1e308\n"
+# a config whose anneal runs no epoch: it starts at t_min
+ZERO_EPOCH_CFG = "t_initial=1e-3\nt_min=1e-3\n"
 # split files the CLI rejects: an unknown section, an index past the 208th
 SECTION_SPLIT = "[valid]\n1\n"
 OUTSIDE_SPLIT = "[train]\n1\n[test]\n209\n"
@@ -225,7 +229,7 @@ def run_matrix():
                  ["train", "--dataset", "held-out-overflow.csv", "--split-file",
                   "held-out-overflow.split", "--any-range",
                   "--out", "train-standardize-overflow"]))
-    for cfg in ("duplicate", "not-utf8", "diverged", "dir"):
+    for cfg in ("duplicate", "not-utf8", "diverged", "dir", "zero-epoch"):
         name = f"train-config-{cfg}"
         runs.append((name, ["train", *SONAR, "--config", f"{cfg}.cfg", "--out", name]))
     runs.append(("train-dataset-missing", ["train", "--dataset", "missing.csv",
@@ -274,6 +278,7 @@ def write_inputs(root: Path):
     (root / "held-out-overflow.split").write_text(HELD_OUT_OVERFLOW_SPLIT)
     (root / "duplicate.cfg").write_text(DUPLICATE_CFG)
     (root / "diverged.cfg").write_text(DIVERGED_CFG)
+    (root / "zero-epoch.cfg").write_text(ZERO_EPOCH_CFG)
     (root / "dir.cfg").mkdir()
     (root / "section.split").write_text(SECTION_SPLIT)
     (root / "outside.split").write_text(OUTSIDE_SPLIT)

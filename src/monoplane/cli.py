@@ -14,16 +14,20 @@ or a growth that stalled.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import data as dataio
+from . import trace_csv
 from .evaluation import evaluate, verify_published, verify_text
 from .network import GrowthStallError, grow_network, network_output, save_network
 from .perceptron import (
@@ -88,11 +92,13 @@ def _load_parts(args):
     return (patterns, *parts)
 
 
-def _create(path: Path):
+def _create(path: Path, binary=False):
     """Open ``path`` for writing, creating its directory, the --out
     directory, first, so that a run that fails before its first artifact
     leaves nothing behind."""
     _named("--out", path.parent, lambda out: out.mkdir(parents=True, exist_ok=True))
+    if binary:
+        return open(path, "wb")
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
@@ -149,14 +155,103 @@ def _prepare_run(args):
     return config, learn, evalp, Path(args.out)
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _trace_writer():
+    """A ``trace_csv`` helper process that formats trace.csv on another CPU
+    while the anneal runs, or None: on a host with one usable CPU, where it
+    would only take time from the anneal, or when it cannot be started.
+    train then formats trace.csv in-process, with the same bytes. On
+    leaving, the helper is killed if it still runs, and always reaped."""
+    proc = None
+    if _usable_cpus() > 1 and sys.executable:
+        with contextlib.suppress(OSError):
+            proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", trace_csv.__file__],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL)
+    try:
+        yield proc
+    finally:
+        if proc is not None:
+            proc.kill()
+            proc.wait()
+            # stdin holds unsent bytes only if the helper stopped reading
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+            proc.stdout.close()
+
+
+def _sender(proc):
+    """An ``on_block`` that sends each block to the helper as it closes."""
+    def send(*columns):
+        proc.stdin.write(trace_csv.pack_block(*columns))
+        proc.stdin.flush()
+    return send
+
+
+def _writer_failed(proc):
+    return ChildProcessError(f"trace.csv writer exited {proc.wait()}")
+
+
+def _await_rows(proc, rows):
+    """End the helper's input and read the row count that it writes once
+    every block is formatted. A helper that fails, or that formatted other
+    than ``rows`` rows, is found here, before any artifact is written; only
+    one stopped while it writes its text is found later."""
+    proc.stdin.close()
+    formatted = trace_csv.read_count(proc.stdout)
+    if formatted is None:
+        raise _writer_failed(proc)
+    if formatted != rows:
+        raise ChildProcessError(
+            f"trace.csv writer formatted {formatted} rows, not {rows}")
+
+
+_COPY_BYTES = 1 << 16
+
+
+def _copy_trace(proc, fh, rows):
+    """Copy the helper's text into the binary file ``fh``, ``_COPY_BYTES``
+    at a time, and check that the helper exited 0 after writing the header
+    and one line per row."""
+    lines = 0
+    while chunk := proc.stdout.read(_COPY_BYTES):
+        lines += chunk.count(b"\n")
+        fh.write(chunk)
+    if proc.wait() != 0:
+        raise _writer_failed(proc)
+    if lines != rows + 1:
+        raise ChildProcessError(
+            f"trace.csv writer wrote {lines} lines, not {rows + 1}")
+
+
 def cmd_train(args):
     config, learn, evalp, out_dir = _prepare_run(args)
-    w, trace = minimerror_train(learn, config)
+    with _trace_writer() as writer:
+        try:
+            w, trace = minimerror_train(
+                learn, config,
+                on_block=None if writer is None else _sender(writer))
+        except BrokenPipeError:
+            # the helper stopped reading: report how it ended
+            raise _writer_failed(writer) from None
+        if writer is not None:
+            _await_rows(writer, len(trace))
 
-    with _create(out_dir / "weights.txt") as fh:
-        save_weights(w, fh)
-    with _create(out_dir / "trace.csv") as fh:
-        trace.to_csv(fh)
+        with _create(out_dir / "weights.txt") as fh:
+            save_weights(w, fh)
+        with _create(out_dir / "trace.csv", binary=writer is not None) as fh:
+            if writer is None:
+                trace.to_csv(fh)
+            else:
+                _copy_trace(writer, fh, len(trace))
     outputs = ["weights.txt", "trace.csv", "report.json"]
 
     report = {

@@ -70,6 +70,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .data import _load, read_number
+from .trace_csv import csv_lines
 
 
 class TrainingError(RuntimeError):
@@ -196,7 +197,9 @@ class TrainingTrace:
 
     One entry per epoch run in each column: ``temperature``, ``cost`` and
     ``min_stability`` as float64, ``errors`` as int64. ``to_csv`` writes
-    them as Python floats and ints. ``stop`` says why an anneal ended:
+    them as Python floats and ints with ``trace_csv.csv_lines``, the
+    format of ``monoplane train``'s helper process. ``stop`` says why an
+    anneal ended:
     "frozen" (its last epoch took no step, and no later one would),
     "t_min" or "max_epochs"; it is None for other trainers.
     """
@@ -221,16 +224,13 @@ class TrainingTrace:
         return len(self.errors)
 
     def to_csv(self, stream):
-        stream.write("epoch,temperature,cost,errors,min_stability\n")
         columns = (self.temperature, self.cost, self.errors, self.min_stability)
         # a bounded number of rows at a time as Python numbers, so a long
-        # trace never holds all its values as Python objects at once
-        for start in range(0, len(self), _CSV_CHUNK_ROWS):
-            rows = zip(*(c[start:start + _CSV_CHUNK_ROWS].tolist()
-                         for c in columns))
-            stream.writelines(f"{i},{T!r},{E!r},{errors},{stab!r}\n"
-                              for i, (T, E, errors, stab)
-                              in enumerate(rows, start))
+        # trace never holds all its values as Python objects at once; an
+        # empty trace is one empty chunk, so that it still has the header
+        for start in range(0, len(self) or 1, _CSV_CHUNK_ROWS):
+            stream.writelines(csv_lines(start, *(
+                c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns)))
 
 
 def field(w: WeightVector, X):
@@ -331,12 +331,12 @@ def _error_counts(f, tau):
 _BLOCK = 256
 
 
-def _close_block(blocks, G, W, k, first, T, t_decay, best):
+def _close_block(blocks, G, W, k, first, T, t_decay, best, on_block):
     """Append the trace columns of a block's first ``k`` epochs, the first
-    of them epoch ``first`` at temperature ``T``, to ``blocks``, and return
-    ``best``, the retained (errors, min_stability, epoch, w), updated with
-    the block's best epoch: fewest errors, then the largest minimal
-    stability, then the first.
+    of them epoch ``first`` at temperature ``T``, to ``blocks``, pass them
+    to ``on_block`` unless it is None, and return ``best``, the retained
+    (errors, min_stability, epoch, w), updated with the block's best epoch:
+    fewest errors, then the largest minimal stability, then the first.
 
     Row i of ``G`` is M @ w at the block's epoch i, tXi @ w with w . w in
     its last slot, every value finite, and row i of ``W`` is that w. Its
@@ -371,10 +371,12 @@ def _close_block(blocks, G, W, k, first, T, t_decay, best):
     E = h.sum(axis=1)
     E *= 0.5
     blocks.append((temps, E, errs, stabs))
+    if on_block is not None:
+        on_block(temps, E, errs, stabs)
     return best
 
 
-def minimerror_train(patterns, config: TrainingConfig):
+def minimerror_train(patterns, config: TrainingConfig, on_block=None):
     """Annealed minimization of the smoothed error count.
 
     From a Hebbian start, repeat {normalized full-batch descent step;
@@ -417,6 +419,12 @@ def minimerror_train(patterns, config: TrainingConfig):
     keeping the row of every epoch run but a failing one, and the trace is
     built once. An anneal with no ``stop`` then raises TrainingError at its
     failing epoch, with that trace.
+
+    ``on_block``, unless None, is called with each block's four trace
+    columns (temperature, cost, errors, minimal stability) as the block is
+    closed, so a caller can write the trace while the anneal runs: the
+    blocks concatenate to the trace's columns. Every anneal closes at
+    least one block, and only its last can be empty.
     """
     if not patterns:
         raise ValueError("cannot train on an empty pattern set")
@@ -461,7 +469,7 @@ def minimerror_train(patterns, config: TrainingConfig):
         while T > t_min and epoch < max_epochs:
             if k == block:
                 best = _close_block(blocks, G, W, k, first, T_first, t_decay,
-                                    best)
+                                    best, on_block)
                 first, T_first, k = epoch, T, 0
             row, raw, wrow = g_rows[k]
             m_dot(w, row)
@@ -530,7 +538,8 @@ def minimerror_train(patterns, config: TrainingConfig):
             k += 1
         else:
             stop = "t_min" if T <= t_min else "max_epochs"
-        best = _close_block(blocks, G, W, k, first, T_first, t_decay, best)
+        best = _close_block(blocks, G, W, k, first, T_first, t_decay, best,
+                            on_block)
     trace = TrainingTrace(*map(np.concatenate, zip(*blocks)), best[2],
                           fallback, stop)
     # only a non-finite norm or direction leaves the loop without a stop

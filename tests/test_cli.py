@@ -4,6 +4,8 @@ import json
 import platform
 import re
 import shlex
+import subprocess
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from monoplane import (
     save_weights, split, standardize, verify_published, verify_text,
 )
 from monoplane.cli import _blas_build, build_parser, main
+from monoplane.perceptron import _BLOCK, TrainingTrace
 
 from conftest import random_balanced_split
 
@@ -299,10 +302,25 @@ class TestReportContents:
             assert rep["generalization"] == evaluate(w, standardize(eval_raw, stats))
 
 
+@pytest.fixture()
+def helpers(monkeypatch):
+    """Every process the CLI starts, recorded as it starts."""
+    started = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+    monkeypatch.setattr(cli.subprocess, "Popen", spy)
+    return started
+
+
 @pytest.mark.parametrize("command", ("train", "grow"))
 def test_diverged_training_exit_2(sonar_path, balanced_split_path, tmp_path,
-                                  capsys, command):
-    """A diverged anneal is a usage error (2), not a verify mismatch (1)."""
+                                  capsys, helpers, command):
+    """A diverged anneal is a usage error (2), not a verify mismatch (1).
+    It writes nothing, and train's trace.csv helper, which a host with
+    more than one usable CPU starts, has been reaped when main returns."""
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("learning_rate=1e308\nmax_epochs=50\n")
     rc = run([command, "--dataset", str(sonar_path),
@@ -311,6 +329,110 @@ def test_diverged_training_exit_2(sonar_path, balanced_split_path, tmp_path,
     assert rc == 2
     assert capsys.readouterr().err == "error: non-finite state at epoch 1\n"
     assert not (tmp_path / "o").exists()
+    assert len(helpers) == (command == "train" and cli._usable_cpus() > 1)
+    assert all(proc.returncode is not None for proc in helpers)
+
+
+class TestTraceWriter:
+    """train formats trace.csv in a helper process on a host with more
+    than one usable CPU, and in-process otherwise."""
+
+    def train(self, sonar_path, balanced_split_path, fast_cfg_path, out):
+        return run(["train", "--dataset", str(sonar_path), "--split-file",
+                    str(balanced_split_path), "--config", fast_cfg_path,
+                    "--out", str(out)])
+
+    @pytest.mark.parametrize("cpus, startable", [(2, True), (1, True), (2, False)],
+                             ids=["helper", "one-cpu", "unstartable"])
+    def test_trace_csv_is_to_csv_of_the_anneal(
+            self, sonar_path, balanced_split_path, fast_cfg_path, train_std,
+            tmp_path, monkeypatch, helpers, cpus, startable):
+        """Both paths write ``TrainingTrace.to_csv`` of the same anneal: a
+        helper with two usable CPUs, none with one, and the in-process
+        writer when the helper cannot be started."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        if not startable:
+            def unstartable(*args, **kwargs):
+                raise FileNotFoundError(2, "No such file or directory")
+            monkeypatch.setattr(cli.subprocess, "Popen", unstartable)
+        out = tmp_path / "o"
+        assert self.train(sonar_path, balanced_split_path, fast_cfg_path, out) == 0
+        _, trace = minimerror_train(train_std[0],
+                                    TrainingConfig.from_file(fast_cfg_path))
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        assert (out / "trace.csv").read_bytes() == buf.getvalue().encode()
+        assert len(helpers) == (cpus > 1 and startable)
+        assert all(proc.returncode == 0 for proc in helpers)
+
+    @pytest.mark.parametrize("script, message", [
+        ("import sys\nsys.exit(3)\n", "trace.csv writer exited 3"),
+        ("import sys\nsys.stdin.buffer.read()\n"
+         "sys.stdout.buffer.write(bytes(8))\n",
+         "trace.csv writer formatted 0 rows, not 688"),
+    ], ids=["exits-3", "short"])
+    def test_failing_helper_exit_2(self, sonar_path, balanced_split_path,
+                                   fast_cfg_path, tmp_path, monkeypatch,
+                                   helpers, capsys, script, message):
+        """A helper that fails, or that formatted fewer rows than the
+        anneal ran, is found before any artifact is written: train exits 2
+        with one error line, writes nothing and has reaped the helper."""
+        fake = tmp_path / "helper.py"
+        fake.write_text(script)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli.trace_csv, "__file__", str(fake))
+        out = tmp_path / "o"
+        assert self.train(sonar_path, balanced_split_path, fast_cfg_path, out) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+
+    def test_interrupted_anneal_reaps_the_helper(
+            self, sonar_path, balanced_split_path, fast_cfg_path, tmp_path,
+            monkeypatch, helpers):
+        """A KeyboardInterrupt in the anneal leaves main with the helper
+        killed and reaped, and nothing written."""
+        def interrupted(patterns, config, on_block):
+            on_block(*(np.zeros(3),) * 2, np.zeros(3, np.int64), np.zeros(3))
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "minimerror_train", interrupted)
+        out = tmp_path / "o"
+        with pytest.raises(KeyboardInterrupt):
+            self.train(sonar_path, balanced_split_path, fast_cfg_path, out)
+        assert not out.exists()
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+
+    def test_copy_of_a_long_trace_is_bounded_in_memory(self, tmp_path,
+                                                       monkeypatch):
+        """The helper's text of a trace as long as the all-208 separation
+        anneal's (35,187 rows) is copied into trace.csv with the bytes of
+        ``to_csv`` while the parent's peak stays below 1.5 MB above its
+        start."""
+        rng = np.random.default_rng(5)
+        n = 35187
+        trace = TrainingTrace(0.9998 ** np.arange(n), rng.random(n) * 50,
+                              rng.integers(0, 40, n), rng.standard_normal(n))
+        columns = (trace.temperature, trace.cost, trace.errors, trace.min_stability)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        path = tmp_path / "trace.csv"
+        with cli._trace_writer() as proc:
+            send = cli._sender(proc)
+            for k in range(0, n, _BLOCK):
+                send(*(c[k:k + _BLOCK] for c in columns))
+            cli._await_rows(proc, n)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                with open(path, "wb") as fh:
+                    cli._copy_trace(proc, fh, n)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5e6
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        assert path.read_bytes() == buf.getvalue().encode()
 
 
 RUN_KEYS = {"command", "dataset", "dataset_sha256", "split_source", "outputs",

@@ -19,6 +19,7 @@ from monoplane import (
     field, hebbian_init, load_published_weights, load_weights,
     minimerror_train, rosenblatt_train, save_weights,
 )
+from monoplane import trace_csv
 from monoplane.perceptron import _BLOCK, TrainingTrace, _sech2
 
 from conftest import make_ls_patterns, pattern_set, stability, xor_patterns
@@ -949,7 +950,10 @@ class TestMinimerror:
 
     def test_csv_matches_a_per_row_repr_writer(self):
         """Every row is written with one repr per value: 0.0 next to -0.0,
-        NaN runs and a long repeated run included."""
+        NaN runs and a long repeated run included. The helper's path, the
+        columns' bytes in blocks of _BLOCK rows read back through
+        ``memoryview.cast``, writes the same text, for the whole trace and
+        for traces of 0 and 1 rows, which are one block each."""
         stabs = ([0.0, -0.0, -0.0, 0.0, float("nan"), float("nan"), 1.5]
                  + [0.1 + 0.2] * 600 + [0.3, float("nan"), -0.0, 5e-324])
         rows = [(0.999 ** i, i / 7.0, i % 3, v) for i, v in enumerate(stabs)]
@@ -960,11 +964,13 @@ class TestMinimerror:
         buf = io.StringIO()
         trace.to_csv(buf)
         assert buf.getvalue() == want
+        assert helper_text(trace) == (len(rows), want)
         for short in (TrainingTrace.from_rows([]), TrainingTrace.from_rows(rows[:1])):
             buf = io.StringIO()
             short.to_csv(buf)
             assert want.startswith(buf.getvalue())
             assert buf.getvalue().count("\n") == len(short) + 1
+            assert helper_text(short) == (len(short), buf.getvalue())
 
     def test_csv_of_a_long_trace_is_written_in_bounded_memory(self, tmp_path):
         """A trace as long as the all-208 separation anneal's (35,187 rows)
@@ -1021,6 +1027,70 @@ class TestMinimerror:
         for line in lines[1:]:
             epoch, T, E, errors, stab = line.split(",")
             int(epoch), float(T), float(E), int(errors), float(stab)
+
+
+def columns(trace):
+    return trace.temperature, trace.cost, trace.errors, trace.min_stability
+
+
+def helper_text(trace):
+    """(rows, text) of ``trace`` sent to ``trace_csv.format_blocks`` in
+    blocks of _BLOCK rows, the last one possibly short, as the anneal
+    sends them."""
+    wire = io.BytesIO(b"".join(
+        trace_csv.pack_block(*(c[k:k + _BLOCK] for c in columns(trace)))
+        for k in range(0, len(trace) or 1, _BLOCK)))
+    rows, text = trace_csv.format_blocks(wire.read)
+    return rows, b"".join(text).decode("ascii")
+
+
+class TestBlockHook:
+    """``minimerror_train(on_block=)`` sees each closed block's columns."""
+
+    @pytest.mark.parametrize("config, stop", [
+        (SEPARATION_CONFIG, "frozen"),
+        (TrainingConfig(), "t_min"),
+        (TrainingConfig(t_initial=1e-3), "t_min"),
+        (replace(SEPARATION_CONFIG, learning_rate=1e308), None),
+    ], ids=["frozen-separation", "default-t_min", "empty", "diverged"])
+    def test_blocks_concatenate_to_the_trace(self, config, stop):
+        """The blocks are _BLOCK rows each but the last, and concatenate,
+        bit for bit and with the same dtypes, to the returned trace's
+        columns, or to a diverged anneal's TrainingError.trace; an empty
+        trace is one empty block."""
+        ps = make_ls_patterns(np.random.default_rng(13), n=40, dim=5)[0]
+        blocks = []
+
+        def hook(*cols):
+            blocks.append(cols)
+        if stop is None:
+            with pytest.raises(TrainingError) as exc:
+                minimerror_train(ps, config, on_block=hook)
+            trace = exc.value.trace
+        else:
+            trace = minimerror_train(ps, config, on_block=hook)[1]
+            assert trace.stop == stop
+        sizes = [len(b[2]) for b in blocks]
+        assert sizes[:-1] == [_BLOCK] * (len(sizes) - 1) and sizes[-1] <= _BLOCK
+        assert sum(sizes) == len(trace)
+        assert (len(trace) == 0) == (config.t_initial == config.t_min)
+        for k, column in enumerate(columns(trace)):
+            parts = [b[k] for b in blocks]
+            assert {p.dtype for p in parts} == {column.dtype}
+            assert np.concatenate(parts).tobytes() == column.tobytes()
+
+    def test_growth_passes_no_hook(self, monkeypatch):
+        """``grow_network`` writes no trace while a unit anneals, and
+        trains every unit without a hook."""
+        from monoplane import network
+        hooks = []
+
+        def spy(patterns, config, on_block=None):
+            hooks.append(on_block)
+            return minimerror_train(patterns, config)
+        monkeypatch.setattr(network, "minimerror_train", spy)
+        network.grow_network(xor_patterns(), TrainingConfig(max_epochs=500))
+        assert hooks and hooks == [None] * len(hooks)
 
 
 def per_pattern_rosenblatt(patterns, config):

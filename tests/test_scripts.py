@@ -122,6 +122,26 @@ def test_artifact_hashes_failing_train_runs(artifact_hashes, tmp_path,
     assert not (tmp_path / name).exists()
 
 
+def test_artifact_hashes_zero_epoch_run(artifact_hashes, tmp_path, monkeypatch,
+                                       capsys):
+    """The matrix's anneal that starts at t_min runs no epoch: it exits 0
+    and writes four artifacts, a trace.csv of the header alone among them.
+    With its exit code and two streams they are the 7 items that take the
+    matrix from 228 to 235."""
+    name = "train-config-zero-epoch"
+    argv = dict(artifact_hashes.run_matrix())[name]
+    artifact_hashes.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    out = tmp_path / name
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "report.json", "trace.csv", "weights.txt"]
+    assert (out / "trace.csv").read_text() == (
+        "epoch,temperature,cost,errors,min_stability\n")
+    assert json.loads((out / "report.json").read_text())["epochs_run"] == 0
+
+
 def test_perfbench_verify_sweep_reads_the_report(tmp_path, monkeypatch):
     """The benchmark's verify-sweep check passes on this tree: its first
     operation matches the bundled split's reference report and the next two
